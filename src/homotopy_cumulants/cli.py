@@ -69,9 +69,12 @@ def build_parser() -> argparse.ArgumentParser:
 def _write(text: str, out: str | None) -> None:
     if out is None:
         print(text)
-    else:
+        return
+    try:
         with open(out, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _cmd_verify(args) -> int:

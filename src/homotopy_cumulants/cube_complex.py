@@ -243,8 +243,7 @@ def cell_to_map(n: int, cell: CubeCell,
     total = block_maps[0]
     for block in block_maps[1:]:
         total = cup_pair(total, block, convention)
-    return MultiMap(n, total.shifted_degree, total._evaluator,
-                    name=f"cell[{cell.to_text()}]")
+    return total.renamed(f"cell[{cell.to_text()}]")
 
 
 def cell_boundary(cell: CubeCell) -> list[tuple[int, CubeCell]]:

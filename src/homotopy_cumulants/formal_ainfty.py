@@ -660,9 +660,7 @@ def interpret(tree: PaintedNode,
         return zero_map(n, tree.plain_degree() + n - 1)
     left = interpret(tree.children[0], convention)
     right = interpret(tree.children[1], convention)
-    paired = cup_pair(left, right, convention)
-    return MultiMap(n, paired.shifted_degree, paired._evaluator,
-                    name=tree_text(tree))
+    return cup_pair(left, right, convention).renamed(tree_text(tree))
 
 
 def interpret_sum(value: FormalSum,
@@ -676,14 +674,16 @@ def interpret_sum(value: FormalSum,
     if any(m.arity != arity for m, _ in maps):
         raise ValueError("mixed arities in formal sum")
 
-    def evaluator(*xs: PolyForm) -> Cochain:
+    def evaluator(*xs: PolyForm | int) -> Cochain:
         total = Cochain.zero()
         for m, c in maps:
             total = total + m(*xs).scale(c)
         return total
 
-    return MultiMap(arity, maps[0][0].shifted_degree + 0, evaluator,
-                    name=f"[{value.to_text()}]")
+    summed = MultiMap(arity, maps[0][0].shifted_degree + 0, evaluator,
+                      name=f"[{value.to_text()}]")
+    summed.basis_codes = True  # the term maps take codes themselves
+    return summed
 
 
 # ---------------------------------------------------------------------------

@@ -13,24 +13,33 @@ integrals satisfy the full morphism relation; the test suite pins it and
 exhibits the failure of B.
 
 Equality of MultiMaps is certified on truncated monomial bases, which by
-multilinearity is exact on the truncated subspace.
+multilinearity is exact on the truncated subspace.  The sweeps evaluate
+maps on integer basis codes (see `interval_model.encode_basis`): every
+combinator here has a one-term rule on codes, and a map without one
+decodes its inputs and runs the general PolyForm path, which also serves
+arbitrary forms.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Sequence
 
 from .cumulants import CumulantContext, cumulant, integration_context
 from .interval_model import (
     Cochain,
     PolyForm,
     cup,
+    d_code,
     d_form,
+    decode_basis,
     delta,
+    encode_basis,
     iterated_integral,
+    iterated_integral_codes,
     wedge,
+    wedge_codes,
 )
 
 
@@ -60,9 +69,15 @@ class MultiMap:
     iterated integral, +1 for the differentials); the unsuspended degree
     used by Koszul signs is shifted_degree - arity + 1.  Evaluations are
     memoized, so shared subexpressions across a grid sweep are cheap.
+
+    A map is called either on PolyForms or on basis codes (ints), and one
+    memo holds both, since an int tuple never equals a PolyForm tuple.
+    `basis_codes` says whether the evaluator accepts codes itself; when it
+    is False, code inputs are decoded to PolyForms first.
     """
 
-    __slots__ = ("arity", "shifted_degree", "name", "_evaluator", "_memo")
+    __slots__ = ("arity", "shifted_degree", "name", "basis_codes",
+                 "_evaluator", "_memo")
 
     def __init__(self, arity: int, shifted_degree: int,
                  evaluator: Callable[..., Cochain], name: str = ""):
@@ -71,6 +86,7 @@ class MultiMap:
         self.arity = arity
         self.shifted_degree = shifted_degree
         self.name = name or f"map/{arity}"
+        self.basis_codes = False
         self._evaluator = evaluator
         self._memo: dict = {}
 
@@ -78,54 +94,75 @@ class MultiMap:
     def plain_degree(self) -> int:
         return self.shifted_degree - self.arity + 1
 
-    def __call__(self, *forms: PolyForm) -> Cochain:
-        if len(forms) != self.arity:
-            raise ValueError(
-                f"{self.name} expects {self.arity} inputs, got {len(forms)}")
+    def __call__(self, *forms: PolyForm | int) -> Cochain:
         value = self._memo.get(forms)
         if value is None:
-            value = self._evaluator(*forms)
+            # only tuples of the right length are ever memoized
+            if len(forms) != self.arity:
+                raise ValueError(
+                    f"{self.name} expects {self.arity} inputs, got {len(forms)}")
+            if self.basis_codes or type(forms[0]) is not int:
+                value = self._evaluator(*forms)
+            else:
+                value = self._evaluator(*map(decode_basis, forms))
             self._memo[forms] = value
         return value
+
+    def renamed(self, name: str, shifted_degree: int | None = None) -> "MultiMap":
+        """The same evaluator under a new name (and degree), with a fresh memo."""
+        if shifted_degree is None:
+            shifted_degree = self.shifted_degree
+        renamed = MultiMap(self.arity, shifted_degree, self._evaluator, name)
+        renamed.basis_codes = self.basis_codes
+        return renamed
 
     def __add__(self, other: "MultiMap") -> "MultiMap":
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
-        return MultiMap(self.arity, self.shifted_degree,
-                        lambda *xs: self(*xs) + other(*xs),
-                        f"({self.name} + {other.name})")
+        return _coded(self.arity, self.shifted_degree,
+                      lambda *xs: self(*xs) + other(*xs),
+                      f"({self.name} + {other.name})")
 
     def __sub__(self, other: "MultiMap") -> "MultiMap":
         if self.arity != other.arity:
             raise ValueError("arity mismatch")
-        return MultiMap(self.arity, self.shifted_degree,
-                        lambda *xs: self(*xs) - other(*xs),
-                        f"({self.name} - {other.name})")
+        return _coded(self.arity, self.shifted_degree,
+                      lambda *xs: self(*xs) - other(*xs),
+                      f"({self.name} - {other.name})")
 
     def scale(self, scalar) -> "MultiMap":
-        return MultiMap(self.arity, self.shifted_degree,
-                        lambda *xs: self(*xs).scale(scalar),
-                        f"({scalar})*{self.name}")
+        return _coded(self.arity, self.shifted_degree,
+                      lambda *xs: self(*xs).scale(scalar),
+                      f"({scalar})*{self.name}")
 
     def __repr__(self) -> str:
         return f"MultiMap({self.name}, arity={self.arity}, shifted_degree={self.shifted_degree})"
 
 
+def _coded(arity: int, shifted_degree: int, evaluator: Callable[..., Cochain],
+           name: str) -> MultiMap:
+    """A MultiMap whose evaluator accepts basis codes as well as PolyForms."""
+    built = MultiMap(arity, shifted_degree, evaluator, name)
+    built.basis_codes = True
+    return built
+
+
 def zero_map(arity: int, shifted_degree: int = 0) -> MultiMap:
-    return MultiMap(arity, shifted_degree,
-                    lambda *xs: Cochain.zero(), name=f"0/{arity}")
+    return _coded(arity, shifted_degree,
+                  lambda *xs: Cochain.zero(), name=f"0/{arity}")
 
 
 def iterated_integral_map(n: int) -> MultiMap:
     """The n-th iterated-integral map as a MultiMap of shifted degree 0."""
     if n < 1:
         raise ValueError("n must be positive")
-    return MultiMap(n, 0, lambda *xs: iterated_integral(xs), name=f"I{n}")
 
+    def evaluator(*xs: PolyForm | int) -> Cochain:
+        if type(xs[0]) is int:
+            return iterated_integral_codes(xs)
+        return iterated_integral(xs)
 
-def _parity(form: PolyForm) -> int:
-    """Unsuspended degree parity of a homogeneous form."""
-    return 1 if form.part0.is_zero() and not form.part1.is_zero() else 0
+    return _coded(n, 0, evaluator, name=f"I{n}")
 
 
 def _homogeneous_tuples(forms: Sequence[PolyForm]):
@@ -145,19 +182,45 @@ def wedge_at(f: MultiMap, slot: int) -> MultiMap:
     if not 0 <= slot < f.arity:
         raise ValueError("slot out of range")
 
-    def evaluator(*xs: PolyForm) -> Cochain:
-        merged = xs[:slot] + (wedge(xs[slot], xs[slot + 1]),) + xs[slot + 2:]
-        return f(*merged)
+    def evaluator(*xs: PolyForm | int) -> Cochain:
+        if type(xs[0]) is int:
+            product = wedge_codes(xs[slot], xs[slot + 1])
+            if product is None:
+                return Cochain.zero()
+        else:
+            product = wedge(xs[slot], xs[slot + 1])
+        return f(*xs[:slot], product, *xs[slot + 2:])
 
-    return MultiMap(f.arity + 1, f.shifted_degree + 1, evaluator,
-                    name=f"{f.name}(wedge@{slot})")
+    return _coded(f.arity + 1, f.shifted_degree + 1, evaluator,
+                  name=f"{f.name}(wedge@{slot})")
 
 
 def d_insertion_sum(f: MultiMap,
                     convention: SignConvention = CONVENTION_A) -> MultiMap:
-    """sum_u koszul(u) f(1 x .. x d x .. x 1) with signs per convention."""
+    """sum_u koszul(u) f(1 x .. x d x .. x 1) with signs per convention.
 
-    def evaluator(*xs: PolyForm) -> Cochain:
+    On codes the one term of slot u is k f(.., t^(k-1) dt, ..) for an input
+    t^k, signed by the dt inputs it passes.
+    """
+
+    def on_codes(xs: tuple[int, ...]) -> Cochain:
+        total = Cochain.zero()
+        dt_inputs = sum(x & 1 for x in xs)
+        passed_left = 0
+        for u, x in enumerate(xs):
+            dx = d_code(x)
+            if dx is not None:
+                k, code = dx
+                passed = (passed_left if convention.from_left
+                          else dt_inputs - passed_left)
+                value = f(*xs[:u], code, *xs[u + 1:])
+                total = total + value.scale(-k if passed & 1 else k)
+            passed_left += x & 1
+        return total
+
+    def evaluator(*xs: PolyForm | int) -> Cochain:
+        if type(xs[0]) is int:
+            return on_codes(xs)
         total = Cochain.zero()
         for homog, degs in _homogeneous_tuples(xs):
             for u in range(f.arity):
@@ -170,8 +233,8 @@ def d_insertion_sum(f: MultiMap,
                 total = total + (value if exponent % 2 == 0 else -value)
         return total
 
-    return MultiMap(f.arity, f.shifted_degree + 1, evaluator,
-                    name=f"{f.name}.d_insertions")
+    return _coded(f.arity, f.shifted_degree + 1, evaluator,
+                  name=f"{f.name}.d_insertions")
 
 
 def hom_boundary(f: MultiMap,
@@ -184,11 +247,11 @@ def hom_boundary(f: MultiMap,
     insertions = d_insertion_sum(f, convention)
     pre_sign = -1 if f.plain_degree % 2 == 0 else 1
 
-    def evaluator(*xs: PolyForm) -> Cochain:
+    def evaluator(*xs: PolyForm | int) -> Cochain:
         return delta(f(*xs)) + insertions(*xs).scale(pre_sign)
 
-    return MultiMap(f.arity, f.shifted_degree + 1, evaluator,
-                    name=f"boundary({f.name})")
+    return _coded(f.arity, f.shifted_degree + 1, evaluator,
+                  name=f"boundary({f.name})")
 
 
 def cup_pair(left: MultiMap, right: MultiMap,
@@ -196,17 +259,22 @@ def cup_pair(left: MultiMap, right: MultiMap,
     """cup . (left x right) with the Koszul sign of the tensor evaluation.
 
     Under convention A the right map picks up (-1)^{|right| * deg} from the
-    form degrees it passes on the left; convention B mirrors this.
+    form degrees it passes on the left; convention B mirrors this.  On
+    codes the form degrees are the dt bits, so the sign is a single
+    (-1)^{|moving| * dt bits passed}.
     """
     arity = left.arity + right.arity
     moving = right if convention.from_left else left
     moving_parity = moving.plain_degree % 2
 
-    def evaluator(*xs: PolyForm) -> Cochain:
+    def evaluator(*xs: PolyForm | int) -> Cochain:
         left_xs, right_xs = xs[:left.arity], xs[left.arity:]
         if moving_parity == 0:
             return cup(left(*left_xs), right(*right_xs))
         passed = left_xs if convention.from_left else right_xs
+        if type(xs[0]) is int:
+            value = cup(left(*left_xs), right(*right_xs))
+            return -value if sum(x & 1 for x in passed) & 1 else value
         total = Cochain.zero()
         for homog, degs in _homogeneous_tuples(passed):
             if convention.from_left:
@@ -216,8 +284,8 @@ def cup_pair(left: MultiMap, right: MultiMap,
             total = total + (value if sum(degs) % 2 == 0 else -value)
         return total
 
-    return MultiMap(arity, left.shifted_degree + right.shifted_degree + 1,
-                    evaluator, name=f"cup({left.name},{right.name})")
+    return _coded(arity, left.shifted_degree + right.shifted_degree + 1,
+                  evaluator, name=f"cup({left.name},{right.name})")
 
 
 @dataclass(frozen=True)
@@ -237,8 +305,9 @@ class TruncationGrid:
             for k in range(self.max_exponent + 1)
         )
 
-    def tuples(self, arity: int) -> Iterator[tuple[PolyForm, ...]]:
-        return itertools.product(self.slot_basis(), repeat=arity)
+    def slot_codes(self) -> tuple[int, ...]:
+        """The basis codes of `slot_basis`, in the same order."""
+        return tuple(map(encode_basis, self.slot_basis()))
 
 
 @dataclass(frozen=True)
@@ -275,17 +344,18 @@ def maps_equal_on_truncation(f: MultiMap, g: MultiMap,
                              check: str = "") -> EqualityVerdict:
     """Exact equality on the span of the truncated monomial basis.
 
-    Basis tuples are swept in deterministic slot-major order and the first
-    disagreement is reported with both values.
+    Basis tuples are swept as codes in deterministic slot-major order, and
+    the first disagreement is reported with both values and its tuple
+    decoded to PolyForms.
     """
     if f.arity != g.arity:
         raise ValueError("cannot compare maps of different arity")
     name = check or f"{f.name} == {g.name}"
-    for xs in grid.tuples(f.arity):
+    for xs in itertools.product(grid.slot_codes(), repeat=f.arity):
         lhs, rhs = f(*xs), g(*xs)
         if lhs != rhs:
             return EqualityVerdict(name, f.arity, grid.max_exponent, False,
-                                   xs, lhs, rhs)
+                                   tuple(map(decode_basis, xs)), lhs, rhs)
     return EqualityVerdict(name, f.arity, grid.max_exponent, True)
 
 
@@ -315,7 +385,7 @@ def _morphism_source(n: int, convention: SignConvention) -> MultiMap:
 def _morphism_target(n: int, convention: SignConvention) -> MultiMap:
     """Product side: delta . I_n plus the signed cup(I_i x I_j) terms."""
     i_n = iterated_integral_map(n)
-    total = MultiMap(n, 1, lambda *xs: delta(i_n(*xs)), name=f"delta.I{n}")
+    total = _coded(n, 1, lambda *xs: delta(i_n(*xs)), name=f"delta.I{n}")
     for i in range(1, n):
         j = n - i
         term = cup_pair(iterated_integral_map(i),
@@ -338,7 +408,7 @@ def ainfty_relation_defect(
     if n < 1:
         raise ValueError("n must be positive")
     defect = _morphism_source(n, convention) - _morphism_target(n, convention)
-    defect = MultiMap(n, 1, defect._evaluator, name=f"morphism_defect({n})")
+    defect = defect.renamed(f"morphism_defect({n})", 1)
     verdict = map_is_zero_on(
         defect, TruncationGrid(max_exponent),
         check=f"morphism relation n={n} (convention {convention.name})")
@@ -361,7 +431,7 @@ def homotopy_witness(n: int,
             wedge_at(witness, 0)
             - cup_pair(iterated_integral_map(1), witness, convention)
         )
-    return MultiMap(n, n - 2, witness._evaluator, name=f"H{n}")
+    return witness.renamed(f"H{n}", n - 2)
 
 
 def alternate_witness_k3(variant: str,
@@ -379,7 +449,7 @@ def alternate_witness_k3(variant: str,
         witness = wedge_at(i2, 1) - cup_pair(i2, i1, convention)
     else:
         raise ValueError(f"unknown witness variant {variant!r}")
-    return MultiMap(3, 1, witness._evaluator, name=f"K3_witness_{variant}")
+    return witness.renamed(f"K3_witness_{variant}", 1)
 
 
 def cumulant_multimap(n: int, ctx: CumulantContext | None = None) -> MultiMap:

@@ -16,6 +16,7 @@ iterated-integral companions.  Everything is exact: coefficients are
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[Fraction, int, str]
@@ -260,7 +261,12 @@ ONE = PolyForm(part0=Polynomial([1]))
 
 
 class Cochain:
-    """A simplicial cochain on the interval: vertex values plus r dt."""
+    """A simplicial cochain on the interval: vertex values plus r dt.
+
+    The products and sums below return the shared `Cochain.zero()` for a
+    zero result they can see cheaply, and pass it through by identity, since
+    most values in a grid sweep vanish.
+    """
 
     __slots__ = ("v0", "v1", "edge", "_hash")
 
@@ -278,7 +284,7 @@ class Cochain:
         return _COCHAIN_ZERO
 
     def is_zero(self) -> bool:
-        return not (self.v0 or self.v1 or self.edge)
+        return self is _COCHAIN_ZERO or not (self.v0 or self.v1 or self.edge)
 
     def vertex_part(self) -> "Cochain":
         return Cochain(self.v0, self.v1, 0)
@@ -287,6 +293,8 @@ class Cochain:
         return Cochain(0, 0, self.edge)
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         return (isinstance(other, Cochain) and self.v0 == other.v0
                 and self.v1 == other.v1 and self.edge == other.edge)
 
@@ -298,6 +306,10 @@ class Cochain:
         return value
 
     def __add__(self, other: "Cochain") -> "Cochain":
+        if other is _COCHAIN_ZERO:
+            return self
+        if self is _COCHAIN_ZERO:
+            return other
         v0 = (self.v0 + other.v0 if self.v0 and other.v0
               else (self.v0 or other.v0))
         v1 = (self.v1 + other.v1 if self.v1 and other.v1
@@ -307,14 +319,22 @@ class Cochain:
         return Cochain(v0, v1, edge)
 
     def __neg__(self) -> "Cochain":
-        return Cochain(-self.v0, -self.v1, -self.edge)
+        if self is _COCHAIN_ZERO:
+            return self
+        v0, v1, edge = self.v0, self.v1, self.edge
+        return Cochain(-v0 if v0 else v0, -v1 if v1 else v1,
+                       -edge if edge else edge)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + (-other)
 
     def scale(self, scalar: Scalar) -> "Cochain":
+        if self is _COCHAIN_ZERO:
+            return self
         s = _frac(scalar)
-        return Cochain(s * self.v0, s * self.v1, s * self.edge)
+        v0, v1, edge = self.v0, self.v1, self.edge
+        return Cochain(s * v0 if v0 else v0, s * v1 if v1 else v1,
+                       s * edge if edge else edge)
 
     def to_text(self) -> str:
         return (f"({_format_rational(self.v0)}, {_format_rational(self.v1)}; "
@@ -351,18 +371,23 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
     edge.vertex the back vertex; edge.edge vanishes.  This is the unique
     bilinear rule making delta a derivation, and it is associative.
     """
+    if a is _COCHAIN_ZERO or b is _COCHAIN_ZERO:
+        return _COCHAIN_ZERO
     front = a.v0 * b.edge if a.v0 and b.edge else _ZERO
     back = a.edge * b.v1 if a.edge and b.v1 else _ZERO
-    return Cochain(
-        a.v0 * b.v0 if a.v0 and b.v0 else _ZERO,
-        a.v1 * b.v1 if a.v1 and b.v1 else _ZERO,
-        front + back if front and back else (front or back),
-    )
+    v0 = a.v0 * b.v0 if a.v0 and b.v0 else _ZERO
+    v1 = a.v1 * b.v1 if a.v1 and b.v1 else _ZERO
+    edge = front + back if front and back else (front or back)
+    if v0 is v1 is edge is _ZERO:
+        return _COCHAIN_ZERO
+    return Cochain(v0, v1, edge)
 
 
 def delta(a: Cochain) -> Cochain:
     """Simplicial coboundary: vertex values map to their edge difference."""
-    return Cochain(0, 0, a.v1 - a.v0)
+    if not (a.v0 or a.v1):
+        return _COCHAIN_ZERO
+    return Cochain(_ZERO, _ZERO, a.v1 - a.v0)
 
 
 def integrate(a: PolyForm) -> Cochain:
@@ -396,6 +421,60 @@ def iterated_integral(forms: Sequence[PolyForm]) -> Cochain:
 
 
 # ---------------------------------------------------------------------------
+# basis codes
+#
+# The certification basis {t^k, t^k dt} is encoded as the integers
+# code = 2k + dt, so the dt bit is the form's degree.  On codes every
+# operation has a closed form: the wedge of two monomials is a monomial,
+# d is a reindex and a scalar, and the iterated integral is Chen's product.
+
+def encode_basis(form: PolyForm) -> int:
+    """The code of a basis monomial t^k or t^k dt (coefficient 1)."""
+    dt = 0 if form.part0 else 1
+    k = (form.part1 if dt else form.part0).degree
+    if k < 0 or decode_basis(2 * k + dt) != form:
+        raise ValueError(f"{form.to_text()} is not a basis monomial")
+    return 2 * k + dt
+
+
+@lru_cache(maxsize=None)
+def decode_basis(code: int) -> PolyForm:
+    """The basis monomial of a code; one shared PolyForm per code."""
+    return PolyForm.monomial(code >> 1, dt=bool(code & 1))
+
+
+def wedge_codes(a: int, b: int) -> int | None:
+    """The code of t^i (dt) wedge t^j (dt); None when both carry dt."""
+    return None if a & b & 1 else a + b
+
+
+def d_code(code: int) -> tuple[int, int] | None:
+    """d(t^k) = k t^(k-1) dt as (k, code of t^(k-1) dt); None when zero."""
+    if code & 1 or code == 0:
+        return None
+    return code >> 1, code - 1
+
+
+def iterated_integral_codes(codes: Sequence[int]) -> Cochain:
+    """Iterated integral on basis codes, exactly.
+
+    I_1 is `integrate` on the monomial.  For n >= 2 only dt inputs
+    contribute, and Chen's formula gives
+    I_n(t^k1 dt, .., t^kn dt) = prod_j 1/(k_1 + .. + k_j + j) dt.
+    """
+    if len(codes) == 1:
+        return integrate(decode_basis(codes[0]))
+    denominator = 1
+    exponents = 0
+    for j, code in enumerate(codes, start=1):
+        if not code & 1:
+            return _COCHAIN_ZERO
+        exponents += code >> 1
+        denominator *= exponents + j
+    return Cochain(_ZERO, _ZERO, Fraction(1, denominator))
+
+
+# ---------------------------------------------------------------------------
 # text formats
 
 
@@ -405,6 +484,17 @@ def _format_rational(x: Fraction) -> str:
 
 def _json_rational(x: Fraction) -> str:
     return f"{x.numerator}/{x.denominator}"
+
+
+# Caps on parsed forms, so that the cost of parsing and evaluating one stays
+# predictable: t^64 is far beyond the certification grids.  Every product
+# and power is checked as it is built, so no intermediate value grows past
+# one multiplication beyond the caps, nested powers included.
+MAX_PARSE_EXPONENT = 64
+MAX_PARSE_DEGREE = 64
+MAX_PARSE_DIGITS = 100
+_NUMBER_LIMIT = 10 ** MAX_PARSE_DIGITS
+_DIGITS = frozenset("0123456789")
 
 
 class ParseError(ValueError):
@@ -473,11 +563,33 @@ class _FormParser:
             ch = self.peek()
             if ch == "*":
                 self.pos += 1
-                value = wedge(value, self.parse_factor())
-            elif ch and (ch.isdigit() or ch.isalpha() or ch == "("):
-                value = wedge(value, self.parse_factor())
-            else:
+            elif not (ch and (ch.isdigit() or ch.isalpha() or ch == "(")):
                 return value
+            start = self.pos
+            value = self.bounded(wedge(value, self.parse_factor()), start)
+
+    def bounded(self, value: PolyForm, start: int) -> PolyForm:
+        """value, unless its degree or a coefficient exceeds the caps."""
+        for part in (value.part0, value.part1):
+            if part.degree > MAX_PARSE_DEGREE:
+                self.pos = start
+                self.fail(f"form degree exceeds {MAX_PARSE_DEGREE}")
+            for c in part.coefficients:
+                if abs(c.numerator) >= _NUMBER_LIMIT or c.denominator >= _NUMBER_LIMIT:
+                    self.pos = start
+                    self.fail(f"coefficient longer than {MAX_PARSE_DIGITS} digits")
+        return value
+
+    def power(self, base: PolyForm, exponent: int, start: int) -> PolyForm:
+        """base wedged with itself exponent times, by repeated squaring."""
+        value = ONE
+        while exponent:
+            if exponent & 1:
+                value = self.bounded(wedge(value, base), start)
+            exponent >>= 1
+            if exponent:
+                base = self.bounded(wedge(base, base), start)
+        return value
 
     def parse_factor(self) -> PolyForm:
         base = self.parse_atom()
@@ -486,15 +598,11 @@ class _FormParser:
             self.pos += 1
             self.skip_ws()
             start = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if start == self.pos:
-                self.fail("expected an integer exponent")
-            power = int(self.text[start:self.pos])
-            value = ONE
-            for _ in range(power):
-                value = wedge(value, base)
-            return value
+            exponent = self.parse_integer("an integer exponent")
+            if exponent > MAX_PARSE_EXPONENT:
+                self.pos = start
+                self.fail(f"exponent exceeds {MAX_PARSE_EXPONENT}")
+            return self.power(base, exponent, start)
         return base
 
     def parse_atom(self) -> PolyForm:
@@ -510,7 +618,7 @@ class _FormParser:
                 self.fail("expected ')'")
             self.pos += 1
             return value
-        if ch.isdigit():
+        if ch in _DIGITS:
             return PolyForm.from_scalar(self.parse_rational())
         if self.text.startswith("dt", self.pos):
             self.pos += 2
@@ -520,22 +628,31 @@ class _FormParser:
             return T
         self.fail(f"unexpected character {ch!r}")
 
-    def parse_rational(self) -> Fraction:
+    def parse_integer(self, expected: str) -> int:
+        """An unsigned decimal integer of at most MAX_PARSE_DIGITS digits."""
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos] in _DIGITS:
             self.pos += 1
-        numerator = int(self.text[start:self.pos])
+        if start == self.pos:
+            self.fail(f"expected {expected}")
+        if self.pos - start > MAX_PARSE_DIGITS:
+            self.pos = start
+            self.fail(f"number longer than {MAX_PARSE_DIGITS} digits")
+        return int(self.text[start:self.pos])
+
+    def parse_rational(self) -> Fraction:
+        numerator = self.parse_integer("a number")
         save = self.pos
         self.skip_ws()
         if self.peek() == "/":
             self.pos += 1
             self.skip_ws()
             dstart = self.pos
-            while self.pos < len(self.text) and self.text[self.pos].isdigit():
-                self.pos += 1
-            if dstart == self.pos:
-                self.fail("expected a denominator")
-            return Fraction(numerator, int(self.text[dstart:self.pos]))
+            denominator = self.parse_integer("a denominator")
+            if not denominator:
+                self.pos = dstart
+                self.fail("zero denominator")
+            return Fraction(numerator, denominator)
         self.pos = save
         return Fraction(numerator)
 

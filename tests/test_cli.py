@@ -57,6 +57,12 @@ class TestVerify:
         assert code == 0 and out == ""
         assert json.loads(path.read_text())["entries"]
 
+    def test_unwritable_out_is_a_usage_error(self, capsys):
+        code, out, err = run(capsys, "verify", "dga", "--degree", "1",
+                             "--out", "/nonexistent/x.json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write /nonexistent/x.json")
+
     def test_usage_errors(self, capsys):
         assert run(capsys, "verify", "nonsense")[0] == 2
         assert run(capsys, "verify", "ainfty", "--n-max", "5")[0] == 2
@@ -111,6 +117,21 @@ class TestCumulant:
         code, _, err = run(capsys, "cumulant", "2", "--inputs", "t ; @dt")
         assert code == 2
         assert "position 4" in err
+
+    def test_zero_denominator_is_refused(self, capsys):
+        code, _, err = run(capsys, "cumulant", "1", "--inputs", "1/0")
+        assert code == 2
+        assert "zero denominator (at position 2)" in err
+
+    def test_huge_exponent_is_refused(self, capsys):
+        code, _, err = run(capsys, "cumulant", "1", "--inputs", "t^300000")
+        assert code == 2
+        assert "exponent exceeds 64 (at position 2)" in err
+
+    def test_nested_powers_are_refused(self, capsys):
+        code, _, err = run(capsys, "cumulant", "1", "--inputs", "((2^64)^64)^64")
+        assert code == 2
+        assert "coefficient longer than 100 digits" in err
 
     def test_arity_mismatch(self, capsys):
         assert run(capsys, "cumulant", "3", "--inputs", "t ; dt")[0] == 2

@@ -8,6 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homotopy_cumulants.interval_model import (
+    MAX_PARSE_DEGREE,
+    MAX_PARSE_EXPONENT,
     Cochain,
     ParseError,
     PolyForm,
@@ -240,6 +242,23 @@ class TestTextFormats:
         assert parse_polyform("dt*dt").is_zero()
         assert parse_polyform("t*t") == form((0, 0, 1))
         assert parse_polyform("(1+t)^2") == form((1, 2, 1))
+
+    def test_powers_match_repeated_wedges(self):
+        base = form((1, Fraction(1, 2)), (0, 3))
+        value = ONE
+        for exponent in range(12):
+            assert parse_polyform(f"(1 + 1/2*t + 3*t*dt)^{exponent}") == value
+            value = wedge(value, base)
+
+    def test_parse_limits(self):
+        parse_polyform(f"t^{MAX_PARSE_EXPONENT}")
+        parse_polyform(f"t^{MAX_PARSE_DEGREE - 1} * (1 + t)")
+        for text in (f"t^{MAX_PARSE_EXPONENT + 1}", "1/0", "2/00 + t",
+                     "1" * 101, "t^" + "9" * 5000, "\u00b2", "t^\u00b2",
+                     f"t^{MAX_PARSE_DEGREE} * t", "((1 + t)^64)^64",
+                     "((2^64)^64)^64", "(3^64)^4"):
+            with pytest.raises(ParseError):
+                parse_polyform(text)
 
     def test_tuple_parsing(self):
         forms = parse_form_tuple("t ; dt")
