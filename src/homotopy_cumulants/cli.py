@@ -7,6 +7,7 @@ usage error (bad parameters or malformed form syntax).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 from .cumulants import (
@@ -66,15 +67,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _write(text: str, out: str | None) -> None:
+def _open_out(out: str | None):
+    """Standard output, or `out` opened for writing before any work starts."""
     if out is None:
-        print(text)
-        return
+        return contextlib.nullcontext(sys.stdout)
     try:
-        with open(out, "w", encoding="utf-8") as handle:
-            handle.write(text + "\n")
+        return open(out, "w", encoding="utf-8")
     except OSError as exc:
         raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
+
+
+def _write(text: str, out: str | None) -> None:
+    with _open_out(out) as handle:
+        handle.write(text + "\n")
 
 
 def _cmd_verify(args) -> int:
@@ -92,8 +97,9 @@ def _cmd_verify(args) -> int:
     if not 0 <= args.degree <= DEGREE_LIMIT:
         raise UsageError(f"--degree must be between 0 and {DEGREE_LIMIT}")
     convention = get_convention(args.sign_convention)
-    entries = run_suite(suite, args.n_max, args.degree, convention)
-    _write(report_to_json(assemble_report(entries, convention)), args.out)
+    with _open_out(args.out) as handle:
+        entries = run_suite(suite, args.n_max, args.degree, convention)
+        handle.write(report_to_json(assemble_report(entries, convention)) + "\n")
     return 0 if all(e.status for e in entries) else 1
 
 

@@ -13,7 +13,6 @@ geometric content of the cumulant collapse.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 
@@ -26,9 +25,8 @@ from .hom_complex import (
     TruncationGrid,
     cup_pair,
     hom_boundary,
-    iterated_integral_map,
     maps_equal_on_truncation,
-    wedge_at,
+    merged_integral,
     zero_map,
 )
 
@@ -88,21 +86,21 @@ class CellLabel:
         return sum(self.p_indices) - len(self.p_indices)
 
 
+def _blocks(cell: CubeCell) -> list[list[int]]:
+    """Per block (inputs between HIGH cuts), the sizes of its wedge runs.
+
+    FREE cuts separate the runs, which are the iterated integral's inputs;
+    LOW cuts sit inside a run.
+    """
+    return [[len(run) + 1 for run in block.split(FREE)]
+            for block in "".join(cell.word).split(HIGH)]
+
+
 def label_for_cell(cell: CubeCell) -> CellLabel:
     """HIGH cuts determine the blocks; FREE cuts raise the block's arity."""
-    sizes, frees = [], []
-    size, free = 1, 0
-    for letter in cell.word:
-        if letter == HIGH:
-            sizes.append(size)
-            frees.append(free)
-            size, free = 1, 0
-        else:
-            size += 1
-            free += letter == FREE
-    sizes.append(size)
-    frees.append(free)
-    return CellLabel(Composition(tuple(sizes)), tuple(f + 1 for f in frees))
+    blocks = _blocks(cell)
+    return CellLabel(Composition(tuple(sum(runs) for runs in blocks)),
+                     tuple(len(runs) for runs in blocks))
 
 
 def vertex_composition(cell: CubeCell) -> Composition:
@@ -118,19 +116,12 @@ def cell_term_text(cell: CubeCell, letters: str | None = None) -> str:
         letters = "".join(chr(ord("a") + i) for i in range(n))
     pieces = []
     pos = 0
-    for block_size, arity in zip(label_for_cell(cell).block_pattern,
-                                 label_for_cell(cell).p_indices):
-        word = cell.word[pos:pos + block_size - 1] if block_size > 1 else ()
-        args, current = [], letters[pos]
-        for i, letter in enumerate(word):
-            if letter == FREE:
-                args.append(current)
-                current = letters[pos + i + 1]
-            else:
-                current += letters[pos + i + 1]
-        args.append(current)
-        pieces.append(f"p{arity}({','.join(args)})")
-        pos += block_size
+    for runs in _blocks(cell):
+        args = []
+        for size in runs:
+            args.append(letters[pos:pos + size])
+            pos += size
+        pieces.append(f"p{len(runs)}({','.join(args)})")
     return "".join(pieces)
 
 
@@ -185,7 +176,8 @@ def graph_degrees(graph: CumulantGraph) -> dict[Composition, int]:
     return degrees
 
 
-def graph_is_connected(graph: CumulantGraph) -> bool:
+def graph_is_connected(graph) -> bool:
+    """Whether a graph with `vertices` and `edges` tuples is connected."""
     if not graph.vertices:
         return True
     adjacency = {v: [] for v in graph.vertices}
@@ -222,24 +214,7 @@ def cell_to_map(n: int, cell: CubeCell,
     """
     if cell.n != n:
         raise ValueError(f"cell word has {cell.n - 1} letters, expected {n - 1}")
-    label = label_for_cell(cell)
-    block_maps = []
-    pos = 0
-    for block_size, arity in zip(label.block_pattern, label.p_indices):
-        block = iterated_integral_map(arity)
-        # wedge-merge LOW cuts right to left so slot indices stay valid
-        offsets = [i for i, letter in enumerate(cell.word[pos:pos + block_size - 1])
-                   if letter == LOW]
-        slot_of = []
-        slot = 0
-        for i in range(block_size - 1):
-            if cell.word[pos + i] == FREE:
-                slot += 1
-            slot_of.append(slot)
-        for i in reversed(offsets):
-            block = wedge_at(block, slot_of[i])
-        block_maps.append(block)
-        pos += block_size
+    block_maps = [merged_integral(runs) for runs in _blocks(cell)]
     total = block_maps[0]
     for block in block_maps[1:]:
         total = cup_pair(total, block, convention)
@@ -284,14 +259,6 @@ def verify_cell(n: int, cell: CubeCell, max_exponent: int,
         check=f"cell {cell.to_text()} boundary, n={n}")
 
 
-def cell_census(n: int) -> dict[int, int]:
-    """Cell counts of g_n by dimension."""
-    census: dict[int, int] = {}
-    for cell in cells_of(n):
-        census[cell.dimension] = census.get(cell.dimension, 0) + 1
-    return census
-
-
 def euler_characteristic(n: int) -> int:
     """Alternating sum of cell counts; 1 for every solid cube.
 
@@ -327,16 +294,3 @@ def graph_to_dot(n: int) -> str:
     lines.append("}")
     return "\n".join(lines)
 
-
-def census_json(n: int, max_exponent: int | None = None,
-                convention: SignConvention = CONVENTION_A) -> str:
-    """JSON cell census; includes boundary checks when a grid is given."""
-    census = {str(k): v for k, v in sorted(cell_census(n).items())}
-    payload: dict = {"n": n, "cells_by_dim": census}
-    if max_exponent is not None:
-        passed = all(
-            verify_cell(n, cell, max_exponent, convention).equal
-            for cell in cells_of(n) if cell.dimension >= 1
-        )
-        payload["checks_passed"] = passed
-    return json.dumps(payload, sort_keys=True)

@@ -179,13 +179,11 @@ class CumulantTerm:
         return self.value.scale(self.sign)
 
 
-def cumulant_terms(ctx: CumulantContext,
-                   inputs: Sequence[PolyForm]) -> list[CumulantTerm]:
-    """Term-by-term trace of the direct cumulant formula."""
+def _composition_products(ctx: CumulantContext, inputs: Sequence[PolyForm]):
+    """Yield each composition with the product of its block images, in order."""
     if len(inputs) == 0:
         raise ValueError("cumulant requires at least one input")
     images = _run_images(ctx, inputs)
-    terms = []
     for comp in _compositions(len(inputs)):
         acc = None
         pos = 0
@@ -193,29 +191,21 @@ def cumulant_terms(ctx: CumulantContext,
             image = images[(pos, pos + size - 1)]
             acc = image if acc is None else ctx.target_product(acc, image)
             pos += size
-        terms.append(CumulantTerm(comp, composition_sign(comp), acc))
-    return terms
+        yield comp, acc
+
+
+def cumulant_terms(ctx: CumulantContext,
+                   inputs: Sequence[PolyForm]) -> list[CumulantTerm]:
+    """Term-by-term trace of the direct cumulant formula."""
+    return [CumulantTerm(comp, composition_sign(comp), product)
+            for comp, product in _composition_products(ctx, inputs)]
 
 
 def cumulant(ctx: CumulantContext, inputs: Sequence[PolyForm]) -> Cochain:
     """Direct signed sum over all compositions; K_1 is the chain map."""
-    if len(inputs) == 0:
-        raise ValueError("cumulant requires at least one input")
-    images = _run_images(ctx, inputs)
     total = Cochain.zero()
-    for comp in _compositions(len(inputs)):
-        acc = None
-        pos = 0
-        for size in comp:
-            image = images[(pos, pos + size - 1)]
-            acc = image if acc is None else ctx.target_product(acc, image)
-            if acc.is_zero():
-                acc = None
-                break
-            pos += size
-        if acc is None:
-            continue
-        total = total + acc if len(comp) % 2 else total - acc
+    for comp, product in _composition_products(ctx, inputs):
+        total = total + product if len(comp) % 2 else total - product
     return total
 
 

@@ -13,7 +13,10 @@ the boundary of p_3 lists its six edges.
 
 Interpreting m as the wedge or cup product, p_k as the k-th iterated
 integral, and operations of arity three and higher as zero reproduces the
-concrete Hom-complex boundary exactly.
+concrete Hom-complex boundary exactly.  The interpretation goes through
+the builders the cube cells use: a p node over binary source trees is
+`hom_complex.merged_integral` of the subtrees' leaf counts, and target
+nodes join with `cup_pair`, so formal terms evaluate on basis codes.
 """
 
 from __future__ import annotations
@@ -23,17 +26,19 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Union
+from typing import ClassVar, Iterable, Union
 
+from .cube_complex import graph_is_connected
+from .cumulants import compositions
 from .hom_complex import (
     CONVENTION_A,
     MultiMap,
     SignConvention,
     cup_pair,
-    iterated_integral_map,
+    merged_integral,
     zero_map,
 )
-from .interval_model import Cochain, PolyForm, wedge
+from .interval_model import Cochain, PolyForm
 
 
 class Kind(Enum):
@@ -67,6 +72,8 @@ class Generator:
 class Leaf:
     """An input slot."""
 
+    children: ClassVar[tuple] = ()
+
     def leaf_count(self) -> int:
         return 1
 
@@ -78,82 +85,69 @@ class Leaf:
 
 
 @dataclass(frozen=True)
-class SourceOp:
-    """A source-algebra multiplication applied to source subtrees."""
+class _Node:
+    """An operation node: its generator applied to child subtrees.
 
-    children: tuple["SourceNode", ...]
+    Subclasses fix the generator's kind and the least arity it allows.
+    """
+
+    children: tuple
+
+    kind: ClassVar[Kind]
+    min_arity: ClassVar[int]
 
     def __post_init__(self):
-        if len(self.children) < 2:
-            raise ValueError("source multiplications have arity >= 2")
+        if len(self.children) < self.min_arity:
+            raise ValueError(
+                f"{self.kind.value} nodes have arity >= {self.min_arity}")
 
     @property
     def generator(self) -> Generator:
-        return Generator(Kind.M_SOURCE, len(self.children))
+        return Generator(self.kind, len(self.children))
 
     def leaf_count(self) -> int:
         return sum(c.leaf_count() for c in self.children)
 
     def plain_degree(self) -> int:
-        return 2 - len(self.children) + sum(c.plain_degree() for c in self.children)
+        return self.generator.plain_degree + sum(
+            c.plain_degree() for c in self.children)
 
     def dimension(self) -> int:
-        return len(self.children) - 2 + sum(c.dimension() for c in self.children)
+        return -self.generator.plain_degree + sum(
+            c.dimension() for c in self.children)
+
+
+class SourceOp(_Node):
+    """A source-algebra multiplication applied to source subtrees."""
+
+    kind = Kind.M_SOURCE
+    min_arity = 2
+
+
+class Paint(_Node):
+    """A morphism node p_k applied to k source subtrees (the paint line)."""
+
+    kind = Kind.P
+    min_arity = 1
+
+
+class TargetOp(_Node):
+    """A target-algebra multiplication applied to painted subtrees."""
+
+    kind = Kind.M_TARGET
+    min_arity = 2
 
 
 SourceNode = Union[Leaf, SourceOp]
-
-
-@dataclass(frozen=True)
-class Paint:
-    """A morphism node p_k applied to k source subtrees (the paint line)."""
-
-    children: tuple[SourceNode, ...]
-
-    def __post_init__(self):
-        if len(self.children) < 1:
-            raise ValueError("morphism nodes have arity >= 1")
-
-    @property
-    def generator(self) -> Generator:
-        return Generator(Kind.P, len(self.children))
-
-    def leaf_count(self) -> int:
-        return sum(c.leaf_count() for c in self.children)
-
-    def plain_degree(self) -> int:
-        return 1 - len(self.children) + sum(c.plain_degree() for c in self.children)
-
-    def dimension(self) -> int:
-        return len(self.children) - 1 + sum(c.dimension() for c in self.children)
-
-
-@dataclass(frozen=True)
-class TargetOp:
-    """A target-algebra multiplication applied to painted subtrees."""
-
-    children: tuple["PaintedNode", ...]
-
-    def __post_init__(self):
-        if len(self.children) < 2:
-            raise ValueError("target multiplications have arity >= 2")
-
-    @property
-    def generator(self) -> Generator:
-        return Generator(Kind.M_TARGET, len(self.children))
-
-    def leaf_count(self) -> int:
-        return sum(c.leaf_count() for c in self.children)
-
-    def plain_degree(self) -> int:
-        return 2 - len(self.children) + sum(c.plain_degree() for c in self.children)
-
-    def dimension(self) -> int:
-        return len(self.children) - 2 + sum(c.dimension() for c in self.children)
-
-
 PaintedNode = Union[Paint, TargetOp]
 FormalTree = Union[Leaf, SourceOp, Paint, TargetOp]
+
+# the node types that may sit directly below each node type
+_CHILD_TYPES = {
+    SourceOp: (Leaf, SourceOp),
+    Paint: (Leaf, SourceOp),
+    TargetOp: (Paint, TargetOp),
+}
 
 
 def p_tree(n: int) -> Paint:
@@ -165,27 +159,19 @@ def p_tree(n: int) -> Paint:
 
 def validate_painted(tree: FormalTree) -> None:
     """Reject trees that break the painted-tree typing."""
-    if isinstance(tree, Paint):
-        for child in tree.children:
-            _validate_source(child)
-    elif isinstance(tree, TargetOp):
-        for child in tree.children:
-            if not isinstance(child, (Paint, TargetOp)):
-                raise ValueError(
-                    "target multiplications act on painted subtrees")
-            validate_painted(child)
-    else:
+    if not isinstance(tree, (Paint, TargetOp)):
         raise ValueError("a painted tree is rooted at a p or target-m node")
+    _validate_children(tree)
 
 
-def _validate_source(tree: SourceNode) -> None:
-    if isinstance(tree, Leaf):
-        return
-    if isinstance(tree, SourceOp):
-        for child in tree.children:
-            _validate_source(child)
-        return
-    raise ValueError("source subtrees contain only leaves and source m nodes")
+def _validate_children(tree: FormalTree) -> None:
+    allowed = _CHILD_TYPES.get(type(tree), ())
+    for child in tree.children:
+        if not isinstance(child, allowed):
+            raise ValueError(
+                f"{tree.kind.value} nodes act on "
+                f"{' or '.join(t.__name__ for t in allowed)} subtrees")
+        _validate_children(child)
 
 
 def tree_text(tree: FormalTree) -> str:
@@ -291,14 +277,9 @@ def _target_weight(parts: tuple[int, ...], convention: SignConvention) -> int:
     return -1 if exponent % 2 else 1
 
 
-def _compositions_into(k: int, q: int):
+def _compositions_into(k: int, q: int) -> list[tuple[int, ...]]:
     """All ways to write k as q positive parts, lexicographic."""
-    if q == 1:
-        yield (k,)
-        return
-    for first in range(1, k - q + 2):
-        for rest in _compositions_into(k - first, q - 1):
-            yield (first,) + rest
+    return sorted(c.blocks for c in compositions(k) if len(c) == q)
 
 
 def _generator_boundary(tree, convention: SignConvention) -> list:
@@ -400,11 +381,8 @@ def check_d_squared(n: int,
     """The formal boundary of the boundary of p_n cancels to nothing."""
     if not 1 <= n <= 5:
         raise ValueError("check_d_squared supports 1 <= n <= 5")
-    first = _tree_boundary(p_tree(n), convention)
-    total = FormalSum.zero()
-    for tree, coefficient in first.terms.items():
-        total = total + _tree_boundary(tree, convention).scale(coefficient)
-    return total.is_zero()
+    return formal_boundary(formal_boundary(p_tree(n), convention),
+                           convention).is_zero()
 
 
 # ---------------------------------------------------------------------------
@@ -412,63 +390,45 @@ def check_d_squared(n: int,
 
 
 @lru_cache(maxsize=None)
+def _trees(roots: tuple[type, ...], leaves: int, dim: int) -> tuple:
+    """Well-typed trees on the given leaves and dimension, by root type.
+
+    Roots come in the order given; under each, trees are ordered by root
+    arity, then lexicographically by the leaves and the dimensions handed
+    to the children, then by the children's own order.
+    """
+    out = []
+    for root in roots:
+        if root is Leaf:
+            if leaves == 1 and dim == 0:
+                out.append(Leaf())
+            continue
+        children = _CHILD_TYPES[root]
+        for k in range(root.min_arity, leaves + 1):
+            root_dim = -Generator(root.kind, k).plain_degree
+            if root_dim > dim:
+                break
+            for parts in _compositions_into(leaves, k):
+                for dims in _dim_splits(dim - root_dim, k):
+                    for combo in itertools.product(
+                            *[_trees(children, p, d) for p, d in zip(parts, dims)]):
+                        out.append(root(combo))
+    return tuple(out)
+
+
+def _dim_splits(total: int, slots: int) -> list[tuple[int, ...]]:
+    """All ways to write total as `slots` nonnegative parts, lexicographic."""
+    return [tuple(p - 1 for p in parts)
+            for parts in _compositions_into(total + slots, slots)]
+
+
 def binary_trees(n: int) -> tuple[SourceNode, ...]:
     """All full binary planar source trees on n leaves (Catalan count)."""
     if n < 1:
         raise ValueError("n must be positive")
-    if n == 1:
-        return (Leaf(),)
-    out = []
-    for left_size in range(1, n):
-        for left in binary_trees(left_size):
-            for right in binary_trees(n - left_size):
-                out.append(SourceOp((left, right)))
-    return tuple(out)
+    return _trees((Leaf, SourceOp), n, 0)
 
 
-@lru_cache(maxsize=None)
-def _source_trees(leaves: int, dim: int) -> tuple[SourceNode, ...]:
-    """Source trees on the given leaves whose node arities sum to dim + ..."""
-    if leaves == 1:
-        return (Leaf(),) if dim == 0 else ()
-    out = []
-    for k in range(2, leaves + 1):
-        root_dim = k - 2
-        if root_dim > dim:
-            continue
-        for parts in _compositions_into(leaves, k):
-            for dims in _dim_splits(dim - root_dim, k):
-                for combo in itertools.product(
-                        *[_source_trees(p, d) for p, d in zip(parts, dims)]):
-                    out.append(SourceOp(tuple(combo)))
-    return tuple(out)
-
-
-def _dim_splits(total: int, slots: int):
-    if slots == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _dim_splits(total - first, slots - 1):
-            yield (first,) + rest
-
-
-@lru_cache(maxsize=None)
-def _paint_blocks(leaves: int, dim: int) -> tuple[Paint, ...]:
-    out = []
-    for k in range(1, leaves + 1):
-        root_dim = k - 1
-        if root_dim > dim:
-            continue
-        for parts in _compositions_into(leaves, k):
-            for dims in _dim_splits(dim - root_dim, k):
-                for combo in itertools.product(
-                        *[_source_trees(p, d) for p, d in zip(parts, dims)]):
-                    out.append(Paint(tuple(combo)))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
 def painted_cells(n: int, dim: int) -> tuple[PaintedNode, ...]:
     """All well-typed painted trees on n leaves of the given dimension.
 
@@ -477,17 +437,7 @@ def painted_cells(n: int, dim: int) -> tuple[PaintedNode, ...]:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    out: list[PaintedNode] = list(_paint_blocks(n, dim))
-    for k in range(2, n + 1):
-        root_dim = k - 2
-        if root_dim > dim:
-            continue
-        for parts in _compositions_into(n, k):
-            for dims in _dim_splits(dim - root_dim, k):
-                for combo in itertools.product(
-                        *[painted_cells(p, d) for p, d in zip(parts, dims)]):
-                    out.append(TargetOp(tuple(combo)))
-    return tuple(out)
+    return _trees((Paint, TargetOp), n, dim)
 
 
 def painted_trees(n: int) -> tuple[PaintedNode, ...]:
@@ -591,19 +541,7 @@ def associahedron_contractibility(
             row[index[tree]] += coefficient
         rows.append(row)
     boundary_rank = _matrix_rank(rows) if rows else 0
-    adjacency: dict[PaintedNode, list[PaintedNode]] = {v: [] for v in graph.vertices}
-    for a, b in graph.edges:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    seen = set()
-    stack = [graph.vertices[0]]
-    seen.add(graph.vertices[0])
-    while stack:
-        for nxt in adjacency[stack.pop()]:
-            if nxt not in seen:
-                seen.add(nxt)
-                stack.append(nxt)
-    connected = len(seen) == len(graph.vertices)
+    connected = graph_is_connected(graph)
     cycle_rank = len(graph.edges) - len(graph.vertices) + 1
     return ContractibilityVerdict(
         n, len(graph.vertices), len(graph.edges), len(faces),
@@ -614,53 +552,27 @@ def associahedron_contractibility(
 # interpretation in the interval model
 
 
-def _interpret_source(tree: SourceNode):
-    """A source tree as a multilinear PolyForm-valued evaluator."""
-    if isinstance(tree, Leaf):
-        return lambda xs: xs[0]
-    if len(tree.children) > 2:
-        return lambda xs: PolyForm.zero()
-    sizes = [c.leaf_count() for c in tree.children]
-    left = _interpret_source(tree.children[0])
-    right = _interpret_source(tree.children[1])
-
-    def evaluator(xs):
-        return wedge(left(xs[:sizes[0]]), right(xs[sizes[0]:]))
-
-    return evaluator
-
-
 def interpret(tree: PaintedNode,
               convention: SignConvention = CONVENTION_A) -> MultiMap:
     """Read a painted tree in the interval model.
 
     Source multiplications become the wedge, target ones the cup, p_k the
     k-th iterated integral; arities three and higher interpret to zero.
-    Koszul signs of the tensor evaluations follow the convention.
+    A p node over binary source trees (dimension 0) is the iterated
+    integral of the wedges of their leaves, the bracketing being
+    immaterial since the wedge is associative.  Koszul signs of the
+    tensor evaluations follow the convention.
     """
     validate_painted(tree)
     n = tree.leaf_count()
-    if isinstance(tree, Paint):
-        arity = len(tree.children)
-        sizes = [c.leaf_count() for c in tree.children]
-        evaluators = [_interpret_source(c) for c in tree.children]
-        integral = iterated_integral_map(arity)
-
-        def evaluator(*xs: PolyForm) -> Cochain:
-            args = []
-            pos = 0
-            for size, ev in zip(sizes, evaluators):
-                args.append(ev(xs[pos:pos + size]))
-                pos += size
-            return integral(*args)
-
-        shifted = tree.plain_degree() + n - 1
-        return MultiMap(n, shifted, evaluator, name=tree_text(tree))
-    if len(tree.children) > 2:
-        return zero_map(n, tree.plain_degree() + n - 1)
-    left = interpret(tree.children[0], convention)
-    right = interpret(tree.children[1], convention)
-    return cup_pair(left, right, convention).renamed(tree_text(tree))
+    if isinstance(tree, Paint) and not any(c.dimension() for c in tree.children):
+        mapped = merged_integral([c.leaf_count() for c in tree.children])
+    elif isinstance(tree, TargetOp) and len(tree.children) == 2:
+        left, right = (interpret(c, convention) for c in tree.children)
+        mapped = cup_pair(left, right, convention)
+    else:
+        mapped = zero_map(n, tree.plain_degree() + n - 1)
+    return mapped.renamed(tree_text(tree))
 
 
 def interpret_sum(value: FormalSum,

@@ -15,9 +15,9 @@ exhibits the failure of B.
 Equality of MultiMaps is certified on truncated monomial bases, which by
 multilinearity is exact on the truncated subspace.  The sweeps evaluate
 maps on integer basis codes (see `interval_model.encode_basis`): every
-combinator here has a one-term rule on codes, and a map without one
-decodes its inputs and runs the general PolyForm path, which also serves
-arbitrary forms.
+combinator here has a one-term rule on codes.  Only the cumulant K_n and
+user-built maps lack one; they decode their inputs and run the general
+PolyForm path, which also serves arbitrary forms.
 """
 
 from __future__ import annotations
@@ -193,6 +193,20 @@ def wedge_at(f: MultiMap, slot: int) -> MultiMap:
 
     return _coded(f.arity + 1, f.shifted_degree + 1, evaluator,
                   name=f"{f.name}(wedge@{slot})")
+
+
+def merged_integral(sizes: Sequence[int]) -> MultiMap:
+    """I_k whose j-th input is the wedge of the next sizes[j] inputs.
+
+    Built with wedge_at right to left, so slot indices stay valid; each
+    slot's inputs are wedged left-nested, which the associativity of the
+    wedge makes the only bracketing needed.
+    """
+    merged = iterated_integral_map(len(sizes))
+    for slot in reversed(range(len(sizes))):
+        for _ in range(sizes[slot] - 1):
+            merged = wedge_at(merged, slot)
+    return merged
 
 
 def d_insertion_sum(f: MultiMap,
@@ -460,25 +474,3 @@ def cumulant_multimap(n: int, ctx: CumulantContext | None = None) -> MultiMap:
     return MultiMap(n, n - 1,
                     lambda *xs: cumulant(context, list(xs)), name=f"K{n}")
 
-
-def random_multilinearity_probe(f: MultiMap, rng, trials: int = 8,
-                                max_exponent: int = 3) -> bool:
-    """Spot-check f(.., s*a + r*b, ..) = s f(.., a, ..) + r f(.., b, ..)."""
-    from fractions import Fraction
-
-    basis = TruncationGrid(max_exponent).slot_basis()
-    for _ in range(trials):
-        slot = rng.randrange(f.arity)
-        fixed = [rng.choice(basis) for _ in range(f.arity)]
-        a, b = rng.choice(basis), rng.choice(basis)
-        s = Fraction(rng.randrange(-4, 5), rng.randrange(1, 5))
-        r = Fraction(rng.randrange(-4, 5), rng.randrange(1, 5))
-        mixed = list(fixed)
-        mixed[slot] = a.scale(s) + b.scale(r)
-        with_a, with_b = list(fixed), list(fixed)
-        with_a[slot] = a
-        with_b[slot] = b
-        expected = f(*with_a).scale(s) + f(*with_b).scale(r)
-        if f(*mixed) != expected:
-            return False
-    return True

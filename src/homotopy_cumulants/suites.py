@@ -108,7 +108,7 @@ def _monomials(max_exponent: int) -> list[PolyForm]:
     return list(TruncationGrid(max_exponent).slot_basis())
 
 
-def run_dga_suite(degree: int, convention: SignConvention = CONVENTION_A) -> list[ReportEntry]:
+def run_dga_suite(degree: int) -> list[ReportEntry]:
     """Differential graded algebra axioms for forms and cochains."""
     rec = _Recorder()
     basis = _monomials(degree)
@@ -160,8 +160,7 @@ def run_dga_suite(degree: int, convention: SignConvention = CONVENTION_A) -> lis
     return rec.entries
 
 
-def run_chain_map_suite(degree: int,
-                        convention: SignConvention = CONVENTION_A) -> list[ReportEntry]:
+def run_chain_map_suite(degree: int) -> list[ReportEntry]:
     """Stokes: integration intertwines d and delta."""
     rec = _Recorder()
     started = time.monotonic()
@@ -171,8 +170,7 @@ def run_chain_map_suite(degree: int,
     return rec.entries
 
 
-def run_cumulants_suite(n_max: int, degree: int,
-                        convention: SignConvention = CONVENTION_A) -> list[ReportEntry]:
+def run_cumulants_suite(n_max: int, degree: int) -> list[ReportEntry]:
     rec = _Recorder()
     ctx = integration_context()
     exponent = min(degree, 4)
@@ -350,10 +348,12 @@ def run_formal_suite(n_max: int, degree: int,
     return rec.entries
 
 
+# every runner takes (n_max, degree, convention); the first three suites
+# do not depend on the sign convention
 _RUNNERS = {
-    "dga": lambda n_max, degree, conv: run_dga_suite(degree, conv),
-    "chain-map": lambda n_max, degree, conv: run_chain_map_suite(degree, conv),
-    "cumulants": run_cumulants_suite,
+    "dga": lambda n_max, degree, _: run_dga_suite(degree),
+    "chain-map": lambda n_max, degree, _: run_chain_map_suite(degree),
+    "cumulants": lambda n_max, degree, _: run_cumulants_suite(n_max, degree),
     "ainfty": run_ainfty_suite,
     "cube": run_cube_suite,
     "formal": run_formal_suite,

@@ -2,6 +2,7 @@
 
 import json
 
+from homotopy_cumulants import cli
 from homotopy_cumulants.cli import main
 
 
@@ -60,6 +61,16 @@ class TestVerify:
     def test_unwritable_out_is_a_usage_error(self, capsys):
         code, out, err = run(capsys, "verify", "dga", "--degree", "1",
                              "--out", "/nonexistent/x.json")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write /nonexistent/x.json")
+
+    def test_unwritable_out_is_refused_before_running(self, capsys, monkeypatch):
+        def run_suite(*args, **kwargs):
+            raise AssertionError("the suite ran before --out was checked")
+
+        monkeypatch.setattr(cli, "run_suite", run_suite)
+        code, out, err = run(capsys, "verify", "cube", "--n-max", "4",
+                             "--degree", "3", "--out", "/nonexistent/x.json")
         assert code == 2 and out == ""
         assert err.startswith("error: cannot write /nonexistent/x.json")
 

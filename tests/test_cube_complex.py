@@ -12,11 +12,9 @@ from homotopy_cumulants.cube_complex import (
     LOW,
     CubeCell,
     cell_boundary,
-    cell_census,
     cell_term_text,
     cell_to_map,
     cells_of,
-    census_json,
     cumulant_graph,
     euler_characteristic,
     graph_degrees,
@@ -29,6 +27,8 @@ from homotopy_cumulants.cube_complex import (
     vertex_composition,
 )
 from homotopy_cumulants.hom_complex import (
+    CONVENTION_A,
+    SignConvention,
     TruncationGrid,
     cumulant_multimap,
     cup_pair,
@@ -37,6 +37,28 @@ from homotopy_cumulants.hom_complex import (
     wedge_at,
     zero_map,
 )
+
+
+def cell_census(n: int) -> dict[int, int]:
+    """Cell counts of g_n by dimension."""
+    census: dict[int, int] = {}
+    for cell in cells_of(n):
+        census[cell.dimension] = census.get(cell.dimension, 0) + 1
+    return census
+
+
+def census_json(n: int, max_exponent: int | None = None,
+                convention: SignConvention = CONVENTION_A) -> str:
+    """JSON cell census; includes boundary checks when a grid is given."""
+    census = {str(k): v for k, v in sorted(cell_census(n).items())}
+    payload: dict = {"n": n, "cells_by_dim": census}
+    if max_exponent is not None:
+        passed = all(
+            verify_cell(n, cell, max_exponent, convention).equal
+            for cell in cells_of(n) if cell.dimension >= 1
+        )
+        payload["checks_passed"] = passed
+    return json.dumps(payload, sort_keys=True)
 
 
 class TestGraph:

@@ -1,0 +1,85 @@
+"""Golden outputs: reports, polytope DOT text and painted-tree order.
+
+The files under tests/golden/ pin, byte for byte, what refactors must
+keep: the `verify all` reports (with `duration_ms` zeroed) under both
+sign conventions, including the convention-B failure witnesses, the DOT
+text of the polytope graphs, and the enumeration order of painted cells.
+
+Regenerate them (only when a change of output is intended) with
+
+    PYTHONPATH=src python tests/test_golden.py --record
+"""
+
+import contextlib
+import io
+import json
+import sys
+from pathlib import Path
+
+import pytest
+
+from homotopy_cumulants.cli import main
+from homotopy_cumulants.formal_ainfty import painted_cells, tree_text
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+
+def _run(*argv: str) -> tuple[int, str]:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(list(argv))
+    return code, out.getvalue()
+
+
+def _verify_report(convention: str) -> str:
+    """`verify all --n-max 3 --degree 2` with its exit code, durations zeroed."""
+    code, text = _run("verify", "all", "--n-max", "3", "--degree", "2",
+                      "--sign-convention", convention)
+    report = json.loads(text)
+    for entry in report["entries"]:
+        entry["duration_ms"] = 0
+    return f"exit {code}\n" + json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _polytope_dot(n: int) -> str:
+    code, text = _run("graph", "polytope", str(n))
+    assert code == 0
+    return text
+
+
+def _painted_cells_text() -> str:
+    lines = []
+    for n in range(1, 5):
+        for dim in range(n + 1):
+            lines.append(f"# n={n} dim={dim}")
+            lines.extend(tree_text(tree) for tree in painted_cells(n, dim))
+    return "\n".join(lines) + "\n"
+
+
+OUTPUTS = {
+    "verify_all_n3_d2_A.txt": lambda: _verify_report("A"),
+    "verify_all_n3_d2_B.txt": lambda: _verify_report("B"),
+    "polytope_3.dot": lambda: _polytope_dot(3),
+    "polytope_4.dot": lambda: _polytope_dot(4),
+    "painted_cells_n4.txt": _painted_cells_text,
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUTS))
+def test_matches_golden(name):
+    expected = (GOLDEN / name).read_text(encoding="utf-8")
+    assert OUTPUTS[name]() == expected
+
+
+def test_exit_codes_pinned():
+    assert (GOLDEN / "verify_all_n3_d2_A.txt").read_text().startswith("exit 0\n")
+    assert (GOLDEN / "verify_all_n3_d2_B.txt").read_text().startswith("exit 1\n")
+
+
+if __name__ == "__main__":
+    if sys.argv[1:] != ["--record"]:
+        raise SystemExit("usage: python tests/test_golden.py --record")
+    GOLDEN.mkdir(exist_ok=True)
+    for filename, produce in OUTPUTS.items():
+        (GOLDEN / filename).write_text(produce(), encoding="utf-8")
+        print(f"wrote {GOLDEN / filename}")

@@ -21,7 +21,7 @@ from homotopy_cumulants.hom_complex import (
     iterated_integral_map,
     map_is_zero_on,
     maps_equal_on_truncation,
-    random_multilinearity_probe,
+    merged_integral,
     wedge_at,
     zero_map,
 )
@@ -39,6 +39,27 @@ T = PolyForm.monomial(1)
 DT = PolyForm.monomial(0, dt=True)
 
 
+def random_multilinearity_probe(f: MultiMap, rng, trials: int = 8,
+                                max_exponent: int = 3) -> bool:
+    """Spot-check f(.., s*a + r*b, ..) = s f(.., a, ..) + r f(.., b, ..)."""
+    basis = TruncationGrid(max_exponent).slot_basis()
+    for _ in range(trials):
+        slot = rng.randrange(f.arity)
+        fixed = [rng.choice(basis) for _ in range(f.arity)]
+        a, b = rng.choice(basis), rng.choice(basis)
+        s = Fraction(rng.randrange(-4, 5), rng.randrange(1, 5))
+        r = Fraction(rng.randrange(-4, 5), rng.randrange(1, 5))
+        mixed = list(fixed)
+        mixed[slot] = a.scale(s) + b.scale(r)
+        with_a, with_b = list(fixed), list(fixed)
+        with_a[slot] = a
+        with_b[slot] = b
+        expected = f(*with_a).scale(s) + f(*with_b).scale(r)
+        if f(*mixed) != expected:
+            return False
+    return True
+
+
 class TestMultiMap:
     def test_arity_validated(self):
         with pytest.raises(ValueError):
@@ -50,6 +71,16 @@ class TestMultiMap:
         assert iterated_integral_map(3).shifted_degree == 0
         assert iterated_integral_map(3).plain_degree == -2
         assert hom_boundary(iterated_integral_map(3)).shifted_degree == 1
+
+    def test_merged_integral_wedges_consecutive_inputs(self):
+        merged = merged_integral((2, 1, 3))
+        assert (merged.arity, merged.shifted_degree) == (6, 3)
+        xs = (T, DT, PolyForm.monomial(2, dt=True), T, PolyForm.monomial(2), DT)
+        expected = iterated_integral(
+            (wedge(xs[0], xs[1]), xs[2], wedge(wedge(xs[3], xs[4]), xs[5])))
+        assert merged(*xs) == expected
+        assert merged(*xs) != Cochain.zero()
+        assert merged_integral((1, 1)).name == iterated_integral_map(2).name
 
     def test_algebra_of_maps(self):
         i2 = iterated_integral_map(2)
