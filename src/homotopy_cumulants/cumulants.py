@@ -6,6 +6,12 @@ block, apply e blockwise, multiply the block images, and weight by
 (-1)^(blocks - 1).  K_1 = e, and K_2(a, b) = e(ab) - e(a)e(b).  The
 cumulants vanish identically when e is a map of algebras; here they
 measure the failure of integration to respect the wedge and cup products.
+
+Inputs are PolyForms or basis codes (ints, see
+`interval_model.encode_basis`); on codes a context multiplies by
+`wedge_codes`, with None for the zero form dt^dt (see CumulantContext).
+A product of block images stops at the first partial product that is the
+shared zero cochain.
 """
 
 from __future__ import annotations
@@ -19,9 +25,11 @@ from .interval_model import (
     PolyForm,
     cup,
     d_form,
+    decode_basis,
     delta,
     integrate,
     wedge,
+    wedge_codes,
 )
 
 
@@ -72,6 +80,24 @@ def _compositions(n: int) -> tuple[Composition, ...]:
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _composition_spans(n: int) -> tuple[tuple[Composition, tuple[int, ...]], ...]:
+    """Each composition of n with the flat indices i*n + j of its blocks.
+
+    A block covering inputs i..j is the run image stored at i*n + j by
+    `_run_images`.
+    """
+    out = []
+    for comp in _compositions(n):
+        spans = []
+        pos = 0
+        for size in comp:
+            spans.append(pos * n + pos + size - 1)
+            pos += size
+        out.append((comp, tuple(spans)))
+    return tuple(out)
+
+
 def compositions(n: int) -> list[Composition]:
     """All 2^(n-1) compositions of n.
 
@@ -95,6 +121,13 @@ class CumulantContext:
 
     Chain-map values and recursive cumulant values are memoized per
     context, which makes exhaustive grid sweeps tractable.
+
+    `apply` and `multiply` take PolyForms or basis codes.  A code is mapped
+    through its decoded monomial once and cached under the int; None is the
+    zero form, which `apply` sends to the shared zero cochain and `multiply`
+    keeps as None.  Codes multiply by `wedge_codes` when the source product
+    is the wedge, as in every context built here; under any other source
+    product they are decoded and multiplied as PolyForms.
     """
 
     chain_map: Callable[[PolyForm], Cochain]
@@ -102,19 +135,30 @@ class CumulantContext:
     target_product: Callable[[Cochain, Cochain], Cochain] = cup
 
     def __post_init__(self):
-        object.__setattr__(self, "_map_cache", {})
+        object.__setattr__(self, "_map_cache", {None: Cochain.zero()})
         object.__setattr__(self, "_product_cache", {})
         object.__setattr__(self, "_recursive_cache", {})
+        object.__setattr__(self, "_wedge_source", self.source_product is wedge)
 
-    def apply(self, form: PolyForm) -> Cochain:
+    def apply(self, form: PolyForm | int | None) -> Cochain:
         cache = self._map_cache
         value = cache.get(form)
         if value is None:
-            value = self.chain_map(form)
+            value = self.chain_map(
+                decode_basis(form) if type(form) is int else form)
             cache[form] = value
         return value
 
-    def multiply(self, a: PolyForm, b: PolyForm) -> PolyForm:
+    def multiply(self, a: PolyForm | int | None,
+                 b: PolyForm | int) -> PolyForm | int | None:
+        if type(a) is int:
+            if self._wedge_source:
+                return wedge_codes(a, b)
+            a = decode_basis(a)
+        elif a is None:
+            return None
+        if type(b) is int:
+            b = decode_basis(b)
         cache = self._product_cache
         value = cache.get((a, b))
         if value is None:
@@ -154,16 +198,20 @@ def endpoint_evaluation_context() -> CumulantContext:
 
 
 def _run_images(ctx: CumulantContext,
-                inputs: Sequence[PolyForm]) -> dict[tuple[int, int], Cochain]:
-    """Chain-map images of all left-nested run products inputs[i..j]."""
+                inputs: Sequence[PolyForm | int]) -> list[Cochain]:
+    """Chain-map images of all left-nested run products inputs[i..j].
+
+    The image of inputs[i..j] sits at index i*n + j of a flat list.
+    """
     n = len(inputs)
-    images: dict[tuple[int, int], Cochain] = {}
+    apply, multiply = ctx.apply, ctx.multiply
+    images: list = [None] * (n * n)
     for i in range(n):
         acc = inputs[i]
-        images[(i, i)] = ctx.apply(acc)
+        images[i * n + i] = apply(acc)
         for j in range(i + 1, n):
-            acc = ctx.multiply(acc, inputs[j])
-            images[(i, j)] = ctx.apply(acc)
+            acc = multiply(acc, inputs[j])
+            images[i * n + j] = apply(acc)
     return images
 
 
@@ -179,38 +227,44 @@ class CumulantTerm:
         return self.value.scale(self.sign)
 
 
-def _composition_products(ctx: CumulantContext, inputs: Sequence[PolyForm]):
-    """Yield each composition with the product of its block images, in order."""
+def _composition_products(ctx: CumulantContext,
+                          inputs: Sequence[PolyForm | int]):
+    """Yield each composition with the product of its block images, in order.
+
+    A partial product that is the shared zero cochain absorbs the rest.
+    """
     if len(inputs) == 0:
         raise ValueError("cumulant requires at least one input")
     images = _run_images(ctx, inputs)
-    for comp in _compositions(len(inputs)):
-        acc = None
-        pos = 0
-        for size in comp:
-            image = images[(pos, pos + size - 1)]
-            acc = image if acc is None else ctx.target_product(acc, image)
-            pos += size
+    product = ctx.target_product
+    zero = Cochain.zero()
+    for comp, spans in _composition_spans(len(inputs)):
+        acc = images[spans[0]]
+        for index in spans[1:]:
+            if acc is zero:
+                break
+            acc = product(acc, images[index])
         yield comp, acc
 
 
 def cumulant_terms(ctx: CumulantContext,
-                   inputs: Sequence[PolyForm]) -> list[CumulantTerm]:
+                   inputs: Sequence[PolyForm | int]) -> list[CumulantTerm]:
     """Term-by-term trace of the direct cumulant formula."""
     return [CumulantTerm(comp, composition_sign(comp), product)
             for comp, product in _composition_products(ctx, inputs)]
 
 
-def cumulant(ctx: CumulantContext, inputs: Sequence[PolyForm]) -> Cochain:
+def cumulant(ctx: CumulantContext, inputs: Sequence[PolyForm | int]) -> Cochain:
     """Direct signed sum over all compositions; K_1 is the chain map."""
-    total = Cochain.zero()
+    zero = total = Cochain.zero()
     for comp, product in _composition_products(ctx, inputs):
-        total = total + product if len(comp) % 2 else total - product
+        if product is not zero:
+            total = total + product if len(comp) % 2 else total - product
     return total
 
 
 def cumulant_recursive(ctx: CumulantContext,
-                       inputs: Sequence[PolyForm]) -> Cochain:
+                       inputs: Sequence[PolyForm | int]) -> Cochain:
     """K_n(a_1,..) = K_{n-1}(a_1 a_2, a_3,..) - e(a_1) K_{n-1}(a_2,..)."""
     if len(inputs) == 0:
         raise ValueError("cumulant requires at least one input")

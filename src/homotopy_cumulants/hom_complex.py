@@ -15,9 +15,10 @@ exhibits the failure of B.
 Equality of MultiMaps is certified on truncated monomial bases, which by
 multilinearity is exact on the truncated subspace.  The sweeps evaluate
 maps on integer basis codes (see `interval_model.encode_basis`): every
-combinator here has a one-term rule on codes.  Only the cumulant K_n and
-user-built maps lack one; they decode their inputs and run the general
-PolyForm path, which also serves arbitrary forms.
+combinator here has a one-term rule on codes, and the cumulant K_n runs
+its context on codes.  Only user-built maps lack a code rule; they decode
+their inputs and run the general PolyForm path, which also serves
+arbitrary forms.
 """
 
 from __future__ import annotations
@@ -471,6 +472,5 @@ def cumulant_multimap(n: int, ctx: CumulantContext | None = None) -> MultiMap:
     if n < 1:
         raise ValueError("n must be positive")
     context = ctx if ctx is not None else integration_context()
-    return MultiMap(n, n - 1,
-                    lambda *xs: cumulant(context, list(xs)), name=f"K{n}")
+    return _coded(n, n - 1, lambda *xs: cumulant(context, xs), name=f"K{n}")
 

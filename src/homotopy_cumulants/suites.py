@@ -55,7 +55,9 @@ from .interval_model import (
     PolyForm,
     cup,
     d_form,
+    decode_basis,
     delta,
+    encode_basis,
     integrate,
     wedge,
 )
@@ -171,19 +173,20 @@ def run_chain_map_suite(degree: int) -> list[ReportEntry]:
 
 
 def run_cumulants_suite(n_max: int, degree: int) -> list[ReportEntry]:
+    """Direct against recursive K_n on the basis codes of the grid."""
     rec = _Recorder()
     ctx = integration_context()
     exponent = min(degree, 4)
-    basis = _monomials(exponent)
+    codes = TruncationGrid(exponent).slot_codes()
 
     for n in range(1, n_max + 1):
         started = time.monotonic()
         ok = True
         witness = None
-        for tup in itertools.product(basis, repeat=n):
+        for tup in itertools.product(codes, repeat=n):
             if cumulant(ctx, tup) != cumulant_recursive(ctx, tup):
                 ok = False
-                witness = "; ".join(x.to_text() for x in tup)
+                witness = "; ".join(decode_basis(x).to_text() for x in tup)
                 break
         rec.add(f"direct vs recursive cumulant n={n}",
                 {"n": n, "exponent": exponent}, ok, witness, started)
@@ -194,11 +197,12 @@ def run_cumulants_suite(n_max: int, degree: int) -> list[ReportEntry]:
 
     started = time.monotonic()
     double = endpoint_evaluation_context()
-    zero_forms = [PolyForm.monomial(k) for k in range(min(degree, 3) + 1)]
+    zero_codes = [encode_basis(PolyForm.monomial(k))
+                  for k in range(min(degree, 3) + 1)]
     ok = True
     # K_1 is the map itself; vanishing starts at the second cumulant
     for n in range(2, min(n_max, 4) + 1):
-        for tup in itertools.product(zero_forms, repeat=n):
+        for tup in itertools.product(zero_codes, repeat=n):
             if not cumulant(double, tup).is_zero():
                 ok = False
                 break

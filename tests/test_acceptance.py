@@ -9,12 +9,6 @@ import itertools
 import math
 import time
 
-from homotopy_cumulants.cumulants import (
-    cumulant,
-    cumulant_recursive,
-    endpoint_evaluation_context,
-    integration_context,
-)
 from homotopy_cumulants.cube_complex import (
     FREE,
     CubeCell,
@@ -60,6 +54,7 @@ from homotopy_cumulants.interval_model import (
     integrate,
     wedge,
 )
+from homotopy_cumulants.suites import run_suite
 
 
 def _report(number: int, description: str, ok: bool, seconds: float):
@@ -184,24 +179,10 @@ def test_criterion_07_cells_and_euler():
 
 
 def test_criterion_08_cumulant_consistency():
+    # the cumulants suite at n_max 5, degree 4 sweeps exactly this grid
     started = time.monotonic()
-    ctx = integration_context()
-    basis = _monomials(4)
-    ok = True
-    for n in range(1, 6):
-        for tup in itertools.product(basis, repeat=n):
-            if cumulant(ctx, tup) != cumulant_recursive(ctx, tup):
-                ok = False
-                break
-        if not ok:
-            break
-    double = endpoint_evaluation_context()
-    zero_forms = [PolyForm.monomial(k) for k in range(4)]
-    for n in (2, 3, 4):
-        for tup in itertools.product(zero_forms, repeat=n):
-            if not cumulant(double, tup).is_zero():
-                ok = False
-                break
+    entries = run_suite("cumulants", 5, 4)
+    ok = bool(entries) and all(e.status for e in entries)
     _report(8, "direct = recursive cumulants (n <= 5, exponent <= 4); "
                "algebra morphism double has vanishing cumulants",
             ok, time.monotonic() - started)

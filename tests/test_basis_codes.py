@@ -1,16 +1,26 @@
 """Basis-code evaluation against the PolyForm path, which is the oracle.
 
 Grid sweeps evaluate maps on integer codes (2k + dt for t^k and t^k dt).
-Each check here builds two fresh instances of a map, evaluates one on
-codes and the other on the decoded PolyForms, and requires equal values
-on every basis tuple, under both sign conventions.
+Each check here builds two fresh instances of a map (or cumulant
+context), evaluates one on codes and the other on the decoded PolyForms,
+and requires equal values on every basis tuple, under both sign
+conventions.
 """
 
 import itertools
 
 import pytest
 
+from homotopy_cumulants import suites
 from homotopy_cumulants.cube_complex import cell_to_map, cells_of
+from homotopy_cumulants.cumulants import (
+    CumulantContext,
+    cumulant,
+    cumulant_recursive,
+    cumulant_terms,
+    endpoint_evaluation_context,
+    integration_context,
+)
 from homotopy_cumulants.formal_ainfty import formal_boundary, interpret_sum, p_tree
 from homotopy_cumulants.hom_complex import (
     CONVENTION_A,
@@ -18,6 +28,7 @@ from homotopy_cumulants.hom_complex import (
     MultiMap,
     TruncationGrid,
     ainfty_relation_defect,
+    cumulant_multimap,
     cup_pair,
     d_insertion_sum,
     hom_boundary,
@@ -47,11 +58,15 @@ def grid_for(arity: int) -> int:
     return 1 if arity >= 4 else 2
 
 
+def basis_code_tuples(arity: int):
+    return itertools.product(TruncationGrid(grid_for(arity)).slot_codes(),
+                             repeat=arity)
+
+
 def assert_paths_agree(build):
     """build() gives a fresh map; its code and PolyForm values must agree."""
     on_codes, on_forms = build(), build()
-    codes = TruncationGrid(grid_for(on_codes.arity)).slot_codes()
-    for xs in itertools.product(codes, repeat=on_codes.arity):
+    for xs in basis_code_tuples(on_codes.arity):
         forms = tuple(map(decode_basis, xs))
         assert on_codes(*xs) == on_forms(*forms), (on_codes.name, forms)
 
@@ -149,7 +164,86 @@ class TestOracle:
                 formal_boundary(p_tree(n), convention), convention))
 
 
+def dt_squared_is_one(a: PolyForm, b: PolyForm) -> PolyForm:
+    """A source product other than the wedge: dt * dt = 1, not 0."""
+    return PolyForm(a.part0 * b.part0 + a.part1 * b.part1,
+                    a.part0 * b.part1 + a.part1 * b.part0)
+
+
+CONTEXTS = {
+    "integration": integration_context,
+    "endpoint double": endpoint_evaluation_context,
+    "dt^2 = 1 product": lambda: CumulantContext(integrate, dt_squared_is_one),
+}
+
+
+@pytest.mark.parametrize("build", CONTEXTS.values(), ids=CONTEXTS.keys())
+class TestCumulantOracle:
+    """Every basis tuple, n <= 3 at D = 2 and n = 4 at D = 1; the dt^dt
+    runs give zero products, which codes carry as None."""
+
+    def test_direct_and_recursive(self, build):
+        on_codes, on_forms = build(), build()
+        for n in (1, 2, 3, 4):
+            for xs in basis_code_tuples(n):
+                forms = tuple(map(decode_basis, xs))
+                expected = cumulant(on_forms, forms)
+                assert cumulant(on_codes, xs) == expected, forms
+                assert cumulant_recursive(on_codes, xs) == expected, forms
+                assert cumulant_recursive(on_forms, forms) == expected, forms
+
+    def test_terms(self, build):
+        on_codes, on_forms = build(), build()
+        for n in (1, 2, 3, 4):
+            for xs in basis_code_tuples(n):
+                forms = tuple(map(decode_basis, xs))
+                assert [(t.composition, t.sign, t.value)
+                        for t in cumulant_terms(on_codes, xs)] == [
+                    (t.composition, t.sign, t.value)
+                    for t in cumulant_terms(on_forms, forms)], forms
+
+    def test_cumulant_multimap(self, build):
+        for n in (1, 2, 3, 4):
+            assert_paths_agree(lambda: cumulant_multimap(n, build()))
+
+
+def test_products_of_codes():
+    ctx = integration_context()
+    assert ctx.multiply(2, 5) == 7
+    assert ctx.multiply(3, 5) is None
+    assert ctx.multiply(None, 4) is None
+    assert ctx.apply(None) is Cochain.zero()
+    assert ctx.apply(5) == integrate(decode_basis(5))
+    other = CumulantContext(integrate, dt_squared_is_one)
+    assert other.multiply(3, 5) == dt_squared_is_one(decode_basis(3),
+                                                     decode_basis(5))
+
+
+def test_suite_witness_matches_the_polyform_sweep(monkeypatch):
+    grid = TruncationGrid(2)
+    wrong = {(decode_basis(4), decode_basis(1)),
+             (decode_basis(3), decode_basis(0))}
+
+    def perturbed(ctx, xs):
+        value = cumulant_recursive(ctx, xs)
+        if tuple(map(decode_basis, xs)) in wrong:
+            value = value + Cochain(1)
+        return value
+
+    monkeypatch.setattr(suites, "cumulant_recursive", perturbed)
+    entries = {e.check: e for e in suites.run_cumulants_suite(2, 2)}
+    first = next(tup for tup in itertools.product(grid.slot_basis(), repeat=2)
+                 if tup in wrong)
+    assert entries["direct vs recursive cumulant n=1"].status
+    failed = entries["direct vs recursive cumulant n=2"]
+    assert not failed.status
+    assert failed.witness == "; ".join(x.to_text() for x in first)
+    assert failed.witness == "t^2; (1)dt"
+
+
 def test_maps_without_a_code_rule_see_polyforms():
+    # every library map has a code rule, K_n included
+    assert all(cumulant_multimap(n).basis_codes for n in (1, 2, 3, 4))
     seen = set()
 
     def evaluator(a, b):

@@ -1,9 +1,11 @@
-"""Golden outputs: reports, polytope DOT text and painted-tree order.
+"""Golden outputs: reports, cumulant traces, DOT text and painted-tree order.
 
 The files under tests/golden/ pin, byte for byte, what refactors must
 keep: the `verify all` reports (with `duration_ms` zeroed) under both
-sign conventions, including the convention-B failure witnesses, the DOT
-text of the polytope graphs, and the enumeration order of painted cells.
+sign conventions, including the convention-B failure witnesses, the
+`verify cumulants` report at n = 5, the term-by-term trace of
+`cumulant 4 --inputs ...`, the DOT text of the polytope graphs, and the
+enumeration order of painted cells.
 
 Regenerate them (only when a change of output is intended) with
 
@@ -31,14 +33,19 @@ def _run(*argv: str) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def _verify_report(convention: str) -> str:
-    """`verify all --n-max 3 --degree 2` with its exit code, durations zeroed."""
-    code, text = _run("verify", "all", "--n-max", "3", "--degree", "2",
-                      "--sign-convention", convention)
+def _verify_report(*argv: str) -> str:
+    """A `verify` report with its exit code, durations zeroed."""
+    code, text = _run("verify", *argv)
     report = json.loads(text)
     for entry in report["entries"]:
         entry["duration_ms"] = 0
     return f"exit {code}\n" + json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _cumulant_trace() -> str:
+    code, text = _run("cumulant", "4", "--inputs",
+                      "1 + t ; 2*t + dt ; t^2 ; 1/2 + t*dt")
+    return f"exit {code}\n" + text
 
 
 def _polytope_dot(n: int) -> str:
@@ -57,8 +64,13 @@ def _painted_cells_text() -> str:
 
 
 OUTPUTS = {
-    "verify_all_n3_d2_A.txt": lambda: _verify_report("A"),
-    "verify_all_n3_d2_B.txt": lambda: _verify_report("B"),
+    "verify_all_n3_d2_A.txt": lambda: _verify_report(
+        "all", "--n-max", "3", "--degree", "2", "--sign-convention", "A"),
+    "verify_all_n3_d2_B.txt": lambda: _verify_report(
+        "all", "--n-max", "3", "--degree", "2", "--sign-convention", "B"),
+    "verify_cumulants_n5_d1.txt": lambda: _verify_report(
+        "cumulants", "--n-max", "5", "--degree", "1"),
+    "cumulant_4_trace.txt": _cumulant_trace,
     "polytope_3.dot": lambda: _polytope_dot(3),
     "polytope_4.dot": lambda: _polytope_dot(4),
     "painted_cells_n4.txt": _painted_cells_text,
@@ -74,6 +86,8 @@ def test_matches_golden(name):
 def test_exit_codes_pinned():
     assert (GOLDEN / "verify_all_n3_d2_A.txt").read_text().startswith("exit 0\n")
     assert (GOLDEN / "verify_all_n3_d2_B.txt").read_text().startswith("exit 1\n")
+    assert (GOLDEN / "verify_cumulants_n5_d1.txt").read_text().startswith("exit 0\n")
+    assert (GOLDEN / "cumulant_4_trace.txt").read_text().startswith("exit 0\n")
 
 
 if __name__ == "__main__":
