@@ -9,14 +9,18 @@ Two differential graded algebras over the rationals:
   the coboundary delta.
 
 The bridge between them is the integration map and its higher
-iterated-integral companions.  Everything is exact: coefficients are
-`fractions.Fraction` throughout and no floating point is used anywhere.
+iterated-integral companions.  Everything is exact and no floating point
+is used anywhere.  A polynomial stores integer numerators over one reduced
+positive denominator, so its arithmetic runs on Python integers with one
+gcd reduction per result; coefficients, point values and cochain fields
+are `fractions.Fraction` at the API boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[Fraction, int, str]
@@ -32,18 +36,24 @@ def _frac(value: Scalar) -> Fraction:
 class Polynomial:
     """A polynomial in t with rational coefficients, stored canonically.
 
-    Coefficient k is the coefficient of t^k; trailing zeros are stripped so
-    equality is structural and the zero polynomial is the empty tuple.
+    The coefficient of t^k is numerators[k] / denominator, with integer
+    numerators over one positive common denominator.  The form is reduced:
+    trailing zero numerators are stripped, gcd(*numerators, denominator) is
+    1, and the zero polynomial is ((), 1).  So equality and hashing are
+    structural, whatever denominators a polynomial was built from.  All
+    arithmetic runs on the integers with one reduction per result;
+    `coefficients` gives the reduced Fractions.
     """
 
-    __slots__ = ("coefficients", "_hash")
+    __slots__ = ("numerators", "denominator", "_hash")
 
-    def __init__(self, coefficients: Iterable[Scalar] = ()):
-        coeffs = [_frac(c) for c in coefficients]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        object.__setattr__(self, "coefficients", tuple(coeffs))
-        object.__setattr__(self, "_hash", None)
+    def __new__(cls, coefficients: Iterable[Scalar] = ()):
+        ratios = [(c.numerator, c.denominator) for c in map(_frac, coefficients)]
+        if not ratios:
+            return _POLY_ZERO
+        denominator = lcm(*[d for _, d in ratios])
+        return _polynomial([n * (denominator // d) for n, d in ratios],
+                           denominator)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
@@ -63,75 +73,118 @@ class Polynomial:
         return cls([0] * exponent + [coefficient])
 
     @property
+    def coefficients(self) -> tuple[Fraction, ...]:
+        """The reduced rational coefficients, constant term first."""
+        d = self.denominator
+        return tuple(Fraction(n, d) for n in self.numerators)
+
+    @property
     def degree(self) -> int:
         """Degree of the polynomial, -1 for the zero polynomial."""
-        return len(self.coefficients) - 1
+        return len(self.numerators) - 1
 
     def is_zero(self) -> bool:
-        return not self.coefficients
+        return not self.numerators
 
     def __bool__(self) -> bool:
-        return bool(self.coefficients)
+        return bool(self.numerators)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Polynomial) and self.coefficients == other.coefficients
+        return (isinstance(other, Polynomial)
+                and self.numerators == other.numerators
+                and self.denominator == other.denominator)
 
     def __hash__(self) -> int:
         value = self._hash
         if value is None:
-            value = hash(self.coefficients)
+            value = hash((self.numerators, self.denominator))
             object.__setattr__(self, "_hash", value)
         return value
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        a, b = self.coefficients, other.coefficients
+        a, b = self.numerators, other.numerators
+        if not b:
+            return self
+        if not a:
+            return other
+        da, db = self.denominator, other.denominator
+        denominator = da
+        if da != db:
+            # both sides over lcm(da, db)
+            g = gcd(da, db)
+            a = [n * (db // g) for n in a]
+            b = [n * (da // g) for n in b]
+            denominator = da * (db // g)
         if len(a) < len(b):
             a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Polynomial(out)
+        out = [x + y for x, y in zip(a, b)]
+        out.extend(a[len(b):])
+        return _polynomial(out, denominator)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial([-c for c in self.coefficients])
+        return _polynomial([-n for n in self.numerators], self.denominator)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
-        if not self.coefficients or not other.coefficients:
+        a, b = self.numerators, other.numerators
+        if not a or not b:
             return _POLY_ZERO
-        out = [_ZERO] * (len(self.coefficients) + len(other.coefficients) - 1)
-        for i, a in enumerate(self.coefficients):
-            if a:
-                for j, b in enumerate(other.coefficients):
-                    out[i + j] += a * b
-        return Polynomial(out)
+        out = [0] * (len(a) + len(b) - 1)
+        for i, x in enumerate(a):
+            if x:
+                for j, y in enumerate(b, i):
+                    out[j] += x * y
+        return _polynomial(out, self.denominator * other.denominator)
 
     def scale(self, scalar: Scalar) -> "Polynomial":
         s = _frac(scalar)
         if not s:
             return _POLY_ZERO
-        return Polynomial([s * c for c in self.coefficients])
+        m = s.numerator
+        return _polynomial([m * n for n in self.numerators],
+                           self.denominator * s.denominator)
 
     def derivative(self) -> "Polynomial":
-        return Polynomial([k * c for k, c in enumerate(self.coefficients)][1:])
+        return _polynomial([k * n for k, n in enumerate(self.numerators)][1:],
+                           self.denominator)
 
     def antiderivative(self) -> "Polynomial":
         """The antiderivative vanishing at 0."""
-        return Polynomial(
-            [_ZERO] + [c / (k + 1) for k, c in enumerate(self.coefficients)]
-        )
+        a = self.numerators
+        if not a:
+            return _POLY_ZERO
+        scale = _lcm_upto(len(a))
+        return _polynomial(
+            [0] + [n * (scale // k) for k, n in enumerate(a, 1)],
+            self.denominator * scale)
 
     def __call__(self, point: Scalar) -> Fraction:
+        a = self.numerators
+        if not a:
+            return _ZERO
         x = _frac(point)
-        acc = _ZERO
-        for c in reversed(self.coefficients):
-            acc = acc * x + c
-        return acc
+        p, q = x.numerator, x.denominator
+        # sum_k n_k p^k q^(m-k) over denominator * q^m, by Horner's rule
+        acc = a[-1]
+        if q == 1:
+            if p == 1:
+                acc = sum(a)
+            elif p == 0:
+                acc = a[0]
+            else:
+                for n in reversed(a[:-1]):
+                    acc = acc * p + n
+            return Fraction(acc, self.denominator)
+        q_power = 1
+        for n in reversed(a[:-1]):
+            q_power *= q
+            acc = acc * p + n * q_power
+        return Fraction(acc, self.denominator * q_power)
 
     def to_text(self, variable: str = "t") -> str:
-        if not self.coefficients:
+        if not self.numerators:
             return "0"
         parts = []
         for k, c in enumerate(self.coefficients):
@@ -156,7 +209,38 @@ class Polynomial:
         return f"Polynomial({self.to_text()!r})"
 
 
-_POLY_ZERO = Polynomial()
+def _polynomial(numerators: list[int], denominator: int) -> Polynomial:
+    """The reduced Polynomial of numerators / denominator (denominator > 0).
+
+    Every result is built here: trailing zeros are stripped and the
+    numerators and denominator are divided by their common gcd.
+    """
+    while numerators and not numerators[-1]:
+        numerators.pop()
+    if not numerators:
+        return _POLY_ZERO
+    g = gcd(denominator, *numerators)
+    if g != 1:
+        numerators = [n // g for n in numerators]
+        denominator //= g
+    return _stored(tuple(numerators), denominator)
+
+
+def _stored(numerators: tuple[int, ...], denominator: int) -> Polynomial:
+    poly = object.__new__(Polynomial)
+    object.__setattr__(poly, "numerators", numerators)
+    object.__setattr__(poly, "denominator", denominator)
+    object.__setattr__(poly, "_hash", None)
+    return poly
+
+
+@lru_cache(maxsize=None)
+def _lcm_upto(m: int) -> int:
+    """lcm(1, .., m): the common denominator of 1/1, .., 1/m."""
+    return lcm(*range(1, m + 1))
+
+
+_POLY_ZERO = _stored((), 1)
 _POLY_ONE = Polynomial([1])
 
 
@@ -263,17 +347,20 @@ ONE = PolyForm(part0=Polynomial([1]))
 class Cochain:
     """A simplicial cochain on the interval: vertex values plus r dt.
 
-    The products and sums below return the shared `Cochain.zero()` for a
-    zero result they can see cheaply, and pass it through by identity, since
-    most values in a grid sweep vanish.
+    Every zero field is stored as the shared Fraction `_ZERO`, so the
+    operations below test fields for zero by identity.  They return the
+    shared `Cochain.zero()` for a zero result they can see cheaply, and
+    pass it through by identity, since most values in a grid sweep vanish.
     """
 
     __slots__ = ("v0", "v1", "edge", "_hash")
 
-    def __init__(self, v0: Scalar = 0, v1: Scalar = 0, edge: Scalar = 0):
-        object.__setattr__(self, "v0", _frac(v0))
-        object.__setattr__(self, "v1", _frac(v1))
-        object.__setattr__(self, "edge", _frac(edge))
+    def __init__(self, v0: Scalar = _ZERO, v1: Scalar = _ZERO,
+                 edge: Scalar = _ZERO):
+        v0, v1, edge = _frac(v0), _frac(v1), _frac(edge)
+        object.__setattr__(self, "v0", v0 if v0 else _ZERO)
+        object.__setattr__(self, "v1", v1 if v1 else _ZERO)
+        object.__setattr__(self, "edge", edge if edge else _ZERO)
         object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
@@ -284,7 +371,8 @@ class Cochain:
         return _COCHAIN_ZERO
 
     def is_zero(self) -> bool:
-        return self is _COCHAIN_ZERO or not (self.v0 or self.v1 or self.edge)
+        return self is _COCHAIN_ZERO or (
+            self.v0 is _ZERO and self.v1 is _ZERO and self.edge is _ZERO)
 
     def vertex_part(self) -> "Cochain":
         return Cochain(self.v0, self.v1, 0)
@@ -310,20 +398,16 @@ class Cochain:
             return self
         if self is _COCHAIN_ZERO:
             return other
-        v0 = (self.v0 + other.v0 if self.v0 and other.v0
-              else (self.v0 or other.v0))
-        v1 = (self.v1 + other.v1 if self.v1 and other.v1
-              else (self.v1 or other.v1))
-        edge = (self.edge + other.edge if self.edge and other.edge
-                else (self.edge or other.edge))
-        return Cochain(v0, v1, edge)
+        return Cochain(_field_sum(self.v0, other.v0),
+                       _field_sum(self.v1, other.v1),
+                       _field_sum(self.edge, other.edge))
 
     def __neg__(self) -> "Cochain":
         if self is _COCHAIN_ZERO:
             return self
         v0, v1, edge = self.v0, self.v1, self.edge
-        return Cochain(-v0 if v0 else v0, -v1 if v1 else v1,
-                       -edge if edge else edge)
+        return Cochain(v0 if v0 is _ZERO else -v0, v1 if v1 is _ZERO else -v1,
+                       edge if edge is _ZERO else -edge)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + (-other)
@@ -333,8 +417,9 @@ class Cochain:
             return self
         s = _frac(scalar)
         v0, v1, edge = self.v0, self.v1, self.edge
-        return Cochain(s * v0 if v0 else v0, s * v1 if v1 else v1,
-                       s * edge if edge else edge)
+        return Cochain(v0 if v0 is _ZERO else s * v0,
+                       v1 if v1 is _ZERO else s * v1,
+                       edge if edge is _ZERO else s * edge)
 
     def to_text(self) -> str:
         return (f"({_format_rational(self.v0)}, {_format_rational(self.v1)}; "
@@ -352,6 +437,12 @@ class Cochain:
 
 
 _COCHAIN_ZERO = Cochain()
+
+
+def _field_sum(x: Fraction, y: Fraction) -> Fraction:
+    if y is _ZERO:
+        return x
+    return y if x is _ZERO else x + y
 
 
 def wedge(a: PolyForm, b: PolyForm) -> PolyForm:
@@ -373,19 +464,20 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
     """
     if a is _COCHAIN_ZERO or b is _COCHAIN_ZERO:
         return _COCHAIN_ZERO
-    front = a.v0 * b.edge if a.v0 and b.edge else _ZERO
-    back = a.edge * b.v1 if a.edge and b.v1 else _ZERO
-    v0 = a.v0 * b.v0 if a.v0 and b.v0 else _ZERO
-    v1 = a.v1 * b.v1 if a.v1 and b.v1 else _ZERO
-    edge = front + back if front and back else (front or back)
-    if v0 is v1 is edge is _ZERO:
+    a0, a1, ae, b0, b1, be = a.v0, a.v1, a.edge, b.v0, b.v1, b.edge
+    z = _ZERO
+    v0 = z if a0 is z or b0 is z else a0 * b0
+    v1 = z if a1 is z or b1 is z else a1 * b1
+    edge = _field_sum(z if a0 is z or be is z else a0 * be,
+                      z if ae is z or b1 is z else ae * b1)
+    if v0 is v1 is edge is z:
         return _COCHAIN_ZERO
     return Cochain(v0, v1, edge)
 
 
 def delta(a: Cochain) -> Cochain:
     """Simplicial coboundary: vertex values map to their edge difference."""
-    if not (a.v0 or a.v1):
+    if a.v0 is _ZERO and a.v1 is _ZERO:
         return _COCHAIN_ZERO
     return Cochain(_ZERO, _ZERO, a.v1 - a.v0)
 

@@ -3,9 +3,12 @@
 The files under tests/golden/ pin, byte for byte, what refactors must
 keep: the `verify all` reports (with `duration_ms` zeroed) under both
 sign conventions, including the convention-B failure witnesses, the
-`verify cumulants` report at n = 5, the term-by-term trace of
-`cumulant 4 --inputs ...`, the DOT text of the polytope graphs, and the
-enumeration order of painted cells.
+`verify cumulants` report at n = 5, the term-by-term traces of
+`cumulant 4 --inputs ...` and of `cumulant 5 --inputs ...` on mixed
+rational forms, the SHA-256 of `cumulant 6 --inputs ...` on six degree-64
+powers (the PolyForm path at the parser's caps; its 48 KB output is not
+committed), the DOT text of the polytope graphs, and the enumeration order
+of painted cells.
 
 Regenerate them (only when a change of output is intended) with
 
@@ -13,6 +16,7 @@ Regenerate them (only when a change of output is intended) with
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -42,10 +46,15 @@ def _verify_report(*argv: str) -> str:
     return f"exit {code}\n" + json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _cumulant_trace() -> str:
-    code, text = _run("cumulant", "4", "--inputs",
-                      "1 + t ; 2*t + dt ; t^2 ; 1/2 + t*dt")
+def _cumulant_trace(n: str, inputs: str) -> str:
+    code, text = _run("cumulant", n, "--inputs", inputs)
     return f"exit {code}\n" + text
+
+
+def _cumulant_digest(n: str, inputs: str) -> str:
+    code, text = _run("cumulant", n, "--inputs", inputs)
+    data = text.encode("utf-8")
+    return f"exit {code}\n{len(data)} bytes sha256 {hashlib.sha256(data).hexdigest()}\n"
 
 
 def _polytope_dot(n: int) -> str:
@@ -70,7 +79,15 @@ OUTPUTS = {
         "all", "--n-max", "3", "--degree", "2", "--sign-convention", "B"),
     "verify_cumulants_n5_d1.txt": lambda: _verify_report(
         "cumulants", "--n-max", "5", "--degree", "1"),
-    "cumulant_4_trace.txt": _cumulant_trace,
+    "cumulant_4_trace.txt": lambda: _cumulant_trace(
+        "4", "1 + t ; 2*t + dt ; t^2 ; 1/2 + t*dt"),
+    "cumulant_5_trace.txt": lambda: _cumulant_trace(
+        "5", "1/2 + 2/3*t + (3/5 - 1/7*t^2)dt ; -4/9*t^3 + (1/11 + t)dt ; "
+        "5/6 - t + 1/13*t^2*dt ; (2/3*t - 7/8*t^3)dt + 1/5 ; "
+        "3 + 1/17*t^2 + (1 - 1/19*t)dt"),
+    "cumulant_6_degree64.sha256": lambda: _cumulant_digest(
+        "6", "(1/3 + 2/7*t)^64 ; (1/5*t + dt)^64 ; (3/11 + t)^64 ; "
+        "(1/2 + t*dt)^64 ; (2/9 - t)^64 ; (1 + 1/13*t)^64"),
     "polytope_3.dot": lambda: _polytope_dot(3),
     "polytope_4.dot": lambda: _polytope_dot(4),
     "painted_cells_n4.txt": _painted_cells_text,
@@ -87,7 +104,9 @@ def test_exit_codes_pinned():
     assert (GOLDEN / "verify_all_n3_d2_A.txt").read_text().startswith("exit 0\n")
     assert (GOLDEN / "verify_all_n3_d2_B.txt").read_text().startswith("exit 1\n")
     assert (GOLDEN / "verify_cumulants_n5_d1.txt").read_text().startswith("exit 0\n")
-    assert (GOLDEN / "cumulant_4_trace.txt").read_text().startswith("exit 0\n")
+    for name in ("cumulant_4_trace.txt", "cumulant_5_trace.txt",
+                 "cumulant_6_degree64.sha256"):
+        assert (GOLDEN / name).read_text().startswith("exit 0\n")
 
 
 if __name__ == "__main__":

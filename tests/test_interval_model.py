@@ -2,12 +2,14 @@
 
 import itertools
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from homotopy_cumulants.interval_model import (
+    _ZERO,
     MAX_PARSE_DEGREE,
     MAX_PARSE_EXPONENT,
     Cochain,
@@ -45,6 +47,136 @@ def antider(coeffs):
 
 def value_at_one(coeffs):
     return sum(Fraction(c) for c in coeffs)
+
+
+class FractionPolynomial:
+    """Reference kernel: a tuple of Fractions, one Fraction op per coefficient.
+
+    It shares no code with the integer kernel of `Polynomial`; the
+    properties below compare the two operation by operation.
+    """
+
+    def __init__(self, coefficients=()):
+        coeffs = [Fraction(c) for c in coefficients]
+        while coeffs and coeffs[-1] == 0:
+            coeffs.pop()
+        self.coefficients = tuple(coeffs)
+
+    def __add__(self, other):
+        a, b = self.coefficients, other.coefficients
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] += c
+        return FractionPolynomial(out)
+
+    def __neg__(self):
+        return FractionPolynomial([-c for c in self.coefficients])
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if not self.coefficients or not other.coefficients:
+            return FractionPolynomial()
+        out = [Fraction(0)] * (len(self.coefficients) + len(other.coefficients) - 1)
+        for i, a in enumerate(self.coefficients):
+            if a:
+                for j, b in enumerate(other.coefficients):
+                    out[i + j] += a * b
+        return FractionPolynomial(out)
+
+    def scale(self, scalar):
+        s = Fraction(scalar)
+        if not s:
+            return FractionPolynomial()
+        return FractionPolynomial([s * c for c in self.coefficients])
+
+    def derivative(self):
+        return FractionPolynomial([k * c for k, c in enumerate(self.coefficients)][1:])
+
+    def antiderivative(self):
+        return FractionPolynomial(
+            [Fraction(0)] + [c / (k + 1) for k, c in enumerate(self.coefficients)]
+        )
+
+    def __call__(self, point):
+        x = Fraction(point)
+        acc = Fraction(0)
+        for c in reversed(self.coefficients):
+            acc = acc * x + c
+        return acc
+
+
+def assert_matches_reference(value, reference):
+    """value is the reduced Polynomial with the reference's coefficients."""
+    assert value.coefficients == reference.coefficients
+    assert value == Polynomial(reference.coefficients)
+    assert value.denominator > 0
+    assert gcd(value.denominator, *value.numerators) == 1
+    assert not value.numerators or value.numerators[-1] != 0
+
+
+rationals = st.builds(Fraction, st.integers(-10 ** 6, 10 ** 6), st.integers(1, 40))
+coefficient_lists = st.lists(
+    st.one_of(st.just(Fraction(0)), rationals), max_size=7)
+
+
+class TestIntegerKernel:
+    """The integer kernel against the Fraction reference, op by op."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(coefficient_lists, coefficient_lists)
+    def test_ring_operations(self, a, b):
+        p, q = Polynomial(a), Polynomial(b)
+        rp, rq = FractionPolynomial(a), FractionPolynomial(b)
+        assert_matches_reference(p, rp)
+        assert_matches_reference(p + q, rp + rq)
+        assert_matches_reference(p - q, rp - rq)
+        assert_matches_reference(-p, -rp)
+        assert_matches_reference(p * q, rp * rq)
+
+    @settings(max_examples=150, deadline=None)
+    @given(coefficient_lists, st.one_of(st.just(Fraction(0)), rationals))
+    def test_calculus_and_scaling(self, a, s):
+        p, rp = Polynomial(a), FractionPolynomial(a)
+        assert_matches_reference(p.scale(s), rp.scale(s))
+        assert_matches_reference(p.derivative(), rp.derivative())
+        assert_matches_reference(p.antiderivative(), rp.antiderivative())
+        assert_matches_reference(p.antiderivative().antiderivative(),
+                                 rp.antiderivative().antiderivative())
+
+    @settings(max_examples=150, deadline=None)
+    @given(coefficient_lists, rationals)
+    def test_evaluation(self, a, x):
+        p, rp = Polynomial(a), FractionPolynomial(a)
+        for point in (0, 1, Fraction(0), Fraction(1), -1, Fraction(-3, 7),
+                      Fraction(5, 2), x, -x, str(x)):
+            value = p(point)
+            assert isinstance(value, Fraction)
+            assert value == rp(point)
+
+    @pytest.mark.parametrize("left, right", [
+        ([Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 6), Fraction(2, 6)]),
+        ([Fraction(2, 4)], [Fraction(1, 2)]),
+        ([Fraction(0, 7), 0], []),
+        (["-4/6", 0, "10/15"], [Fraction(-2, 3), 0, Fraction(2, 3), 0]),
+    ])
+    def test_canonical_form(self, left, right):
+        p, q = Polynomial(left), Polynomial(right)
+        assert p == q
+        assert hash(p) == hash(q)
+        assert (p.numerators, p.denominator) == (q.numerators, q.denominator)
+
+    def test_canonical_storage(self):
+        assert Polynomial([Fraction(1, 2), Fraction(1, 3)]).numerators == (3, 2)
+        assert Polynomial([Fraction(1, 2), Fraction(1, 3)]).denominator == 6
+        assert Polynomial([]).numerators == ()
+        assert Polynomial([]).denominator == 1
+        half = Polynomial([Fraction(1, 2)])
+        assert (half + half).denominator == 1
+        assert (half * Polynomial([2])).numerators == (1,)
 
 
 class TestPolynomial:
@@ -127,6 +259,21 @@ class TestDifferential:
 
 
 class TestCochains:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.one_of(st.sampled_from([0, "0", Fraction(0, 5), Fraction(0)]),
+                              st.fractions(max_denominator=6)),
+                    min_size=6, max_size=6),
+           st.fractions(max_denominator=6))
+    def test_zero_fields_are_the_shared_zero(self, values, s):
+        a, b = Cochain(*values[:3]), Cochain(*values[3:])
+        computed = [a, b, a + b, a - b, a - a, -a, a.scale(s), a.scale(0),
+                    cup(a, b), cup(b, a), delta(a), a.vertex_part(),
+                    a.edge_part(), integrate(form((1, -1), (0, 1, "-3/2"))),
+                    integrate(form((), (0, 1))), iterated_integral([DT, T])]
+        for c in computed:
+            for field in (c.v0, c.v1, c.edge):
+                assert (field is _ZERO) == (field == 0)
+
     def test_cup_front_vertex_on_edge(self):
         assert cup(Cochain(2, 3), Cochain(edge=5)) == Cochain(edge=10)
 
@@ -259,6 +406,18 @@ class TestTextFormats:
                      "((2^64)^64)^64", "(3^64)^4"):
             with pytest.raises(ParseError):
                 parse_polyform(text)
+
+    def test_caps_apply_to_reduced_coefficients(self):
+        # coprime 60-digit denominators: the common denominator has 120
+        # digits, each reduced coefficient only 60
+        p = 10 ** 59 + 3
+        q = p + 2
+        parsed = parse_polyform(f"1/{p}*t + 1/{q}*t^2")
+        assert parsed.part0.coefficients == (0, Fraction(1, p), Fraction(1, q))
+        assert parsed.part0.denominator == p * q
+        with pytest.raises(ParseError) as err:
+            parse_polyform(f"({p}*t)^2")
+        assert str(err.value) == "coefficient longer than 100 digits (at position 65)"
 
     def test_tuple_parsing(self):
         forms = parse_form_tuple("t ; dt")
