@@ -16,7 +16,9 @@ integral, and operations of arity three and higher as zero reproduces the
 concrete Hom-complex boundary exactly.  The interpretation goes through
 the builders the cube cells use: a p node over binary source trees is
 `hom_complex.merged_integral` of the subtrees' leaf counts, and target
-nodes join with `cup_pair`, so formal terms evaluate on basis codes.
+nodes join with `cup_pair`, so formal terms evaluate on basis codes.  A
+formal sum interprets to one `hom_complex.linear_combination` of its
+terms' maps.
 """
 
 from __future__ import annotations
@@ -35,10 +37,10 @@ from .hom_complex import (
     MultiMap,
     SignConvention,
     cup_pair,
+    linear_combination,
     merged_integral,
     zero_map,
 )
-from .interval_model import Cochain, PolyForm
 
 
 class Kind(Enum):
@@ -249,10 +251,6 @@ class FormalSum:
         for sign, body in pieces[1:]:
             text += f" {sign} {body}"
         return text
-
-    def to_json_list(self) -> list[dict]:
-        return [{"coefficient": f"{c.numerator}/{c.denominator}",
-                 "term": tree_text(t)} for t, c in self]
 
     def __repr__(self) -> str:
         return f"FormalSum({self.to_text()!r})"
@@ -577,7 +575,10 @@ def interpret(tree: PaintedNode,
 
 def interpret_sum(value: FormalSum,
                   convention: SignConvention = CONVENTION_A) -> MultiMap:
-    """Interpret a formal sum; it must be nonempty with uniform arity."""
+    """Interpret a formal sum as the linear combination of its terms' maps.
+
+    The sum must be nonempty with uniform arity.
+    """
     items = list(value.terms.items())
     if not items:
         raise ValueError("cannot infer the arity of an empty sum")
@@ -585,17 +586,8 @@ def interpret_sum(value: FormalSum,
     maps = [(interpret(t, convention), c) for t, c in items]
     if any(m.arity != arity for m, _ in maps):
         raise ValueError("mixed arities in formal sum")
-
-    def evaluator(*xs: PolyForm | int) -> Cochain:
-        total = Cochain.zero()
-        for m, c in maps:
-            total = total + m(*xs).scale(c)
-        return total
-
-    summed = MultiMap(arity, maps[0][0].shifted_degree + 0, evaluator,
-                      name=f"[{value.to_text()}]")
-    summed.basis_codes = True  # the term maps take codes themselves
-    return summed
+    return linear_combination(arity, maps[0][0].shifted_degree, maps,
+                              name=f"[{value.to_text()}]")
 
 
 # ---------------------------------------------------------------------------

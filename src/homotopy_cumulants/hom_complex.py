@@ -12,6 +12,12 @@ boundary(I_2) equals the second Boolean cumulant and the iterated
 integrals satisfy the full morphism relation; the test suite pins it and
 exhibits the failure of B.
 
+Sums of maps are flat: `+`, `-`, `scale` and `zero_map` build one linear
+combination of leaf maps (`linear_combination`), with the terms of one
+map merged, so a signed sum of k maps is a single node that calls each
+leaf once per input tuple.  Memos sit on the leaves and on the
+combinations.
+
 Equality of MultiMaps is certified on truncated monomial bases, which by
 multilinearity is exact on the truncated subspace.  The sweeps evaluate
 maps on integer basis codes (see `interval_model.encode_basis`): every
@@ -25,12 +31,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from fractions import Fraction
+from typing import Callable, Iterable, Sequence
 
 from .cumulants import CumulantContext, cumulant, integration_context
 from .interval_model import (
     Cochain,
     PolyForm,
+    Scalar,
     cup,
     d_code,
     d_form,
@@ -75,9 +83,15 @@ class MultiMap:
     memo holds both, since an int tuple never equals a PolyForm tuple.
     `basis_codes` says whether the evaluator accepts codes itself; when it
     is False, code inputs are decoded to PolyForms first.
+
+    Sums are flat: `+`, `-` and `scale` build a linear combination (see
+    `linear_combination`) whose `terms` are (leaf map, coefficient) pairs,
+    never other combinations.  `terms` is None for a leaf map.  Leaves and
+    combinations keep their memos; the combination's memo matters where
+    one combination feeds several maps, as H_{n-1} feeds both terms of H_n.
     """
 
-    __slots__ = ("arity", "shifted_degree", "name", "basis_codes",
+    __slots__ = ("arity", "shifted_degree", "name", "basis_codes", "terms",
                  "_evaluator", "_memo")
 
     def __init__(self, arity: int, shifted_degree: int,
@@ -88,6 +102,7 @@ class MultiMap:
         self.shifted_degree = shifted_degree
         self.name = name or f"map/{arity}"
         self.basis_codes = False
+        self.terms = None
         self._evaluator = evaluator
         self._memo: dict = {}
 
@@ -115,26 +130,22 @@ class MultiMap:
             shifted_degree = self.shifted_degree
         renamed = MultiMap(self.arity, shifted_degree, self._evaluator, name)
         renamed.basis_codes = self.basis_codes
+        renamed.terms = self.terms
         return renamed
 
     def __add__(self, other: "MultiMap") -> "MultiMap":
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        return _coded(self.arity, self.shifted_degree,
-                      lambda *xs: self(*xs) + other(*xs),
-                      f"({self.name} + {other.name})")
+        return linear_combination(self.arity, self.shifted_degree,
+                                  ((self, 1), (other, 1)),
+                                  f"({self.name} + {other.name})")
 
     def __sub__(self, other: "MultiMap") -> "MultiMap":
-        if self.arity != other.arity:
-            raise ValueError("arity mismatch")
-        return _coded(self.arity, self.shifted_degree,
-                      lambda *xs: self(*xs) - other(*xs),
-                      f"({self.name} - {other.name})")
+        return linear_combination(self.arity, self.shifted_degree,
+                                  ((self, 1), (other, -1)),
+                                  f"({self.name} - {other.name})")
 
-    def scale(self, scalar) -> "MultiMap":
-        return _coded(self.arity, self.shifted_degree,
-                      lambda *xs: self(*xs).scale(scalar),
-                      f"({scalar})*{self.name}")
+    def scale(self, scalar: Scalar) -> "MultiMap":
+        return linear_combination(self.arity, self.shifted_degree,
+                                  ((self, scalar),), f"({scalar})*{self.name}")
 
     def __repr__(self) -> str:
         return f"MultiMap({self.name}, arity={self.arity}, shifted_degree={self.shifted_degree})"
@@ -148,9 +159,47 @@ def _coded(arity: int, shifted_degree: int, evaluator: Callable[..., Cochain],
     return built
 
 
+def linear_combination(arity: int, shifted_degree: int,
+                       pairs: Iterable[tuple[MultiMap, Scalar]],
+                       name: str) -> MultiMap:
+    """The map sum c * f over (f, c) pairs, as one flat combination.
+
+    A combination among the pairs contributes its own terms, scaled by c;
+    terms of the same leaf map are merged and zero coefficients dropped.
+    Evaluation calls each leaf once per input tuple and adds the values.
+    """
+    merged: dict[MultiMap, Fraction] = {}
+    for f, c in pairs:
+        if f.arity != arity:
+            raise ValueError("arity mismatch")
+        c = Fraction(c)
+        for leaf, leaf_c in f.terms if f.terms is not None else ((f, 1),):
+            merged[leaf] = merged.get(leaf, 0) + c * leaf_c
+    # integral coefficients as ints, so the evaluator's tests are cheap
+    terms = tuple((leaf, c.numerator if c.denominator == 1 else c)
+                  for leaf, c in merged.items() if c)
+
+    zero = Cochain.zero()
+
+    def evaluator(*xs: PolyForm | int) -> Cochain:
+        total = zero
+        for leaf, c in terms:
+            if c == 1:
+                total = total + leaf(*xs)
+            elif c == -1:
+                total = total - leaf(*xs)
+            else:
+                total = total + leaf(*xs).scale(c)
+        return total
+
+    combination = _coded(arity, shifted_degree, evaluator, name)
+    combination.terms = terms
+    return combination
+
+
 def zero_map(arity: int, shifted_degree: int = 0) -> MultiMap:
-    return _coded(arity, shifted_degree,
-                  lambda *xs: Cochain.zero(), name=f"0/{arity}")
+    """The empty combination."""
+    return linear_combination(arity, shifted_degree, (), f"0/{arity}")
 
 
 def iterated_integral_map(n: int) -> MultiMap:

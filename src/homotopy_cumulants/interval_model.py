@@ -252,7 +252,7 @@ class PolyForm:
     when part0 vanishes.
     """
 
-    __slots__ = ("part0", "part1", "_hash")
+    __slots__ = ("part0", "part1", "_hash", "_parts")
 
     def __init__(self, part0: Polynomial | Iterable[Scalar] = (),
                  part1: Polynomial | Iterable[Scalar] = ()):
@@ -261,6 +261,7 @@ class PolyForm:
         object.__setattr__(self, "part0", p0)
         object.__setattr__(self, "part1", p1)
         object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "_parts", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyForm is immutable")
@@ -282,17 +283,22 @@ class PolyForm:
     def is_zero(self) -> bool:
         return self.part0.is_zero() and self.part1.is_zero()
 
-    def is_homogeneous(self) -> bool:
-        return self.part0.is_zero() or self.part1.is_zero()
-
     def homogeneous_parts(self) -> tuple[tuple["PolyForm", int], ...]:
-        """Nonzero homogeneous components as (form, plain degree) pairs."""
-        parts = []
-        if self.part0:
-            parts.append((PolyForm(part0=self.part0), 0))
-        if self.part1:
-            parts.append((PolyForm(part1=self.part1), 1))
-        return tuple(parts)
+        """Nonzero homogeneous components as (form, plain degree) pairs.
+
+        A homogeneous form is its own part; the split of a mixed form is
+        built once and kept.
+        """
+        if not self.part1:
+            return ((self, 0),) if self.part0 else ()
+        if not self.part0:
+            return ((self, 1),)
+        parts = self._parts
+        if parts is None:
+            parts = ((PolyForm(part0=self.part0), 0),
+                     (PolyForm(part1=self.part1), 1))
+            object.__setattr__(self, "_parts", parts)
+        return parts
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PolyForm)
@@ -374,12 +380,6 @@ class Cochain:
         return self is _COCHAIN_ZERO or (
             self.v0 is _ZERO and self.v1 is _ZERO and self.edge is _ZERO)
 
-    def vertex_part(self) -> "Cochain":
-        return Cochain(self.v0, self.v1, 0)
-
-    def edge_part(self) -> "Cochain":
-        return Cochain(0, 0, self.edge)
-
     def __eq__(self, other) -> bool:
         if self is other:
             return True
@@ -410,7 +410,13 @@ class Cochain:
                        edge if edge is _ZERO else -edge)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        return self + (-other)
+        if other is _COCHAIN_ZERO:
+            return self
+        if self is _COCHAIN_ZERO:
+            return -other
+        return Cochain(_field_difference(self.v0, other.v0),
+                       _field_difference(self.v1, other.v1),
+                       _field_difference(self.edge, other.edge))
 
     def scale(self, scalar: Scalar) -> "Cochain":
         if self is _COCHAIN_ZERO:
@@ -443,6 +449,12 @@ def _field_sum(x: Fraction, y: Fraction) -> Fraction:
     if y is _ZERO:
         return x
     return y if x is _ZERO else x + y
+
+
+def _field_difference(x: Fraction, y: Fraction) -> Fraction:
+    if y is _ZERO:
+        return x
+    return -y if x is _ZERO else x - y
 
 
 def wedge(a: PolyForm, b: PolyForm) -> PolyForm:

@@ -1,10 +1,15 @@
 """Hom-complex boundary calculus and the morphism relation."""
 
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from homotopy_cumulants import hom_complex
+from homotopy_cumulants.cube_complex import cell_to_map, cells_of
 from homotopy_cumulants.cumulants import integration_context
 from homotopy_cumulants.hom_complex import (
     CONVENTION_A,
@@ -19,6 +24,7 @@ from homotopy_cumulants.hom_complex import (
     homotopy_witness,
     alternate_witness_k3,
     iterated_integral_map,
+    linear_combination,
     map_is_zero_on,
     maps_equal_on_truncation,
     merged_integral,
@@ -30,6 +36,7 @@ from homotopy_cumulants.interval_model import (
     PolyForm,
     cup,
     d_form,
+    encode_basis,
     integrate,
     iterated_integral,
     wedge,
@@ -98,6 +105,132 @@ class TestMultiMap:
         rng = random.Random(7)
         assert random_multilinearity_probe(iterated_integral_map(2), rng)
         assert random_multilinearity_probe(homotopy_witness(3), rng, trials=4)
+
+
+def _arity3_leaves() -> list[MultiMap]:
+    """Leaf maps of arity 3: I_3, both wedges, both cups, H_3, g3's cells."""
+    i1, i2 = iterated_integral_map(1), iterated_integral_map(2)
+    return ([iterated_integral_map(3), wedge_at(i2, 0), wedge_at(i2, 1),
+             cup_pair(i1, i2), cup_pair(i2, i1), homotopy_witness(3)]
+            + [cell_to_map(3, cell) for cell in cells_of(3)])
+
+
+def _nested(evaluator) -> MultiMap:
+    """One node of a nested sum tree over arity-3 maps.
+
+    It has no code rule, so code inputs are decoded and the reference runs
+    the PolyForm path of every leaf.
+    """
+    return MultiMap(3, 0, evaluator, "nested")
+
+
+_coefficients = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), 0])
+_expressions = st.recursive(
+    st.integers(0, 14),
+    lambda inner: st.one_of(
+        st.tuples(st.sampled_from(["+", "-"]), inner, inner),
+        st.tuples(st.just("scale"), _coefficients, inner)),
+    max_leaves=8)
+_small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+_forms = st.builds(
+    lambda p0, p1: PolyForm(p0, p1),
+    st.lists(_small_fractions, max_size=3), st.lists(_small_fractions, max_size=3))
+
+
+def _build(expression, leaves):
+    """The flat map and the nested reference map of one expression."""
+    if isinstance(expression, int):
+        leaf = leaves[expression]
+        return leaf, leaf
+    op, first, second = expression
+    if op == "scale":
+        flat, nested = _build(second, leaves)
+        c = Fraction(first)
+        return flat.scale(first), _nested(lambda *xs: nested(*xs).scale(c))
+    flat_a, nested_a = _build(first, leaves)
+    flat_b, nested_b = _build(second, leaves)
+    if op == "+":
+        return flat_a + flat_b, _nested(lambda *xs: nested_a(*xs) + nested_b(*xs))
+    return flat_a - flat_b, _nested(lambda *xs: nested_a(*xs) - nested_b(*xs))
+
+
+class TestLinearCombination:
+    def test_sums_hold_merged_leaf_terms(self):
+        f, g = iterated_integral_map(3), wedge_at(iterated_integral_map(2), 0)
+        h = g.scale(3)
+        combined = ((f + g) - h).scale(2) + zero_map(3, 0)
+        assert combined.terms == ((f, 2), (g, -4))
+        assert all(leaf.terms is None for leaf, _ in combined.terms)
+        assert combined.name == f"((2)*(({f.name} + {g.name}) - (3)*{g.name}) + 0/3)"
+        for xs in ((DT, DT, DT), (T, DT, DT)):
+            assert combined(*xs) == f(*xs).scale(2) - g(*xs).scale(4)
+            assert combined(*xs) != Cochain.zero()
+
+    def test_zero_map_is_the_empty_combination(self):
+        zero = zero_map(2, 1)
+        assert (zero.terms, zero.arity, zero.shifted_degree) == ((), 2, 1)
+        assert zero(T, DT) is Cochain.zero()
+
+    def test_cancelling_difference_is_the_shared_zero(self):
+        f = iterated_integral_map(2)
+        difference = f - f
+        assert difference.terms == ()
+        mixed = PolyForm((1,), (0, 1))
+        for xs in ((DT, DT), (mixed, DT), (encode_basis(DT), encode_basis(DT))):
+            assert f(*xs) != Cochain.zero()
+            assert difference(*xs) is Cochain.zero()
+
+    def test_terms_survive_renaming(self):
+        f, g = iterated_integral_map(2), wedge_at(iterated_integral_map(1), 0)
+        renamed = (f - g).renamed("named", 5)
+        assert (renamed.terms, renamed.shifted_degree) == (((f, 1), (g, -1)), 5)
+        assert (renamed + g).terms == ((f, 1),)
+
+    def test_arity_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            linear_combination(2, 0, [(iterated_integral_map(3), 1)], "bad")
+
+    @settings(max_examples=25, deadline=None)
+    @given(_expressions, st.lists(_forms, min_size=3, max_size=3),
+           st.integers(0, 2), _forms, _forms, _small_fractions, _small_fractions)
+    def test_equals_the_nested_sum_and_is_multilinear(
+            self, expression, forms, slot, a, b, s, r):
+        flat, nested = _build(expression, _arity3_leaves())
+        if flat.terms is not None:
+            assert all(leaf.terms is None for leaf, _ in flat.terms)
+        codes = TruncationGrid(1).slot_codes()
+        for xs in itertools.product(codes, repeat=3):
+            assert flat(*xs) == nested(*xs)
+        assert flat(*forms) == nested(*forms)
+        mixed, with_a, with_b = list(forms), list(forms), list(forms)
+        mixed[slot], with_a[slot], with_b[slot] = a.scale(s) + b.scale(r), a, b
+        assert flat(*mixed) == flat(*with_a).scale(s) + flat(*with_b).scale(r)
+
+    def test_h4_evaluates_its_shared_h3_once_per_tuple(self, monkeypatch):
+        built = []
+
+        def counting(arity, shifted_degree, pairs, name):
+            combination = linear_combination(arity, shifted_degree, pairs, name)
+            inner, calls = combination._evaluator, []
+
+            def evaluator(*xs):
+                calls.append(xs)
+                return inner(*xs)
+
+            combination._evaluator = evaluator
+            built.append((combination, calls))
+            return combination
+
+        monkeypatch.setattr(hom_complex, "linear_combination", counting)
+        h4 = homotopy_witness(4)
+        h3, h3_calls = built[0]
+        assert h3.name == "(I2(wedge@0) - cup(I1,I2))"
+        for xs in itertools.product(TruncationGrid(2).slot_codes(), repeat=4):
+            h4(*xs)
+        for xs in itertools.product((T, DT, PolyForm((1,), (0, 1))), repeat=4):
+            h4(*xs)
+        assert len(h3_calls) > 100
+        assert len(set(h3_calls)) == len(h3_calls) == len(h3._memo)
 
 
 class TestTruncationGrid:

@@ -208,6 +208,18 @@ class TestPolynomial:
         assert p.antiderivative().derivative() == p
 
 
+class TestPolyForm:
+    def test_homogeneous_parts(self):
+        assert PolyForm.zero().homogeneous_parts() == ()
+        for f, degree in ((form((1, 2)), 0), (form((), (0, 3)), 1)):
+            (part,) = f.homogeneous_parts()
+            assert part == (f, degree) and part[0] is f
+        mixed = form((1, 2), ("1/2",))
+        parts = mixed.homogeneous_parts()
+        assert parts == ((form((1, 2)), 0), (form((), ("1/2",)), 1))
+        assert mixed.homogeneous_parts() is parts
+
+
 class TestWedge:
     def test_zero_form_times_one_form(self):
         assert wedge(T, DT) == form((), (0, 1))
@@ -258,6 +270,14 @@ class TestDifferential:
             assert wedge(a, b) == wedge(b, a).scale((-1) ** (pa * pb))
 
 
+def vertex_part(a: Cochain) -> Cochain:
+    return Cochain(a.v0, a.v1, 0)
+
+
+def edge_part(a: Cochain) -> Cochain:
+    return Cochain(0, 0, a.edge)
+
+
 class TestCochains:
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.one_of(st.sampled_from([0, "0", Fraction(0, 5), Fraction(0)]),
@@ -267,8 +287,8 @@ class TestCochains:
     def test_zero_fields_are_the_shared_zero(self, values, s):
         a, b = Cochain(*values[:3]), Cochain(*values[3:])
         computed = [a, b, a + b, a - b, a - a, -a, a.scale(s), a.scale(0),
-                    cup(a, b), cup(b, a), delta(a), a.vertex_part(),
-                    a.edge_part(), integrate(form((1, -1), (0, 1, "-3/2"))),
+                    cup(a, b), cup(b, a), delta(a), vertex_part(a),
+                    edge_part(a), integrate(form((1, -1), (0, 1, "-3/2"))),
                     integrate(form((), (0, 1))), iterated_integral([DT, T])]
         for c in computed:
             for field in (c.v0, c.v1, c.edge):
