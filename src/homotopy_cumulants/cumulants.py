@@ -11,7 +11,10 @@ Inputs are PolyForms or basis codes (ints, see
 `interval_model.encode_basis`); on codes a context multiplies by
 `wedge_codes`, with None for the zero form dt^dt (see CumulantContext).
 A product of block images stops at the first partial product that is the
-shared zero cochain.
+shared zero cochain.  On code tuples the block images are interned by the
+context and their products memoized on the pair; PolyForm tuples call the
+target product directly, unmemoized, as the oracle the code path is
+checked against.
 """
 
 from __future__ import annotations
@@ -128,6 +131,13 @@ class CumulantContext:
     keeps as None.  Codes multiply by `wedge_codes` when the source product
     is the wedge, as in every context built here; under any other source
     product they are decoded and multiplied as PolyForms.
+
+    The image of a code is interned in the context's value table, so equal
+    images of different codes are one object (the integrals of t, t^2 and
+    t^3 are all (0, 1; 0)).  `product` memoizes the target product on such
+    interned pairs and interns its results in the same table; the cumulant
+    formulas use it on code tuples only.  PolyForm images are neither
+    interned nor multiplied through the memo: that path stays the oracle.
     """
 
     chain_map: Callable[[PolyForm], Cochain]
@@ -135,8 +145,11 @@ class CumulantContext:
     target_product: Callable[[Cochain, Cochain], Cochain] = cup
 
     def __post_init__(self):
-        object.__setattr__(self, "_map_cache", {None: Cochain.zero()})
+        zero = Cochain.zero()
+        object.__setattr__(self, "_map_cache", {None: zero})
+        object.__setattr__(self, "_values", {zero: zero})
         object.__setattr__(self, "_product_cache", {})
+        object.__setattr__(self, "_target_cache", {})
         object.__setattr__(self, "_recursive_cache", {})
         object.__setattr__(self, "_wedge_source", self.source_product is wedge)
 
@@ -144,9 +157,23 @@ class CumulantContext:
         cache = self._map_cache
         value = cache.get(form)
         if value is None:
-            value = self.chain_map(
-                decode_basis(form) if type(form) is int else form)
+            if type(form) is int:
+                value = self.chain_map(decode_basis(form))
+                value = self._values.setdefault(value, value)
+            else:
+                value = self.chain_map(form)
             cache[form] = value
+        return value
+
+    def product(self, a: Cochain, b: Cochain) -> Cochain:
+        """`target_product(a, b)`, memoized on the pair and interned."""
+        key = (a, b)
+        cache = self._target_cache
+        value = cache.get(key)
+        if value is None:
+            value = self.target_product(a, b)
+            value = self._values.setdefault(value, value)
+            cache[key] = value
         return value
 
     def multiply(self, a: PolyForm | int | None,
@@ -232,11 +259,13 @@ def _composition_products(ctx: CumulantContext,
     """Yield each composition with the product of its block images, in order.
 
     A partial product that is the shared zero cochain absorbs the rest.
+    Code tuples multiply through the context's memo, PolyForms directly.
     """
     if len(inputs) == 0:
         raise ValueError("cumulant requires at least one input")
     images = _run_images(ctx, inputs)
-    product = ctx.target_product
+    product = (ctx.product if all(type(x) is int for x in inputs)
+               else ctx.target_product)
     zero = Cochain.zero()
     for comp, spans in _composition_spans(len(inputs)):
         acc = images[spans[0]]

@@ -39,6 +39,7 @@ from .interval_model import (
     Cochain,
     PolyForm,
     Scalar,
+    _frac,
     cup,
     d_code,
     d_form,
@@ -172,7 +173,7 @@ def linear_combination(arity: int, shifted_degree: int,
     for f, c in pairs:
         if f.arity != arity:
             raise ValueError("arity mismatch")
-        c = Fraction(c)
+        c = _frac(c)
         for leaf, leaf_c in f.terms if f.terms is not None else ((f, 1),):
             merged[leaf] = merged.get(leaf, 0) + c * leaf_c
     # integral coefficients as ints, so the evaluator's tests are cheap

@@ -30,7 +30,13 @@ _ONE = Fraction(1)
 
 
 def _frac(value: Scalar) -> Fraction:
-    return value if isinstance(value, Fraction) else Fraction(value)
+    """A scalar as an exact Fraction; floats are refused, not rounded."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, float):
+        raise TypeError(f"inexact scalar {value!r}: pass an int, a Fraction "
+                        "or a string such as '1/3'")
+    return Fraction(value)
 
 
 class Polynomial:

@@ -22,6 +22,8 @@ from homotopy_cumulants.interval_model import (
     Cochain,
     PolyForm,
     cup,
+    decode_basis,
+    encode_basis,
     integrate,
     wedge,
 )
@@ -141,6 +143,90 @@ class TestContext:
 
     def test_endpoint_double_is_not_a_chain_map(self):
         assert not endpoint_evaluation_context().verify_chain_map(2)
+
+
+def reversed_cup(a: Cochain, b: Cochain) -> Cochain:
+    """A target product that is not the cup product (test double)."""
+    return cup(b, a)
+
+
+GRID_CODES = [encode_basis(PolyForm.monomial(k, dt=dt))
+              for dt in (False, True) for k in range(3)]
+
+
+def reference_terms(ctx, codes):
+    """Each composition's signed product of block images, on PolyForms.
+
+    Blocks are multiplied with the context's source product, mapped by its
+    chain map and the images multiplied with its own target product, with
+    no caching and no shortcut for zero.
+    """
+    forms = [decode_basis(code) for code in codes]
+    terms = []
+    for comp in compositions(len(forms)):
+        pos, acc = 0, None
+        for size in comp:
+            block = forms[pos]
+            for x in forms[pos + 1:pos + size]:
+                block = ctx.source_product(block, x)
+            image = ctx.chain_map(block)
+            acc = image if acc is None else ctx.target_product(acc, image)
+            pos += size
+        terms.append((comp, composition_sign(comp), acc))
+    return terms
+
+
+class TestProductMemo:
+    def test_product_is_the_target_product(self, ctx):
+        images = [ctx.apply(code) for code in GRID_CODES]
+        for a, b in itertools.product(images, repeat=2):
+            assert ctx.product(a, b) == cup(a, b)
+
+    def test_values_are_interned(self):
+        ctx = integration_context()
+        t, t2, t3 = (ctx.apply(code) for code in (2, 4, 6))
+        assert t is t2 is t3 == Cochain(0, 1, 0)
+        one, dt = ctx.apply(0), ctx.apply(1)
+        first = ctx.product(dt, t)
+        assert first == Cochain(edge=1)
+        assert ctx.product(dt, t) is first
+        # equal but distinct arguments find the same entry
+        assert ctx.product(Cochain(edge=1), Cochain(0, 1, 0)) is first
+        # equal results of different pairs are one interned object
+        assert first is dt is ctx.product(one, dt)
+        assert ctx.product(t, dt) is Cochain.zero()
+
+    @pytest.mark.parametrize("target", [cup, reversed_cup])
+    def test_cumulants_on_codes_match_the_reference(self, target):
+        ctx = CumulantContext(integrate, target_product=target)
+        for n in range(1, 5):
+            for codes in itertools.product(GRID_CODES, repeat=n):
+                expected = reference_terms(ctx, codes)
+                terms = cumulant_terms(ctx, codes)
+                assert [(t.composition, t.sign, t.value) for t in terms] == expected
+                total = Cochain.zero()
+                for _, sign, value in expected:
+                    total = total + value.scale(sign)
+                assert cumulant(ctx, codes) == total
+        assert ctx._target_cache
+
+    def test_contexts_share_no_memo(self):
+        plain = CumulantContext(integrate)
+        double = CumulantContext(integrate, target_product=reversed_cup)
+        dt, t = plain.apply(1), plain.apply(2)
+        assert plain.product(dt, t) == cup(dt, t) != cup(t, dt)
+        assert double.product(dt, t) == cup(t, dt)
+        assert plain.product(dt, t) == cup(dt, t)
+        assert plain._target_cache is not double._target_cache
+
+    def test_polyforms_bypass_the_memo(self):
+        ctx = integration_context()
+        forms = [T, DT, PolyForm((1, 2), (3,)), T.scale(Fraction(1, 2))]
+        cumulant(ctx, forms)
+        cumulant_terms(ctx, forms)
+        assert ctx._target_cache == {}
+        cumulant(ctx, [encode_basis(x) for x in (T, DT, T)])
+        assert ctx._target_cache
 
 
 class TestNotation:

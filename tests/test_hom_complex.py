@@ -190,6 +190,14 @@ class TestLinearCombination:
         with pytest.raises(ValueError):
             linear_combination(2, 0, [(iterated_integral_map(3), 1)], "bad")
 
+    def test_float_coefficients_refused(self):
+        f = iterated_integral_map(2)
+        with pytest.raises(TypeError, match="inexact scalar 0.5"):
+            f.scale(0.5)
+        assert f.scale("1/3").terms == f.scale(Fraction(1, 3)).terms == (
+            (f, Fraction(1, 3)),)
+        assert f.scale(2).terms == ((f, 2),)
+
     @settings(max_examples=25, deadline=None)
     @given(_expressions, st.lists(_forms, min_size=3, max_size=3),
            st.integers(0, 2), _forms, _forms, _small_fractions, _small_fractions)
@@ -300,6 +308,20 @@ class TestHomBoundary:
             assert map_is_zero_on(twice, TruncationGrid(4)).equal
         twice = hom_boundary(hom_boundary(iterated_integral_map(4)))
         assert map_is_zero_on(twice, TruncationGrid(3)).equal
+
+    def test_boundary_squares_to_zero_on_cell_maps_on_codes(self):
+        for n in (3, 4):
+            for cell in cells_of(n):
+                twice = hom_boundary(hom_boundary(cell_to_map(n, cell)))
+                assert map_is_zero_on(twice, TruncationGrid(1)).equal
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from([(n, cell) for n in (3, 4) for cell in cells_of(n)]),
+           st.lists(_forms, min_size=4, max_size=4))
+    def test_boundary_squares_to_zero_on_cell_maps(self, cell, forms):
+        n, cell = cell
+        twice = hom_boundary(hom_boundary(cell_to_map(n, cell)))
+        assert twice(*forms[:n]).is_zero()
 
     def test_boundary_squares_to_zero_on_witnesses(self):
         twice = hom_boundary(hom_boundary(homotopy_witness(3)))

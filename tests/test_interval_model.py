@@ -220,6 +220,26 @@ class TestPolyForm:
         assert mixed.homogeneous_parts() is parts
 
 
+class TestExactScalars:
+    BUILDERS = {
+        "Polynomial": lambda c: Polynomial([1, c]),
+        "PolyForm.monomial": lambda c: PolyForm.monomial(2, coefficient=c),
+        "Cochain": lambda c: Cochain(c),
+        "Cochain.scale": lambda c: Cochain(1, 2, 3).scale(c),
+    }
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_floats_are_refused(self, name):
+        with pytest.raises(TypeError, match="inexact scalar 0.5"):
+            self.BUILDERS[name](0.5)
+
+    @pytest.mark.parametrize("name", sorted(BUILDERS))
+    def test_exact_scalars_are_accepted(self, name):
+        build = self.BUILDERS[name]
+        assert build(Fraction(1, 3)) == build("1/3") != build(1)
+        assert build(2) == build(Fraction(2))
+
+
 class TestWedge:
     def test_zero_form_times_one_form(self):
         assert wedge(T, DT) == form((), (0, 1))
