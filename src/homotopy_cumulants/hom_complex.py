@@ -14,17 +14,23 @@ exhibits the failure of B.
 
 Sums of maps are flat: `+`, `-`, `scale` and `zero_map` build one linear
 combination of leaf maps (`linear_combination`), with the terms of one
-map merged, so a signed sum of k maps is a single node that calls each
-leaf once per input tuple.  Memos sit on the leaves and on the
-combinations.
+map merged, so a signed sum of k maps is a single node over its leaves.
 
 Equality of MultiMaps is certified on truncated monomial bases, which by
-multilinearity is exact on the truncated subspace.  The sweeps evaluate
-maps on integer basis codes (see `interval_model.encode_basis`): every
-combinator here has a one-term rule on codes, and the cumulant K_n runs
-its context on codes.  Only user-built maps lack a code rule; they decode
-their inputs and run the general PolyForm path, which also serves
-arbitrary forms.
+multilinearity is exact on the truncated subspace.  The sweeps work on
+integer basis codes (see `interval_model.encode_basis`) a whole domain at
+a time: `MultiMap.table(domain)` holds a map's nonzero values on every
+code tuple of a per-slot product of code sets, and every combinator here
+builds its table from its children's tables, so work is spent only on
+nonzero values.  A wedge spreads its child's table over the preimage
+pairs of each merged code, a d insertion reads its child's table at the
+derivative codes, a cup multiplies the nonzero entries of two tables, a
+linear combination adds tables, and I_n is Chen's closed form.  Tables
+are memoized per map and per domain.  Maps without a table rule (the
+cumulant K_n, which runs its context on codes, and user-built maps, which
+decode their inputs) are tabulated by evaluating them once per tuple.
+The PolyForm evaluators serve arbitrary forms and are the oracle for the
+tables.
 """
 
 from __future__ import annotations
@@ -52,6 +58,11 @@ from .interval_model import (
     wedge_codes,
 )
 
+# A domain holds one set of basis codes per input slot; a table holds a
+# map's nonzero values on the code tuples of a domain.
+Domain = tuple[frozenset, ...]
+Table = dict[tuple[int, ...], Cochain]
+
 
 @dataclass(frozen=True)
 class SignConvention:
@@ -77,23 +88,29 @@ class MultiMap:
 
     `shifted_degree` is the degree in the suspended convention (0 for each
     iterated integral, +1 for the differentials); the unsuspended degree
-    used by Koszul signs is shifted_degree - arity + 1.  Evaluations are
-    memoized, so shared subexpressions across a grid sweep are cheap.
+    used by Koszul signs is shifted_degree - arity + 1.
 
-    A map is called either on PolyForms or on basis codes (ints), and one
-    memo holds both, since an int tuple never equals a PolyForm tuple.
-    `basis_codes` says whether the evaluator accepts codes itself; when it
-    is False, code inputs are decoded to PolyForms first.
+    On PolyForms the evaluator runs once per input tuple, memoized.  On
+    basis codes a map is evaluated a domain at a time: `table(domain)` is
+    the dict of its nonzero values on the code tuples of a per-slot
+    product of code sets, memoized per domain, so a table shared by
+    several parents (H_{n-1} feeds both terms of H_n, and a boundary reads
+    its map's table for delta and for every d insertion) is built once.
+    `table_rule(domain)` builds the table from the children's tables; the
+    combinators set it after construction.  A map without a rule is
+    tabulated by calling it on every tuple of the domain; it then runs its
+    evaluator on codes when `basis_codes` is set (the cumulant K_n) and
+    on the decoded PolyForms otherwise (user-built maps).  Calling a map
+    that has a rule on one code tuple answers from its table on that
+    one-point domain.
 
     Sums are flat: `+`, `-` and `scale` build a linear combination (see
     `linear_combination`) whose `terms` are (leaf map, coefficient) pairs,
-    never other combinations.  `terms` is None for a leaf map.  Leaves and
-    combinations keep their memos; the combination's memo matters where
-    one combination feeds several maps, as H_{n-1} feeds both terms of H_n.
+    never other combinations.  `terms` is None for a leaf map.
     """
 
     __slots__ = ("arity", "shifted_degree", "name", "basis_codes", "terms",
-                 "_evaluator", "_memo")
+                 "table_rule", "_evaluator", "_memo", "_tables")
 
     def __init__(self, arity: int, shifted_degree: int,
                  evaluator: Callable[..., Cochain], name: str = ""):
@@ -104,8 +121,10 @@ class MultiMap:
         self.name = name or f"map/{arity}"
         self.basis_codes = False
         self.terms = None
+        self.table_rule: Callable[[Domain], Table] | None = None
         self._evaluator = evaluator
         self._memo: dict = {}
+        self._tables: dict[Domain, Table] = {}
 
     @property
     def plain_degree(self) -> int:
@@ -118,12 +137,39 @@ class MultiMap:
             if len(forms) != self.arity:
                 raise ValueError(
                     f"{self.name} expects {self.arity} inputs, got {len(forms)}")
-            if self.basis_codes or type(forms[0]) is not int:
+            if type(forms[0]) is not int or self.basis_codes:
                 value = self._evaluator(*forms)
+            elif self.table_rule is not None:
+                value = self.table([(x,) for x in forms]).get(
+                    forms, Cochain.zero())
             else:
                 value = self._evaluator(*map(decode_basis, forms))
             self._memo[forms] = value
         return value
+
+    def table(self, domain: Iterable[Iterable[int]]) -> Table:
+        """The nonzero values of the map on the code tuples of a domain.
+
+        `domain` holds one collection of basis codes per slot.  A tuple
+        missing from the table is a zero of the map.  The table is
+        memoized per domain and shared, so it must not be mutated.
+        """
+        domain = tuple(map(frozenset, domain))
+        table = self._tables.get(domain)
+        if table is None:
+            if len(domain) != self.arity:
+                raise ValueError(
+                    f"{self.name} expects {self.arity} slots, got {len(domain)}")
+            if self.table_rule is not None:
+                table = self.table_rule(domain)
+            else:
+                table = {}
+                for xs in itertools.product(*domain):
+                    value = self(*xs)
+                    if not value.is_zero():
+                        table[xs] = value
+            self._tables[domain] = table
+        return table
 
     def renamed(self, name: str, shifted_degree: int | None = None) -> "MultiMap":
         """The same evaluator under a new name (and degree), with a fresh memo."""
@@ -132,6 +178,7 @@ class MultiMap:
         renamed = MultiMap(self.arity, shifted_degree, self._evaluator, name)
         renamed.basis_codes = self.basis_codes
         renamed.terms = self.terms
+        renamed.table_rule = self.table_rule
         return renamed
 
     def __add__(self, other: "MultiMap") -> "MultiMap":
@@ -152,12 +199,36 @@ class MultiMap:
         return f"MultiMap({self.name}, arity={self.arity}, shifted_degree={self.shifted_degree})"
 
 
-def _coded(arity: int, shifted_degree: int, evaluator: Callable[..., Cochain],
-           name: str) -> MultiMap:
-    """A MultiMap whose evaluator accepts basis codes as well as PolyForms."""
+def _tabulated(arity: int, shifted_degree: int,
+               evaluator: Callable[..., Cochain], name: str,
+               rule: Callable[[Domain], Table]) -> MultiMap:
+    """A MultiMap with a PolyForm evaluator and a table rule on codes."""
     built = MultiMap(arity, shifted_degree, evaluator, name)
-    built.basis_codes = True
+    built.table_rule = rule
     return built
+
+
+def _add_into(total: dict, table: Table, c: Scalar = 1) -> None:
+    """total += c * table, entry by entry; sums may leave zeros behind."""
+    for xs, value in table.items():
+        if c != 1:
+            value = -value if c == -1 else value.scale(c)
+        previous = total.get(xs)
+        total[xs] = value if previous is None else previous + value
+
+
+def _nonzero(total: dict) -> Table:
+    return {xs: value for xs, value in total.items() if not value.is_zero()}
+
+
+def _delta_table(table: Table) -> Table:
+    """The table of delta . f from the table of f."""
+    images = {}
+    for xs, value in table.items():
+        image = delta(value)
+        if not image.is_zero():
+            images[xs] = image
+    return images
 
 
 def linear_combination(arity: int, shifted_degree: int,
@@ -167,7 +238,8 @@ def linear_combination(arity: int, shifted_degree: int,
 
     A combination among the pairs contributes its own terms, scaled by c;
     terms of the same leaf map are merged and zero coefficients dropped.
-    Evaluation calls each leaf once per input tuple and adds the values.
+    On PolyForms it calls each leaf once per input tuple and adds the
+    values; on codes it adds the leaves' tables.
     """
     merged: dict[MultiMap, Fraction] = {}
     for f, c in pairs:
@@ -182,7 +254,7 @@ def linear_combination(arity: int, shifted_degree: int,
 
     zero = Cochain.zero()
 
-    def evaluator(*xs: PolyForm | int) -> Cochain:
+    def evaluator(*xs: PolyForm) -> Cochain:
         total = zero
         for leaf, c in terms:
             if c == 1:
@@ -193,7 +265,13 @@ def linear_combination(arity: int, shifted_degree: int,
                 total = total + leaf(*xs).scale(c)
         return total
 
-    combination = _coded(arity, shifted_degree, evaluator, name)
+    def rule(domain):
+        total: dict = {}
+        for leaf, c in terms:
+            _add_into(total, leaf.table(domain), c)
+        return _nonzero(total)
+
+    combination = _tabulated(arity, shifted_degree, evaluator, name, rule)
     combination.terms = terms
     return combination
 
@@ -208,12 +286,20 @@ def iterated_integral_map(n: int) -> MultiMap:
     if n < 1:
         raise ValueError("n must be positive")
 
-    def evaluator(*xs: PolyForm | int) -> Cochain:
-        if type(xs[0]) is int:
-            return iterated_integral_codes(xs)
+    def evaluator(*xs: PolyForm) -> Cochain:
         return iterated_integral(xs)
 
-    return _coded(n, 0, evaluator, name=f"I{n}")
+    def rule(domain):
+        # for n >= 2 only dt inputs contribute
+        slots = domain if n == 1 else [[x for x in s if x & 1] for s in domain]
+        table = {}
+        for xs in itertools.product(*slots):
+            value = iterated_integral_codes(xs)
+            if not value.is_zero():
+                table[xs] = value
+        return table
+
+    return _tabulated(n, 0, evaluator, f"I{n}", rule)
 
 
 def _homogeneous_tuples(forms: Sequence[PolyForm]):
@@ -228,22 +314,34 @@ def _homogeneous_tuples(forms: Sequence[PolyForm]):
 def wedge_at(f: MultiMap, slot: int) -> MultiMap:
     """Precompose f with the wedge product merging inputs slot, slot+1.
 
-    The wedge has unsuspended degree 0, so no Koszul sign arises.
+    The wedge has unsuspended degree 0, so no Koszul sign arises.  On
+    codes the table asks f for its table over the merged codes and spreads
+    each entry over the code pairs whose wedge is its merged code.
     """
     if not 0 <= slot < f.arity:
         raise ValueError("slot out of range")
 
-    def evaluator(*xs: PolyForm | int) -> Cochain:
-        if type(xs[0]) is int:
-            product = wedge_codes(xs[slot], xs[slot + 1])
-            if product is None:
-                return Cochain.zero()
-        else:
-            product = wedge(xs[slot], xs[slot + 1])
+    def evaluator(*xs: PolyForm) -> Cochain:
+        product = wedge(xs[slot], xs[slot + 1])
         return f(*xs[:slot], product, *xs[slot + 2:])
 
-    return _coded(f.arity + 1, f.shifted_degree + 1, evaluator,
-                  name=f"{f.name}(wedge@{slot})")
+    def rule(domain):
+        preimages: dict[int, list[tuple[int, int]]] = {}
+        for a in domain[slot]:
+            for b in domain[slot + 1]:
+                product = wedge_codes(a, b)
+                if product is not None:
+                    preimages.setdefault(product, []).append((a, b))
+        merged = domain[:slot] + (preimages.keys(),) + domain[slot + 2:]
+        table = {}
+        for ys, value in f.table(merged).items():
+            head, tail = ys[:slot], ys[slot + 1:]
+            for pair in preimages[ys[slot]]:
+                table[head + pair + tail] = value
+        return table
+
+    return _tabulated(f.arity + 1, f.shifted_degree + 1, evaluator,
+                      f"{f.name}(wedge@{slot})", rule)
 
 
 def merged_integral(sizes: Sequence[int]) -> MultiMap:
@@ -265,27 +363,14 @@ def d_insertion_sum(f: MultiMap,
     """sum_u koszul(u) f(1 x .. x d x .. x 1) with signs per convention.
 
     On codes the one term of slot u is k f(.., t^(k-1) dt, ..) for an input
-    t^k, signed by the dt inputs it passes.
+    t^k, signed by the dt inputs it passes.  The table asks f for its
+    table with slot u widened by the derivative codes (on a grid the
+    widened domain is the grid itself, so every slot and the boundary's
+    delta term share one table of f) and maps each entry whose slot u is
+    t^(k-1) dt back to t^k with weight +-k.
     """
 
-    def on_codes(xs: tuple[int, ...]) -> Cochain:
-        total = Cochain.zero()
-        dt_inputs = sum(x & 1 for x in xs)
-        passed_left = 0
-        for u, x in enumerate(xs):
-            dx = d_code(x)
-            if dx is not None:
-                k, code = dx
-                passed = (passed_left if convention.from_left
-                          else dt_inputs - passed_left)
-                value = f(*xs[:u], code, *xs[u + 1:])
-                total = total + value.scale(-k if passed & 1 else k)
-            passed_left += x & 1
-        return total
-
-    def evaluator(*xs: PolyForm | int) -> Cochain:
-        if type(xs[0]) is int:
-            return on_codes(xs)
+    def evaluator(*xs: PolyForm) -> Cochain:
         total = Cochain.zero()
         for homog, degs in _homogeneous_tuples(xs):
             for u in range(f.arity):
@@ -298,8 +383,34 @@ def d_insertion_sum(f: MultiMap,
                 total = total + (value if exponent % 2 == 0 else -value)
         return total
 
-    return _coded(f.arity, f.shifted_degree + 1, evaluator,
-                  name=f"{f.name}.d_insertions")
+    def rule(domain):
+        total: dict = {}
+        for u, slot in enumerate(domain):
+            # derivative code -> (k, input code t^k)
+            sources = {}
+            for x in slot:
+                dx = d_code(x)
+                if dx is not None:
+                    sources[dx[1]] = (dx[0], x)
+            if not sources:
+                continue
+            widened = domain[:u] + (slot.union(sources),) + domain[u + 1:]
+            for ys, value in f.table(widened).items():
+                source = sources.get(ys[u])
+                if source is None:
+                    continue
+                k, x = source
+                passed = ys[:u] if convention.from_left else ys[u + 1:]
+                if sum(y & 1 for y in passed) & 1:
+                    k = -k
+                xs = ys[:u] + (x,) + ys[u + 1:]
+                previous = total.get(xs)
+                value = value.scale(k)
+                total[xs] = value if previous is None else previous + value
+        return _nonzero(total)
+
+    return _tabulated(f.arity, f.shifted_degree + 1, evaluator,
+                      f"{f.name}.d_insertions", rule)
 
 
 def hom_boundary(f: MultiMap,
@@ -312,11 +423,16 @@ def hom_boundary(f: MultiMap,
     insertions = d_insertion_sum(f, convention)
     pre_sign = -1 if f.plain_degree % 2 == 0 else 1
 
-    def evaluator(*xs: PolyForm | int) -> Cochain:
+    def evaluator(*xs: PolyForm) -> Cochain:
         return delta(f(*xs)) + insertions(*xs).scale(pre_sign)
 
-    return _coded(f.arity, f.shifted_degree + 1, evaluator,
-                  name=f"boundary({f.name})")
+    def rule(domain):
+        total = _delta_table(f.table(domain))
+        _add_into(total, insertions.table(domain), pre_sign)
+        return _nonzero(total)
+
+    return _tabulated(f.arity, f.shifted_degree + 1, evaluator,
+                      f"boundary({f.name})", rule)
 
 
 def cup_pair(left: MultiMap, right: MultiMap,
@@ -326,20 +442,18 @@ def cup_pair(left: MultiMap, right: MultiMap,
     Under convention A the right map picks up (-1)^{|right| * deg} from the
     form degrees it passes on the left; convention B mirrors this.  On
     codes the form degrees are the dt bits, so the sign is a single
-    (-1)^{|moving| * dt bits passed}.
+    (-1)^{|moving| * dt bits passed}; the table cups each nonzero entry
+    of the left table with each nonzero entry of the right one.
     """
     arity = left.arity + right.arity
     moving = right if convention.from_left else left
     moving_parity = moving.plain_degree % 2
 
-    def evaluator(*xs: PolyForm | int) -> Cochain:
+    def evaluator(*xs: PolyForm) -> Cochain:
         left_xs, right_xs = xs[:left.arity], xs[left.arity:]
         if moving_parity == 0:
             return cup(left(*left_xs), right(*right_xs))
         passed = left_xs if convention.from_left else right_xs
-        if type(xs[0]) is int:
-            value = cup(left(*left_xs), right(*right_xs))
-            return -value if sum(x & 1 for x in passed) & 1 else value
         total = Cochain.zero()
         for homog, degs in _homogeneous_tuples(passed):
             if convention.from_left:
@@ -349,8 +463,27 @@ def cup_pair(left: MultiMap, right: MultiMap,
             total = total + (value if sum(degs) % 2 == 0 else -value)
         return total
 
-    return _coded(arity, left.shifted_degree + right.shifted_degree + 1,
-                  evaluator, name=f"cup({left.name},{right.name})")
+    def signed(entries: Table, passed: bool) -> list:
+        if not (passed and moving_parity):
+            return list(entries.items())
+        # by bilinearity the sign can move onto the passed factor
+        return [(xs, -value if sum(x & 1 for x in xs) & 1 else value)
+                for xs, value in entries.items()]
+
+    def rule(domain):
+        lefts = signed(left.table(domain[:left.arity]), convention.from_left)
+        rights = signed(right.table(domain[left.arity:]),
+                        not convention.from_left)
+        table = {}
+        for left_xs, left_value in lefts:
+            for right_xs, right_value in rights:
+                value = cup(left_value, right_value)
+                if not value.is_zero():
+                    table[left_xs + right_xs] = value
+        return table
+
+    return _tabulated(arity, left.shifted_degree + right.shifted_degree + 1,
+                      evaluator, f"cup({left.name},{right.name})", rule)
 
 
 @dataclass(frozen=True)
@@ -409,19 +542,28 @@ def maps_equal_on_truncation(f: MultiMap, g: MultiMap,
                              check: str = "") -> EqualityVerdict:
     """Exact equality on the span of the truncated monomial basis.
 
-    Basis tuples are swept as codes in deterministic slot-major order, and
-    the first disagreement is reported with both values and its tuple
-    decoded to PolyForms.
+    The two maps' code tables over the grid are compared whole; a tuple
+    missing from a table is a zero.  On a disagreement the witness is the
+    first differing tuple in slot-major order (the order of
+    `itertools.product` over `slot_codes()`), decoded to PolyForms and
+    reported with both values.
     """
     if f.arity != g.arity:
         raise ValueError("cannot compare maps of different arity")
     name = check or f"{f.name} == {g.name}"
-    for xs in itertools.product(grid.slot_codes(), repeat=f.arity):
-        lhs, rhs = f(*xs), g(*xs)
-        if lhs != rhs:
-            return EqualityVerdict(name, f.arity, grid.max_exponent, False,
-                                   tuple(map(decode_basis, xs)), lhs, rhs)
-    return EqualityVerdict(name, f.arity, grid.max_exponent, True)
+    codes = grid.slot_codes()
+    domain = (codes,) * f.arity
+    lhs, rhs = f.table(domain), g.table(domain)
+    if lhs == rhs:
+        return EqualityVerdict(name, f.arity, grid.max_exponent, True)
+    position = {code: i for i, code in enumerate(codes)}
+    first = min((xs for xs in lhs.keys() | rhs.keys()
+                 if lhs.get(xs) != rhs.get(xs)),
+                key=lambda xs: [position[x] for x in xs])
+    zero = Cochain.zero()
+    return EqualityVerdict(name, f.arity, grid.max_exponent, False,
+                           tuple(map(decode_basis, first)),
+                           lhs.get(first, zero), rhs.get(first, zero))
 
 
 def map_is_zero_on(f: MultiMap, grid: TruncationGrid,
@@ -450,7 +592,8 @@ def _morphism_source(n: int, convention: SignConvention) -> MultiMap:
 def _morphism_target(n: int, convention: SignConvention) -> MultiMap:
     """Product side: delta . I_n plus the signed cup(I_i x I_j) terms."""
     i_n = iterated_integral_map(n)
-    total = _coded(n, 1, lambda *xs: delta(i_n(*xs)), name=f"delta.I{n}")
+    total = _tabulated(n, 1, lambda *xs: delta(i_n(*xs)), f"delta.I{n}",
+                       lambda domain: _delta_table(i_n.table(domain)))
     for i in range(1, n):
         j = n - i
         term = cup_pair(iterated_integral_map(i),
@@ -522,5 +665,8 @@ def cumulant_multimap(n: int, ctx: CumulantContext | None = None) -> MultiMap:
     if n < 1:
         raise ValueError("n must be positive")
     context = ctx if ctx is not None else integration_context()
-    return _coded(n, n - 1, lambda *xs: cumulant(context, xs), name=f"K{n}")
+    # no table rule: the sweeps call K_n once per code tuple, on codes
+    k_n = MultiMap(n, n - 1, lambda *xs: cumulant(context, xs), name=f"K{n}")
+    k_n.basis_codes = True
+    return k_n
 

@@ -572,6 +572,8 @@ def iterated_integral_codes(codes: Sequence[int]) -> Cochain:
     contribute, and Chen's formula gives
     I_n(t^k1 dt, .., t^kn dt) = prod_j 1/(k_1 + .. + k_j + j) dt.
     """
+    if len(codes) == 0:
+        raise ValueError("iterated_integral requires at least one form")
     if len(codes) == 1:
         return integrate(decode_basis(codes[0]))
     denominator = 1

@@ -1,18 +1,22 @@
 """Basis-code evaluation against the PolyForm path, which is the oracle.
 
-Grid sweeps evaluate maps on integer codes (2k + dt for t^k and t^k dt).
-Each check here builds two fresh instances of a map (or cumulant
-context), evaluates one on codes and the other on the decoded PolyForms,
-and requires equal values on every basis tuple, under both sign
-conventions.
+Grid sweeps evaluate maps on integer codes (2k + dt for t^k and t^k dt),
+a domain at a time, as tables of nonzero values.  Each check here builds
+fresh instances of a map (or cumulant context) and requires, on every
+basis tuple and under both sign conventions, that the map's code table,
+its value on the code tuple and its value on the decoded PolyForms agree.
+The tables are also checked on domains other than the grid, on random
+per-slot code subsets, and in the sweeps' witness order.
 """
 
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homotopy_cumulants import suites
-from homotopy_cumulants.cube_complex import cell_to_map, cells_of
+from homotopy_cumulants.cube_complex import cell_to_map, cells_of, verify_cell
 from homotopy_cumulants.cumulants import (
     CumulantContext,
     cumulant,
@@ -63,9 +67,27 @@ def basis_code_tuples(arity: int):
                              repeat=arity)
 
 
+def assert_table_agrees(build, domain):
+    """build() gives a fresh map; its table over the domain must hold
+    exactly its nonzero PolyForm values there, and no zero."""
+    tabulated, on_forms = build(), build()
+    table = tabulated.table(domain)
+    assert not any(value.is_zero() for value in table.values()), tabulated.name
+    nonzero = 0
+    for xs in itertools.product(*domain):
+        expected = on_forms(*map(decode_basis, xs))
+        assert table.get(xs, Cochain.zero()) == expected, (tabulated.name, xs)
+        nonzero += not expected.is_zero()
+    assert len(table) == nonzero, tabulated.name
+    return table
+
+
 def assert_paths_agree(build):
-    """build() gives a fresh map; its code and PolyForm values must agree."""
+    """build() gives a fresh map; its table over the grid, its values on
+    code tuples and its values on PolyForms must agree."""
     on_codes, on_forms = build(), build()
+    codes = TruncationGrid(grid_for(on_codes.arity)).slot_codes()
+    assert_table_agrees(build, [codes] * on_codes.arity)
     for xs in basis_code_tuples(on_codes.arity):
         forms = tuple(map(decode_basis, xs))
         assert on_codes(*xs) == on_forms(*forms), (on_codes.name, forms)
@@ -95,6 +117,11 @@ class TestCodes:
             else:
                 k, code = d_code(a)
                 assert derivative == decode_basis(code).scale(k)
+
+    def test_empty_iterated_integral_is_refused(self):
+        for function in (iterated_integral, iterated_integral_codes):
+            with pytest.raises(ValueError, match="at least one form"):
+                function(())
 
     def test_chen_closed_form(self):
         # exponents up to 2D, as wedge_at produces them
@@ -162,6 +189,156 @@ class TestOracle:
         for n in (2, 3):
             assert_paths_agree(lambda: interpret_sum(
                 formal_boundary(p_tree(n), convention), convention))
+
+
+T2, T1_DT = encode_basis(PolyForm.monomial(2)), encode_basis(PolyForm.monomial(1, dt=True))
+DT_CODES = (1, 3, 5)
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS, ids=lambda c: c.name)
+class TestTablesOffTheGrid:
+    """Domains that are not a grid: a slot whose derivatives lie outside
+    it, slots of dt codes only, and domains on which a map vanishes."""
+
+    def test_slot_not_closed_under_d(self, convention):
+        # d(t^2) = 2 t dt, and t dt is not in the first slot
+        domain = [(T2,), (0, 1, T2, T1_DT), (0, 1, T2, T1_DT)]
+        for build in (
+                lambda: d_insertion_sum(iterated_integral_map(3), convention),
+                lambda: hom_boundary(iterated_integral_map(3), convention),
+                lambda: hom_boundary(homotopy_witness(3, convention), convention),
+                lambda: ainfty_relation_defect(3, 0, convention)[1]):
+            assert_table_agrees(build, domain)
+        table = assert_table_agrees(
+            lambda: d_insertion_sum(iterated_integral_map(3), convention),
+            [(T2,), (1,), (1,)])
+        assert list(table) == [(T2, 1, 1)]
+
+    def test_dt_slots_only(self, convention):
+        domain = [DT_CODES] * 3
+        for build in (
+                lambda: iterated_integral_map(3),
+                lambda: wedge_at(iterated_integral_map(2), 0),
+                lambda: hom_boundary(homotopy_witness(3, convention), convention),
+                lambda: cup_pair(iterated_integral_map(1),
+                                 iterated_integral_map(2), convention)):
+            assert_table_agrees(build, domain)
+        # no d insertion applies to a dt input
+        assert d_insertion_sum(iterated_integral_map(3),
+                               convention).table(domain) == {}
+
+    def test_empty_tables(self, convention):
+        i3 = iterated_integral_map(3)
+        assert i3.table([(0, 2), (1, 3), (1,)]) == {}
+        # two dt inputs wedge to zero
+        assert wedge_at(iterated_integral_map(1), 0).table([(1, 3), (1,)]) == {}
+        assert hom_boundary(iterated_integral_map(2), convention).table(
+            [(0,), (0,)]) == {}
+        assert i3.table([(), (1,), (1,)]) == {}
+        assert i3(0, 1, 1) is Cochain.zero()
+
+
+def _arity3_builders(convention):
+    """I_3, both wedges, d insertions, a boundary, both cups, H_3, g3's cells."""
+    i = iterated_integral_map
+    return [
+        lambda: i(3),
+        lambda: wedge_at(i(2), 0),
+        lambda: wedge_at(i(2), 1),
+        lambda: d_insertion_sum(i(3), convention),
+        lambda: hom_boundary(i(3), convention),
+        lambda: cup_pair(i(1), i(2), convention),
+        lambda: cup_pair(i(2), i(1), convention),
+        lambda: homotopy_witness(3, convention),
+    ] + [lambda cell=cell: cell_to_map(3, cell, convention) for cell in cells_of(3)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(CONVENTIONS),
+       st.lists(st.sets(st.integers(0, 7), max_size=4), min_size=3, max_size=3))
+def test_tables_on_random_code_subsets(convention, domain):
+    domain = [sorted(slot) for slot in domain]
+    for build in _arity3_builders(convention):
+        assert_table_agrees(build, domain)
+
+
+def _perturbed_i2(changes):
+    """I_2 on PolyForms, except at the code tuples in `changes`."""
+    i2 = iterated_integral_map(2)
+    decoded = {tuple(map(decode_basis, xs)): value for xs, value in changes.items()}
+    return MultiMap(2, 0, lambda a, b: decoded.get((a, b), i2(a, b)),
+                    name="perturbed I2")
+
+
+class TestWitnessOrder:
+    """The witness is the first differing tuple in slot-major order, which
+    at D = 2 runs t^0, t^1, t^2, dt, t dt, t^2 dt in each slot."""
+
+    def test_first_difference_in_slot_major_order(self):
+        grid = TruncationGrid(2)
+        i2 = iterated_integral_map(2)
+        # I2 vanishes at (t^2, 1): only the perturbed table holds it.  It
+        # comes first in slot-major order, though (dt, dt) has smaller codes.
+        changes = {(1, 1): Cochain(1, 0, 2), (T2, 0): Cochain(0, 0, 5),
+                   (5, 3): Cochain.zero()}
+        assert i2(1, 1) != Cochain.zero() and i2(T2, 0) == Cochain.zero()
+        verdict = maps_equal_on_truncation(i2, _perturbed_i2(changes), grid)
+        assert not verdict.equal
+        assert verdict.witness_tuple == (PolyForm.monomial(2), PolyForm.monomial(0))
+        assert verdict.lhs is Cochain.zero()
+        assert verdict.rhs == Cochain(0, 0, 5)
+        # swapped sides swap the values
+        verdict = maps_equal_on_truncation(_perturbed_i2(changes), i2, grid)
+        assert (verdict.lhs, verdict.rhs) == (Cochain(0, 0, 5), Cochain.zero())
+
+    def test_tuples_held_by_both_sides_or_by_the_left_only(self):
+        grid = TruncationGrid(2)
+        i2 = iterated_integral_map(2)
+        # (t dt, t^2 dt) is missing from the perturbed table; (dt, dt)
+        # differs on both sides and comes first
+        changes = {(5, 3): Cochain.zero(), (1, 1): Cochain(1, 0, 2)}
+        verdict = maps_equal_on_truncation(i2, _perturbed_i2(changes), grid)
+        assert verdict.witness_tuple == (decode_basis(1), decode_basis(1))
+        assert (verdict.lhs, verdict.rhs) == (i2(1, 1), Cochain(1, 0, 2))
+        verdict = maps_equal_on_truncation(
+            i2, _perturbed_i2({(5, 3): Cochain.zero()}), grid)
+        assert verdict.witness_tuple == (decode_basis(5), decode_basis(3))
+        assert verdict.lhs == i2(5, 3) != Cochain.zero()
+        assert verdict.rhs is Cochain.zero()
+
+
+class TestNoPerTupleFallback:
+    """Sweeps tabulate library maps; only the K_n leaf runs per tuple."""
+
+    @staticmethod
+    def _count_code_calls(monkeypatch):
+        calls = []
+        call = MultiMap.__call__
+
+        def counting(self, *xs):
+            if xs and type(xs[0]) is int:
+                calls.append(self.name)
+            return call(self, *xs)
+
+        monkeypatch.setattr(MultiMap, "__call__", counting)
+        return calls
+
+    def test_g4_cells_make_no_code_evaluation(self, monkeypatch):
+        calls = self._count_code_calls(monkeypatch)
+        for cell in cells_of(4):
+            if cell.dimension:
+                assert verify_cell(4, cell, 2).equal
+        assert calls == []
+
+    def test_boundary_of_h_n_evaluates_only_k_n_per_tuple(self, monkeypatch):
+        calls = self._count_code_calls(monkeypatch)
+        for n in (2, 3, 4):
+            calls.clear()
+            verdict = maps_equal_on_truncation(
+                hom_boundary(homotopy_witness(n)), cumulant_multimap(n),
+                TruncationGrid(2))
+            assert verdict.equal
+            assert calls == [f"K{n}"] * 6 ** n
 
 
 def dt_squared_is_one(a: PolyForm, b: PolyForm) -> PolyForm:
@@ -242,8 +419,10 @@ def test_suite_witness_matches_the_polyform_sweep(monkeypatch):
 
 
 def test_maps_without_a_code_rule_see_polyforms():
-    # every library map has a code rule, K_n included
+    # every library map has a table rule, except K_n, which runs on codes
     assert all(cumulant_multimap(n).basis_codes for n in (1, 2, 3, 4))
+    assert all(cumulant_multimap(n).table_rule is None for n in (1, 2, 3, 4))
+    assert iterated_integral_map(2).table_rule is not None
     seen = set()
 
     def evaluator(a, b):

@@ -1,6 +1,11 @@
 """Command-line interface: exit codes, reports, graphs, cumulant traces."""
 
+import contextlib
+import io
 import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from homotopy_cumulants import cli
 from homotopy_cumulants.cli import main
@@ -50,6 +55,23 @@ class TestVerify:
         report = json.loads(out)
         assert report["convention"] == "B"
         assert any(e["status"] == "fail" for e in report["entries"])
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.sampled_from(["ainfty", "cube", "formal"]), st.integers(2, 4),
+           st.integers(1, 3))
+    def test_convention_b_fails_every_family(self, family, n_max, degree):
+        # A passes and B fails, each failure with its witness
+        for convention, expected_code in (("A", 0), ("B", 1)):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main(["verify", family, "--n-max", str(n_max),
+                             "--degree", str(degree),
+                             "--sign-convention", convention])
+            assert code == expected_code
+            failed = [e for e in json.loads(out.getvalue())["entries"]
+                      if e["status"] == "fail"]
+            assert bool(failed) == (convention == "B")
+            assert all(e["witness"] for e in failed)
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "report.json"

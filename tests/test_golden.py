@@ -1,8 +1,9 @@
 """Golden outputs: reports, cumulant traces, DOT text and painted-tree order.
 
 The files under tests/golden/ pin, byte for byte, what refactors must
-keep: the `verify all` reports at n = 3 and n = 4 (with `duration_ms`
-zeroed) under both sign conventions, including the convention-B failure witnesses, the
+keep: the `verify all` reports at n = 3 (degree 2) and n = 4 (degrees 2
+and 3), with `duration_ms` zeroed, under both sign conventions, including
+the convention-B failure witnesses, the
 `verify cumulants` reports at n = 5 and n = 6, the term-by-term traces of
 `cumulant 4 --inputs ...` and of `cumulant 5 --inputs ...` on mixed
 rational forms, the SHA-256 of `cumulant 6 --inputs ...` on six degree-64
@@ -81,6 +82,10 @@ OUTPUTS = {
         "all", "--n-max", "4", "--degree", "2", "--sign-convention", "A"),
     "verify_all_n4_d2_B.txt": lambda: _verify_report(
         "all", "--n-max", "4", "--degree", "2", "--sign-convention", "B"),
+    "verify_all_n4_d3_A.txt": lambda: _verify_report(
+        "all", "--n-max", "4", "--degree", "3", "--sign-convention", "A"),
+    "verify_all_n4_d3_B.txt": lambda: _verify_report(
+        "all", "--n-max", "4", "--degree", "3", "--sign-convention", "B"),
     "verify_cumulants_n5_d1.txt": lambda: _verify_report(
         "cumulants", "--n-max", "5", "--degree", "1"),
     "verify_cumulants_n6_d1.txt": lambda: _verify_report(
@@ -111,6 +116,8 @@ def test_exit_codes_pinned():
     assert (GOLDEN / "verify_all_n3_d2_B.txt").read_text().startswith("exit 1\n")
     assert (GOLDEN / "verify_all_n4_d2_A.txt").read_text().startswith("exit 0\n")
     assert (GOLDEN / "verify_all_n4_d2_B.txt").read_text().startswith("exit 1\n")
+    assert (GOLDEN / "verify_all_n4_d3_A.txt").read_text().startswith("exit 0\n")
+    assert (GOLDEN / "verify_all_n4_d3_B.txt").read_text().startswith("exit 1\n")
     assert (GOLDEN / "verify_cumulants_n5_d1.txt").read_text().startswith("exit 0\n")
     assert (GOLDEN / "verify_cumulants_n6_d1.txt").read_text().startswith("exit 0\n")
     for name in ("cumulant_4_trace.txt", "cumulant_5_trace.txt",

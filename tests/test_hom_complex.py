@@ -118,7 +118,7 @@ def _arity3_leaves() -> list[MultiMap]:
 def _nested(evaluator) -> MultiMap:
     """One node of a nested sum tree over arity-3 maps.
 
-    It has no code rule, so code inputs are decoded and the reference runs
+    It has no table rule, so code inputs are decoded and the reference runs
     the PolyForm path of every leaf.
     """
     return MultiMap(3, 0, evaluator, "nested")
@@ -215,30 +215,43 @@ class TestLinearCombination:
         assert flat(*mixed) == flat(*with_a).scale(s) + flat(*with_b).scale(r)
 
     def test_h4_evaluates_its_shared_h3_once_per_tuple(self, monkeypatch):
+        # once per PolyForm tuple, and on codes once per domain
         built = []
 
         def counting(arity, shifted_degree, pairs, name):
             combination = linear_combination(arity, shifted_degree, pairs, name)
             inner, calls = combination._evaluator, []
+            rule, domains = combination.table_rule, []
 
             def evaluator(*xs):
                 calls.append(xs)
                 return inner(*xs)
 
+            def table_rule(domain):
+                domains.append(domain)
+                return rule(domain)
+
             combination._evaluator = evaluator
-            built.append((combination, calls))
+            combination.table_rule = table_rule
+            built.append((combination, calls, domains))
             return combination
 
         monkeypatch.setattr(hom_complex, "linear_combination", counting)
         h4 = homotopy_witness(4)
-        h3, h3_calls = built[0]
+        h3, h3_calls, h3_domains = built[0]
         assert h3.name == "(I2(wedge@0) - cup(I1,I2))"
-        for xs in itertools.product(TruncationGrid(2).slot_codes(), repeat=4):
+        codes = TruncationGrid(2).slot_codes()
+        h4.table([codes] * 4)
+        assert len(h3_domains) == 2  # the merged-code domain and the grid
+        for xs in itertools.product(codes, repeat=4):
             h4(*xs)
-        for xs in itertools.product((T, DT, PolyForm((1,), (0, 1))), repeat=4):
+        forms = (T, DT, PolyForm((1,), (0, 1)), PolyForm.monomial(2, dt=True))
+        for xs in itertools.product(forms, repeat=4):
             h4(*xs)
         assert len(h3_calls) > 100
         assert len(set(h3_calls)) == len(h3_calls) == len(h3._memo)
+        assert len(h3_domains) > 100
+        assert len(set(h3_domains)) == len(h3_domains) == len(h3._tables)
 
 
 class TestTruncationGrid:
@@ -297,6 +310,15 @@ class TestHomBoundary:
             hom_boundary(iterated_integral_map(2)), cumulant_multimap(2),
             TruncationGrid(6))
         assert verdict.equal
+
+    @settings(max_examples=60, deadline=None)
+    @given(_forms, _forms)
+    def test_boundary_signs_on_random_forms(self, a, b):
+        # I_1 and K_2 have vertex values, so these pin the pre-sign of the
+        # d insertions against delta
+        assert hom_boundary(iterated_integral_map(1))(a).is_zero()
+        assert (hom_boundary(iterated_integral_map(2))(a, b)
+                == cumulant_multimap(2)(a, b))
 
     def test_boundary_of_i2_at_t_dt(self):
         boundary = hom_boundary(iterated_integral_map(2))
