@@ -10,18 +10,16 @@ measure the failure of integration to respect the wedge and cup products.
 Inputs are PolyForms or basis codes (ints, see
 `interval_model.encode_basis`); on codes a context multiplies by
 `wedge_codes`, with None for the zero form dt^dt (see CumulantContext).
-A product of block images stops at the first partial product that is the
-shared zero cochain.  On code tuples the block images are interned by the
-context and their products memoized on the pair; PolyForm tuples call the
-target product directly, unmemoized, as the oracle the code path is
-checked against.
+`cumulant` and `cumulant_terms` evaluate one input tuple, and are the
+oracle on PolyForms for `cumulant_table`, which gives K_n's nonzero values
+on every code tuple of a per-slot product of code sets.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .interval_model import (
     Cochain,
@@ -83,24 +81,6 @@ def _compositions(n: int) -> tuple[Composition, ...]:
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
-def _composition_spans(n: int) -> tuple[tuple[Composition, tuple[int, ...]], ...]:
-    """Each composition of n with the flat indices i*n + j of its blocks.
-
-    A block covering inputs i..j is the run image stored at i*n + j by
-    `_run_images`.
-    """
-    out = []
-    for comp in _compositions(n):
-        spans = []
-        pos = 0
-        for size in comp:
-            spans.append(pos * n + pos + size - 1)
-            pos += size
-        out.append((comp, tuple(spans)))
-    return tuple(out)
-
-
 def compositions(n: int) -> list[Composition]:
     """All 2^(n-1) compositions of n.
 
@@ -122,8 +102,8 @@ def composition_sign(c: Composition) -> int:
 class CumulantContext:
     """A chain map together with the two products it fails to intertwine.
 
-    Chain-map values and recursive cumulant values are memoized per
-    context, which makes exhaustive grid sweeps tractable.
+    Chain-map values, source products and recursive cumulant values are
+    memoized per context, which makes exhaustive grid sweeps tractable.
 
     `apply` and `multiply` take PolyForms or basis codes.  A code is mapped
     through its decoded monomial once and cached under the int; None is the
@@ -131,13 +111,6 @@ class CumulantContext:
     keeps as None.  Codes multiply by `wedge_codes` when the source product
     is the wedge, as in every context built here; under any other source
     product they are decoded and multiplied as PolyForms.
-
-    The image of a code is interned in the context's value table, so equal
-    images of different codes are one object (the integrals of t, t^2 and
-    t^3 are all (0, 1; 0)).  `product` memoizes the target product on such
-    interned pairs and interns its results in the same table; the cumulant
-    formulas use it on code tuples only.  PolyForm images are neither
-    interned nor multiplied through the memo: that path stays the oracle.
     """
 
     chain_map: Callable[[PolyForm], Cochain]
@@ -145,11 +118,8 @@ class CumulantContext:
     target_product: Callable[[Cochain, Cochain], Cochain] = cup
 
     def __post_init__(self):
-        zero = Cochain.zero()
-        object.__setattr__(self, "_map_cache", {None: zero})
-        object.__setattr__(self, "_values", {zero: zero})
+        object.__setattr__(self, "_map_cache", {None: Cochain.zero()})
         object.__setattr__(self, "_product_cache", {})
-        object.__setattr__(self, "_target_cache", {})
         object.__setattr__(self, "_recursive_cache", {})
         object.__setattr__(self, "_wedge_source", self.source_product is wedge)
 
@@ -157,23 +127,9 @@ class CumulantContext:
         cache = self._map_cache
         value = cache.get(form)
         if value is None:
-            if type(form) is int:
-                value = self.chain_map(decode_basis(form))
-                value = self._values.setdefault(value, value)
-            else:
-                value = self.chain_map(form)
+            value = self.chain_map(
+                decode_basis(form) if type(form) is int else form)
             cache[form] = value
-        return value
-
-    def product(self, a: Cochain, b: Cochain) -> Cochain:
-        """`target_product(a, b)`, memoized on the pair and interned."""
-        key = (a, b)
-        cache = self._target_cache
-        value = cache.get(key)
-        if value is None:
-            value = self.target_product(a, b)
-            value = self._values.setdefault(value, value)
-            cache[key] = value
         return value
 
     def multiply(self, a: PolyForm | int | None,
@@ -224,24 +180,6 @@ def endpoint_evaluation_context() -> CumulantContext:
     return CumulantContext(endpoint_evaluation)
 
 
-def _run_images(ctx: CumulantContext,
-                inputs: Sequence[PolyForm | int]) -> list[Cochain]:
-    """Chain-map images of all left-nested run products inputs[i..j].
-
-    The image of inputs[i..j] sits at index i*n + j of a flat list.
-    """
-    n = len(inputs)
-    apply, multiply = ctx.apply, ctx.multiply
-    images: list = [None] * (n * n)
-    for i in range(n):
-        acc = inputs[i]
-        images[i * n + i] = apply(acc)
-        for j in range(i + 1, n):
-            acc = multiply(acc, inputs[j])
-            images[i * n + j] = apply(acc)
-    return images
-
-
 @dataclass(frozen=True)
 class CumulantTerm:
     """One composition's contribution to a cumulant evaluation."""
@@ -258,21 +196,30 @@ def _composition_products(ctx: CumulantContext,
                           inputs: Sequence[PolyForm | int]):
     """Yield each composition with the product of its block images, in order.
 
-    A partial product that is the shared zero cochain absorbs the rest.
-    Code tuples multiply through the context's memo, PolyForms directly.
+    The image of each left-nested run product inputs[i..j] is computed
+    once.  A partial product that is the shared zero cochain absorbs the
+    rest.
     """
-    if len(inputs) == 0:
+    n = len(inputs)
+    if n == 0:
         raise ValueError("cumulant requires at least one input")
-    images = _run_images(ctx, inputs)
-    product = (ctx.product if all(type(x) is int for x in inputs)
-               else ctx.target_product)
+    images = {}
+    for i in range(n):
+        acc = inputs[i]
+        images[i, i] = ctx.apply(acc)
+        for j in range(i + 1, n):
+            acc = ctx.multiply(acc, inputs[j])
+            images[i, j] = ctx.apply(acc)
     zero = Cochain.zero()
-    for comp, spans in _composition_spans(len(inputs)):
-        acc = images[spans[0]]
-        for index in spans[1:]:
-            if acc is zero:
-                break
-            acc = product(acc, images[index])
+    for comp in _compositions(n):
+        acc, pos = None, 0
+        for size in comp:
+            image = images[pos, pos + size - 1]
+            pos += size
+            if acc is None:
+                acc = image
+            elif acc is not zero:
+                acc = ctx.target_product(acc, image)
         yield comp, acc
 
 
@@ -290,6 +237,62 @@ def cumulant(ctx: CumulantContext, inputs: Sequence[PolyForm | int]) -> Cochain:
         if product is not zero:
             total = total + product if len(comp) % 2 else total - product
     return total
+
+
+def cumulant_table(ctx: CumulantContext, domain: Sequence[Iterable[int]]
+                   ) -> dict[tuple[int, ...], Cochain]:
+    """K_n's nonzero values on every code tuple of a per-slot product.
+
+    `domain` holds one collection of basis codes per slot; a tuple missing
+    from the table is a zero.  The direct sum is grouped by its first
+    block: with S_i the signed sum over the compositions of inputs i..n-1,
+    S_i = e(x_i..x_{n-1}) - sum_{j < n-1} e(x_i..x_j) S_{j+1}, and
+    K_n = S_0.  This factors the direct formula; it never merges inputs as
+    the recursion does.  Runs that are None (dt^dt) are dropped as they
+    form, only nonzero images and tables are multiplied, and equal values
+    are interned within the call.  Any source product works; under one
+    other than the wedge the runs are PolyForms.
+    """
+    slots = [tuple(slot) for slot in domain]
+    n = len(slots)
+    if n == 0:
+        raise ValueError("cumulant requires at least one input")
+    apply, multiply, product = ctx.apply, ctx.multiply, ctx.target_product
+    zero = Cochain.zero()
+    interned: dict[Cochain, Cochain] = {}
+    tails: list[dict] = [{}] * n  # tails[i] is the table of S_i
+    for i in reversed(range(n)):
+        table = {}
+        # one first input at a time, so the unfiltered sums stay small
+        for x in slots[i]:
+            total: dict = {}
+            runs = {(x,): x}
+            for j in range(i, n):
+                if j > i:
+                    runs = {xs + (y,): multiply(acc, y)
+                            for xs, acc in runs.items() for y in slots[j]}
+                    runs = {xs: acc for xs, acc in runs.items()
+                            if acc is not None}
+                for xs, acc in runs.items():
+                    image = apply(acc)
+                    if image.is_zero():
+                        continue
+                    if j == n - 1:
+                        previous = total.get(xs)
+                        total[xs] = image if previous is None else previous + image
+                        continue
+                    for ys, tail in tails[j + 1].items():
+                        value = product(image, tail)
+                        if value is zero:
+                            continue
+                        key = xs + ys
+                        previous = total.get(key)
+                        total[key] = -value if previous is None else previous - value
+            for xs, value in total.items():
+                if not value.is_zero():
+                    table[xs] = interned.setdefault(value, value)
+        tails[i] = table
+    return tails[0]
 
 
 def cumulant_recursive(ctx: CumulantContext,

@@ -25,10 +25,10 @@ builds its table from its children's tables, so work is spent only on
 nonzero values.  A wedge spreads its child's table over the preimage
 pairs of each merged code, a d insertion reads its child's table at the
 derivative codes, a cup multiplies the nonzero entries of two tables, a
-linear combination adds tables, and I_n is Chen's closed form.  Tables
-are memoized per map and per domain.  Maps without a table rule (the
-cumulant K_n, which runs its context on codes, and user-built maps, which
-decode their inputs) are tabulated by evaluating them once per tuple.
+linear combination adds tables, I_n is Chen's closed form, and the
+cumulant K_n is `cumulants.cumulant_table`.  Tables are memoized per map
+and per domain.  Only user-built maps, which have no table rule, are
+tabulated by evaluating them once per tuple on the decoded PolyForms.
 The PolyForm evaluators serve arbitrary forms and are the oracle for the
 tables.
 """
@@ -40,7 +40,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
-from .cumulants import CumulantContext, cumulant, integration_context
+from .cumulants import (
+    CumulantContext,
+    cumulant,
+    cumulant_table,
+    integration_context,
+)
 from .interval_model import (
     Cochain,
     PolyForm,
@@ -97,20 +102,18 @@ class MultiMap:
     several parents (H_{n-1} feeds both terms of H_n, and a boundary reads
     its map's table for delta and for every d insertion) is built once.
     `table_rule(domain)` builds the table from the children's tables; the
-    combinators set it after construction.  A map without a rule is
-    tabulated by calling it on every tuple of the domain; it then runs its
-    evaluator on codes when `basis_codes` is set (the cumulant K_n) and
-    on the decoded PolyForms otherwise (user-built maps).  Calling a map
-    that has a rule on one code tuple answers from its table on that
-    one-point domain.
+    combinators set it after construction.  A map without a rule (a
+    user-built map) is tabulated by running its evaluator on the decoded
+    PolyForms of every tuple of the domain.  Calling a map on one code
+    tuple answers from its table on that one-point domain.
 
     Sums are flat: `+`, `-` and `scale` build a linear combination (see
     `linear_combination`) whose `terms` are (leaf map, coefficient) pairs,
     never other combinations.  `terms` is None for a leaf map.
     """
 
-    __slots__ = ("arity", "shifted_degree", "name", "basis_codes", "terms",
-                 "table_rule", "_evaluator", "_memo", "_tables")
+    __slots__ = ("arity", "shifted_degree", "name", "terms", "table_rule",
+                 "_evaluator", "_memo", "_tables")
 
     def __init__(self, arity: int, shifted_degree: int,
                  evaluator: Callable[..., Cochain], name: str = ""):
@@ -119,7 +122,6 @@ class MultiMap:
         self.arity = arity
         self.shifted_degree = shifted_degree
         self.name = name or f"map/{arity}"
-        self.basis_codes = False
         self.terms = None
         self.table_rule: Callable[[Domain], Table] | None = None
         self._evaluator = evaluator
@@ -137,13 +139,11 @@ class MultiMap:
             if len(forms) != self.arity:
                 raise ValueError(
                     f"{self.name} expects {self.arity} inputs, got {len(forms)}")
-            if type(forms[0]) is not int or self.basis_codes:
-                value = self._evaluator(*forms)
-            elif self.table_rule is not None:
+            if type(forms[0]) is int:
                 value = self.table([(x,) for x in forms]).get(
                     forms, Cochain.zero())
             else:
-                value = self._evaluator(*map(decode_basis, forms))
+                value = self._evaluator(*forms)
             self._memo[forms] = value
         return value
 
@@ -165,7 +165,7 @@ class MultiMap:
             else:
                 table = {}
                 for xs in itertools.product(*domain):
-                    value = self(*xs)
+                    value = self(*map(decode_basis, xs))
                     if not value.is_zero():
                         table[xs] = value
             self._tables[domain] = table
@@ -176,7 +176,6 @@ class MultiMap:
         if shifted_degree is None:
             shifted_degree = self.shifted_degree
         renamed = MultiMap(self.arity, shifted_degree, self._evaluator, name)
-        renamed.basis_codes = self.basis_codes
         renamed.terms = self.terms
         renamed.table_rule = self.table_rule
         return renamed
@@ -661,12 +660,11 @@ def alternate_witness_k3(variant: str,
 
 
 def cumulant_multimap(n: int, ctx: CumulantContext | None = None) -> MultiMap:
-    """The n-th Boolean cumulant of the integration map, as a MultiMap."""
+    """The n-th Boolean cumulant of ctx (integration by default), as a
+    MultiMap tabulated by `cumulant_table`."""
     if n < 1:
         raise ValueError("n must be positive")
     context = ctx if ctx is not None else integration_context()
-    # no table rule: the sweeps call K_n once per code tuple, on codes
-    k_n = MultiMap(n, n - 1, lambda *xs: cumulant(context, xs), name=f"K{n}")
-    k_n.basis_codes = True
-    return k_n
+    return _tabulated(n, n - 1, lambda *xs: cumulant(context, xs), f"K{n}",
+                      lambda domain: cumulant_table(context, domain))
 

@@ -21,6 +21,7 @@ from homotopy_cumulants.cumulants import (
     CumulantContext,
     cumulant,
     cumulant_recursive,
+    cumulant_table,
     cumulant_terms,
     endpoint_evaluation_context,
     integration_context,
@@ -239,7 +240,8 @@ class TestTablesOffTheGrid:
 
 
 def _arity3_builders(convention):
-    """I_3, both wedges, d insertions, a boundary, both cups, H_3, g3's cells."""
+    """I_3, both wedges, d insertions, a boundary, both cups, H_3, K_3 and
+    g3's cells."""
     i = iterated_integral_map
     return [
         lambda: i(3),
@@ -250,6 +252,7 @@ def _arity3_builders(convention):
         lambda: cup_pair(i(1), i(2), convention),
         lambda: cup_pair(i(2), i(1), convention),
         lambda: homotopy_witness(3, convention),
+        lambda: cumulant_multimap(3),
     ] + [lambda cell=cell: cell_to_map(3, cell, convention) for cell in cells_of(3)]
 
 
@@ -308,7 +311,8 @@ class TestWitnessOrder:
 
 
 class TestNoPerTupleFallback:
-    """Sweeps tabulate library maps; only the K_n leaf runs per tuple."""
+    """Sweeps tabulate every library map, K_n included: no map is called
+    on a code tuple."""
 
     @staticmethod
     def _count_code_calls(monkeypatch):
@@ -331,14 +335,20 @@ class TestNoPerTupleFallback:
         assert calls == []
 
     def test_boundary_of_h_n_evaluates_only_k_n_per_tuple(self, monkeypatch):
+        # K_n has a table rule too, so not even K_n runs per tuple
         calls = self._count_code_calls(monkeypatch)
         for n in (2, 3, 4):
-            calls.clear()
             verdict = maps_equal_on_truncation(
                 hom_boundary(homotopy_witness(n)), cumulant_multimap(n),
                 TruncationGrid(2))
             assert verdict.equal
-            assert calls == [f"K{n}"] * 6 ** n
+        assert calls == []
+
+    def test_vertex_sum_makes_no_code_evaluation(self, monkeypatch):
+        calls = self._count_code_calls(monkeypatch)
+        entries = {e.check: e for e in suites.run_cube_suite(4, 2)}
+        assert entries["signed vertex maps sum to the cumulant"].status
+        assert calls == []
 
 
 def dt_squared_is_one(a: PolyForm, b: PolyForm) -> PolyForm:
@@ -383,6 +393,57 @@ class TestCumulantOracle:
         for n in (1, 2, 3, 4):
             assert_paths_agree(lambda: cumulant_multimap(n, build()))
 
+    def test_cumulant_table(self, build):
+        for n in (1, 2, 3, 4):
+            codes = TruncationGrid(grid_for(n)).slot_codes()
+            assert_cumulant_table_agrees(build, [codes] * n)
+
+    def test_cumulant_table_off_the_grid(self, build):
+        for domain in ([(T2,), (1,), (2,)], [(1,), (1,)], [(3,)],
+                       [DT_CODES] * 3, [(0, 1, T2), DT_CODES, (2, 3)]):
+            assert_cumulant_table_agrees(build, domain)
+        assert cumulant_table(build(), [(0, 1), (), (2,)]) == {}
+        assert cumulant_table(build(), [()]) == {}
+
+    def test_cumulant_table_drops_zero_runs(self, build, monkeypatch):
+        # a dt^dt run is dropped as soon as it is formed: it is neither
+        # mapped nor multiplied further
+        seen = []
+        apply, multiply = CumulantContext.apply, CumulantContext.multiply
+
+        def recording_apply(self, form):
+            seen.append(form)
+            return apply(self, form)
+
+        def recording_multiply(self, a, b):
+            seen.append(a)
+            return multiply(self, a, b)
+
+        monkeypatch.setattr(CumulantContext, "apply", recording_apply)
+        monkeypatch.setattr(CumulantContext, "multiply", recording_multiply)
+        cumulant_table(build(), [TruncationGrid(2).slot_codes()] * 3)
+        assert seen and None not in seen
+
+
+def assert_cumulant_table_agrees(build, domain):
+    """build() gives a fresh context; K_n's table over the domain must hold
+    exactly the nonzero per-tuple cumulants of the decoded PolyForms."""
+    table, on_forms = cumulant_table(build(), domain), build()
+    assert not any(value.is_zero() for value in table.values())
+    nonzero = 0
+    for xs in itertools.product(*domain):
+        expected = cumulant(on_forms, tuple(map(decode_basis, xs)))
+        assert table.get(xs, Cochain.zero()) == expected, xs
+        nonzero += not expected.is_zero()
+    assert len(table) == nonzero
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(CONTEXTS.values())),
+       st.lists(st.sets(st.integers(0, 7), max_size=4), min_size=3, max_size=3))
+def test_cumulant_tables_on_random_code_subsets(build, domain):
+    assert_cumulant_table_agrees(build, [sorted(slot) for slot in domain])
+
 
 def test_products_of_codes():
     ctx = integration_context()
@@ -418,10 +479,33 @@ def test_suite_witness_matches_the_polyform_sweep(monkeypatch):
     assert failed.witness == "t^2; (1)dt"
 
 
+@pytest.mark.parametrize("extra, missing", [((0, 1), (2, 1)), ((T2, 2), (2, 1))])
+def test_suite_witness_of_a_wrong_direct_table(monkeypatch, extra, missing):
+    """A direct table with one entry where K_2 vanishes and one nonzero
+    entry dropped fails at whichever comes first in slot-major order."""
+    grid = TruncationGrid(2).slot_codes()
+    table = cumulant_table
+
+    def perturbed(ctx, domain):
+        direct = table(ctx, domain)
+        if tuple(domain) == (grid, grid):
+            assert extra not in direct and missing in direct
+            direct[extra] = Cochain(1)
+            del direct[missing]
+        return direct
+
+    monkeypatch.setattr(suites, "cumulant_table", perturbed)
+    entries = suites.run_cumulants_suite(3, 2)
+    failed = [e for e in entries if not e.status]
+    assert [e.check for e in failed] == ["direct vs recursive cumulant n=2"]
+    first = min(extra, missing, key=lambda xs: [grid.index(x) for x in xs])
+    assert failed[0].witness == "; ".join(decode_basis(x).to_text() for x in first)
+    assert len(entries) == 5
+
+
 def test_maps_without_a_code_rule_see_polyforms():
-    # every library map has a table rule, except K_n, which runs on codes
-    assert all(cumulant_multimap(n).basis_codes for n in (1, 2, 3, 4))
-    assert all(cumulant_multimap(n).table_rule is None for n in (1, 2, 3, 4))
+    # every library map has a table rule, K_n included; user maps have none
+    assert all(cumulant_multimap(n).table_rule is not None for n in (1, 2, 3, 4))
     assert iterated_integral_map(2).table_rule is not None
     seen = set()
 
@@ -430,7 +514,9 @@ def test_maps_without_a_code_rule_see_polyforms():
         return iterated_integral([a, b])
 
     plain = MultiMap(2, 0, evaluator, name="plain I2")
+    assert plain.table_rule is None
     verdict = maps_equal_on_truncation(
         plain, iterated_integral_map(2), TruncationGrid(2))
     assert verdict.equal
+    assert plain(1, 3) == iterated_integral_map(2)(1, 3) != Cochain.zero()
     assert seen == {(PolyForm, PolyForm)}

@@ -3,8 +3,8 @@
 The files under tests/golden/ pin, byte for byte, what refactors must
 keep: the `verify all` reports at n = 3 (degree 2) and n = 4 (degrees 2
 and 3), with `duration_ms` zeroed, under both sign conventions, including
-the convention-B failure witnesses, the
-`verify cumulants` reports at n = 5 and n = 6, the term-by-term traces of
+the convention-B failure witnesses, the `verify cumulants` reports at
+n = 5 (degrees 1 and 3) and n = 6, the term-by-term traces of
 `cumulant 4 --inputs ...` and of `cumulant 5 --inputs ...` on mixed
 rational forms, the SHA-256 of `cumulant 6 --inputs ...` on six degree-64
 powers (the PolyForm path at the parser's caps; its 48 KB output is not
@@ -88,6 +88,8 @@ OUTPUTS = {
         "all", "--n-max", "4", "--degree", "3", "--sign-convention", "B"),
     "verify_cumulants_n5_d1.txt": lambda: _verify_report(
         "cumulants", "--n-max", "5", "--degree", "1"),
+    "verify_cumulants_n5_d3.txt": lambda: _verify_report(
+        "cumulants", "--n-max", "5", "--degree", "3"),
     "verify_cumulants_n6_d1.txt": lambda: _verify_report(
         "cumulants", "--n-max", "6", "--degree", "1"),
     "cumulant_4_trace.txt": lambda: _cumulant_trace(
@@ -119,6 +121,7 @@ def test_exit_codes_pinned():
     assert (GOLDEN / "verify_all_n4_d3_A.txt").read_text().startswith("exit 0\n")
     assert (GOLDEN / "verify_all_n4_d3_B.txt").read_text().startswith("exit 1\n")
     assert (GOLDEN / "verify_cumulants_n5_d1.txt").read_text().startswith("exit 0\n")
+    assert (GOLDEN / "verify_cumulants_n5_d3.txt").read_text().startswith("exit 0\n")
     assert (GOLDEN / "verify_cumulants_n6_d1.txt").read_text().startswith("exit 0\n")
     for name in ("cumulant_4_trace.txt", "cumulant_5_trace.txt",
                  "cumulant_6_degree64.sha256"):
