@@ -77,11 +77,6 @@ def _open_out(out: str | None):
         raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
-def _write(text: str, out: str | None) -> None:
-    with _open_out(out) as handle:
-        handle.write(text + "\n")
-
-
 def _cmd_verify(args) -> int:
     suite = args.suite or args.suite_positional or "all"
     if args.suite and args.suite_positional and args.suite != args.suite_positional:
@@ -109,11 +104,13 @@ def _cmd_graph(args) -> int:
     if args.kind == "cube":
         if not 2 <= args.n <= 8:
             raise UsageError("cube graphs are emitted for 2 <= n <= 8")
-        _write(graph_to_dot(args.n), args.out)
+        render = graph_to_dot
     else:
         if not 2 <= args.n <= 4:
             raise UsageError("polytope graphs are emitted for 2 <= n <= 4")
-        _write(polytope_to_dot(args.n), args.out)
+        render = polytope_to_dot
+    with _open_out(args.out) as handle:
+        handle.write(render(args.n) + "\n")
     return 0
 
 
@@ -126,21 +123,23 @@ def _format_term(term: CumulantTerm) -> str:
 def _cmd_cumulant(args) -> int:
     if not 1 <= args.n <= 6:
         raise UsageError("cumulants are printed for 1 <= n <= 6")
-    if args.inputs is None:
-        _write(symbolic_formula(args.n), args.out)
-        return 0
-    forms = parse_form_tuple(args.inputs)
-    if len(forms) != args.n:
-        raise UsageError(f"expected {args.n} forms, got {len(forms)}")
-    ctx = integration_context()
-    terms = cumulant_terms(ctx, forms)
-    total = Cochain.zero()
-    lines = [f"K{args.n} of ({'; '.join(f.to_text() for f in forms)}):"]
-    for term in terms:
-        lines.append(_format_term(term))
-        total = total + term.signed_value()
-    lines.append(f"total: {total.to_text()}")
-    _write("\n".join(lines), args.out)
+    forms = None
+    if args.inputs is not None:
+        forms = parse_form_tuple(args.inputs)
+        if len(forms) != args.n:
+            raise UsageError(f"expected {args.n} forms, got {len(forms)}")
+    with _open_out(args.out) as handle:
+        if forms is None:
+            handle.write(symbolic_formula(args.n) + "\n")
+            return 0
+        terms = cumulant_terms(integration_context(), forms)
+        total = Cochain.zero()
+        lines = [f"K{args.n} of ({'; '.join(f.to_text() for f in forms)}):"]
+        for term in terms:
+            lines.append(_format_term(term))
+            total = total + term.signed_value()
+        lines.append(f"total: {total.to_text()}")
+        handle.write("\n".join(lines) + "\n")
     return 0
 
 

@@ -102,8 +102,9 @@ def composition_sign(c: Composition) -> int:
 class CumulantContext:
     """A chain map together with the two products it fails to intertwine.
 
-    Chain-map values, source products and recursive cumulant values are
-    memoized per context, which makes exhaustive grid sweeps tractable.
+    Chain-map values, source products and the inner values of the
+    cumulant recursion are memoized per context, which makes exhaustive
+    grid sweeps tractable.
 
     `apply` and `multiply` take PolyForms or basis codes.  A code is mapped
     through its decoded monomial once and cached under the int; None is the
@@ -297,7 +298,12 @@ def cumulant_table(ctx: CumulantContext, domain: Sequence[Iterable[int]]
 
 def cumulant_recursive(ctx: CumulantContext,
                        inputs: Sequence[PolyForm | int]) -> Cochain:
-    """K_n(a_1,..) = K_{n-1}(a_1 a_2, a_3,..) - e(a_1) K_{n-1}(a_2,..)."""
+    """K_n(a_1,..) = K_{n-1}(a_1 a_2, a_3,..) - e(a_1) K_{n-1}(a_2,..).
+
+    The recursion is memoized per context on its inner calls: each call
+    reads the memo and stores the values of the two calls it makes, so the
+    outermost tuple is never stored and a sweep over n-tuples keeps none.
+    """
     if len(inputs) == 0:
         raise ValueError("cumulant requires at least one input")
     key = tuple(inputs)
@@ -306,14 +312,12 @@ def cumulant_recursive(ctx: CumulantContext,
     if value is not None:
         return value
     if len(key) == 1:
-        value = ctx.apply(key[0])
-    else:
-        merged = (ctx.multiply(key[0], key[1]),) + key[2:]
-        split = ctx.target_product(ctx.apply(key[0]),
-                                   cumulant_recursive(ctx, key[1:]))
-        value = cumulant_recursive(ctx, merged) - split
-    cache[key] = value
-    return value
+        return ctx.apply(key[0])
+    merged, rest = (ctx.multiply(key[0], key[1]),) + key[2:], key[1:]
+    cache[rest] = tail = cumulant_recursive(ctx, rest)
+    split = ctx.target_product(ctx.apply(key[0]), tail)
+    cache[merged] = head = cumulant_recursive(ctx, merged)
+    return head - split
 
 
 def term_notation(composition: Composition, letters: str | None = None,

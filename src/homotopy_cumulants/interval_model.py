@@ -10,10 +10,11 @@ Two differential graded algebras over the rationals:
 
 The bridge between them is the integration map and its higher
 iterated-integral companions.  Everything is exact and no floating point
-is used anywhere.  A polynomial stores integer numerators over one reduced
-positive denominator, so its arithmetic runs on Python integers with one
-gcd reduction per result; coefficients, point values and cochain fields
-are `fractions.Fraction` at the API boundary.
+is used anywhere.  A polynomial stores its coefficients, and a cochain its
+two vertex values and edge coefficient, as integer numerators over one
+reduced positive denominator, so their arithmetic runs on Python integers
+with one gcd reduction per result; coefficients, point values and cochain
+fields are `fractions.Fraction` at the API boundary.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from typing import Iterable, Sequence, Union
 Scalar = Union[Fraction, int, str]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
 
 def _frac(value: Scalar) -> Fraction:
@@ -359,21 +359,25 @@ ONE = PolyForm(part0=Polynomial([1]))
 class Cochain:
     """A simplicial cochain on the interval: vertex values plus r dt.
 
-    Every zero field is stored as the shared Fraction `_ZERO`, so the
-    operations below test fields for zero by identity.  They return the
-    shared `Cochain.zero()` for a zero result they can see cheaply, and
-    pass it through by identity, since most values in a grid sweep vanish.
+    The fields v0, v1 and edge are n0 / den, n1 / den and ne / den, with
+    integer numerators over one positive common denominator.  The form is
+    reduced: gcd(n0, n1, ne, den) is 1, and the zero cochain is
+    (0, 0, 0, 1) and the one shared `Cochain.zero()`.  So equality and
+    hashing are structural, and a zero result is recognised by identity;
+    the operations below return the shared zero and pass it through, since
+    most values in a grid sweep vanish.  All arithmetic runs on the
+    integers with one reduction per result; `v0`, `v1` and `edge` give the
+    reduced Fractions, a zero field as the shared Fraction `_ZERO`.
     """
 
-    __slots__ = ("v0", "v1", "edge", "_hash")
+    __slots__ = ("n0", "n1", "ne", "den")
 
-    def __init__(self, v0: Scalar = _ZERO, v1: Scalar = _ZERO,
-                 edge: Scalar = _ZERO):
+    def __new__(cls, v0: Scalar = 0, v1: Scalar = 0, edge: Scalar = 0):
         v0, v1, edge = _frac(v0), _frac(v1), _frac(edge)
-        object.__setattr__(self, "v0", v0 if v0 else _ZERO)
-        object.__setattr__(self, "v1", v1 if v1 else _ZERO)
-        object.__setattr__(self, "edge", edge if edge else _ZERO)
-        object.__setattr__(self, "_hash", None)
+        den = lcm(v0.denominator, v1.denominator, edge.denominator)
+        return _cochain(v0.numerator * (den // v0.denominator),
+                        v1.numerator * (den // v1.denominator),
+                        edge.numerator * (den // edge.denominator), den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Cochain is immutable")
@@ -382,56 +386,61 @@ class Cochain:
     def zero(cls) -> "Cochain":
         return _COCHAIN_ZERO
 
+    @property
+    def v0(self) -> Fraction:
+        return Fraction(self.n0, self.den) if self.n0 else _ZERO
+
+    @property
+    def v1(self) -> Fraction:
+        return Fraction(self.n1, self.den) if self.n1 else _ZERO
+
+    @property
+    def edge(self) -> Fraction:
+        return Fraction(self.ne, self.den) if self.ne else _ZERO
+
     def is_zero(self) -> bool:
-        return self is _COCHAIN_ZERO or (
-            self.v0 is _ZERO and self.v1 is _ZERO and self.edge is _ZERO)
+        return self is _COCHAIN_ZERO
 
     def __eq__(self, other) -> bool:
         if self is other:
             return True
-        return (isinstance(other, Cochain) and self.v0 == other.v0
-                and self.v1 == other.v1 and self.edge == other.edge)
+        return (isinstance(other, Cochain) and self.n0 == other.n0
+                and self.n1 == other.n1 and self.ne == other.ne
+                and self.den == other.den)
 
     def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
-            value = hash((self.v0, self.v1, self.edge))
-            object.__setattr__(self, "_hash", value)
-        return value
+        return hash((self.n0, self.n1, self.ne, self.den))
 
     def __add__(self, other: "Cochain") -> "Cochain":
         if other is _COCHAIN_ZERO:
             return self
         if self is _COCHAIN_ZERO:
             return other
-        return Cochain(_field_sum(self.v0, other.v0),
-                       _field_sum(self.v1, other.v1),
-                       _field_sum(self.edge, other.edge))
+        da, db = self.den, other.den
+        if da == db:
+            return _cochain(self.n0 + other.n0, self.n1 + other.n1,
+                            self.ne + other.ne, da)
+        return _cochain(self.n0 * db + other.n0 * da,
+                        self.n1 * db + other.n1 * da,
+                        self.ne * db + other.ne * da, da * db)
 
     def __neg__(self) -> "Cochain":
         if self is _COCHAIN_ZERO:
             return self
-        v0, v1, edge = self.v0, self.v1, self.edge
-        return Cochain(v0 if v0 is _ZERO else -v0, v1 if v1 is _ZERO else -v1,
-                       edge if edge is _ZERO else -edge)
+        return _cochain(-self.n0, -self.n1, -self.ne, self.den)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
-        if other is _COCHAIN_ZERO:
-            return self
-        if self is _COCHAIN_ZERO:
-            return -other
-        return Cochain(_field_difference(self.v0, other.v0),
-                       _field_difference(self.v1, other.v1),
-                       _field_difference(self.edge, other.edge))
+        return self + (-other)
 
     def scale(self, scalar: Scalar) -> "Cochain":
+        if type(scalar) is int:
+            m, q = scalar, 1
+        else:
+            s = _frac(scalar)
+            m, q = s.numerator, s.denominator
         if self is _COCHAIN_ZERO:
             return self
-        s = _frac(scalar)
-        v0, v1, edge = self.v0, self.v1, self.edge
-        return Cochain(v0 if v0 is _ZERO else s * v0,
-                       v1 if v1 is _ZERO else s * v1,
-                       edge if edge is _ZERO else s * edge)
+        return _cochain(m * self.n0, m * self.n1, m * self.ne, q * self.den)
 
     def to_text(self) -> str:
         return (f"({_format_rational(self.v0)}, {_format_rational(self.v1)}; "
@@ -448,19 +457,31 @@ class Cochain:
         return f"Cochain({self.to_text()!r})"
 
 
-_COCHAIN_ZERO = Cochain()
+def _cochain(n0: int, n1: int, ne: int, den: int) -> Cochain:
+    """The reduced Cochain of (n0, n1, ne) / den (den > 0).
+
+    Every result is built here: zero numerators give the shared zero, and
+    otherwise the numerators and denominator are divided by their gcd.
+    """
+    if not (n0 or n1 or ne):
+        return _COCHAIN_ZERO
+    if den != 1:
+        g = gcd(n0, n1, ne, den)
+        if g != 1:
+            n0, n1, ne, den = n0 // g, n1 // g, ne // g, den // g
+    return _stored_cochain(n0, n1, ne, den)
 
 
-def _field_sum(x: Fraction, y: Fraction) -> Fraction:
-    if y is _ZERO:
-        return x
-    return y if x is _ZERO else x + y
+def _stored_cochain(n0: int, n1: int, ne: int, den: int) -> Cochain:
+    cochain = object.__new__(Cochain)
+    object.__setattr__(cochain, "n0", n0)
+    object.__setattr__(cochain, "n1", n1)
+    object.__setattr__(cochain, "ne", ne)
+    object.__setattr__(cochain, "den", den)
+    return cochain
 
 
-def _field_difference(x: Fraction, y: Fraction) -> Fraction:
-    if y is _ZERO:
-        return x
-    return -y if x is _ZERO else x - y
+_COCHAIN_ZERO = _stored_cochain(0, 0, 0, 1)
 
 
 def wedge(a: PolyForm, b: PolyForm) -> PolyForm:
@@ -482,31 +503,27 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
     """
     if a is _COCHAIN_ZERO or b is _COCHAIN_ZERO:
         return _COCHAIN_ZERO
-    a0, a1, ae, b0, b1, be = a.v0, a.v1, a.edge, b.v0, b.v1, b.edge
-    z = _ZERO
-    v0 = z if a0 is z or b0 is z else a0 * b0
-    v1 = z if a1 is z or b1 is z else a1 * b1
-    edge = _field_sum(z if a0 is z or be is z else a0 * be,
-                      z if ae is z or b1 is z else ae * b1)
-    if v0 is v1 is edge is z:
-        return _COCHAIN_ZERO
-    return Cochain(v0, v1, edge)
+    a0, b1 = a.n0, b.n1
+    return _cochain(a0 * b.n0, a.n1 * b1, a0 * b.ne + a.ne * b1, a.den * b.den)
 
 
 def delta(a: Cochain) -> Cochain:
     """Simplicial coboundary: vertex values map to their edge difference."""
-    if a.v0 is _ZERO and a.v1 is _ZERO:
-        return _COCHAIN_ZERO
-    return Cochain(_ZERO, _ZERO, a.v1 - a.v0)
+    return _cochain(0, 0, a.n1 - a.n0, a.den)
 
 
 def integrate(a: PolyForm) -> Cochain:
-    """Integration over cells: restriction at vertices, exact edge integral."""
-    return Cochain(
-        a.part0(_ZERO),
-        a.part0(_ONE),
-        a.part1.antiderivative()(_ONE),
-    )
+    """Integration over cells: restriction at vertices, exact edge integral.
+
+    Read off the integer numerators n_k / d of f and m_k / e of g:
+    f(0) = n_0 / d, f(1) = sum n_k / d, and the integral of g over [0, 1]
+    is sum m_k / (k + 1) / e, put over lcm(1, .., deg g + 1) first.
+    """
+    f, g = a.part0.numerators, a.part1.numerators
+    scale = _lcm_upto(len(g))
+    edge = sum(m * (scale // k) for k, m in enumerate(g, 1))
+    d, e = a.part0.denominator, a.part1.denominator * scale
+    return _cochain(f[0] * e if f else 0, sum(f) * e, edge * d, d * e)
 
 
 def iterated_integral(forms: Sequence[PolyForm]) -> Cochain:
@@ -523,11 +540,11 @@ def iterated_integral(forms: Sequence[PolyForm]) -> Cochain:
         return integrate(forms[0])
     parts = [f.part1 for f in forms]
     if any(p.is_zero() for p in parts):
-        return Cochain.zero()
+        return _COCHAIN_ZERO
     acc = parts[0].antiderivative()
     for p in parts[1:]:
         acc = (p * acc).antiderivative()
-    return Cochain(0, 0, acc(_ONE))
+    return _cochain(0, 0, sum(acc.numerators), acc.denominator)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +600,7 @@ def iterated_integral_codes(codes: Sequence[int]) -> Cochain:
             return _COCHAIN_ZERO
         exponents += code >> 1
         denominator *= exponents + j
-    return Cochain(_ZERO, _ZERO, Fraction(1, denominator))
+    return _cochain(0, 0, 1, denominator)
 
 
 # ---------------------------------------------------------------------------

@@ -14,13 +14,11 @@ from homotopy_cumulants.cube_complex import (
     cell_boundary,
     cells_of,
     cumulant_graph,
-    euler_characteristic,
     graph_degrees,
     graph_is_bipartite_by_sign,
     graph_is_connected,
     hypercube_isomorphism,
     label_for_cell,
-    verify_cell,
 )
 from homotopy_cumulants.formal_ainfty import (
     Leaf,
@@ -28,21 +26,10 @@ from homotopy_cumulants.formal_ainfty import (
     SourceOp,
     TargetOp,
     binary_trees,
-    check_d_squared,
     cumulant_polytope_graph,
     formal_boundary,
-    interpret_sum,
     p_tree,
     painted_trees,
-)
-from homotopy_cumulants.hom_complex import (
-    TruncationGrid,
-    ainfty_relation_defect,
-    cumulant_multimap,
-    hom_boundary,
-    homotopy_witness,
-    iterated_integral_map,
-    maps_equal_on_truncation,
 )
 from homotopy_cumulants.suites import run_suite
 
@@ -53,22 +40,30 @@ def _report(number: int, description: str, ok: bool, seconds: float):
     assert ok, f"criterion {number} failed: {description}"
 
 
-def _suite_passes(suite: str, degree: int, checks: list[str]) -> bool:
-    """Whether the suite at this degree runs exactly these checks, all
-    passing."""
-    entries = run_suite(suite, 1, degree)
-    return ([e.check for e in entries] == checks
-            and all(e.status for e in entries))
+def _suite_passes(suite: str, n_max: int, degree: int,
+                  checks: dict[str, dict]) -> bool:
+    """Whether run_suite(suite, n_max, degree) runs each named check once,
+    with exactly the given parameters, and each of them passes."""
+    entries = run_suite(suite, n_max, degree)
+    for check, parameters in checks.items():
+        found = [e for e in entries if e.check == check]
+        if (len(found) != 1 or not found[0].status or found[0].parameters
+                != {k: str(v) for k, v in parameters.items()}):
+            return False
+    return True
 
 
 def test_criterion_01_dga_axioms():
     # the dga suite at degree 8 runs these axioms on the monomials of
     # exponent <= 8 and on the cochain basis
     started = time.monotonic()
-    ok = _suite_passes("dga", 8, [
-        "forms: d.d = 0", "forms: graded Leibniz",
-        "forms: graded commutativity", "cochains: delta.delta = 0",
-        "cochains: cup associativity", "cochains: delta Leibniz over cup"])
+    forms, cochains = {"degree": 8}, {}
+    ok = _suite_passes("dga", 1, 8, {
+        "forms: d.d = 0": forms, "forms: graded Leibniz": forms,
+        "forms: graded commutativity": forms,
+        "cochains: delta.delta = 0": cochains,
+        "cochains: cup associativity": cochains,
+        "cochains: delta Leibniz over cup": cochains})
     elapsed = time.monotonic() - started
     ok = ok and elapsed < 1.0
     _report(1, "dga axioms for forms and cochains, exponent <= 8, < 1 s",
@@ -78,28 +73,27 @@ def test_criterion_01_dga_axioms():
 def test_criterion_02_stokes_chain_map():
     # the chain-map suite at degree 12 checks t^k and t^k dt for k <= 12
     started = time.monotonic()
-    ok = _suite_passes("chain-map", 12, ["integration is a chain map"])
+    ok = _suite_passes("chain-map", 1, 12,
+                       {"integration is a chain map": {"degree": 12}})
     _report(2, "integration intertwines d and delta up to t^12",
             ok, time.monotonic() - started)
 
 
+# Criteria 03-05 are checks of the ainfty suite, which sweeps every map on
+# the full grid of its degree under convention A; each time bound covers
+# the whole suite run.
+
 def test_criterion_03_boundary_of_i2_is_k2():
     started = time.monotonic()
-    verdict = maps_equal_on_truncation(
-        hom_boundary(iterated_integral_map(2)), cumulant_multimap(2),
-        TruncationGrid(8))
+    ok = _suite_passes("ainfty", 1, 8, {"boundary(I2) = K2": {"degree": 8}})
     _report(3, "boundary(I2) = K2 on the full degree-8 grid",
-            verdict.equal, time.monotonic() - started)
+            ok, time.monotonic() - started)
 
 
 def test_criterion_04_witness_boundaries():
     started = time.monotonic()
-    ok = True
-    for n in (3, 4):
-        verdict = maps_equal_on_truncation(
-            hom_boundary(homotopy_witness(n)), cumulant_multimap(n),
-            TruncationGrid(4))
-        ok = ok and verdict.equal
+    ok = _suite_passes("ainfty", 4, 4, {
+        f"boundary(H{n}) = K{n}": {"n": n, "degree": 4} for n in (3, 4)})
     elapsed = time.monotonic() - started
     ok = ok and elapsed < 30.0
     _report(4, "boundary(H_n) = K_n for n = 3, 4 at degree 4, < 30 s",
@@ -108,10 +102,9 @@ def test_criterion_04_witness_boundaries():
 
 def test_criterion_05_morphism_relation():
     started = time.monotonic()
-    ok = True
-    for n in (1, 2, 3, 4):
-        verdict, _ = ainfty_relation_defect(n, 4)
-        ok = ok and verdict.equal
+    ok = _suite_passes("ainfty", 4, 4, {
+        f"morphism relation n={n} (convention A)": {"n": n, "degree": 4}
+        for n in (1, 2, 3, 4)})
     elapsed = time.monotonic() - started
     ok = ok and elapsed < 120.0
     _report(5, "morphism relation defect vanishes for n <= 4 at degree 4, "
@@ -138,21 +131,18 @@ def test_criterion_06_hypercube_skeleton():
 
 
 def test_criterion_07_cells_and_euler():
+    # the cube suite at n_max 6 verifies every cell of g_n for n <= 4 at
+    # its degree and the Euler characteristic for n <= 6
     started = time.monotonic()
-    ok = True
-    single_block = two_block = False
-    for n in (2, 3, 4):
-        for cell in cells_of(n):
-            if cell.dimension < 1:
-                continue
-            ok = ok and verify_cell(n, cell, 3).equal
-            if n == 4 and cell.dimension == 2:
-                if len(label_for_cell(cell).p_indices) == 1:
-                    single_block = True
-                else:
-                    two_block = True
-    ok = ok and single_block and two_block
-    ok = ok and all(euler_characteristic(n) == 1 for n in range(2, 7))
+    checks = {f"all cells of g{n} bound their facets": {"n": n, "degree": 3}
+              for n in (2, 3, 4)}
+    checks.update({f"euler characteristic g{n} = 1": {"n": n}
+                   for n in range(2, 7)})
+    ok = _suite_passes("cube", 6, 3, checks)
+    # both square types: one single-block and one multi-block 2-cell of g4
+    single_block = {len(label_for_cell(cell).p_indices) == 1
+                    for cell in cells_of(4) if cell.dimension == 2}
+    ok = ok and single_block == {True, False}
     _report(7, "every cell of g_n bounds its facets (n <= 4, degree 3), "
                "both square types occur, euler = 1 up to n = 6",
             ok, time.monotonic() - started)
@@ -190,13 +180,19 @@ def _term_to_facet_word(tree, n):
 
 
 def test_criterion_09_formal_layer():
+    # the formal suite at n_max 4, degree 3 runs d^2 = 0 for n <= 4, the
+    # six-term count and the concrete agreement for n = 2, 3, 4 at degree 3
     started = time.monotonic()
-    ok = all(check_d_squared(n) for n in (1, 2, 3, 4))
+    checks = {f"formal boundary squares to zero on p{n}": {"n": n}
+              for n in (1, 2, 3, 4)}
+    checks["boundary of p3 has six terms"] = {}
+    checks.update({
+        f"formal boundary of p{n} interprets to the Hom boundary":
+        {"n": n, "degree": 3} for n in (2, 3, 4)})
+    ok = _suite_passes("formal", 4, 3, checks)
 
-    boundary3 = formal_boundary(p_tree(3))
     hexagon = cumulant_polytope_graph(3)
-    ok = ok and len(boundary3) == 6
-    ok = ok and set(boundary3.terms) == set(hexagon.edge_cells)
+    ok = ok and set(formal_boundary(p_tree(3)).terms) == set(hexagon.edge_cells)
 
     for n in (2, 3, 4):
         boundary = formal_boundary(p_tree(n))
@@ -211,13 +207,6 @@ def test_criterion_09_formal_layer():
             if split is not None and 2 <= split and 2 <= n - split:
                 continue  # identically-zero facet map, orientation unobservable
             ok = ok and coefficient == facets[word]
-
-    for n in (2, 3, 4):
-        verdict = maps_equal_on_truncation(
-            interpret_sum(formal_boundary(p_tree(n))),
-            hom_boundary(iterated_integral_map(n)),
-            TruncationGrid(3))
-        ok = ok and verdict.equal
     _report(9, "formal boundary: squares to zero (n <= 4), hexagon terms, "
                "cube facets, concrete agreement at degree 3",
             ok, time.monotonic() - started)

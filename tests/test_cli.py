@@ -122,6 +122,16 @@ class TestGraph:
         assert code == 0
         assert out.count("--") == 6
 
+    def test_unwritable_out_is_refused_before_rendering(self, capsys, monkeypatch):
+        def graph_to_dot(n):
+            raise AssertionError("the graph was rendered before --out was checked")
+
+        monkeypatch.setattr(cli, "graph_to_dot", graph_to_dot)
+        code, out, err = run(capsys, "graph", "cube", "3",
+                             "--out", "/nonexistent/x")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write /nonexistent/x")
+
     def test_range_errors(self, capsys):
         assert run(capsys, "graph", "cube", "9")[0] == 2
         assert run(capsys, "graph", "polytope", "5")[0] == 2
@@ -168,6 +178,27 @@ class TestCumulant:
 
     def test_arity_mismatch(self, capsys):
         assert run(capsys, "cumulant", "3", "--inputs", "t ; dt")[0] == 2
+
+    def test_out_file(self, capsys, tmp_path):
+        path = tmp_path / "k2.txt"
+        code, out, _ = run(capsys, "cumulant", "2", "--inputs", "t ; dt",
+                           "--out", str(path))
+        assert code == 0 and out == ""
+        assert path.read_text().endswith("total: (0, 0; 1/2 dt)\n")
+
+    def test_unwritable_out_is_refused_before_evaluation(self, capsys, monkeypatch):
+        def cumulant_terms(ctx, forms):
+            raise AssertionError("the cumulant ran before --out was checked")
+
+        monkeypatch.setattr(cli, "cumulant_terms", cumulant_terms)
+        code, out, err = run(capsys, "cumulant", "2", "--inputs", "t ; dt",
+                             "--out", "/nonexistent/x")
+        assert code == 2 and out == ""
+        assert err.startswith("error: cannot write /nonexistent/x")
+        # the inputs are still checked first
+        code, _, err = run(capsys, "cumulant", "3", "--inputs", "t ; dt",
+                           "--out", "/nonexistent/x")
+        assert code == 2 and err.startswith("error: expected 3 forms")
 
     def test_range(self, capsys):
         assert run(capsys, "cumulant", "7")[0] == 2

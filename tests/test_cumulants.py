@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from homotopy_cumulants import suites
 from homotopy_cumulants.cumulants import (
     Composition,
     CumulantContext,
@@ -28,6 +29,7 @@ from homotopy_cumulants.interval_model import (
     integrate,
     wedge,
 )
+from homotopy_cumulants.hom_complex import TruncationGrid
 
 T = PolyForm.monomial(1)
 DT = PolyForm.monomial(0, dt=True)
@@ -119,6 +121,25 @@ class TestRecursiveAgreement:
         for n in (1, 2, 3):
             for tup in itertools.product(basis, repeat=n):
                 assert cumulant(ctx, tup) == cumulant_recursive(ctx, tup)
+
+    def test_memo_keeps_no_outermost_tuple(self, monkeypatch):
+        contexts = []
+
+        def recorded_context():
+            contexts.append(integration_context())
+            return contexts[-1]
+
+        monkeypatch.setattr(suites, "integration_context", recorded_context)
+        assert all(e.status for e in suites.run_suite("cumulants", 4, 2))
+        (swept,) = contexts
+        memo = swept._recursive_cache
+        assert max(map(len, memo)) == 3
+        size = len(memo)
+        for tup in itertools.product(TruncationGrid(2).slot_codes(), repeat=4):
+            value = cumulant_recursive(swept, tup)
+            assert cumulant_recursive(swept, tup) == value
+            assert value == cumulant(swept, tup)
+        assert len(memo) == size
 
 
 class TestAlgebraMorphismDouble:

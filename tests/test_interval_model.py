@@ -18,9 +18,11 @@ from homotopy_cumulants.interval_model import (
     Polynomial,
     cup,
     d_form,
+    decode_basis,
     delta,
     integrate,
     iterated_integral,
+    iterated_integral_codes,
     parse_form_tuple,
     parse_polyform,
     wedge,
@@ -401,6 +403,153 @@ class TestIntegration:
         rhs = (iterated_integral([a, fixed]).scale(s)
                + iterated_integral([b, fixed]).scale(r))
         assert lhs == rhs
+
+
+class FractionCochain:
+    """Reference cochain: three Fraction fields, one Fraction op per field.
+
+    It shares no code with the integer kernel of `Cochain`; the properties
+    below compare the two operation by operation.
+    """
+
+    def __init__(self, v0=0, v1=0, edge=0):
+        self.fields = (Fraction(v0), Fraction(v1), Fraction(edge))
+
+    def __add__(self, other):
+        return FractionCochain(*(x + y for x, y in zip(self.fields, other.fields)))
+
+    def __neg__(self):
+        return FractionCochain(*(-x for x in self.fields))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def scale(self, scalar):
+        s = Fraction(scalar)
+        return FractionCochain(*(s * x for x in self.fields))
+
+    def cup(self, other):
+        a0, a1, ae = self.fields
+        b0, b1, be = other.fields
+        return FractionCochain(a0 * b0, a1 * b1, a0 * be + ae * b1)
+
+    def delta(self):
+        v0, v1, _ = self.fields
+        return FractionCochain(0, 0, v1 - v0)
+
+    @staticmethod
+    def integrate(a):
+        f = FractionPolynomial(a.part0.coefficients)
+        g = FractionPolynomial(a.part1.coefficients)
+        return FractionCochain(f(0), f(1), g.antiderivative()(1))
+
+    @staticmethod
+    def iterated_integral(forms):
+        if len(forms) == 1:
+            return FractionCochain.integrate(forms[0])
+        parts = [FractionPolynomial(f.part1.coefficients) for f in forms]
+        acc = parts[0].antiderivative()
+        for p in parts[1:]:
+            acc = (p * acc).antiderivative()
+        return FractionCochain(0, 0, acc(1))
+
+
+def assert_matches_cochain(value, reference):
+    """value is the reduced Cochain with the reference's fields."""
+    assert (value.v0, value.v1, value.edge) == reference.fields
+    assert value == Cochain(*reference.fields)
+    assert hash(value) == hash(Cochain(*reference.fields))
+    assert value.den > 0
+    assert gcd(value.n0, value.n1, value.ne, value.den) == 1
+    assert value.is_zero() == (value is Cochain.zero()) == (not any(reference.fields))
+
+
+def reference_of(a):
+    return FractionCochain(a.v0, a.v1, a.edge)
+
+
+field_values = st.one_of(st.just(Fraction(0)), rationals)
+cochain_fields = st.tuples(field_values, field_values, field_values)
+forms = st.builds(form, coefficient_lists, coefficient_lists)
+
+
+class TestCochainKernel:
+    """The integer Cochain kernel against the Fraction reference, op by op."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(cochain_fields, cochain_fields)
+    def test_linear_operations(self, x, y):
+        a, b = Cochain(*x), Cochain(*y)
+        ra, rb = FractionCochain(*x), FractionCochain(*y)
+        assert_matches_cochain(a, ra)
+        assert_matches_cochain(a + b, ra + rb)
+        assert_matches_cochain(a - b, ra - rb)
+        assert_matches_cochain(a - a, ra - ra)
+        assert_matches_cochain(-a, -ra)
+
+    @settings(max_examples=150, deadline=None)
+    @given(cochain_fields, st.integers(-50, 50), rationals)
+    def test_scale(self, x, m, s):
+        a, ra = Cochain(*x), FractionCochain(*x)
+        for scalar in (m, s, "1/3", 0, -1):
+            assert_matches_cochain(a.scale(scalar), ra.scale(scalar))
+
+    @settings(max_examples=150, deadline=None)
+    @given(cochain_fields, cochain_fields)
+    def test_cup_and_delta(self, x, y):
+        a, b = Cochain(*x), Cochain(*y)
+        ra, rb = FractionCochain(*x), FractionCochain(*y)
+        assert_matches_cochain(cup(a, b), ra.cup(rb))
+        assert_matches_cochain(cup(b, a), rb.cup(ra))
+        assert_matches_cochain(delta(a), ra.delta())
+        assert_matches_cochain(cup(a, b) + cup(b, a), ra.cup(rb) + rb.cup(ra))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(forms, min_size=1, max_size=4))
+    def test_integrals_of_random_forms(self, inputs):
+        assert_matches_cochain(integrate(inputs[0]),
+                               FractionCochain.integrate(inputs[0]))
+        assert_matches_cochain(iterated_integral(inputs),
+                               FractionCochain.iterated_integral(inputs))
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.integers(0, 13), min_size=1, max_size=5))
+    def test_iterated_integral_codes(self, codes):
+        reference = FractionCochain.iterated_integral(
+            [decode_basis(c) for c in codes])
+        assert_matches_cochain(iterated_integral_codes(codes), reference)
+
+    @pytest.mark.parametrize("left, right", [
+        (("1/2", "1/3"), ("3/6", "2/6")),
+        ((Fraction(2, 4), 0, 1), (Fraction(1, 2), "0/7", Fraction(3, 3))),
+        ((0, "0", Fraction(0, 5)), ()),
+        (("-4/6", 0, "10/15"), (Fraction(-2, 3), 0, Fraction(2, 3))),
+    ])
+    def test_canonical_form(self, left, right):
+        a, b = Cochain(*left), Cochain(*right)
+        assert a == b
+        assert hash(a) == hash(b)
+        assert (a.n0, a.n1, a.ne, a.den) == (b.n0, b.n1, b.ne, b.den)
+
+    def test_canonical_storage(self):
+        a = Cochain("1/2", "1/3")
+        assert (a.n0, a.n1, a.ne, a.den) == (3, 2, 0, 6)
+        zero = Cochain.zero()
+        assert (zero.n0, zero.n1, zero.ne, zero.den) == (0, 0, 0, 1)
+        assert Cochain() is zero and Cochain(0, "0", Fraction(0, 5)) is zero
+        assert (Cochain(2, 4, 6).den, Cochain(2, 4, 6).n0) == (1, 2)
+        half = Cochain("1/2", "1/2", "1/2")
+        assert ((half + half).n0, (half + half).den) == (1, 1)
+        assert cup(Cochain(edge=1), Cochain(edge=1)) is zero
+        assert delta(Cochain(3, 3, 1)) is zero
+        assert (half - half) is zero and half.scale(0) is zero
+
+    def test_cochains_are_immutable(self):
+        a = Cochain(1, 2, 3)
+        for name in ("n0", "den", "v0", "edge"):
+            with pytest.raises(AttributeError):
+                setattr(a, name, 5)
+        assert a == Cochain(1, 2, 3)
 
 
 class TestTextFormats:
