@@ -17,7 +17,7 @@ combination of leaf maps (`linear_combination`), with the terms of one
 map merged, so a signed sum of k maps is a single node over its leaves.
 
 Equality of MultiMaps is certified on truncated monomial bases, which by
-multilinearity is exact on the truncated subspace.  The sweeps work on
+multilinearity is exact on the truncated subspace.  Maps are evaluated on
 integer basis codes (see `interval_model.encode_basis`) a whole domain at
 a time: `MultiMap.table(domain)` holds a map's nonzero values on every
 code tuple of a per-slot product of code sets, and every combinator here
@@ -27,10 +27,10 @@ pairs of each merged code, a d insertion reads its child's table at the
 derivative codes, a cup multiplies the nonzero entries of two tables, a
 linear combination adds tables, I_n is Chen's closed form, and the
 cumulant K_n is `cumulants.cumulant_table`.  Tables are memoized per map
-and per domain.  Only user-built maps, which have no table rule, are
-tabulated by evaluating them once per tuple on the decoded PolyForms.
-The PolyForm evaluators serve arbitrary forms and are the oracle for the
-tables.
+and per domain.  This is the only engine: a library map evaluates any
+forms by contracting its table over their basis codes (see
+`MultiMap.__call__`).  Only user-built maps, which have no table rule,
+run an evaluator on PolyForms.
 """
 
 from __future__ import annotations
@@ -38,28 +38,22 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm, prod
 from typing import Callable, Iterable, Sequence
 
-from .cumulants import (
-    CumulantContext,
-    cumulant,
-    cumulant_table,
-    integration_context,
-)
+from .cumulants import CumulantContext, cumulant_table, integration_context
 from .interval_model import (
     Cochain,
     PolyForm,
     Scalar,
+    _cochain,
     _frac,
     cup,
     d_code,
-    d_form,
     decode_basis,
     delta,
     encode_basis,
-    iterated_integral,
     iterated_integral_codes,
-    wedge,
     wedge_codes,
 )
 
@@ -95,17 +89,17 @@ class MultiMap:
     iterated integral, +1 for the differentials); the unsuspended degree
     used by Koszul signs is shifted_degree - arity + 1.
 
-    On PolyForms the evaluator runs once per input tuple, memoized.  On
-    basis codes a map is evaluated a domain at a time: `table(domain)` is
-    the dict of its nonzero values on the code tuples of a per-slot
+    A map is evaluated on basis codes a domain at a time: `table(domain)`
+    is the dict of its nonzero values on the code tuples of a per-slot
     product of code sets, memoized per domain, so a table shared by
     several parents (H_{n-1} feeds both terms of H_n, and a boundary reads
     its map's table for delta and for every d insertion) is built once.
     `table_rule(domain)` builds the table from the children's tables; the
-    combinators set it after construction.  A map without a rule (a
-    user-built map) is tabulated by running its evaluator on the decoded
-    PolyForms of every tuple of the domain.  Calling a map on one code
-    tuple answers from its table on that one-point domain.
+    combinators set it after construction.  Calling a map on forms or
+    codes contracts its table (see `__call__`).  A map without a rule (a
+    user-built map) keeps its evaluator: a call runs it on the inputs,
+    codes decoded, and its table runs it on the decoded PolyForms of every
+    tuple of the domain.
 
     Sums are flat: `+`, `-` and `scale` build a linear combination (see
     `linear_combination`) whose `terms` are (leaf map, coefficient) pairs,
@@ -113,10 +107,10 @@ class MultiMap:
     """
 
     __slots__ = ("arity", "shifted_degree", "name", "terms", "table_rule",
-                 "_evaluator", "_memo", "_tables")
+                 "_evaluator", "_tables")
 
     def __init__(self, arity: int, shifted_degree: int,
-                 evaluator: Callable[..., Cochain], name: str = ""):
+                 evaluator: Callable[..., Cochain] | None, name: str = ""):
         if arity < 1:
             raise ValueError("arity must be positive")
         self.arity = arity
@@ -125,7 +119,6 @@ class MultiMap:
         self.terms = None
         self.table_rule: Callable[[Domain], Table] | None = None
         self._evaluator = evaluator
-        self._memo: dict = {}
         self._tables: dict[Domain, Table] = {}
 
     @property
@@ -133,18 +126,45 @@ class MultiMap:
         return self.shifted_degree - self.arity + 1
 
     def __call__(self, *forms: PolyForm | int) -> Cochain:
-        value = self._memo.get(forms)
-        if value is None:
-            # only tuples of the right length are ever memoized
-            if len(forms) != self.arity:
-                raise ValueError(
-                    f"{self.name} expects {self.arity} inputs, got {len(forms)}")
-            if type(forms[0]) is int:
-                value = self.table([(x,) for x in forms]).get(
-                    forms, Cochain.zero())
+        """The value on PolyForms or basis codes, mixed freely.
+
+        Each input is expanded into integer coefficients on basis codes
+        over one denominator (a code is itself with coefficient 1).  The
+        map's table is taken on the domain (S,) * arity, with S the union
+        of the inputs' supports, so inputs with the same support share a
+        table; each entry is weighted by the product of its slots'
+        coefficients, and the numerators are summed per entry denominator.
+        The cost is one table over S^arity, kept with the map's other
+        tables, so calls on many distinct supports keep many tables.
+        """
+        if len(forms) != self.arity:
+            raise ValueError(
+                f"{self.name} expects {self.arity} inputs, got {len(forms)}")
+        weights, denominators = zip(*map(_expansion, range(self.arity), forms))
+        if self.table_rule is None:
+            return self._evaluator(*(x if isinstance(x, PolyForm)
+                                     else decode_basis(x) for x in forms))
+        support = frozenset().union(*weights)
+        sums: dict[int, list[int]] = {}
+        for xs, value in self.table((support,) * self.arity).items():
+            w = 1
+            for coefficients, x in zip(weights, xs):
+                c = coefficients.get(x)
+                if c is None:
+                    break
+                w *= c
             else:
-                value = self._evaluator(*forms)
-            self._memo[forms] = value
+                total = sums.get(value.den)
+                if total is None:
+                    sums[value.den] = [w * value.n0, w * value.n1, w * value.ne]
+                else:
+                    total[0] += w * value.n0
+                    total[1] += w * value.n1
+                    total[2] += w * value.ne
+        denominator = prod(denominators)
+        value = Cochain.zero()
+        for den, (n0, n1, ne) in sums.items():
+            value = value + _cochain(n0, n1, ne, den * denominator)
         return value
 
     def table(self, domain: Iterable[Iterable[int]]) -> Table:
@@ -165,14 +185,14 @@ class MultiMap:
             else:
                 table = {}
                 for xs in itertools.product(*domain):
-                    value = self(*map(decode_basis, xs))
+                    value = self._evaluator(*map(decode_basis, xs))
                     if not value.is_zero():
                         table[xs] = value
             self._tables[domain] = table
         return table
 
     def renamed(self, name: str, shifted_degree: int | None = None) -> "MultiMap":
-        """The same evaluator under a new name (and degree), with a fresh memo."""
+        """The same map under a new name (and degree), with fresh tables."""
         if shifted_degree is None:
             shifted_degree = self.shifted_degree
         renamed = MultiMap(self.arity, shifted_degree, self._evaluator, name)
@@ -198,11 +218,29 @@ class MultiMap:
         return f"MultiMap({self.name}, arity={self.arity}, shifted_degree={self.shifted_degree})"
 
 
-def _tabulated(arity: int, shifted_degree: int,
-               evaluator: Callable[..., Cochain], name: str,
+def _expansion(slot: int, x: PolyForm | int) -> tuple[dict[int, int], int]:
+    """An input as integer coefficients by basis code over one denominator."""
+    if type(x) is int:
+        if x < 0:
+            raise ValueError(f"input {slot}: basis code {x} is negative")
+        return {x: 1}, 1
+    if not isinstance(x, PolyForm):
+        raise TypeError(f"input {slot}: expected a PolyForm or a basis code, "
+                        f"got {type(x).__name__}")
+    denominator = lcm(x.part0.denominator, x.part1.denominator)
+    coefficients = {}
+    for dt, part in enumerate((x.part0, x.part1)):
+        scale = denominator // part.denominator
+        for k, n in enumerate(part.numerators):
+            if n:
+                coefficients[2 * k + dt] = n * scale
+    return coefficients, denominator
+
+
+def _tabulated(arity: int, shifted_degree: int, name: str,
                rule: Callable[[Domain], Table]) -> MultiMap:
-    """A MultiMap with a PolyForm evaluator and a table rule on codes."""
-    built = MultiMap(arity, shifted_degree, evaluator, name)
+    """A library MultiMap: a table rule on codes and no evaluator."""
+    built = MultiMap(arity, shifted_degree, None, name)
     built.table_rule = rule
     return built
 
@@ -237,8 +275,7 @@ def linear_combination(arity: int, shifted_degree: int,
 
     A combination among the pairs contributes its own terms, scaled by c;
     terms of the same leaf map are merged and zero coefficients dropped.
-    On PolyForms it calls each leaf once per input tuple and adds the
-    values; on codes it adds the leaves' tables.
+    Its table is the sum of the leaves' tables.
     """
     merged: dict[MultiMap, Fraction] = {}
     for f, c in pairs:
@@ -247,22 +284,9 @@ def linear_combination(arity: int, shifted_degree: int,
         c = _frac(c)
         for leaf, leaf_c in f.terms if f.terms is not None else ((f, 1),):
             merged[leaf] = merged.get(leaf, 0) + c * leaf_c
-    # integral coefficients as ints, so the evaluator's tests are cheap
+    # integral coefficients as ints, so `_add_into` scales by them cheaply
     terms = tuple((leaf, c.numerator if c.denominator == 1 else c)
                   for leaf, c in merged.items() if c)
-
-    zero = Cochain.zero()
-
-    def evaluator(*xs: PolyForm) -> Cochain:
-        total = zero
-        for leaf, c in terms:
-            if c == 1:
-                total = total + leaf(*xs)
-            elif c == -1:
-                total = total - leaf(*xs)
-            else:
-                total = total + leaf(*xs).scale(c)
-        return total
 
     def rule(domain):
         total: dict = {}
@@ -270,7 +294,7 @@ def linear_combination(arity: int, shifted_degree: int,
             _add_into(total, leaf.table(domain), c)
         return _nonzero(total)
 
-    combination = _tabulated(arity, shifted_degree, evaluator, name, rule)
+    combination = _tabulated(arity, shifted_degree, name, rule)
     combination.terms = terms
     return combination
 
@@ -285,9 +309,6 @@ def iterated_integral_map(n: int) -> MultiMap:
     if n < 1:
         raise ValueError("n must be positive")
 
-    def evaluator(*xs: PolyForm) -> Cochain:
-        return iterated_integral(xs)
-
     def rule(domain):
         # for n >= 2 only dt inputs contribute
         slots = domain if n == 1 else [[x for x in s if x & 1] for s in domain]
@@ -298,16 +319,7 @@ def iterated_integral_map(n: int) -> MultiMap:
                 table[xs] = value
         return table
 
-    return _tabulated(n, 0, evaluator, f"I{n}", rule)
-
-
-def _homogeneous_tuples(forms: Sequence[PolyForm]):
-    """Expand a tuple of forms into homogeneous summands with degree lists."""
-    per_slot = [f.homogeneous_parts() for f in forms]
-    if any(not parts for parts in per_slot):
-        return
-    for combo in itertools.product(*per_slot):
-        yield tuple(c[0] for c in combo), [c[1] for c in combo]
+    return _tabulated(n, 0, f"I{n}", rule)
 
 
 def wedge_at(f: MultiMap, slot: int) -> MultiMap:
@@ -319,10 +331,6 @@ def wedge_at(f: MultiMap, slot: int) -> MultiMap:
     """
     if not 0 <= slot < f.arity:
         raise ValueError("slot out of range")
-
-    def evaluator(*xs: PolyForm) -> Cochain:
-        product = wedge(xs[slot], xs[slot + 1])
-        return f(*xs[:slot], product, *xs[slot + 2:])
 
     def rule(domain):
         preimages: dict[int, list[tuple[int, int]]] = {}
@@ -339,7 +347,7 @@ def wedge_at(f: MultiMap, slot: int) -> MultiMap:
                 table[head + pair + tail] = value
         return table
 
-    return _tabulated(f.arity + 1, f.shifted_degree + 1, evaluator,
+    return _tabulated(f.arity + 1, f.shifted_degree + 1,
                       f"{f.name}(wedge@{slot})", rule)
 
 
@@ -369,19 +377,6 @@ def d_insertion_sum(f: MultiMap,
     t^(k-1) dt back to t^k with weight +-k.
     """
 
-    def evaluator(*xs: PolyForm) -> Cochain:
-        total = Cochain.zero()
-        for homog, degs in _homogeneous_tuples(xs):
-            for u in range(f.arity):
-                dx = d_form(homog[u])
-                if dx.is_zero():
-                    continue
-                exponent = sum(degs[:u]) if convention.from_left else sum(degs[u + 1:])
-                inserted = homog[:u] + (dx,) + homog[u + 1:]
-                value = f(*inserted)
-                total = total + (value if exponent % 2 == 0 else -value)
-        return total
-
     def rule(domain):
         total: dict = {}
         for u, slot in enumerate(domain):
@@ -408,8 +403,8 @@ def d_insertion_sum(f: MultiMap,
                 total[xs] = value if previous is None else previous + value
         return _nonzero(total)
 
-    return _tabulated(f.arity, f.shifted_degree + 1, evaluator,
-                      f"{f.name}.d_insertions", rule)
+    return _tabulated(f.arity, f.shifted_degree + 1, f"{f.name}.d_insertions",
+                      rule)
 
 
 def hom_boundary(f: MultiMap,
@@ -422,16 +417,13 @@ def hom_boundary(f: MultiMap,
     insertions = d_insertion_sum(f, convention)
     pre_sign = -1 if f.plain_degree % 2 == 0 else 1
 
-    def evaluator(*xs: PolyForm) -> Cochain:
-        return delta(f(*xs)) + insertions(*xs).scale(pre_sign)
-
     def rule(domain):
         total = _delta_table(f.table(domain))
         _add_into(total, insertions.table(domain), pre_sign)
         return _nonzero(total)
 
-    return _tabulated(f.arity, f.shifted_degree + 1, evaluator,
-                      f"boundary({f.name})", rule)
+    return _tabulated(f.arity, f.shifted_degree + 1, f"boundary({f.name})",
+                      rule)
 
 
 def cup_pair(left: MultiMap, right: MultiMap,
@@ -447,20 +439,6 @@ def cup_pair(left: MultiMap, right: MultiMap,
     arity = left.arity + right.arity
     moving = right if convention.from_left else left
     moving_parity = moving.plain_degree % 2
-
-    def evaluator(*xs: PolyForm) -> Cochain:
-        left_xs, right_xs = xs[:left.arity], xs[left.arity:]
-        if moving_parity == 0:
-            return cup(left(*left_xs), right(*right_xs))
-        passed = left_xs if convention.from_left else right_xs
-        total = Cochain.zero()
-        for homog, degs in _homogeneous_tuples(passed):
-            if convention.from_left:
-                value = cup(left(*homog), right(*right_xs))
-            else:
-                value = cup(left(*left_xs), right(*homog))
-            total = total + (value if sum(degs) % 2 == 0 else -value)
-        return total
 
     def signed(entries: Table, passed: bool) -> list:
         if not (passed and moving_parity):
@@ -482,7 +460,7 @@ def cup_pair(left: MultiMap, right: MultiMap,
         return table
 
     return _tabulated(arity, left.shifted_degree + right.shifted_degree + 1,
-                      evaluator, f"cup({left.name},{right.name})", rule)
+                      f"cup({left.name},{right.name})", rule)
 
 
 @dataclass(frozen=True)
@@ -591,7 +569,7 @@ def _morphism_source(n: int, convention: SignConvention) -> MultiMap:
 def _morphism_target(n: int, convention: SignConvention) -> MultiMap:
     """Product side: delta . I_n plus the signed cup(I_i x I_j) terms."""
     i_n = iterated_integral_map(n)
-    total = _tabulated(n, 1, lambda *xs: delta(i_n(*xs)), f"delta.I{n}",
+    total = _tabulated(n, 1, f"delta.I{n}",
                        lambda domain: _delta_table(i_n.table(domain)))
     for i in range(1, n):
         j = n - i
@@ -665,6 +643,6 @@ def cumulant_multimap(n: int, ctx: CumulantContext | None = None) -> MultiMap:
     if n < 1:
         raise ValueError("n must be positive")
     context = ctx if ctx is not None else integration_context()
-    return _tabulated(n, n - 1, lambda *xs: cumulant(context, xs), f"K{n}",
+    return _tabulated(n, n - 1, f"K{n}",
                       lambda domain: cumulant_table(context, domain))
 

@@ -258,7 +258,7 @@ class PolyForm:
     when part0 vanishes.
     """
 
-    __slots__ = ("part0", "part1", "_hash", "_parts")
+    __slots__ = ("part0", "part1", "_hash")
 
     def __init__(self, part0: Polynomial | Iterable[Scalar] = (),
                  part1: Polynomial | Iterable[Scalar] = ()):
@@ -267,7 +267,6 @@ class PolyForm:
         object.__setattr__(self, "part0", p0)
         object.__setattr__(self, "part1", p1)
         object.__setattr__(self, "_hash", None)
-        object.__setattr__(self, "_parts", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyForm is immutable")
@@ -288,23 +287,6 @@ class PolyForm:
 
     def is_zero(self) -> bool:
         return self.part0.is_zero() and self.part1.is_zero()
-
-    def homogeneous_parts(self) -> tuple[tuple["PolyForm", int], ...]:
-        """Nonzero homogeneous components as (form, plain degree) pairs.
-
-        A homogeneous form is its own part; the split of a mixed form is
-        built once and kept.
-        """
-        if not self.part1:
-            return ((self, 0),) if self.part0 else ()
-        if not self.part0:
-            return ((self, 1),)
-        parts = self._parts
-        if parts is None:
-            parts = ((PolyForm(part0=self.part0), 0),
-                     (PolyForm(part1=self.part1), 1))
-            object.__setattr__(self, "_parts", parts)
-        return parts
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PolyForm)

@@ -1,21 +1,25 @@
-"""Basis-code evaluation against the PolyForm path, which is the oracle.
+"""Basis-code evaluation against the reference PolyForm evaluators.
 
-Grid sweeps evaluate maps on integer codes (2k + dt for t^k and t^k dt),
-a domain at a time, as tables of nonzero values.  Each check here builds
-fresh instances of a map (or cumulant context) and requires, on every
-basis tuple and under both sign conventions, that the map's code table,
-its value on the code tuple and its value on the decoded PolyForms agree.
-The tables are also checked on domains other than the grid, on random
-per-slot code subsets, and in the sweeps' witness order.
+Every library map is table rules only: it is evaluated on integer codes
+(2k + dt for t^k and t^k dt) a domain at a time, as tables of nonzero
+values, and on any forms by contracting its table.  The oracle is the
+PolyForm evaluators the combinators carried before, kept below as
+reference maps.  Each check builds a map and its reference, and requires
+that the map's code table, its values on code tuples and its values on
+PolyForms agree with the reference run on the same (decoded) forms, under
+both sign conventions.  The tables are also checked on domains other
+than the grid, on random per-slot code subsets, and in the sweeps'
+witness order, and the values on random forms off the basis.
 """
 
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homotopy_cumulants import suites
+from homotopy_cumulants import cube_complex, formal_ainfty, hom_complex, suites
 from homotopy_cumulants.cube_complex import cell_to_map, cells_of, verify_cell
 from homotopy_cumulants.cumulants import (
     CumulantContext,
@@ -43,11 +47,16 @@ from homotopy_cumulants.hom_complex import (
     wedge_at,
 )
 from homotopy_cumulants.interval_model import (
+    DT,
+    ONE,
+    T,
     Cochain,
     PolyForm,
+    cup,
     d_code,
     d_form,
     decode_basis,
+    delta,
     encode_basis,
     integrate,
     iterated_integral,
@@ -57,6 +66,188 @@ from homotopy_cumulants.interval_model import (
 )
 
 CONVENTIONS = (CONVENTION_A, CONVENTION_B)
+
+
+# ---------------------------------------------------------------------------
+# the reference maps
+#
+# The PolyForm evaluators of the combinators, as they were before the table
+# rules became the only engine.  Each builder returns a MultiMap without a
+# table rule, so a call runs its evaluator on PolyForms and never goes
+# through `table`; mixed forms are split into homogeneous parts where a
+# Koszul sign depends on form degrees.
+
+
+def homogeneous_parts(form: PolyForm):
+    """Nonzero homogeneous components as (form, plain degree) pairs."""
+    if not form.part1:
+        return ((form, 0),) if form.part0 else ()
+    if not form.part0:
+        return ((form, 1),)
+    return ((PolyForm(part0=form.part0), 0), (PolyForm(part1=form.part1), 1))
+
+
+def _homogeneous_tuples(forms):
+    """Expand a tuple of forms into homogeneous summands with degree lists."""
+    per_slot = [homogeneous_parts(f) for f in forms]
+    if any(not parts for parts in per_slot):
+        return
+    for combo in itertools.product(*per_slot):
+        yield tuple(c[0] for c in combo), [c[1] for c in combo]
+
+
+def reference_linear_combination(arity, shifted_degree, pairs, name):
+    merged = {}
+    for f, c in pairs:
+        if f.arity != arity:
+            raise ValueError("arity mismatch")
+        c = Fraction(c)
+        for leaf, leaf_c in f.terms if f.terms is not None else ((f, 1),):
+            merged[leaf] = merged.get(leaf, 0) + c * leaf_c
+    terms = tuple((leaf, c.numerator if c.denominator == 1 else c)
+                  for leaf, c in merged.items() if c)
+
+    zero = Cochain.zero()
+
+    def evaluator(*xs):
+        total = zero
+        for leaf, c in terms:
+            if c == 1:
+                total = total + leaf(*xs)
+            elif c == -1:
+                total = total - leaf(*xs)
+            else:
+                total = total + leaf(*xs).scale(c)
+        return total
+
+    combination = MultiMap(arity, shifted_degree, evaluator, name)
+    combination.terms = terms
+    return combination
+
+
+def reference_iterated_integral_map(n):
+    if n < 1:
+        raise ValueError("n must be positive")
+
+    def evaluator(*xs):
+        return iterated_integral(xs)
+
+    return MultiMap(n, 0, evaluator, f"I{n}")
+
+
+def reference_wedge_at(f, slot):
+    if not 0 <= slot < f.arity:
+        raise ValueError("slot out of range")
+
+    def evaluator(*xs):
+        product = wedge(xs[slot], xs[slot + 1])
+        return f(*xs[:slot], product, *xs[slot + 2:])
+
+    return MultiMap(f.arity + 1, f.shifted_degree + 1, evaluator,
+                    f"{f.name}(wedge@{slot})")
+
+
+def reference_d_insertion_sum(f, convention=CONVENTION_A):
+    def evaluator(*xs):
+        total = Cochain.zero()
+        for homog, degs in _homogeneous_tuples(xs):
+            for u in range(f.arity):
+                dx = d_form(homog[u])
+                if dx.is_zero():
+                    continue
+                exponent = sum(degs[:u]) if convention.from_left else sum(degs[u + 1:])
+                inserted = homog[:u] + (dx,) + homog[u + 1:]
+                value = f(*inserted)
+                total = total + (value if exponent % 2 == 0 else -value)
+        return total
+
+    return MultiMap(f.arity, f.shifted_degree + 1, evaluator,
+                    f"{f.name}.d_insertions")
+
+
+def reference_hom_boundary(f, convention=CONVENTION_A):
+    insertions = reference_d_insertion_sum(f, convention)
+    pre_sign = -1 if f.plain_degree % 2 == 0 else 1
+
+    def evaluator(*xs):
+        return delta(f(*xs)) + insertions(*xs).scale(pre_sign)
+
+    return MultiMap(f.arity, f.shifted_degree + 1, evaluator,
+                    f"boundary({f.name})")
+
+
+def reference_cup_pair(left, right, convention=CONVENTION_A):
+    arity = left.arity + right.arity
+    moving = right if convention.from_left else left
+    moving_parity = moving.plain_degree % 2
+
+    def evaluator(*xs):
+        left_xs, right_xs = xs[:left.arity], xs[left.arity:]
+        if moving_parity == 0:
+            return cup(left(*left_xs), right(*right_xs))
+        passed = left_xs if convention.from_left else right_xs
+        total = Cochain.zero()
+        for homog, degs in _homogeneous_tuples(passed):
+            if convention.from_left:
+                value = cup(left(*homog), right(*right_xs))
+            else:
+                value = cup(left(*left_xs), right(*homog))
+            total = total + (value if sum(degs) % 2 == 0 else -value)
+        return total
+
+    return MultiMap(arity, left.shifted_degree + right.shifted_degree + 1,
+                    evaluator, f"cup({left.name},{right.name})")
+
+
+def reference_morphism_target(n, convention):
+    i_n = reference_iterated_integral_map(n)
+    total = MultiMap(n, 1, lambda *xs: delta(i_n(*xs)), f"delta.I{n}")
+    for i in range(1, n):
+        j = n - i
+        term = reference_cup_pair(reference_iterated_integral_map(i),
+                                  reference_iterated_integral_map(j), convention)
+        total = total + (term if (j - 1) % 2 == 0 else term.scale(-1))
+    return total
+
+
+def reference_cumulant_multimap(n, ctx=None):
+    if n < 1:
+        raise ValueError("n must be positive")
+    context = ctx if ctx is not None else integration_context()
+    return MultiMap(n, n - 1, lambda *xs: cumulant(context, xs), f"K{n}")
+
+
+REFERENCE_BUILDERS = {
+    "linear_combination": reference_linear_combination,
+    "iterated_integral_map": reference_iterated_integral_map,
+    "wedge_at": reference_wedge_at,
+    "d_insertion_sum": reference_d_insertion_sum,
+    "hom_boundary": reference_hom_boundary,
+    "cup_pair": reference_cup_pair,
+    "_morphism_target": reference_morphism_target,
+    "cumulant_multimap": reference_cumulant_multimap,
+    # ainfty_relation_defect's own grid verdict is not wanted of a reference
+    "map_is_zero_on": lambda *args, **kwargs: None,
+}
+
+
+def reference(build) -> MultiMap:
+    """What build() builds from the reference builders.
+
+    The library's combinators are rebound to the reference ones in the
+    library modules, so composites (`homotopy_witness`, `cell_to_map`,
+    `interpret_sum`, `ainfty_relation_defect`, the operators on maps)
+    keep their structure, and in the namespace build() itself reads.
+    """
+    with pytest.MonkeyPatch.context() as patch:
+        for namespace in (vars(hom_complex), vars(cube_complex),
+                          vars(formal_ainfty), build.__globals__):
+            for name, builder in REFERENCE_BUILDERS.items():
+                if name in namespace:
+                    patch.setitem(namespace, name, builder)
+        built = build()
+    assert built.table_rule is None, built.name
+    return built
 
 
 def grid_for(arity: int) -> int:
@@ -69,14 +260,14 @@ def basis_code_tuples(arity: int):
 
 
 def assert_table_agrees(build, domain):
-    """build() gives a fresh map; its table over the domain must hold
-    exactly its nonzero PolyForm values there, and no zero."""
-    tabulated, on_forms = build(), build()
+    """build() builds a map; its table over the domain must hold exactly
+    the nonzero values of its reference there, and no zero."""
+    tabulated, expected_map = build(), reference(build)
     table = tabulated.table(domain)
     assert not any(value.is_zero() for value in table.values()), tabulated.name
     nonzero = 0
     for xs in itertools.product(*domain):
-        expected = on_forms(*map(decode_basis, xs))
+        expected = expected_map(*map(decode_basis, xs))
         assert table.get(xs, Cochain.zero()) == expected, (tabulated.name, xs)
         nonzero += not expected.is_zero()
     assert len(table) == nonzero, tabulated.name
@@ -84,14 +275,17 @@ def assert_table_agrees(build, domain):
 
 
 def assert_paths_agree(build):
-    """build() gives a fresh map; its table over the grid, its values on
-    code tuples and its values on PolyForms must agree."""
-    on_codes, on_forms = build(), build()
-    codes = TruncationGrid(grid_for(on_codes.arity)).slot_codes()
-    assert_table_agrees(build, [codes] * on_codes.arity)
-    for xs in basis_code_tuples(on_codes.arity):
+    """build() builds a map; its table over the grid, its values on code
+    tuples and its values on the decoded PolyForms must agree with its
+    reference."""
+    f, expected_map = build(), reference(build)
+    codes = TruncationGrid(grid_for(f.arity)).slot_codes()
+    assert_table_agrees(build, [codes] * f.arity)
+    for xs in basis_code_tuples(f.arity):
         forms = tuple(map(decode_basis, xs))
-        assert on_codes(*xs) == on_forms(*forms), (on_codes.name, forms)
+        expected = expected_map(*forms)
+        assert f(*xs) == expected, (f.name, forms)
+        assert f(*forms) == expected, (f.name, forms)
 
 
 class TestCodes:
@@ -242,15 +436,16 @@ class TestTablesOffTheGrid:
 def _arity3_builders(convention):
     """I_3, both wedges, d insertions, a boundary, both cups, H_3, K_3 and
     g3's cells."""
-    i = iterated_integral_map
     return [
-        lambda: i(3),
-        lambda: wedge_at(i(2), 0),
-        lambda: wedge_at(i(2), 1),
-        lambda: d_insertion_sum(i(3), convention),
-        lambda: hom_boundary(i(3), convention),
-        lambda: cup_pair(i(1), i(2), convention),
-        lambda: cup_pair(i(2), i(1), convention),
+        lambda: iterated_integral_map(3),
+        lambda: wedge_at(iterated_integral_map(2), 0),
+        lambda: wedge_at(iterated_integral_map(2), 1),
+        lambda: d_insertion_sum(iterated_integral_map(3), convention),
+        lambda: hom_boundary(iterated_integral_map(3), convention),
+        lambda: cup_pair(iterated_integral_map(1), iterated_integral_map(2),
+                         convention),
+        lambda: cup_pair(iterated_integral_map(2), iterated_integral_map(1),
+                         convention),
         lambda: homotopy_witness(3, convention),
         lambda: cumulant_multimap(3),
     ] + [lambda cell=cell: cell_to_map(3, cell, convention) for cell in cells_of(3)]
@@ -503,10 +698,8 @@ def test_suite_witness_of_a_wrong_direct_table(monkeypatch, extra, missing):
     assert len(entries) == 5
 
 
-def test_maps_without_a_code_rule_see_polyforms():
-    # every library map has a table rule, K_n included; user maps have none
-    assert all(cumulant_multimap(n).table_rule is not None for n in (1, 2, 3, 4))
-    assert iterated_integral_map(2).table_rule is not None
+def test_maps_without_a_code_rule_see_polyforms(monkeypatch):
+    # user maps have no table rule: a sweep and a call run their evaluator
     seen = set()
 
     def evaluator(a, b):
@@ -519,4 +712,97 @@ def test_maps_without_a_code_rule_see_polyforms():
         plain, iterated_integral_map(2), TruncationGrid(2))
     assert verdict.equal
     assert plain(1, 3) == iterated_integral_map(2)(1, 3) != Cochain.zero()
+    assert plain(DT, 3) == plain(1, 3)
     assert seen == {(PolyForm, PolyForm)}
+
+    # every library map, composites included, is built with a table rule
+    # and is never asked for an evaluation, on forms, codes or a grid; a
+    # callable stands in for every evaluator, as perfbench's tracer does
+    built, asked = [], []
+    init = MultiMap.__init__
+
+    def recording(self, arity, shifted_degree, evaluator, name=""):
+        def stand_in(*xs):
+            asked.append(self.name)
+            return evaluator(*xs)
+
+        init(self, arity, shifted_degree, stand_in, name)
+        built.append(self)
+
+    monkeypatch.setattr(MultiMap, "__init__", recording)
+    forms = (PolyForm((1, "1/2"), (0, 3)), DT, T + ONE, PolyForm((), (2, 1)))
+    for convention in CONVENTIONS:
+        library = ([homotopy_witness(4, convention),
+                    hom_boundary(homotopy_witness(3, convention), convention),
+                    ainfty_relation_defect(3, 1, convention)[1],
+                    interpret_sum(formal_boundary(p_tree(3), convention),
+                                  convention)]
+                   + [cumulant_multimap(n, build())
+                      for n in (2, 3) for build in CONTEXTS.values()]
+                   + [cell_to_map(n, cell, convention)
+                      for n in (3, 4) for cell in cells_of(n)])
+        for f in library:
+            f(*forms[:f.arity])
+            f(*range(f.arity))
+            assert maps_equal_on_truncation(f, f, TruncationGrid(1)).equal
+    assert built and all(f.table_rule is not None for f in built)
+    assert asked == []
+
+
+_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
+_mixed_forms = st.builds(PolyForm, st.lists(_fractions, max_size=4),
+                         st.lists(_fractions, max_size=4))
+
+# family: (indices, build(index, convention))
+OFF_BASIS = {
+    "I_n": ((1, 2, 3, 4), lambda n, c: iterated_integral_map(n)),
+    "boundary of H_n": ((2, 3, 4),
+                        lambda n, c: hom_boundary(homotopy_witness(n, c), c)),
+    "morphism defect": ((1, 2, 3, 4),
+                        lambda n, c: ainfty_relation_defect(n, 0, c)[1]),
+    "cells of g3": (tuple(range(len(cells_of(3)))),
+                    lambda i, c: cell_to_map(3, cells_of(3)[i], c)),
+    **{f"K_n, {name}": ((1, 2, 3, 4),
+                        lambda n, c, ctx=ctx: cumulant_multimap(n, ctx()))
+       for name, ctx in CONTEXTS.items()},
+}
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS, ids=lambda c: c.name)
+@pytest.mark.parametrize("family", OFF_BASIS)
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_values_off_the_basis(family, convention, data):
+    """Mixed forms with rational coefficients exercise the contraction's
+    coefficients and denominators, which basis monomials do not."""
+    indices, builder = OFF_BASIS[family]
+    index = data.draw(st.sampled_from(indices), label="index")
+
+    def build():
+        return builder(index, convention)
+
+    f = build()
+    forms = data.draw(st.lists(_mixed_forms, min_size=f.arity,
+                               max_size=f.arity), label="forms")
+    assert f(*forms) == reference(build)(*forms)
+
+
+def test_a_call_tabulates_the_union_of_the_supports():
+    # t^40 spans no degree-40 grid, 82^4 tuples: the one table is taken
+    # over the four codes the inputs hold
+    def build():
+        return hom_boundary(homotopy_witness(4))
+
+    boundary, domains = build(), []
+    rule = boundary.table_rule
+
+    def recording(domain):
+        domains.append(domain)
+        return rule(domain)
+
+    boundary.table_rule = recording
+    forms = (PolyForm.monomial(40) + DT, T, ONE + T, DT)
+    value = boundary(*forms)
+    assert value == reference(build)(*forms) != Cochain.zero()
+    support = frozenset(map(encode_basis, (PolyForm.monomial(40), DT, T, ONE)))
+    assert domains == [(support,) * 4]

@@ -210,18 +210,6 @@ class TestPolynomial:
         assert p.antiderivative().derivative() == p
 
 
-class TestPolyForm:
-    def test_homogeneous_parts(self):
-        assert PolyForm.zero().homogeneous_parts() == ()
-        for f, degree in ((form((1, 2)), 0), (form((), (0, 3)), 1)):
-            (part,) = f.homogeneous_parts()
-            assert part == (f, degree) and part[0] is f
-        mixed = form((1, 2), ("1/2",))
-        parts = mixed.homogeneous_parts()
-        assert parts == ((form((1, 2)), 0), (form((), ("1/2",)), 1))
-        assert mixed.homogeneous_parts() is parts
-
-
 class TestExactScalars:
     BUILDERS = {
         "Polynomial": lambda c: Polynomial([1, c]),
