@@ -10,9 +10,13 @@ measure the failure of integration to respect the wedge and cup products.
 Inputs are PolyForms or basis codes (ints, see
 `interval_model.encode_basis`); on codes a context multiplies by
 `wedge_codes`, with None for the zero form dt^dt (see CumulantContext).
-`cumulant` and `cumulant_terms` evaluate one input tuple, and are the
-oracle on PolyForms for `cumulant_table`, which gives K_n's nonzero values
-on every code tuple of a per-slot product of code sets.
+`cumulant` and `cumulant_terms` evaluate one input tuple by the direct
+formula, and `cumulant_recursive` by the recursion
+K_n(a_1, ..) = K_{n-1}(a_1 a_2, ..) - e(a_1) K_{n-1}(a_2, ..); they are
+the oracles on PolyForms for the two tables, which give K_n's nonzero
+values on every code tuple of a per-slot product of code sets:
+`cumulant_table` by the direct formula and `cumulant_recursive_table` by
+the recursion.  The cumulants suite compares the two tables.
 """
 
 from __future__ import annotations
@@ -102,9 +106,10 @@ def composition_sign(c: Composition) -> int:
 class CumulantContext:
     """A chain map together with the two products it fails to intertwine.
 
-    Chain-map values, source products and the inner values of the
-    cumulant recursion are memoized per context, which makes exhaustive
-    grid sweeps tractable.
+    Chain-map values and PolyForm products are memoized per context, and so
+    are the inner values of the per-tuple `cumulant_recursive`.  The two
+    tables keep nothing else here: `cumulant_table` interns values and
+    `cumulant_recursive_table` memoizes sub-tables within one call only.
 
     `apply` and `multiply` take PolyForms or basis codes.  A code is mapped
     through its decoded monomial once and cached under the int; None is the
@@ -318,6 +323,72 @@ def cumulant_recursive(ctx: CumulantContext,
     split = ctx.target_product(ctx.apply(key[0]), tail)
     cache[merged] = head = cumulant_recursive(ctx, merged)
     return head - split
+
+
+def cumulant_recursive_table(ctx: CumulantContext, domain: Sequence[Iterable]
+                             ) -> dict[tuple, Cochain]:
+    """K_n's nonzero values on a per-slot product, by the recursion.
+
+    The recursion as a table identity: the merged term spreads each entry
+    of the K_{n-1} table on (the products of slots 0 and 1, slots 2..)
+    over the pairs whose product is its merged input, as
+    `hom_complex.wedge_at` does, and the split term subtracts
+    e(x_0) K_{n-1}(x_1, ..) for each x_0 with a nonzero image and each
+    entry of the K_{n-1} table on slots 1.. .  Sub-tables are memoized per
+    domain within the call and nothing is kept in the context.  Every
+    product goes through `ctx.multiply` and `ctx.target_product`, so any
+    context works; under a source product other than the wedge the merged
+    slots hold PolyForms.  The result has the keys and values of
+    `cumulant_table`, from which it shares no code.
+    """
+    if len(domain) == 0:
+        raise ValueError("cumulant requires at least one input")
+    apply, multiply, product = ctx.apply, ctx.multiply, ctx.target_product
+    memo: dict[tuple[frozenset, ...], dict] = {}
+
+    def table(slots: tuple[frozenset, ...]) -> dict:
+        known = memo.get(slots)
+        if known is not None:
+            return known
+        result = memo[slots] = {}
+        if len(slots) == 1:
+            for x in slots[0]:
+                image = apply(x)
+                if not image.is_zero():
+                    result[(x,)] = image
+            return result
+        preimages: dict = {}
+        for a in slots[0]:
+            for b in slots[1]:
+                ab = multiply(a, b)
+                if ab is not None:
+                    preimages.setdefault(ab, []).append((a, b))
+        for ys, value in table((frozenset(preimages),) + slots[2:]).items():
+            tail = ys[1:]
+            for pair in preimages[ys[0]]:
+                result[pair + tail] = value
+        tails = table(slots[1:])
+        for x in slots[0]:
+            image = apply(x)
+            if image.is_zero():
+                continue
+            for ys, value in tails.items():
+                split = product(image, value)
+                if split.is_zero():
+                    continue
+                key = (x,) + ys
+                previous = result.get(key)
+                if previous is None:
+                    result[key] = -split
+                else:
+                    difference = previous - split
+                    if difference.is_zero():
+                        del result[key]
+                    else:
+                        result[key] = difference
+        return result
+
+    return table(tuple(map(frozenset, domain)))
 
 
 def term_notation(composition: Composition, letters: str | None = None,

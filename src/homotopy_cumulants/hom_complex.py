@@ -514,6 +514,23 @@ class EqualityVerdict:
         return record
 
 
+def first_difference(lhs: Table, rhs: Table,
+                     codes: Sequence[int]) -> tuple[int, ...] | None:
+    """The first code tuple at which two tables differ, or None if equal.
+
+    A tuple missing from a table is a zero.  First means slot-major order
+    over `codes` in every slot, the order of `itertools.product(codes,
+    repeat=n)`, so the witness is the one a tuple-by-tuple sweep would
+    stop at.
+    """
+    if lhs == rhs:
+        return None
+    position = {code: i for i, code in enumerate(codes)}
+    return min((xs for xs in lhs.keys() | rhs.keys()
+                if lhs.get(xs) != rhs.get(xs)),
+               key=lambda xs: [position[x] for x in xs])
+
+
 def maps_equal_on_truncation(f: MultiMap, g: MultiMap,
                              grid: TruncationGrid,
                              check: str = "") -> EqualityVerdict:
@@ -521,9 +538,9 @@ def maps_equal_on_truncation(f: MultiMap, g: MultiMap,
 
     The two maps' code tables over the grid are compared whole; a tuple
     missing from a table is a zero.  On a disagreement the witness is the
-    first differing tuple in slot-major order (the order of
-    `itertools.product` over `slot_codes()`), decoded to PolyForms and
-    reported with both values.
+    first differing tuple in slot-major order over `slot_codes()` (see
+    `first_difference`), decoded to PolyForms and reported with both
+    values.
     """
     if f.arity != g.arity:
         raise ValueError("cannot compare maps of different arity")
@@ -531,12 +548,9 @@ def maps_equal_on_truncation(f: MultiMap, g: MultiMap,
     codes = grid.slot_codes()
     domain = (codes,) * f.arity
     lhs, rhs = f.table(domain), g.table(domain)
-    if lhs == rhs:
+    first = first_difference(lhs, rhs, codes)
+    if first is None:
         return EqualityVerdict(name, f.arity, grid.max_exponent, True)
-    position = {code: i for i, code in enumerate(codes)}
-    first = min((xs for xs in lhs.keys() | rhs.keys()
-                 if lhs.get(xs) != rhs.get(xs)),
-                key=lambda xs: [position[x] for x in xs])
     zero = Cochain.zero()
     return EqualityVerdict(name, f.arity, grid.max_exponent, False,
                            tuple(map(decode_basis, first)),

@@ -223,3 +223,16 @@ def test_criterion_10_tree_counts():
     _report(10, "Catalan counts through n = 8 (pentagon 5 at n = 4); "
                 "six painted trees on three inputs",
             ok, time.monotonic() - started)
+
+
+def test_criterion_11_cumulant_consistency_to_n8():
+    # the cumulants suite at n_max 8, degree 4 clamps the grid exponent to
+    # 3 at n = 7 and to 2 at n = 8; the time bound covers the whole run
+    started = time.monotonic()
+    ok = _suite_passes("cumulants", 8, 4, {
+        "direct vs recursive cumulant n=7": {"n": 7, "exponent": 3},
+        "direct vs recursive cumulant n=8": {"n": 8, "exponent": 2}})
+    elapsed = time.monotonic() - started
+    ok = ok and elapsed < 60.0
+    _report(11, "direct = recursive cumulants at n = 7 (exponent <= 3) and "
+                "n = 8 (exponent <= 2), < 60 s", ok, elapsed)

@@ -25,6 +25,7 @@ from homotopy_cumulants.cumulants import (
     CumulantContext,
     cumulant,
     cumulant_recursive,
+    cumulant_recursive_table,
     cumulant_table,
     cumulant_terms,
     endpoint_evaluation_context,
@@ -600,6 +601,18 @@ class TestCumulantOracle:
         assert cumulant_table(build(), [(0, 1), (), (2,)]) == {}
         assert cumulant_table(build(), [()]) == {}
 
+    def test_cumulant_recursive_table(self, build):
+        for n in (1, 2, 3, 4):
+            codes = TruncationGrid(grid_for(n)).slot_codes()
+            assert_recursive_table_agrees(build, [codes] * n)
+        for domain in ([(T2,), (1,), (2,)], [(1,), (1,)], [(3,)],
+                       [DT_CODES] * 3, [(0, 1, T2), DT_CODES, (2, 3)]):
+            assert_recursive_table_agrees(build, domain)
+        assert cumulant_recursive_table(build(), [(0, 1), (), (2,)]) == {}
+        assert cumulant_recursive_table(build(), [()]) == {}
+        with pytest.raises(ValueError):
+            cumulant_recursive_table(build(), [])
+
     def test_cumulant_table_drops_zero_runs(self, build, monkeypatch):
         # a dt^dt run is dropped as soon as it is formed: it is neither
         # mapped nor multiplied further
@@ -640,6 +653,29 @@ def test_cumulant_tables_on_random_code_subsets(build, domain):
     assert_cumulant_table_agrees(build, [sorted(slot) for slot in domain])
 
 
+def assert_recursive_table_agrees(build, domain):
+    """The recursive table of K_n over the domain stores no zero, equals
+    the direct table and holds the per-tuple recursion on the decoded
+    PolyForms; it leaves nothing in the context."""
+    ctx = build()
+    table = cumulant_recursive_table(ctx, domain)
+    assert not any(value.is_zero() for value in table.values())
+    assert not ctx._recursive_cache
+    assert table == cumulant_table(build(), domain)
+    on_forms = build()
+    for xs in itertools.product(*domain):
+        expected = cumulant_recursive(on_forms, tuple(map(decode_basis, xs)))
+        assert table.get(xs, Cochain.zero()) == expected, xs
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(list(CONTEXTS.values())),
+       st.integers(3, 4).flatmap(lambda n: st.lists(
+           st.sets(st.integers(0, 9), max_size=4), min_size=n, max_size=n)))
+def test_recursive_tables_on_random_code_subsets(build, domain):
+    assert_recursive_table_agrees(build, [sorted(slot) for slot in domain])
+
+
 def test_products_of_codes():
     ctx = integration_context()
     assert ctx.multiply(2, 5) == 7
@@ -656,14 +692,16 @@ def test_suite_witness_matches_the_polyform_sweep(monkeypatch):
     grid = TruncationGrid(2)
     wrong = {(decode_basis(4), decode_basis(1)),
              (decode_basis(3), decode_basis(0))}
+    table = cumulant_recursive_table
 
-    def perturbed(ctx, xs):
-        value = cumulant_recursive(ctx, xs)
-        if tuple(map(decode_basis, xs)) in wrong:
-            value = value + Cochain(1)
-        return value
+    def perturbed(ctx, domain):
+        recursive = table(ctx, domain)
+        for xs in itertools.product(*domain):
+            if tuple(map(decode_basis, xs)) in wrong:
+                recursive[xs] = recursive.get(xs, Cochain.zero()) + Cochain(1)
+        return recursive
 
-    monkeypatch.setattr(suites, "cumulant_recursive", perturbed)
+    monkeypatch.setattr(suites, "cumulant_recursive_table", perturbed)
     entries = {e.check: e for e in suites.run_cumulants_suite(2, 2)}
     first = next(tup for tup in itertools.product(grid.slot_basis(), repeat=2)
                  if tup in wrong)

@@ -100,6 +100,8 @@ class TestVerify:
         assert run(capsys, "verify", "nonsense")[0] == 2
         assert run(capsys, "verify", "ainfty", "--n-max", "5")[0] == 2
         assert run(capsys, "verify", "cube", "--n-max", "7")[0] == 2
+        assert run(capsys, "verify", "cumulants", "--n-max", "9")[0] == 2
+        assert run(capsys, "verify", "all", "--n-max", "7")[0] == 2
         assert run(capsys, "verify", "dga", "--degree", "13")[0] == 2
         assert run(capsys, "verify", "dga", "--n-max", "0")[0] == 2
 

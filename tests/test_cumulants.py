@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from homotopy_cumulants import suites
 from homotopy_cumulants.cumulants import (
     Composition,
     CumulantContext,
@@ -122,21 +121,16 @@ class TestRecursiveAgreement:
             for tup in itertools.product(basis, repeat=n):
                 assert cumulant(ctx, tup) == cumulant_recursive(ctx, tup)
 
-    def test_memo_keeps_no_outermost_tuple(self, monkeypatch):
-        contexts = []
-
-        def recorded_context():
-            contexts.append(integration_context())
-            return contexts[-1]
-
-        monkeypatch.setattr(suites, "integration_context", recorded_context)
-        assert all(e.status for e in suites.run_suite("cumulants", 4, 2))
-        (swept,) = contexts
+    def test_memo_keeps_no_outermost_tuple(self):
+        # a sweep over 4-tuples stores none of them; repeating it agrees
+        # with itself and with the direct formula and stores nothing more
+        swept = integration_context()
+        grid = list(itertools.product(TruncationGrid(2).slot_codes(), repeat=4))
+        values = [cumulant_recursive(swept, tup) for tup in grid]
         memo = swept._recursive_cache
         assert max(map(len, memo)) == 3
         size = len(memo)
-        for tup in itertools.product(TruncationGrid(2).slot_codes(), repeat=4):
-            value = cumulant_recursive(swept, tup)
+        for tup, value in zip(grid, values):
             assert cumulant_recursive(swept, tup) == value
             assert value == cumulant(swept, tup)
         assert len(memo) == size

@@ -4,8 +4,9 @@ The files under tests/golden/ pin, byte for byte, what refactors must
 keep: the `verify all` reports at n = 3 (degree 2) and n = 4 (degrees 2
 and 3), with `duration_ms` zeroed, under both sign conventions, including
 the convention-B failure witnesses, the `verify cumulants` reports at
-n = 5 (degrees 1 and 3) and n = 6, the term-by-term traces of
-`cumulant 4 --inputs ...` and of `cumulant 5 --inputs ...` on mixed
+n = 5 (degrees 1 and 3), n = 6 (degree 1) and n = 8 (degree 2), the
+term-by-term traces of `cumulant 4 --inputs ...` and of
+`cumulant 5 --inputs ...` on mixed
 rational forms, the SHA-256 of `cumulant 6 --inputs ...` on six degree-64
 powers (the PolyForm path at the parser's caps; its 48 KB output is not
 committed), the DOT text of the polytope graphs, and the enumeration order
@@ -92,6 +93,8 @@ OUTPUTS = {
         "cumulants", "--n-max", "5", "--degree", "3"),
     "verify_cumulants_n6_d1.txt": lambda: _verify_report(
         "cumulants", "--n-max", "6", "--degree", "1"),
+    "verify_cumulants_n8_d2.txt": lambda: _verify_report(
+        "cumulants", "--n-max", "8", "--degree", "2"),
     "cumulant_4_trace.txt": lambda: _cumulant_trace(
         "4", "1 + t ; 2*t + dt ; t^2 ; 1/2 + t*dt"),
     "cumulant_5_trace.txt": lambda: _cumulant_trace(
@@ -123,6 +126,7 @@ def test_exit_codes_pinned():
     assert (GOLDEN / "verify_cumulants_n5_d1.txt").read_text().startswith("exit 0\n")
     assert (GOLDEN / "verify_cumulants_n5_d3.txt").read_text().startswith("exit 0\n")
     assert (GOLDEN / "verify_cumulants_n6_d1.txt").read_text().startswith("exit 0\n")
+    assert (GOLDEN / "verify_cumulants_n8_d2.txt").read_text().startswith("exit 0\n")
     for name in ("cumulant_4_trace.txt", "cumulant_5_trace.txt",
                  "cumulant_6_degree64.sha256"):
         assert (GOLDEN / name).read_text().startswith("exit 0\n")
