@@ -15,8 +15,10 @@ formula, and `cumulant_recursive` by the recursion
 K_n(a_1, ..) = K_{n-1}(a_1 a_2, ..) - e(a_1) K_{n-1}(a_2, ..); they are
 the oracles on PolyForms for the two tables, which give K_n's nonzero
 values on every code tuple of a per-slot product of code sets:
-`cumulant_table` by the direct formula and `cumulant_recursive_table` by
-the recursion.  The cumulants suite compares the two tables.
+`cumulant_table` by the direct formula, doing its products and chain-map
+images once per distinct run product rather than once per run, and
+`cumulant_recursive_table` by the recursion.  The cumulants suite
+compares the two tables.
 """
 
 from __future__ import annotations
@@ -108,8 +110,9 @@ class CumulantContext:
 
     Chain-map values and PolyForm products are memoized per context, and so
     are the inner values of the per-tuple `cumulant_recursive`.  The two
-    tables keep nothing else here: `cumulant_table` interns values and
-    `cumulant_recursive_table` memoizes sub-tables within one call only.
+    tables keep nothing else here: `cumulant_table` keeps its run groups,
+    scaled tails and distinct values, and `cumulant_recursive_table` its
+    sub-tables, within one call only.  Both products are bilinear.
 
     `apply` and `multiply` take PolyForms or basis codes.  A code is mapped
     through its decoded monomial once and cached under the int; None is the
@@ -245,58 +248,124 @@ def cumulant(ctx: CumulantContext, inputs: Sequence[PolyForm | int]) -> Cochain:
     return total
 
 
-def cumulant_table(ctx: CumulantContext, domain: Sequence[Iterable[int]]
+def _code_slots(domain: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
+    """A domain's slots as tuples of distinct basis codes, checked.
+
+    A code must be a nonnegative int; a bool is refused, as it is not a
+    code.  The error names the slot, as `hom_complex` does for inputs.
+    """
+    slots = []
+    for i, slot in enumerate(domain):
+        slot = tuple(slot)
+        for x in slot:
+            if type(x) is not int:
+                raise TypeError(
+                    f"slot {i}: expected a basis code, got {type(x).__name__}")
+            if x < 0:
+                raise ValueError(f"slot {i}: basis code {x} is negative")
+        slots.append(tuple(dict.fromkeys(slot)))
+    if not slots:
+        raise ValueError("cumulant requires at least one input")
+    return slots
+
+
+def cumulant_table(ctx: CumulantContext, domain: Iterable[Iterable[int]]
                    ) -> dict[tuple[int, ...], Cochain]:
     """K_n's nonzero values on every code tuple of a per-slot product.
 
-    `domain` holds one collection of basis codes per slot; a tuple missing
-    from the table is a zero.  The direct sum is grouped by its first
-    block: with S_i the signed sum over the compositions of inputs i..n-1,
+    `domain` holds one collection of basis codes per slot (nonnegative
+    ints; anything else is refused); a tuple missing from the table is a
+    zero.  The direct sum is grouped by its first block: with S_i the
+    signed sum over the compositions of inputs i..n-1,
     S_i = e(x_i..x_{n-1}) - sum_{j < n-1} e(x_i..x_j) S_{j+1}, and
     K_n = S_0.  This factors the direct formula; it never merges inputs as
-    the recursion does.  Runs that are None (dt^dt) are dropped as they
-    form, only nonzero images and tables are multiplied, and equal values
-    are interned within the call.  Any source product works; under one
-    other than the wedge the runs are PolyForms.
+    the recursion does.
+
+    The work is done once per distinct run product, not once per run.
+    The runs x_i..x_j are kept grouped by their product, a run that is
+    None (dt^dt) is dropped as it forms, and each group is mapped once.
+    For each nonzero image e and span j < n-1 the scaled tail, the nonzero
+    (ys, -e S_{j+1}(ys)), is built once per call and added at xs + ys for
+    every run xs of the group; at j = n-1 the tail is the one entry
+    ((), e).  The sums run over the few distinct values as indices, and
+    each pair of them is added once per call.  Only nonzero values are
+    stored, each distinct value as one object.  Any source product works;
+    under one other than the wedge the run products are PolyForms.
     """
-    slots = [tuple(slot) for slot in domain]
+    slots = _code_slots(domain)
     n = len(slots)
-    if n == 0:
-        raise ValueError("cumulant requires at least one input")
     apply, multiply, product = ctx.apply, ctx.multiply, ctx.target_product
     zero = Cochain.zero()
-    interned: dict[Cochain, Cochain] = {}
+    values: list[Cochain] = []  # the distinct values met, each once
+    index: dict[Cochain, int] = {}
+    sums: dict[tuple[int, int], int] = {}  # (a, b) -> a + b, by index
+
+    def intern(value: Cochain) -> int:
+        k = index.get(value)
+        if k is None:
+            k = index[value] = len(values)
+            values.append(value)
+        return k
+
     tails: list[dict] = [{}] * n  # tails[i] is the table of S_i
+    # scaled[j][image]: (ys, index of -image * S_{j+1}(ys)) for the nonzero
+    # ones, and for j = n - 1 the one entry ((), index of image)
+    scaled: list[dict] = [{} for _ in range(n)]
     for i in reversed(range(n)):
         table = {}
-        # one first input at a time, so the unfiltered sums stay small
+        # one first input at a time, so `total`, which holds the value
+        # indices of the sums before zeros are dropped, stays small
         for x in slots[i]:
             total: dict = {}
-            runs = {(x,): x}
+            groups = {x: [(x,)]}  # run product -> the runs x_i..x_j with it
             for j in range(i, n):
                 if j > i:
-                    runs = {xs + (y,): multiply(acc, y)
-                            for xs, acc in runs.items() for y in slots[j]}
-                    runs = {xs: acc for xs, acc in runs.items()
-                            if acc is not None}
-                for xs, acc in runs.items():
+                    grown: dict = {}
+                    for acc, runs in groups.items():
+                        for y in slots[j]:
+                            ab = multiply(acc, y)
+                            if ab is None:
+                                continue
+                            longer = [xs + (y,) for xs in runs]
+                            group = grown.get(ab)
+                            if group is None:
+                                grown[ab] = longer
+                            else:
+                                group += longer
+                    groups = grown
+                for acc, runs in groups.items():
                     image = apply(acc)
-                    if image.is_zero():
+                    if image is zero:
                         continue
-                    if j == n - 1:
-                        previous = total.get(xs)
-                        total[xs] = image if previous is None else previous + image
-                        continue
-                    for ys, tail in tails[j + 1].items():
-                        value = product(image, tail)
-                        if value is zero:
-                            continue
-                        key = xs + ys
-                        previous = total.get(key)
-                        total[key] = -value if previous is None else previous - value
-            for xs, value in total.items():
-                if not value.is_zero():
-                    table[xs] = interned.setdefault(value, value)
+                    entries = scaled[j].get(image)
+                    if entries is None:
+                        if j == n - 1:
+                            entries = [((), intern(image))]
+                        else:
+                            entries = []
+                            negated = -image  # the product is bilinear
+                            for ys, tail in tails[j + 1].items():
+                                value = product(negated, tail)
+                                if value is not zero:
+                                    entries.append((ys, intern(value)))
+                        scaled[j][image] = entries
+                    for xs in runs:
+                        for ys, k in entries:
+                            key = xs + ys
+                            previous = total.get(key)
+                            if previous is None:
+                                total[key] = k
+                                continue
+                            pair = (previous, k)
+                            summed = sums.get(pair)
+                            if summed is None:
+                                summed = sums[pair] = intern(
+                                    values[previous] + values[k])
+                            total[key] = summed
+            for xs, k in total.items():
+                value = values[k]
+                if value is not zero:
+                    table[xs] = value
         tails[i] = table
     return tails[0]
 
@@ -325,7 +394,8 @@ def cumulant_recursive(ctx: CumulantContext,
     return head - split
 
 
-def cumulant_recursive_table(ctx: CumulantContext, domain: Sequence[Iterable]
+def cumulant_recursive_table(ctx: CumulantContext,
+                             domain: Iterable[Iterable[int]]
                              ) -> dict[tuple, Cochain]:
     """K_n's nonzero values on a per-slot product, by the recursion.
 
@@ -335,14 +405,14 @@ def cumulant_recursive_table(ctx: CumulantContext, domain: Sequence[Iterable]
     `hom_complex.wedge_at` does, and the split term subtracts
     e(x_0) K_{n-1}(x_1, ..) for each x_0 with a nonzero image and each
     entry of the K_{n-1} table on slots 1.. .  Sub-tables are memoized per
-    domain within the call and nothing is kept in the context.  Every
-    product goes through `ctx.multiply` and `ctx.target_product`, so any
-    context works; under a source product other than the wedge the merged
-    slots hold PolyForms.  The result has the keys and values of
-    `cumulant_table`, from which it shares no code.
+    domain within the call and freed when it returns; nothing is kept in
+    the context.  Every product goes through `ctx.multiply` and
+    `ctx.target_product`, so any context works; under a source product
+    other than the wedge the merged slots hold PolyForms, and only the
+    domain given is checked for codes.  The result has the keys and values
+    of `cumulant_table`, with which it shares nothing but that check.
     """
-    if len(domain) == 0:
-        raise ValueError("cumulant requires at least one input")
+    domain = _code_slots(domain)
     apply, multiply, product = ctx.apply, ctx.multiply, ctx.target_product
     memo: dict[tuple[frozenset, ...], dict] = {}
 
@@ -388,7 +458,12 @@ def cumulant_recursive_table(ctx: CumulantContext, domain: Sequence[Iterable]
                         result[key] = difference
         return result
 
-    return table(tuple(map(frozenset, domain)))
+    try:
+        return table(tuple(map(frozenset, domain)))
+    finally:
+        # `table` refers to itself through its closure: break that cycle,
+        # or the memo of every sub-table lives on until a cyclic collection
+        del table
 
 
 def term_notation(composition: Composition, letters: str | None = None,
