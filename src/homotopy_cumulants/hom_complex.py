@@ -28,9 +28,12 @@ derivative codes, a cup multiplies the nonzero entries of two tables, a
 linear combination adds tables, I_n is Chen's closed form, and the
 cumulant K_n is `cumulants.cumulant_table`.  Tables are memoized per map
 and per domain.  This is the only engine: a library map evaluates any
-forms by contracting its table over their basis codes (see
-`MultiMap.__call__`).  Only user-built maps, which have no table rule,
-run an evaluator on PolyForms.
+forms by contracting a table over the product of their supports (see
+`MultiMap.__call__`).  The table is any kept one whose domain covers
+the supports, else one built over S^n with S their union, so a call
+costs at most one table over S^n plus one lookup per tuple of the
+product; which table is read cannot change the value.  Only user-built
+maps, which have no table rule, run an evaluator on PolyForms.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
+from operator import getitem
 from typing import Callable, Iterable, Sequence
 
 from .cumulants import CumulantContext, cumulant_table, integration_context
@@ -96,10 +100,10 @@ class MultiMap:
     its map's table for delta and for every d insertion) is built once.
     `table_rule(domain)` builds the table from the children's tables; the
     combinators set it after construction.  Calling a map on forms or
-    codes contracts its table (see `__call__`).  A map without a rule (a
-    user-built map) keeps its evaluator: a call runs it on the inputs,
-    codes decoded, and its table runs it on the decoded PolyForms of every
-    tuple of the domain.
+    codes contracts a table that covers the inputs, kept or built (see
+    `__call__`).  A map without a rule (a user-built map) keeps its
+    evaluator: a call runs it on the inputs, codes decoded, and its table
+    runs it on the decoded PolyForms of every tuple of the domain.
 
     Sums are flat: `+`, `-` and `scale` build a linear combination (see
     `linear_combination`) whose `terms` are (leaf map, coefficient) pairs,
@@ -130,12 +134,18 @@ class MultiMap:
 
         Each input is expanded into integer coefficients on basis codes
         over one denominator (a code is itself with coefficient 1).  The
-        map's table is taken on the domain (S,) * arity, with S the union
-        of the inputs' supports, so inputs with the same support share a
-        table; each entry is weighted by the product of its slots'
-        coefficients, and the numerators are summed per entry denominator.
-        The cost is one table over S^arity, kept with the map's other
-        tables, so calls on many distinct supports keep many tables.
+        table read is the first one the map keeps whose domain covers
+        every slot's support; if none does, the table on (S,) * arity, with
+        S the union of the inputs' supports, is built and kept.  The
+        table is contracted over the product S_1 x .. x S_arity of the
+        supports: each tuple found in it is weighted by the product of its
+        slots' coefficients, and the numerators are summed per entry
+        denominator.  An entry depends on its code tuple alone and a tuple
+        missing from a covering table is a zero, so the value does not
+        depend on which table is read.  The cost is at most one table over
+        S^arity, plus one lookup per tuple of the product, plus one scan of
+        the domains the map keeps; calls on many distinct supports that no
+        kept table covers keep many tables.
         """
         if len(forms) != self.arity:
             raise ValueError(
@@ -144,16 +154,17 @@ class MultiMap:
         if self.table_rule is None:
             return self._evaluator(*(x if isinstance(x, PolyForm)
                                      else decode_basis(x) for x in forms))
-        support = frozenset().union(*weights)
+        table = next((kept for domain, kept in self._tables.items()
+                      if all(w.keys() <= slot
+                             for w, slot in zip(weights, domain))), None)
+        if table is None:
+            support = frozenset().union(*weights)
+            table = self.table((support,) * self.arity)
         sums: dict[int, list[int]] = {}
-        for xs, value in self.table((support,) * self.arity).items():
-            w = 1
-            for coefficients, x in zip(weights, xs):
-                c = coefficients.get(x)
-                if c is None:
-                    break
-                w *= c
-            else:
+        for xs in itertools.product(*weights):
+            value = table.get(xs)
+            if value is not None:
+                w = prod(map(getitem, weights, xs))
                 total = sums.get(value.den)
                 if total is None:
                     sums[value.den] = [w * value.n0, w * value.n1, w * value.ne]

@@ -16,7 +16,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homotopy_cumulants import cube_complex, formal_ainfty, hom_complex, suites
@@ -851,3 +851,42 @@ def test_a_call_tabulates_the_union_of_the_supports():
     assert value == reference(build)(*forms) != Cochain.zero()
     support = frozenset(map(encode_basis, (PolyForm.monomial(40), DT, T, ONE)))
     assert domains == [(support,) * 4]
+
+
+KEPT_TABLES = {
+    "boundary of H_3": lambda c: hom_boundary(homotopy_witness(3, c), c),
+    "K_3": lambda c: cumulant_multimap(3),
+    "morphism defect n=3": lambda c: ainfty_relation_defect(3, 0, c)[1],
+}
+_inputs = st.lists(st.one_of(st.integers(0, 9), _mixed_forms),
+                   min_size=3, max_size=3)
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS, ids=lambda c: c.name)
+@pytest.mark.parametrize("family", KEPT_TABLES)
+@settings(max_examples=15, deadline=None)
+@given(inputs=_inputs, zero_slot=st.one_of(st.none(), st.integers(0, 2)))
+@example(inputs=[PolyForm((1, 0, 0, 2), (0, 1)), 8, 3], zero_slot=None)
+@example(inputs=[T + DT, PolyForm((0, 1), (0, 0, 0, 5)), 9], zero_slot=2)
+def test_values_do_not_depend_on_the_kept_tables(family, convention, inputs,
+                                                 zero_slot):
+    """A call reads the first kept table that covers its inputs, or builds
+    one: a fresh map, the same map with its D = 2 grid table kept, and the
+    reference agree on inputs whose supports lie partly off that grid."""
+    def build():
+        return KEPT_TABLES[family](convention)
+
+    if zero_slot is not None:
+        inputs[zero_slot] = PolyForm.zero()
+    codes = TruncationGrid(2).slot_codes()
+    fresh, kept = build(), build()
+    kept.table([codes] * 3)
+    # the defect keeps the D = 0 grid table of its own verdict
+    fresh_tables, kept_tables = len(fresh._tables), len(kept._tables)
+    expected = reference(build)(*inputs)
+    assert fresh(*inputs) == kept(*inputs) == expected
+    # the grid table was read if it covers every support, else one was built
+    covered = all(hom_complex._expansion(slot, x)[0].keys() <= set(codes)
+                  for slot, x in enumerate(inputs))
+    assert len(kept._tables) == kept_tables + (not covered)
+    assert len(fresh._tables) <= fresh_tables + 1

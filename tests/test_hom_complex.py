@@ -234,7 +234,8 @@ class TestLinearCombination:
 
     def test_h4_evaluates_its_shared_h3_once_per_tuple(self, monkeypatch):
         # h3 tabulates once per domain, whether a sweep or a call on codes
-        # or forms asks for the table
+        # or forms asks for the table; a call reads a kept table that
+        # covers its inputs' supports, and builds one only if none does
         built = []
 
         def counting(arity, shifted_degree, pairs, name):
@@ -256,12 +257,21 @@ class TestLinearCombination:
         codes = TruncationGrid(2).slot_codes()
         h4.table([codes] * 4)
         assert len(h3_domains) == 2  # the merged-code domain and the grid
+        grid_domains = list(h4._tables)
+        assert grid_domains == [(frozenset(codes),) * 4]
+        # calls inside the grid read the grid table and build no table
         for xs in itertools.product(codes, repeat=4):
             h4(*xs)
         forms = (T, DT, PolyForm((1,), (0, 1)), PolyForm.monomial(2, dt=True))
         for xs in itertools.product(forms, repeat=4):
             h4(*xs)
-        assert len(h3_domains) > 100
+        assert len(h3_domains) == 2
+        assert list(h4._tables) == grid_domains
+        # t^3 lies outside the D = 2 grid: one new table, on (S,) * 4
+        t3 = PolyForm.monomial(3)
+        h4(t3, T, DT, forms[3])
+        support = frozenset(map(encode_basis, (t3, T, DT, forms[3])))
+        assert list(h4._tables) == grid_domains + [(support,) * 4]
         assert len(set(h3_domains)) == len(h3_domains) == len(h3._tables)
 
 
