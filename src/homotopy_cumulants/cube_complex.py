@@ -25,9 +25,9 @@ from .hom_complex import (
     TruncationGrid,
     cup_pair,
     hom_boundary,
+    linear_combination,
     maps_equal_on_truncation,
     merged_integral,
-    zero_map,
 )
 
 LOW, HIGH, FREE = "L", "H", "F"
@@ -250,10 +250,11 @@ def verify_cell(n: int, cell: CubeCell, max_exponent: int,
     if cell.dimension < 1:
         raise ValueError("verify_cell needs a cell of dimension >= 1")
     boundary_map = hom_boundary(cell_to_map(n, cell, convention), convention)
-    facet_sum = zero_map(n, boundary_map.shifted_degree)
-    for sign, facet in cell_boundary(cell):
-        term = cell_to_map(n, facet, convention)
-        facet_sum = facet_sum + (term if sign > 0 else term.scale(-1))
+    facet_sum = linear_combination(
+        n, boundary_map.shifted_degree,
+        ((cell_to_map(n, facet, convention), sign)
+         for sign, facet in cell_boundary(cell)),
+        f"facets({cell.to_text()})")
     return maps_equal_on_truncation(
         boundary_map, facet_sum, TruncationGrid(max_exponent),
         check=f"cell {cell.to_text()} boundary, n={n}")

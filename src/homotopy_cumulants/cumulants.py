@@ -108,11 +108,11 @@ def composition_sign(c: Composition) -> int:
 class CumulantContext:
     """A chain map together with the two products it fails to intertwine.
 
-    Chain-map values and PolyForm products are memoized per context, and so
-    are the inner values of the per-tuple `cumulant_recursive`.  The two
-    tables keep nothing else here: `cumulant_table` keeps its run groups,
-    scaled tails and distinct values, and `cumulant_recursive_table` its
-    sub-tables, within one call only.  Both products are bilinear.
+    Chain-map values and PolyForm products are memoized per context.
+    Nothing else is kept here: `cumulant_recursive` keeps its inner values,
+    `cumulant_table` its run groups, scaled tails and distinct values, and
+    `cumulant_recursive_table` its sub-tables, within one call only.  Both
+    products are bilinear.
 
     `apply` and `multiply` take PolyForms or basis codes.  A code is mapped
     through its decoded monomial once and cached under the int; None is the
@@ -129,7 +129,6 @@ class CumulantContext:
     def __post_init__(self):
         object.__setattr__(self, "_map_cache", {None: Cochain.zero()})
         object.__setattr__(self, "_product_cache", {})
-        object.__setattr__(self, "_recursive_cache", {})
         object.__setattr__(self, "_wedge_source", self.source_product is wedge)
 
     def apply(self, form: PolyForm | int | None) -> Cochain:
@@ -374,24 +373,26 @@ def cumulant_recursive(ctx: CumulantContext,
                        inputs: Sequence[PolyForm | int]) -> Cochain:
     """K_n(a_1,..) = K_{n-1}(a_1 a_2, a_3,..) - e(a_1) K_{n-1}(a_2,..).
 
-    The recursion is memoized per context on its inner calls: each call
-    reads the memo and stores the values of the two calls it makes, so the
-    outermost tuple is never stored and a sweep over n-tuples keeps none.
+    The inner values are memoized within the call, so a sweep over
+    n-tuples keeps nothing once each call returns.
     """
     if len(inputs) == 0:
         raise ValueError("cumulant requires at least one input")
-    key = tuple(inputs)
-    cache = ctx._recursive_cache
-    value = cache.get(key)
-    if value is not None:
-        return value
-    if len(key) == 1:
-        return ctx.apply(key[0])
-    merged, rest = (ctx.multiply(key[0], key[1]),) + key[2:], key[1:]
-    cache[rest] = tail = cumulant_recursive(ctx, rest)
-    split = ctx.target_product(ctx.apply(key[0]), tail)
-    cache[merged] = head = cumulant_recursive(ctx, merged)
-    return head - split
+    return _recursive(ctx, tuple(inputs), {})
+
+
+def _recursive(ctx: CumulantContext, key: tuple, memo: dict) -> Cochain:
+    value = memo.get(key)
+    if value is None:
+        if len(key) == 1:
+            value = ctx.apply(key[0])
+        else:
+            tail = _recursive(ctx, key[1:], memo)
+            split = ctx.target_product(ctx.apply(key[0]), tail)
+            merged = (ctx.multiply(key[0], key[1]),) + key[2:]
+            value = _recursive(ctx, merged, memo) - split
+        memo[key] = value
+    return value
 
 
 def cumulant_recursive_table(ctx: CumulantContext,

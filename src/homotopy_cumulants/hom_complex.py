@@ -577,31 +577,23 @@ def map_is_zero_on(f: MultiMap, grid: TruncationGrid,
 
 def _morphism_source(n: int, convention: SignConvention) -> MultiMap:
     """Insertion side of the morphism relation for (I, I2, .., I_n)."""
-    terms: list[MultiMap] = []
-    d_part = d_insertion_sum(iterated_integral_map(n), convention)
-    terms.append(d_part if (n - 1) % 2 == 0 else d_part.scale(-1))
+    pairs = [(d_insertion_sum(iterated_integral_map(n), convention),
+              (-1) ** (n - 1))]
     if n >= 2:
         lower = iterated_integral_map(n - 1)
-        for u in range(n - 1):
-            term = wedge_at(lower, u)
-            terms.append(term if (n + u) % 2 == 0 else term.scale(-1))
-    total = terms[0]
-    for term in terms[1:]:
-        total = total + term
-    return total
+        pairs.extend((wedge_at(lower, u), (-1) ** (n + u)) for u in range(n - 1))
+    return linear_combination(n, 1, pairs, f"morphism_source({n})")
 
 
 def _morphism_target(n: int, convention: SignConvention) -> MultiMap:
     """Product side: delta . I_n plus the signed cup(I_i x I_j) terms."""
     i_n = iterated_integral_map(n)
-    total = _tabulated(n, 1, f"delta.I{n}",
-                       lambda domain: _delta_table(i_n.table(domain)))
-    for i in range(1, n):
-        j = n - i
-        term = cup_pair(iterated_integral_map(i),
-                        iterated_integral_map(j), convention)
-        total = total + (term if (j - 1) % 2 == 0 else term.scale(-1))
-    return total
+    pairs = [(_tabulated(n, 1, f"delta.I{n}",
+                         lambda domain: _delta_table(i_n.table(domain))), 1)]
+    pairs.extend((cup_pair(iterated_integral_map(i), iterated_integral_map(n - i),
+                           convention), (-1) ** (n - i - 1))
+                 for i in range(1, n))
+    return linear_combination(n, 1, pairs, f"morphism_target({n})")
 
 
 def ainfty_relation_defect(

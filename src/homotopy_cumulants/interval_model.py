@@ -65,14 +65,6 @@ class Polynomial:
         raise AttributeError("Polynomial is immutable")
 
     @classmethod
-    def zero(cls) -> "Polynomial":
-        return _POLY_ZERO
-
-    @classmethod
-    def one(cls) -> "Polynomial":
-        return _POLY_ONE
-
-    @classmethod
     def monomial(cls, exponent: int, coefficient: Scalar = 1) -> "Polynomial":
         if exponent < 0:
             raise ValueError("exponent must be nonnegative")
@@ -247,7 +239,6 @@ def _lcm_upto(m: int) -> int:
 
 
 _POLY_ZERO = _stored((), 1)
-_POLY_ONE = Polynomial([1])
 
 
 class PolyForm:

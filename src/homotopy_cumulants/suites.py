@@ -1,4 +1,18 @@
-"""Named verification suites producing deterministic JSON reports."""
+"""Named verification suites producing deterministic JSON reports.
+
+Every entry is recorded by `_entry(check, parameters, body)`, which runs
+the body at once, with no arguments (so a body may close over a loop
+variable), and records what it returns:
+
+* a bool: the status, with no witness;
+* an `EqualityVerdict`: its `equal` is the status, and on failure the
+  witness is its `to_json_dict()` as JSON with sorted keys;
+* a (status, witness) pair: both as given, the witness a text or None.
+
+Parameters are recorded as strings.  `duration_ms` is the body's own
+wall time in whole milliseconds: work done before the body is called,
+such as building a shared context, is not counted.
+"""
 
 from __future__ import annotations
 
@@ -6,9 +20,11 @@ import itertools
 import json
 import time
 from dataclasses import dataclass
+from typing import Callable
 
 from . import __version__
 from .cumulants import (
+    CumulantContext,
     composition_sign,
     compositions,
     cumulant_recursive_table,
@@ -39,6 +55,8 @@ from .formal_ainfty import (
 )
 from .hom_complex import (
     CONVENTION_A,
+    EqualityVerdict,
+    MultiMap,
     SignConvention,
     TruncationGrid,
     ainfty_relation_defect,
@@ -47,9 +65,9 @@ from .hom_complex import (
     hom_boundary,
     homotopy_witness,
     iterated_integral_map,
+    linear_combination,
     map_is_zero_on,
     maps_equal_on_truncation,
-    zero_map,
 )
 from .interval_model import (
     Cochain,
@@ -92,88 +110,71 @@ class ReportEntry:
         return record
 
 
-class _Recorder:
-    def __init__(self):
-        self.entries: list[ReportEntry] = []
-
-    def add(self, check: str, parameters: dict, status: bool,
-            witness: str | None = None, started: float | None = None):
-        duration = int((time.monotonic() - started) * 1000) if started else 0
-        self.entries.append(ReportEntry(
-            check, {k: str(v) for k, v in parameters.items()},
-            bool(status), witness, duration))
-
-    def verdict(self, verdict, parameters: dict, started: float | None = None):
-        witness = None
-        if not verdict.equal:
-            witness = json.dumps(verdict.to_json_dict(), sort_keys=True)
-        self.add(verdict.check, parameters, verdict.equal, witness, started)
-
-
-def _monomials(max_exponent: int) -> list[PolyForm]:
-    return list(TruncationGrid(max_exponent).slot_basis())
+def _entry(check: str, parameters: dict,
+           body: Callable[[], bool | EqualityVerdict | tuple[bool, str | None]]
+           ) -> ReportEntry:
+    """Run one check body, timed, and record its outcome as an entry."""
+    started = time.monotonic()
+    outcome = body()
+    duration_ms = int((time.monotonic() - started) * 1000)
+    witness = None
+    if isinstance(outcome, EqualityVerdict):
+        status = outcome.equal
+        if not status:
+            witness = json.dumps(outcome.to_json_dict(), sort_keys=True)
+    elif isinstance(outcome, tuple):
+        status, witness = outcome
+    else:
+        status = outcome
+    return ReportEntry(check, {k: str(v) for k, v in parameters.items()},
+                       status, witness, duration_ms)
 
 
 def run_dga_suite(degree: int) -> list[ReportEntry]:
     """Differential graded algebra axioms for forms and cochains."""
-    rec = _Recorder()
-    basis = _monomials(degree)
-    started = time.monotonic()
-    ok = all(d_form(d_form(a)).is_zero() for a in basis)
-    rec.add("forms: d.d = 0", {"degree": degree}, ok, started=started)
-
-    started = time.monotonic()
-    ok = True
-    for a, b in itertools.product(basis, repeat=2):
-        pa = 1 if a.part0.is_zero() else 0
-        lhs = d_form(wedge(a, b))
-        rhs = wedge(d_form(a), b) + wedge(a, d_form(b)).scale((-1) ** pa)
-        if lhs != rhs:
-            ok = False
-            break
-    rec.add("forms: graded Leibniz", {"degree": degree}, ok, started=started)
-
-    started = time.monotonic()
-    ok = True
-    for a, b in itertools.product(basis, repeat=2):
-        pa = 1 if a.part0.is_zero() else 0
-        pb = 1 if b.part0.is_zero() else 0
-        if wedge(a, b) != wedge(b, a).scale((-1) ** (pa * pb)):
-            ok = False
-            break
-    rec.add("forms: graded commutativity", {"degree": degree}, ok, started=started)
-
-    cochain_basis = [Cochain(1, 0, 0), Cochain(0, 1, 0), Cochain(0, 0, 1)]
-    started = time.monotonic()
-    ok = all(delta(delta(a)).is_zero() for a in cochain_basis)
-    rec.add("cochains: delta.delta = 0", {}, ok, started=started)
-
-    started = time.monotonic()
-    ok = all(cup(cup(a, b), c) == cup(a, cup(b, c))
-             for a, b, c in itertools.product(cochain_basis, repeat=3))
-    rec.add("cochains: cup associativity", {}, ok, started=started)
-
-    started = time.monotonic()
-    ok = True
-    for a, b in itertools.product(cochain_basis, repeat=2):
-        pa = 1 if (a.v0.numerator == 0 and a.v1.numerator == 0) else 0
-        lhs = delta(cup(a, b))
-        rhs = cup(delta(a), b) + cup(a, delta(b)).scale((-1) ** pa)
-        if lhs != rhs:
-            ok = False
-            break
-    rec.add("cochains: delta Leibniz over cup", {}, ok, started=started)
-    return rec.entries
+    basis = TruncationGrid(degree).slot_basis()
+    cochains = [Cochain(1, 0, 0), Cochain(0, 1, 0), Cochain(0, 0, 1)]
+    # a form with no dt-free part, and a cochain with no vertex values,
+    # has odd degree
+    return [
+        _entry("forms: d.d = 0", {"degree": degree}, lambda: all(
+            d_form(d_form(a)).is_zero() for a in basis)),
+        _entry("forms: graded Leibniz", {"degree": degree}, lambda: all(
+            d_form(wedge(a, b)) == wedge(d_form(a), b)
+            + wedge(a, d_form(b)).scale(-1 if a.part0.is_zero() else 1)
+            for a, b in itertools.product(basis, repeat=2))),
+        _entry("forms: graded commutativity", {"degree": degree}, lambda: all(
+            wedge(a, b) == wedge(b, a).scale(
+                -1 if a.part0.is_zero() and b.part0.is_zero() else 1)
+            for a, b in itertools.product(basis, repeat=2))),
+        _entry("cochains: delta.delta = 0", {}, lambda: all(
+            delta(delta(a)).is_zero() for a in cochains)),
+        _entry("cochains: cup associativity", {}, lambda: all(
+            cup(cup(a, b), c) == cup(a, cup(b, c))
+            for a, b, c in itertools.product(cochains, repeat=3))),
+        _entry("cochains: delta Leibniz over cup", {}, lambda: all(
+            delta(cup(a, b)) == cup(delta(a), b) + cup(a, delta(b)).scale(
+                -1 if a.v0.numerator == 0 and a.v1.numerator == 0 else 1)
+            for a, b in itertools.product(cochains, repeat=2))),
+    ]
 
 
 def run_chain_map_suite(degree: int) -> list[ReportEntry]:
     """Stokes: integration intertwines d and delta."""
-    rec = _Recorder()
-    started = time.monotonic()
-    ok = all(integrate(d_form(a)) == delta(integrate(a))
-             for a in _monomials(degree))
-    rec.add("integration is a chain map", {"degree": degree}, ok, started=started)
-    return rec.entries
+    return [_entry("integration is a chain map", {"degree": degree}, lambda: all(
+        integrate(d_form(a)) == delta(integrate(a))
+        for a in TruncationGrid(degree).slot_basis()))]
+
+
+def _cumulant_tables_agree(ctx: CumulantContext, n: int,
+                           exponent: int) -> tuple[bool, str | None]:
+    codes = TruncationGrid(exponent).slot_codes()
+    domain = (codes,) * n
+    first = first_difference(cumulant_table(ctx, domain),
+                             cumulant_recursive_table(ctx, domain), codes)
+    if first is None:
+        return True, None
+    return False, "; ".join(decode_basis(x).to_text() for x in first)
 
 
 def run_cumulants_suite(n_max: int, degree: int) -> list[ReportEntry]:
@@ -182,175 +183,147 @@ def run_cumulants_suite(n_max: int, degree: int) -> list[ReportEntry]:
     Both sides are tables over the grid, compared whole; on a mismatch the
     witness is the first differing tuple in slot-major order.
     """
-    rec = _Recorder()
     ctx = integration_context()
-
+    entries = []
     for n in range(1, n_max + 1):
-        started = time.monotonic()
         exponent = min(degree, _CUMULANT_EXPONENT_CAPS.get(n, 4))
-        codes = TruncationGrid(exponent).slot_codes()
-        domain = (codes,) * n
-        first = first_difference(cumulant_table(ctx, domain),
-                                 cumulant_recursive_table(ctx, domain), codes)
-        witness = None
-        if first is not None:
-            witness = "; ".join(decode_basis(x).to_text() for x in first)
-        rec.add(f"direct vs recursive cumulant n={n}",
-                {"n": n, "exponent": exponent}, first is None, witness, started)
+        entries.append(_entry(f"direct vs recursive cumulant n={n}",
+                              {"n": n, "exponent": exponent},
+                              lambda: _cumulant_tables_agree(ctx, n, exponent)))
 
-    started = time.monotonic()
-    ok = all(len(compositions(n)) == 2 ** (n - 1) for n in range(1, n_max + 1))
-    rec.add("composition count is 2^(n-1)", {"n_max": n_max}, ok, started=started)
-
-    started = time.monotonic()
     double = endpoint_evaluation_context()
     zero_codes = [encode_basis(PolyForm.monomial(k))
                   for k in range(min(degree, 3) + 1)]
-    # K_1 is the map itself; vanishing starts at the second cumulant
-    ok = not any(cumulant_table(double, (zero_codes,) * n)
-                 for n in range(2, min(n_max, 4) + 1))
-    rec.add("algebra morphism has zero cumulants",
-            {"n_max": min(n_max, 4)}, ok, started=started)
-    return rec.entries
+    return entries + [
+        _entry("composition count is 2^(n-1)", {"n_max": n_max}, lambda: all(
+            len(compositions(n)) == 2 ** (n - 1) for n in range(1, n_max + 1))),
+        # K_1 is the map itself; vanishing starts at the second cumulant
+        _entry("algebra morphism has zero cumulants", {"n_max": min(n_max, 4)},
+               lambda: not any(cumulant_table(double, (zero_codes,) * n)
+                               for n in range(2, min(n_max, 4) + 1))),
+    ]
 
 
 def run_ainfty_suite(n_max: int, degree: int,
                      convention: SignConvention = CONVENTION_A) -> list[ReportEntry]:
-    rec = _Recorder()
     grid = TruncationGrid(degree)
-
-    started = time.monotonic()
-    verdict = map_is_zero_on(hom_boundary(iterated_integral_map(1), convention),
-                             grid, check="boundary(I1) = 0")
-    rec.verdict(verdict, {"degree": degree}, started)
-
-    started = time.monotonic()
-    verdict = maps_equal_on_truncation(
-        hom_boundary(iterated_integral_map(2), convention),
-        cumulant_multimap(2), grid, check="boundary(I2) = K2")
-    rec.verdict(verdict, {"degree": degree}, started)
-
+    entries = [
+        _entry("boundary(I1) = 0", {"degree": degree}, lambda: map_is_zero_on(
+            hom_boundary(iterated_integral_map(1), convention), grid,
+            check="boundary(I1) = 0")),
+        _entry("boundary(I2) = K2", {"degree": degree},
+               lambda: maps_equal_on_truncation(
+                   hom_boundary(iterated_integral_map(2), convention),
+                   cumulant_multimap(2), grid, check="boundary(I2) = K2")),
+    ]
     for n in range(1, n_max + 1):
-        started = time.monotonic()
-        verdict, _ = ainfty_relation_defect(n, degree, convention)
-        rec.verdict(verdict, {"n": n, "degree": degree}, started)
-
+        entries.append(_entry(
+            f"morphism relation n={n} (convention {convention.name})",
+            {"n": n, "degree": degree},
+            lambda: ainfty_relation_defect(n, degree, convention)[0]))
     for n in range(2, min(n_max, 4) + 1):
-        started = time.monotonic()
-        verdict = maps_equal_on_truncation(
-            hom_boundary(homotopy_witness(n, convention), convention),
-            cumulant_multimap(n), grid,
-            check=f"boundary(H{n}) = K{n}")
-        rec.verdict(verdict, {"n": n, "degree": degree}, started)
-
+        check = f"boundary(H{n}) = K{n}"
+        entries.append(_entry(check, {"n": n, "degree": degree},
+                              lambda: maps_equal_on_truncation(
+                                  hom_boundary(homotopy_witness(n, convention),
+                                               convention),
+                                  cumulant_multimap(n), grid, check=check)))
     for n in range(1, min(n_max, 3) + 1):
-        started = time.monotonic()
-        verdict = map_is_zero_on(
+        check = f"boundary.boundary(I{n}) = 0"
+        entries.append(_entry(check, {"n": n}, lambda: map_is_zero_on(
             hom_boundary(hom_boundary(iterated_integral_map(n), convention),
                          convention),
-            TruncationGrid(min(degree, 3)),
-            check=f"boundary.boundary(I{n}) = 0")
-        rec.verdict(verdict, {"n": n}, started)
-    return rec.entries
+            TruncationGrid(min(degree, 3)), check=check)))
+    return entries
+
+
+def _is_hypercube_skeleton(n: int) -> bool:
+    graph = cumulant_graph(n)
+    degrees = graph_degrees(graph)
+    ok = (len(graph.vertices) == 2 ** (n - 1)
+          and len(graph.edges) == (n - 1) * 2 ** (n - 2)
+          and set(degrees.values()) == {n - 1}
+          and graph_is_connected(graph)
+          and graph_is_bipartite_by_sign(graph))
+    try:
+        hypercube_isomorphism(n)
+    except ValueError:
+        return False
+    return ok
+
+
+def _first_failing_cell(n: int, degree: int,
+                        convention: SignConvention) -> EqualityVerdict | bool:
+    """The verdict of the first cell of g_n that does not bound its facets,
+    or True if every cell does."""
+    verdicts = (verify_cell(n, cell, degree, convention)
+                for cell in cells_of(n) if cell.dimension >= 1)
+    return next((verdict for verdict in verdicts if not verdict.equal), True)
 
 
 def run_cube_suite(n_max: int, degree: int,
                    convention: SignConvention = CONVENTION_A) -> list[ReportEntry]:
-    rec = _Recorder()
+    entries = []
     for n in range(2, n_max + 1):
-        started = time.monotonic()
-        graph = cumulant_graph(n)
-        degrees = graph_degrees(graph)
-        ok = (len(graph.vertices) == 2 ** (n - 1)
-              and len(graph.edges) == (n - 1) * 2 ** (n - 2)
-              and set(degrees.values()) == {n - 1}
-              and graph_is_connected(graph)
-              and graph_is_bipartite_by_sign(graph))
-        try:
-            hypercube_isomorphism(n)
-        except ValueError:
-            ok = False
-        rec.add(f"G{n} is the hypercube skeleton", {"n": n}, ok, started=started)
-
+        entries.append(_entry(f"G{n} is the hypercube skeleton", {"n": n},
+                              lambda: _is_hypercube_skeleton(n)))
     for n in range(2, n_max + 1):
-        started = time.monotonic()
-        rec.add(f"euler characteristic g{n} = 1", {"n": n},
-                euler_characteristic(n) == 1, started=started)
-
+        entries.append(_entry(f"euler characteristic g{n} = 1", {"n": n},
+                              lambda: euler_characteristic(n) == 1))
     for n in range(2, min(n_max, 4) + 1):
-        started = time.monotonic()
-        ok = True
-        witness = None
-        for cell in cells_of(n):
-            if cell.dimension < 1:
-                continue
-            verdict = verify_cell(n, cell, degree, convention)
-            if not verdict.equal:
-                ok = False
-                witness = json.dumps(verdict.to_json_dict(), sort_keys=True)
-                break
-        rec.add(f"all cells of g{n} bound their facets",
-                {"n": n, "degree": degree}, ok, witness, started)
+        entries.append(_entry(
+            f"all cells of g{n} bound their facets", {"n": n, "degree": degree},
+            lambda: _first_failing_cell(n, degree, convention)))
 
-    started = time.monotonic()
-    ok = True
-    for n in range(2, min(n_max, 4) + 1):
-        total = zero_map(n, n - 1)
-        for cell in cells_of(n):
-            if cell.is_vertex():
-                sign = composition_sign(vertex_composition(cell))
-                mapped = cell_to_map(n, cell, convention)
-                total = total + (mapped if sign > 0 else mapped.scale(-1))
-        verdict = maps_equal_on_truncation(
-            total, cumulant_multimap(n), TruncationGrid(min(degree, 3)),
-            check=f"vertex sum = K{n}")
-        if not verdict.equal:
-            ok = False
-            break
-    rec.add("signed vertex maps sum to the cumulant",
-            {"n_max": min(n_max, 4)}, ok, started=started)
-    return rec.entries
+    def vertex_sum(n: int) -> MultiMap:
+        return linear_combination(
+            n, n - 1, ((cell_to_map(n, cell, convention),
+                        composition_sign(vertex_composition(cell)))
+                       for cell in cells_of(n) if cell.is_vertex()),
+            f"vertex sum g{n}")
+
+    entries.append(_entry(
+        "signed vertex maps sum to the cumulant", {"n_max": min(n_max, 4)},
+        lambda: all(maps_equal_on_truncation(
+            vertex_sum(n), cumulant_multimap(n), TruncationGrid(min(degree, 3)),
+            check=f"vertex sum = K{n}") for n in range(2, min(n_max, 4) + 1))))
+    return entries
 
 
 def run_formal_suite(n_max: int, degree: int,
                      convention: SignConvention = CONVENTION_A) -> list[ReportEntry]:
-    rec = _Recorder()
+    entries = []
     for n in range(1, min(n_max, 5) + 1):
-        started = time.monotonic()
-        rec.add(f"formal boundary squares to zero on p{n}", {"n": n},
-                check_d_squared(n, convention), started=started)
+        entries.append(_entry(f"formal boundary squares to zero on p{n}",
+                              {"n": n}, lambda: check_d_squared(n, convention)))
 
-    started = time.monotonic()
-    ok = len(formal_boundary(p_tree(3), convention)) == 6
-    rec.add("boundary of p3 has six terms", {}, ok, started=started)
+    def is_hexagon() -> bool:
+        graph = cumulant_polytope_graph(3, convention)
+        return (len(graph.vertices) == 6 and len(graph.edges) == 6
+                and set(formal_boundary(p_tree(3), convention).terms)
+                == set(graph.edge_cells))
 
-    started = time.monotonic()
-    graph = cumulant_polytope_graph(3, convention)
-    ok = (len(graph.vertices) == 6 and len(graph.edges) == 6
-          and set(formal_boundary(p_tree(3), convention).terms) == set(graph.edge_cells))
-    rec.add("three-input polytope is a hexagon", {}, ok, started=started)
-
-    started = time.monotonic()
-    counts = [len(binary_trees(n)) for n in range(1, 9)]
-    catalan = [1, 1, 2, 5, 14, 42, 132, 429]
-    rec.add("binary tree counts are Catalan", {"n_max": 8},
-            counts == catalan, started=started)
-
+    entries += [
+        _entry("boundary of p3 has six terms", {},
+               lambda: len(formal_boundary(p_tree(3), convention)) == 6),
+        _entry("three-input polytope is a hexagon", {}, is_hexagon),
+        _entry("binary tree counts are Catalan", {"n_max": 8},
+               lambda: [len(binary_trees(n)) for n in range(1, 9)]
+               == [1, 1, 2, 5, 14, 42, 132, 429]),
+    ]
     for n in range(2, min(n_max, 4) + 1):
-        started = time.monotonic()
-        rec.add(f"polytope 2-skeleton contractible n={n}", {"n": n},
-                bool(associahedron_contractibility(n, convention)),
-                started=started)
-
+        entries.append(_entry(
+            f"polytope 2-skeleton contractible n={n}", {"n": n},
+            lambda: bool(associahedron_contractibility(n, convention))))
     for n in range(2, min(n_max, 4) + 1):
-        started = time.monotonic()
-        verdict = maps_equal_on_truncation(
-            interpret_sum(formal_boundary(p_tree(n), convention), convention),
-            hom_boundary(iterated_integral_map(n), convention),
-            TruncationGrid(min(degree, 3)),
-            check=f"formal boundary of p{n} interprets to the Hom boundary")
-        rec.verdict(verdict, {"n": n, "degree": min(degree, 3)}, started)
-    return rec.entries
+        check = f"formal boundary of p{n} interprets to the Hom boundary"
+        entries.append(_entry(
+            check, {"n": n, "degree": min(degree, 3)},
+            lambda: maps_equal_on_truncation(
+                interpret_sum(formal_boundary(p_tree(n), convention), convention),
+                hom_boundary(iterated_integral_map(n), convention),
+                TruncationGrid(min(degree, 3)), check=check)))
+    return entries
 
 
 # every runner takes (n_max, degree, convention); the first three suites

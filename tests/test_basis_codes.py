@@ -663,11 +663,10 @@ def test_cumulant_tables_on_random_code_subsets(build, domain):
 def assert_recursive_table_agrees(build, domain):
     """The recursive table of K_n over the domain stores no zero, equals
     the direct table and holds the per-tuple recursion on the decoded
-    PolyForms; it leaves nothing in the context."""
+    PolyForms."""
     ctx = build()
     table = cumulant_recursive_table(ctx, domain)
     assert not any(value.is_zero() for value in table.values())
-    assert not ctx._recursive_cache
     assert table == cumulant_table(build(), domain)
     on_forms = build()
     for xs in itertools.product(*domain):

@@ -3,11 +3,12 @@
 import contextlib
 import io
 import json
+import time
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homotopy_cumulants import cli
+from homotopy_cumulants import cli, suites
 from homotopy_cumulants.cli import main
 
 
@@ -47,6 +48,22 @@ class TestVerify:
         entry = json.loads(out)["entries"][0]
         assert set(entry) == {"check", "parameters", "status", "witness",
                               "duration_ms"}
+
+    def test_duration_covers_the_check_body(self, monkeypatch):
+        euler_characteristic = suites.euler_characteristic
+
+        def slow(n):
+            time.sleep(0.05)
+            return euler_characteristic(n)
+
+        monkeypatch.setattr(suites, "euler_characteristic", slow)
+        entries = suites.run_suite("cube", 2, 1)
+        slowed = [e for e in entries if e.check == "euler characteristic g2 = 1"]
+        assert len(slowed) == 1 and slowed[0].status
+        assert slowed[0].duration_ms >= 50
+        for entry in entries:
+            assert type(entry.duration_ms) is int and entry.duration_ms >= 0
+            assert all(type(v) is str for v in entry.parameters.values())
 
     def test_convention_b_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "ainfty", "--n-max", "2",

@@ -123,19 +123,15 @@ class TestRecursiveAgreement:
             for tup in itertools.product(basis, repeat=n):
                 assert cumulant(ctx, tup) == cumulant_recursive(ctx, tup)
 
-    def test_memo_keeps_no_outermost_tuple(self):
-        # a sweep over 4-tuples stores none of them; repeating it agrees
-        # with itself and with the direct formula and stores nothing more
+    def test_repeated_sweep_agrees(self):
+        # a sweep over 4-tuples on one context, repeated, agrees with
+        # itself and with the direct formula
         swept = integration_context()
         grid = list(itertools.product(TruncationGrid(2).slot_codes(), repeat=4))
         values = [cumulant_recursive(swept, tup) for tup in grid]
-        memo = swept._recursive_cache
-        assert max(map(len, memo)) == 3
-        size = len(memo)
         for tup, value in zip(grid, values):
             assert cumulant_recursive(swept, tup) == value
             assert value == cumulant(swept, tup)
-        assert len(memo) == size
 
 
 class TestAlgebraMorphismDouble:
