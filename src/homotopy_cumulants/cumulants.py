@@ -405,9 +405,11 @@ def cumulant_recursive_table(ctx: CumulantContext,
     over the pairs whose product is its merged input, as
     `hom_complex.wedge_at` does, and the split term subtracts
     e(x_0) K_{n-1}(x_1, ..) for each x_0 with a nonzero image and each
-    entry of the K_{n-1} table on slots 1.. .  Sub-tables are memoized per
-    domain within the call and freed when it returns; nothing is kept in
-    the context.  Every product goes through `ctx.multiply` and
+    entry of the K_{n-1} table on slots 1.. .  The codes x_0 are grouped
+    by their image, so each distinct image is multiplied by each entry
+    once and the product is spread over its group.  Sub-tables are
+    memoized per domain within the call and freed when it returns; nothing
+    is kept in the context.  Every product goes through `ctx.multiply` and
     `ctx.target_product`, so any context works; under a source product
     other than the wedge the merged slots hold PolyForms, and only the
     domain given is checked for codes.  The result has the keys and values
@@ -439,24 +441,28 @@ def cumulant_recursive_table(ctx: CumulantContext,
             for pair in preimages[ys[0]]:
                 result[pair + tail] = value
         tails = table(slots[1:])
+        sharing: dict = {}  # nonzero image -> the codes x_0 that have it
         for x in slots[0]:
             image = apply(x)
-            if image.is_zero():
-                continue
+            if not image.is_zero():
+                sharing.setdefault(image, []).append(x)
+        for image, xs in sharing.items():
             for ys, value in tails.items():
                 split = product(image, value)
                 if split.is_zero():
                     continue
-                key = (x,) + ys
-                previous = result.get(key)
-                if previous is None:
-                    result[key] = -split
-                else:
-                    difference = previous - split
-                    if difference.is_zero():
-                        del result[key]
+                negated = -split
+                for x in xs:
+                    key = (x,) + ys
+                    previous = result.get(key)
+                    if previous is None:
+                        result[key] = negated
                     else:
-                        result[key] = difference
+                        difference = previous - split
+                        if difference.is_zero():
+                            del result[key]
+                        else:
+                            result[key] = difference
         return result
 
     try:

@@ -17,23 +17,22 @@ combination of leaf maps (`linear_combination`), with the terms of one
 map merged, so a signed sum of k maps is a single node over its leaves.
 
 Equality of MultiMaps is certified on truncated monomial bases, which by
-multilinearity is exact on the truncated subspace.  Maps are evaluated on
-integer basis codes (see `interval_model.encode_basis`) a whole domain at
-a time: `MultiMap.table(domain)` holds a map's nonzero values on every
-code tuple of a per-slot product of code sets, and every combinator here
-builds its table from its children's tables, so work is spent only on
-nonzero values.  A wedge spreads its child's table over the preimage
-pairs of each merged code, a d insertion reads its child's table at the
-derivative codes, a cup multiplies the nonzero entries of two tables, a
-linear combination adds tables, I_n is Chen's closed form, and the
-cumulant K_n is `cumulants.cumulant_table`.  Tables are memoized per map
-and per domain.  This is the only engine: a library map evaluates any
-forms by contracting a table over the product of their supports (see
-`MultiMap.__call__`).  The table is any kept one whose domain covers
-the supports, else one built over S^n with S their union, so a call
-costs at most one table over S^n plus one lookup per tuple of the
-product; which table is read cannot change the value.  Only user-built
-maps, which have no table rule, run an evaluator on PolyForms.
+multilinearity is exact on the truncated subspace.  A map is its table
+rule: it is evaluated on integer basis codes (see
+`interval_model.encode_basis`) a whole domain at a time, and
+`MultiMap.table(domain)` holds its nonzero values on every code tuple of
+a per-slot product of code sets.  Every combinator here builds its table
+from its children's tables, so work is spent only on nonzero values.  A
+wedge spreads its child's table over the preimage pairs of each merged
+code, a d insertion reads its child's table at the derivative codes, a
+cup multiplies the nonzero entries of two tables, a linear combination
+adds tables, I_n is Chen's closed form, and the cumulant K_n is
+`cumulants.cumulant_table`.  Tables are memoized per map and per domain.
+A map evaluates any forms by contracting a table over the product of
+their supports (see `MultiMap.__call__`).  The table is any kept one
+whose domain covers the supports, else one built over S^n with S their
+union, so a call costs at most one table over S^n plus one lookup per
+tuple of the product; which table is read cannot change the value.
 """
 
 from __future__ import annotations
@@ -93,36 +92,30 @@ class MultiMap:
     iterated integral, +1 for the differentials); the unsuspended degree
     used by Koszul signs is shifted_degree - arity + 1.
 
-    A map is evaluated on basis codes a domain at a time: `table(domain)`
-    is the dict of its nonzero values on the code tuples of a per-slot
-    product of code sets, memoized per domain, so a table shared by
-    several parents (H_{n-1} feeds both terms of H_n, and a boundary reads
-    its map's table for delta and for every d insertion) is built once.
-    `table_rule(domain)` builds the table from the children's tables; the
-    combinators set it after construction.  Calling a map on forms or
-    codes contracts a table that covers the inputs, kept or built (see
-    `__call__`).  A map without a rule (a user-built map) keeps its
-    evaluator: a call runs it on the inputs, codes decoded, and its table
-    runs it on the decoded PolyForms of every tuple of the domain.
+    A map is its table rule: `rule(domain)` builds the dict of the map's
+    nonzero values on the code tuples of a per-slot product of code sets,
+    from its children's tables.  `table(domain)` memoizes it per domain,
+    so a table shared by several parents (H_{n-1} feeds both terms of
+    H_n, and a boundary reads its map's table for delta and for every d
+    insertion) is built once.  Calling a map on forms or codes contracts a
+    table that covers the inputs, kept or built (see `__call__`).
 
     Sums are flat: `+`, `-` and `scale` build a linear combination (see
     `linear_combination`) whose `terms` are (leaf map, coefficient) pairs,
     never other combinations.  `terms` is None for a leaf map.
     """
 
-    __slots__ = ("arity", "shifted_degree", "name", "terms", "table_rule",
-                 "_evaluator", "_tables")
+    __slots__ = ("arity", "shifted_degree", "name", "terms", "rule", "_tables")
 
     def __init__(self, arity: int, shifted_degree: int,
-                 evaluator: Callable[..., Cochain] | None, name: str = ""):
+                 rule: Callable[[Domain], Table], name: str = ""):
         if arity < 1:
             raise ValueError("arity must be positive")
         self.arity = arity
         self.shifted_degree = shifted_degree
         self.name = name or f"map/{arity}"
         self.terms = None
-        self.table_rule: Callable[[Domain], Table] | None = None
-        self._evaluator = evaluator
+        self.rule = rule
         self._tables: dict[Domain, Table] = {}
 
     @property
@@ -151,9 +144,6 @@ class MultiMap:
             raise ValueError(
                 f"{self.name} expects {self.arity} inputs, got {len(forms)}")
         weights, denominators = zip(*map(_expansion, range(self.arity), forms))
-        if self.table_rule is None:
-            return self._evaluator(*(x if isinstance(x, PolyForm)
-                                     else decode_basis(x) for x in forms))
         table = next((kept for domain, kept in self._tables.items()
                       if all(w.keys() <= slot
                              for w, slot in zip(weights, domain))), None)
@@ -191,24 +181,15 @@ class MultiMap:
             if len(domain) != self.arity:
                 raise ValueError(
                     f"{self.name} expects {self.arity} slots, got {len(domain)}")
-            if self.table_rule is not None:
-                table = self.table_rule(domain)
-            else:
-                table = {}
-                for xs in itertools.product(*domain):
-                    value = self._evaluator(*map(decode_basis, xs))
-                    if not value.is_zero():
-                        table[xs] = value
-            self._tables[domain] = table
+            table = self._tables[domain] = self.rule(domain)
         return table
 
     def renamed(self, name: str, shifted_degree: int | None = None) -> "MultiMap":
         """The same map under a new name (and degree), with fresh tables."""
         if shifted_degree is None:
             shifted_degree = self.shifted_degree
-        renamed = MultiMap(self.arity, shifted_degree, self._evaluator, name)
+        renamed = MultiMap(self.arity, shifted_degree, self.rule, name)
         renamed.terms = self.terms
-        renamed.table_rule = self.table_rule
         return renamed
 
     def __add__(self, other: "MultiMap") -> "MultiMap":
@@ -246,14 +227,6 @@ def _expansion(slot: int, x: PolyForm | int) -> tuple[dict[int, int], int]:
             if n:
                 coefficients[2 * k + dt] = n * scale
     return coefficients, denominator
-
-
-def _tabulated(arity: int, shifted_degree: int, name: str,
-               rule: Callable[[Domain], Table]) -> MultiMap:
-    """A library MultiMap: a table rule on codes and no evaluator."""
-    built = MultiMap(arity, shifted_degree, None, name)
-    built.table_rule = rule
-    return built
 
 
 def _add_into(total: dict, table: Table, c: Scalar = 1) -> None:
@@ -305,7 +278,7 @@ def linear_combination(arity: int, shifted_degree: int,
             _add_into(total, leaf.table(domain), c)
         return _nonzero(total)
 
-    combination = _tabulated(arity, shifted_degree, name, rule)
+    combination = MultiMap(arity, shifted_degree, rule, name)
     combination.terms = terms
     return combination
 
@@ -330,7 +303,7 @@ def iterated_integral_map(n: int) -> MultiMap:
                 table[xs] = value
         return table
 
-    return _tabulated(n, 0, f"I{n}", rule)
+    return MultiMap(n, 0, rule, f"I{n}")
 
 
 def wedge_at(f: MultiMap, slot: int) -> MultiMap:
@@ -358,8 +331,8 @@ def wedge_at(f: MultiMap, slot: int) -> MultiMap:
                 table[head + pair + tail] = value
         return table
 
-    return _tabulated(f.arity + 1, f.shifted_degree + 1,
-                      f"{f.name}(wedge@{slot})", rule)
+    return MultiMap(f.arity + 1, f.shifted_degree + 1, rule,
+                    f"{f.name}(wedge@{slot})")
 
 
 def merged_integral(sizes: Sequence[int]) -> MultiMap:
@@ -414,8 +387,8 @@ def d_insertion_sum(f: MultiMap,
                 total[xs] = value if previous is None else previous + value
         return _nonzero(total)
 
-    return _tabulated(f.arity, f.shifted_degree + 1, f"{f.name}.d_insertions",
-                      rule)
+    return MultiMap(f.arity, f.shifted_degree + 1, rule,
+                    f"{f.name}.d_insertions")
 
 
 def hom_boundary(f: MultiMap,
@@ -433,8 +406,7 @@ def hom_boundary(f: MultiMap,
         _add_into(total, insertions.table(domain), pre_sign)
         return _nonzero(total)
 
-    return _tabulated(f.arity, f.shifted_degree + 1, f"boundary({f.name})",
-                      rule)
+    return MultiMap(f.arity, f.shifted_degree + 1, rule, f"boundary({f.name})")
 
 
 def cup_pair(left: MultiMap, right: MultiMap,
@@ -470,8 +442,8 @@ def cup_pair(left: MultiMap, right: MultiMap,
                     table[left_xs + right_xs] = value
         return table
 
-    return _tabulated(arity, left.shifted_degree + right.shifted_degree + 1,
-                      f"cup({left.name},{right.name})", rule)
+    return MultiMap(arity, left.shifted_degree + right.shifted_degree + 1, rule,
+                    f"cup({left.name},{right.name})")
 
 
 @dataclass(frozen=True)
@@ -588,8 +560,8 @@ def _morphism_source(n: int, convention: SignConvention) -> MultiMap:
 def _morphism_target(n: int, convention: SignConvention) -> MultiMap:
     """Product side: delta . I_n plus the signed cup(I_i x I_j) terms."""
     i_n = iterated_integral_map(n)
-    pairs = [(_tabulated(n, 1, f"delta.I{n}",
-                         lambda domain: _delta_table(i_n.table(domain))), 1)]
+    pairs = [(MultiMap(n, 1, lambda domain: _delta_table(i_n.table(domain)),
+                       f"delta.I{n}"), 1)]
     pairs.extend((cup_pair(iterated_integral_map(i), iterated_integral_map(n - i),
                            convention), (-1) ** (n - i - 1))
                  for i in range(1, n))
@@ -660,6 +632,6 @@ def cumulant_multimap(n: int, ctx: CumulantContext | None = None) -> MultiMap:
     if n < 1:
         raise ValueError("n must be positive")
     context = ctx if ctx is not None else integration_context()
-    return _tabulated(n, n - 1, f"K{n}",
-                      lambda domain: cumulant_table(context, domain))
+    return MultiMap(n, n - 1, lambda domain: cumulant_table(context, domain),
+                    f"K{n}")
 

@@ -65,6 +65,7 @@ from homotopy_cumulants.interval_model import (
     wedge,
     wedge_codes,
 )
+from reference_maps import ReferenceMap
 
 CONVENTIONS = (CONVENTION_A, CONVENTION_B)
 
@@ -73,10 +74,10 @@ CONVENTIONS = (CONVENTION_A, CONVENTION_B)
 # the reference maps
 #
 # The PolyForm evaluators of the combinators, as they were before the table
-# rules became the only engine.  Each builder returns a MultiMap without a
-# table rule, so a call runs its evaluator on PolyForms and never goes
-# through `table`; mixed forms are split into homogeneous parts where a
-# Koszul sign depends on form degrees.
+# rules became the only engine.  Each builder returns a ReferenceMap, so a
+# call runs its evaluator on PolyForms and never goes through `table`;
+# mixed forms are split into homogeneous parts where a Koszul sign depends
+# on form degrees.
 
 
 def homogeneous_parts(form: PolyForm):
@@ -121,7 +122,7 @@ def reference_linear_combination(arity, shifted_degree, pairs, name):
                 total = total + leaf(*xs).scale(c)
         return total
 
-    combination = MultiMap(arity, shifted_degree, evaluator, name)
+    combination = ReferenceMap(arity, shifted_degree, evaluator, name)
     combination.terms = terms
     return combination
 
@@ -133,7 +134,7 @@ def reference_iterated_integral_map(n):
     def evaluator(*xs):
         return iterated_integral(xs)
 
-    return MultiMap(n, 0, evaluator, f"I{n}")
+    return ReferenceMap(n, 0, evaluator, f"I{n}")
 
 
 def reference_wedge_at(f, slot):
@@ -144,8 +145,8 @@ def reference_wedge_at(f, slot):
         product = wedge(xs[slot], xs[slot + 1])
         return f(*xs[:slot], product, *xs[slot + 2:])
 
-    return MultiMap(f.arity + 1, f.shifted_degree + 1, evaluator,
-                    f"{f.name}(wedge@{slot})")
+    return ReferenceMap(f.arity + 1, f.shifted_degree + 1, evaluator,
+                        f"{f.name}(wedge@{slot})")
 
 
 def reference_d_insertion_sum(f, convention=CONVENTION_A):
@@ -162,8 +163,8 @@ def reference_d_insertion_sum(f, convention=CONVENTION_A):
                 total = total + (value if exponent % 2 == 0 else -value)
         return total
 
-    return MultiMap(f.arity, f.shifted_degree + 1, evaluator,
-                    f"{f.name}.d_insertions")
+    return ReferenceMap(f.arity, f.shifted_degree + 1, evaluator,
+                        f"{f.name}.d_insertions")
 
 
 def reference_hom_boundary(f, convention=CONVENTION_A):
@@ -173,8 +174,8 @@ def reference_hom_boundary(f, convention=CONVENTION_A):
     def evaluator(*xs):
         return delta(f(*xs)) + insertions(*xs).scale(pre_sign)
 
-    return MultiMap(f.arity, f.shifted_degree + 1, evaluator,
-                    f"boundary({f.name})")
+    return ReferenceMap(f.arity, f.shifted_degree + 1, evaluator,
+                        f"boundary({f.name})")
 
 
 def reference_cup_pair(left, right, convention=CONVENTION_A):
@@ -196,13 +197,13 @@ def reference_cup_pair(left, right, convention=CONVENTION_A):
             total = total + (value if sum(degs) % 2 == 0 else -value)
         return total
 
-    return MultiMap(arity, left.shifted_degree + right.shifted_degree + 1,
-                    evaluator, f"cup({left.name},{right.name})")
+    return ReferenceMap(arity, left.shifted_degree + right.shifted_degree + 1,
+                        evaluator, f"cup({left.name},{right.name})")
 
 
 def reference_morphism_target(n, convention):
     i_n = reference_iterated_integral_map(n)
-    total = MultiMap(n, 1, lambda *xs: delta(i_n(*xs)), f"delta.I{n}")
+    total = ReferenceMap(n, 1, lambda *xs: delta(i_n(*xs)), f"delta.I{n}")
     for i in range(1, n):
         j = n - i
         term = reference_cup_pair(reference_iterated_integral_map(i),
@@ -215,7 +216,7 @@ def reference_cumulant_multimap(n, ctx=None):
     if n < 1:
         raise ValueError("n must be positive")
     context = ctx if ctx is not None else integration_context()
-    return MultiMap(n, n - 1, lambda *xs: cumulant(context, xs), f"K{n}")
+    return ReferenceMap(n, n - 1, lambda *xs: cumulant(context, xs), f"K{n}")
 
 
 REFERENCE_BUILDERS = {
@@ -232,7 +233,7 @@ REFERENCE_BUILDERS = {
 }
 
 
-def reference(build) -> MultiMap:
+def reference(build) -> ReferenceMap:
     """What build() builds from the reference builders.
 
     The library's combinators are rebound to the reference ones in the
@@ -247,7 +248,7 @@ def reference(build) -> MultiMap:
                 if name in namespace:
                     patch.setitem(namespace, name, builder)
         built = build()
-    assert built.table_rule is None, built.name
+    assert isinstance(built, ReferenceMap), built.name
     return built
 
 
@@ -352,8 +353,8 @@ class TestOracle:
         # values.  This linear map of odd degree has vertex values, so the
         # sign shows, on either side.
         def odd():
-            return MultiMap(1, 1, lambda x: Cochain(*[integrate(x).edge] * 3),
-                            name="odd")
+            return ReferenceMap(1, 1, lambda x: Cochain(*[integrate(x).edge] * 3),
+                                name="odd")
 
         def i1():
             return iterated_integral_map(1)
@@ -465,8 +466,8 @@ def _perturbed_i2(changes):
     """I_2 on PolyForms, except at the code tuples in `changes`."""
     i2 = iterated_integral_map(2)
     decoded = {tuple(map(decode_basis, xs)): value for xs, value in changes.items()}
-    return MultiMap(2, 0, lambda a, b: decoded.get((a, b), i2(a, b)),
-                    name="perturbed I2")
+    return ReferenceMap(2, 0, lambda a, b: decoded.get((a, b), i2(a, b)),
+                        name="perturbed I2")
 
 
 class TestWitnessOrder:
@@ -743,15 +744,14 @@ def test_suite_witness_of_a_wrong_direct_table(monkeypatch, extra, missing):
 
 
 def test_maps_without_a_code_rule_see_polyforms(monkeypatch):
-    # user maps have no table rule: a sweep and a call run their evaluator
+    # a reference map runs its evaluator on PolyForms, in a sweep and a call
     seen = set()
 
     def evaluator(a, b):
         seen.add((type(a), type(b)))
         return iterated_integral([a, b])
 
-    plain = MultiMap(2, 0, evaluator, name="plain I2")
-    assert plain.table_rule is None
+    plain = ReferenceMap(2, 0, evaluator, name="plain I2")
     verdict = maps_equal_on_truncation(
         plain, iterated_integral_map(2), TruncationGrid(2))
     assert verdict.equal
@@ -759,38 +759,76 @@ def test_maps_without_a_code_rule_see_polyforms(monkeypatch):
     assert plain(DT, 3) == plain(1, 3)
     assert seen == {(PolyForm, PolyForm)}
 
-    # every library map, composites included, is built with a table rule
-    # and is never asked for an evaluation, on forms, codes or a grid; a
-    # callable stands in for every evaluator, as perfbench's tracer does
-    built, asked = [], []
+    # every library map, composites included, passes its rule third to the
+    # constructor; perfbench's tracer wraps that argument in a `*xs`
+    # forwarder, which must change no table or value and run once per
+    # table built
+    forms = (PolyForm((1, "1/2"), (0, 3)), DT, T + ONE, PolyForm((), (2, 1)))
+    codes = TruncationGrid(1).slot_codes()
+
+    def outcomes():
+        values = []
+        for convention in CONVENTIONS:
+            library = ([homotopy_witness(4, convention),
+                        hom_boundary(homotopy_witness(3, convention), convention),
+                        ainfty_relation_defect(3, 1, convention)[1],
+                        interpret_sum(formal_boundary(p_tree(3), convention),
+                                      convention)]
+                       + [cumulant_multimap(n, build())
+                          for n in (2, 3) for build in CONTEXTS.values()]
+                       + [cell_to_map(n, cell, convention)
+                          for n in (3, 4) for cell in cells_of(n)])
+            values.extend((f.table([codes] * f.arity), f(*range(f.arity)),
+                           f(*forms[:f.arity])) for f in library)
+        return values
+
+    expected = outcomes()
+    built, forwarded = [], []
     init = MultiMap.__init__
 
-    def recording(self, arity, shifted_degree, evaluator, name=""):
-        def stand_in(*xs):
-            asked.append(self.name)
-            return evaluator(*xs)
+    def forwarding(self, arity, shifted_degree, third, name=""):
+        if not getattr(third, "_forwarded", False):
+            inner = third
 
-        init(self, arity, shifted_degree, stand_in, name)
+            def third(*xs):
+                forwarded.append(xs)
+                return inner(*xs)
+
+            third._forwarded = True
+        init(self, arity, shifted_degree, third, name)
         built.append(self)
 
-    monkeypatch.setattr(MultiMap, "__init__", recording)
+    monkeypatch.setattr(MultiMap, "__init__", forwarding)
+    assert outcomes() == expected
+    assert forwarded
+    assert len(forwarded) == sum(len(f._tables) for f in built)
+
+
+def test_reference_values_read_no_table(monkeypatch):
+    """The oracle is independent of the table engine: with `MultiMap.table`
+    and the contraction in `MultiMap.__call__` refused, the references of
+    composite maps still evaluate, to the library maps' values."""
+    builds = [lambda: homotopy_witness(4),
+              lambda: hom_boundary(homotopy_witness(3)),
+              lambda: ainfty_relation_defect(3, 0)[1],
+              lambda: cumulant_multimap(3),
+              lambda: cell_to_map(4, cells_of(4)[-1]),
+              lambda: interpret_sum(formal_boundary(p_tree(3)))]
     forms = (PolyForm((1, "1/2"), (0, 3)), DT, T + ONE, PolyForm((), (2, 1)))
-    for convention in CONVENTIONS:
-        library = ([homotopy_witness(4, convention),
-                    hom_boundary(homotopy_witness(3, convention), convention),
-                    ainfty_relation_defect(3, 1, convention)[1],
-                    interpret_sum(formal_boundary(p_tree(3), convention),
-                                  convention)]
-                   + [cumulant_multimap(n, build())
-                      for n in (2, 3) for build in CONTEXTS.values()]
-                   + [cell_to_map(n, cell, convention)
-                      for n in (3, 4) for cell in cells_of(n)])
-        for f in library:
-            f(*forms[:f.arity])
-            f(*range(f.arity))
-            assert maps_equal_on_truncation(f, f, TruncationGrid(1)).equal
-    assert built and all(f.table_rule is not None for f in built)
-    assert asked == []
+    cases = []
+    for build in builds:
+        f = build()
+        for xs in (forms[:f.arity], tuple(range(f.arity))):
+            cases.append((reference(build), xs, f(*xs)))
+
+    def refused(self, *args):
+        raise AssertionError(f"{self.name} was asked for a table")
+
+    monkeypatch.setattr(MultiMap, "table", refused)
+    monkeypatch.setattr(MultiMap, "__call__", refused)
+    for f, xs, expected in cases:
+        assert f(*xs) == expected, f.name
+    assert any(not expected.is_zero() for _, _, expected in cases)
 
 
 _fractions = st.fractions(min_value=-3, max_value=3, max_denominator=6)
@@ -838,13 +876,13 @@ def test_a_call_tabulates_the_union_of_the_supports():
         return hom_boundary(homotopy_witness(4))
 
     boundary, domains = build(), []
-    rule = boundary.table_rule
+    rule = boundary.rule
 
     def recording(domain):
         domains.append(domain)
         return rule(domain)
 
-    boundary.table_rule = recording
+    boundary.rule = recording
     forms = (PolyForm.monomial(40) + DT, T, ONE + T, DT)
     value = boundary(*forms)
     assert value == reference(build)(*forms) != Cochain.zero()

@@ -41,6 +41,7 @@ from homotopy_cumulants.interval_model import (
     iterated_integral,
     wedge,
 )
+from reference_maps import ReferenceMap
 
 T = PolyForm.monomial(1)
 DT = PolyForm.monomial(0, dt=True)
@@ -106,8 +107,7 @@ class TestMultiMap:
         assert k2(1, T) == k2(DT, T) != Cochain.zero()
 
     def test_malformed_inputs_are_refused(self):
-        user = MultiMap(2, 0, lambda a, b: iterated_integral([a, b]), "user")
-        for f in (iterated_integral_map(2), cumulant_multimap(2), user):
+        for f in (iterated_integral_map(2), cumulant_multimap(2)):
             with pytest.raises(ValueError, match="input 0: basis code -1 is negative"):
                 f(-1, 3)
             with pytest.raises(TypeError, match="input 0: .* got bool"):
@@ -136,10 +136,10 @@ def _arity3_leaves() -> list[MultiMap]:
 def _nested(evaluator) -> MultiMap:
     """One node of a nested sum tree over arity-3 maps.
 
-    It has no table rule, so a call runs the evaluator on PolyForms (code
+    It is a reference map, so a call runs the evaluator on PolyForms (code
     inputs decoded), and the reference calls every leaf on them.
     """
-    return MultiMap(3, 0, evaluator, "nested")
+    return ReferenceMap(3, 0, evaluator, "nested")
 
 
 _coefficients = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), 0])
@@ -240,13 +240,13 @@ class TestLinearCombination:
 
         def counting(arity, shifted_degree, pairs, name):
             combination = linear_combination(arity, shifted_degree, pairs, name)
-            rule, domains = combination.table_rule, []
+            rule, domains = combination.rule, []
 
-            def table_rule(domain):
+            def recording(domain):
                 domains.append(domain)
                 return rule(domain)
 
-            combination.table_rule = table_rule
+            combination.rule = recording
             built.append((combination, domains))
             return combination
 
