@@ -29,6 +29,7 @@ from typing import Callable, Iterable, Sequence
 
 from .interval_model import (
     Cochain,
+    CochainPool,
     PolyForm,
     cup,
     d_form,
@@ -286,8 +287,8 @@ def cumulant_table(ctx: CumulantContext, domain: Iterable[Iterable[int]]
     For each nonzero image e and span j < n-1 the scaled tail, the nonzero
     (ys, -e S_{j+1}(ys)), is built once per call and added at xs + ys for
     every run xs of the group; at j = n-1 the tail is the one entry
-    ((), e).  The sums run over the few distinct values as indices, and
-    each pair of them is added once per call.  Only nonzero values are
+    ((), e).  The sums run over the few distinct values as indices of an
+    `interval_model.CochainPool`, so each pair is added once per call.  Only nonzero values are
     stored, each distinct value as one object.  Any source product works;
     under one other than the wedge the run products are PolyForms.
     """
@@ -295,17 +296,8 @@ def cumulant_table(ctx: CumulantContext, domain: Iterable[Iterable[int]]
     n = len(slots)
     apply, multiply, product = ctx.apply, ctx.multiply, ctx.target_product
     zero = Cochain.zero()
-    values: list[Cochain] = []  # the distinct values met, each once
-    index: dict[Cochain, int] = {}
-    sums: dict[tuple[int, int], int] = {}  # (a, b) -> a + b, by index
-
-    def intern(value: Cochain) -> int:
-        k = index.get(value)
-        if k is None:
-            k = index[value] = len(values)
-            values.append(value)
-        return k
-
+    pool = CochainPool()  # the distinct values met, with their sums
+    values, intern, add = pool.values, pool.intern, pool.add
     tails: list[dict] = [{}] * n  # tails[i] is the table of S_i
     # scaled[j][image]: (ys, index of -image * S_{j+1}(ys)) for the nonzero
     # ones, and for j = n - 1 the one entry ((), index of image)
@@ -352,19 +344,13 @@ def cumulant_table(ctx: CumulantContext, domain: Iterable[Iterable[int]]
                         for ys, k in entries:
                             key = xs + ys
                             previous = total.get(key)
-                            if previous is None:
-                                total[key] = k
-                                continue
-                            pair = (previous, k)
-                            summed = sums.get(pair)
-                            if summed is None:
-                                summed = sums[pair] = intern(
-                                    values[previous] + values[k])
-                            total[key] = summed
+                            total[key] = (k if previous is None
+                                          else add(previous, k))
+            # straight into the table: a second dict per x from `pool.table`
+            # raised the peak RSS
             for xs, k in total.items():
-                value = values[k]
-                if value is not zero:
-                    table[xs] = value
+                if k:
+                    table[xs] = values[k]
         tails[i] = table
     return tails[0]
 

@@ -28,6 +28,7 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 from typing import ClassVar, Iterable, Union
 
 from .cube_complex import graph_is_connected
@@ -495,20 +496,30 @@ class ContractibilityVerdict:
 
 
 def _matrix_rank(rows: list[list[Fraction]]) -> int:
-    m = [row[:] for row in rows if any(row)]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
+    """The rank of a rational matrix, by fraction-free (Bareiss) elimination.
+
+    Each row is scaled to integers by the lcm of its denominators.  Each
+    update (pivot * row - factor * pivot row) // previous pivot divides
+    exactly, as every entry is then a minor of the scaled matrix.
+    """
+    m = []
+    for row in rows:
+        if any(row):
+            scale = lcm(*(c.denominator for c in row))
+            m.append([c.numerator * (scale // c.denominator) for c in row])
+    rank, previous = 0, 1
+    for col in range(len(m[0]) if m else 0):
         piv = next((r for r in range(rank, len(m)) if m[r][col]), None)
         if piv is None:
             continue
         m[rank], m[piv] = m[piv], m[rank]
-        inverse = Fraction(1) / m[rank][col]
-        m[rank] = [c * inverse for c in m[rank]]
-        for r in range(len(m)):
-            if r != rank and m[r][col]:
-                factor = m[r][col]
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
+        pivot_row = m[rank]
+        pivot = pivot_row[col]
+        for r in range(rank + 1, len(m)):
+            factor = m[r][col]
+            m[r] = [(pivot * a - factor * b) // previous
+                    for a, b in zip(m[r], pivot_row)]
+        previous = pivot
         rank += 1
     return rank
 

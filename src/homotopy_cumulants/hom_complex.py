@@ -25,9 +25,14 @@ a per-slot product of code sets.  Every combinator here builds its table
 from its children's tables, so work is spent only on nonzero values.  A
 wedge spreads its child's table over the preimage pairs of each merged
 code, a d insertion reads its child's table at the derivative codes, a
-cup multiplies the nonzero entries of two tables, a linear combination
-adds tables, I_n is Chen's closed form, and the cumulant K_n is
-`cumulants.cumulant_table`.  Tables are memoized per map and per domain.
+cup pairs the values of two tables, a linear combination adds tables,
+I_n is Chen's closed form, and the cumulant K_n is
+`cumulants.cumulant_table`.  A table has many entries but few distinct
+values, so the arithmetic is done once per distinct value on the indices
+of an `interval_model.CochainPool`: a cup once per pair of distinct
+signed values, a multiple once per value and coefficient, a sum once per
+index pair, and delta once per value.  Tables are memoized per map and
+per domain.
 A map evaluates any forms by contracting a table over the product of
 their supports (see `MultiMap.__call__`).  The table is any kept one
 whose domain covers the supports, else one built over S^n with S their
@@ -47,6 +52,7 @@ from typing import Callable, Iterable, Sequence
 from .cumulants import CumulantContext, cumulant_table, integration_context
 from .interval_model import (
     Cochain,
+    CochainPool,
     PolyForm,
     Scalar,
     _cochain,
@@ -132,8 +138,9 @@ class MultiMap:
         S the union of the inputs' supports, is built and kept.  The
         table is contracted over the product S_1 x .. x S_arity of the
         supports: each tuple found in it is weighted by the product of its
-        slots' coefficients, and the numerators are summed per entry
-        denominator.  An entry depends on its code tuple alone and a tuple
+        slots' coefficients, the numerators are summed per entry
+        denominator, and the sums are put over the lcm of those
+        denominators and reduced once.  An entry depends on its code tuple alone and a tuple
         missing from a covering table is a zero, so the value does not
         depend on which table is read.  The cost is at most one table over
         S^arity, plus one lookup per tuple of the product, plus one scan of
@@ -162,11 +169,15 @@ class MultiMap:
                     total[0] += w * value.n0
                     total[1] += w * value.n1
                     total[2] += w * value.ne
-        denominator = prod(denominators)
-        value = Cochain.zero()
-        for den, (n0, n1, ne) in sums.items():
-            value = value + _cochain(n0, n1, ne, den * denominator)
-        return value
+        # the numerators over the lcm of the entry denominators, reduced once
+        common = lcm(*sums)
+        n0 = n1 = ne = 0
+        for den, (m0, m1, me) in sums.items():
+            scale = common // den
+            n0 += m0 * scale
+            n1 += m1 * scale
+            ne += me * scale
+        return _cochain(n0, n1, ne, common * prod(denominators))
 
     def table(self, domain: Iterable[Iterable[int]]) -> Table:
         """The nonzero values of the map on the code tuples of a domain.
@@ -229,27 +240,24 @@ def _expansion(slot: int, x: PolyForm | int) -> tuple[dict[int, int], int]:
     return coefficients, denominator
 
 
-def _add_into(total: dict, table: Table, c: Scalar = 1) -> None:
-    """total += c * table, entry by entry; sums may leave zeros behind."""
+def _add_into(pool: CochainPool, total: dict, table: Table,
+              c: Scalar = 1) -> None:
+    """total += c * table on value indices; sums may leave zeros behind."""
+    add, indices = pool.add, pool.indices(table, c)
     for xs, value in table.items():
-        if c != 1:
-            value = -value if c == -1 else value.scale(c)
+        k = indices[id(value)]
         previous = total.get(xs)
-        total[xs] = value if previous is None else previous + value
-
-
-def _nonzero(total: dict) -> Table:
-    return {xs: value for xs, value in total.items() if not value.is_zero()}
+        total[xs] = k if previous is None else add(previous, k)
 
 
 def _delta_table(table: Table) -> Table:
-    """The table of delta . f from the table of f."""
-    images = {}
-    for xs, value in table.items():
-        image = delta(value)
-        if not image.is_zero():
-            images[xs] = image
-    return images
+    """The table of delta . f from the table of f, with delta applied once
+    per distinct value."""
+    pool = CochainPool()
+    indices, values = pool.indices(table), pool.values
+    images = {k: pool.intern(delta(values[k])) for k in set(indices.values())}
+    return {xs: values[image] for xs, value in table.items()
+            if (image := images[indices[id(value)]])}
 
 
 def linear_combination(arity: int, shifted_degree: int,
@@ -259,7 +267,9 @@ def linear_combination(arity: int, shifted_degree: int,
 
     A combination among the pairs contributes its own terms, scaled by c;
     terms of the same leaf map are merged and zero coefficients dropped.
-    Its table is the sum of the leaves' tables.
+    Its table is the sum of the leaves' tables, formed on value indices:
+    each leaf value is interned once, each multiple formed once per
+    distinct value and coefficient, and each sum once per index pair.
     """
     merged: dict[MultiMap, Fraction] = {}
     for f, c in pairs:
@@ -268,15 +278,15 @@ def linear_combination(arity: int, shifted_degree: int,
         c = _frac(c)
         for leaf, leaf_c in f.terms if f.terms is not None else ((f, 1),):
             merged[leaf] = merged.get(leaf, 0) + c * leaf_c
-    # integral coefficients as ints, so `_add_into` scales by them cheaply
+    # integral coefficients as ints, so multiples scale by them cheaply
     terms = tuple((leaf, c.numerator if c.denominator == 1 else c)
                   for leaf, c in merged.items() if c)
 
     def rule(domain):
-        total: dict = {}
+        pool, total = CochainPool(), {}
         for leaf, c in terms:
-            _add_into(total, leaf.table(domain), c)
-        return _nonzero(total)
+            _add_into(pool, total, leaf.table(domain), c)
+        return pool.table(total)
 
     combination = MultiMap(arity, shifted_degree, rule, name)
     combination.terms = terms
@@ -358,11 +368,13 @@ def d_insertion_sum(f: MultiMap,
     table with slot u widened by the derivative codes (on a grid the
     widened domain is the grid itself, so every slot and the boundary's
     delta term share one table of f) and maps each entry whose slot u is
-    t^(k-1) dt back to t^k with weight +-k.
+    t^(k-1) dt back to t^k with weight +-k.  Each distinct value is scaled
+    once per weight, and the terms are summed on value indices.
     """
 
     def rule(domain):
-        total: dict = {}
+        pool, total = CochainPool(), {}
+        add, multiple = pool.add, pool.multiple
         for u, slot in enumerate(domain):
             # derivative code -> (k, input code t^k)
             sources = {}
@@ -373,19 +385,20 @@ def d_insertion_sum(f: MultiMap,
             if not sources:
                 continue
             widened = domain[:u] + (slot.union(sources),) + domain[u + 1:]
-            for ys, value in f.table(widened).items():
+            table = f.table(widened)
+            indices = pool.indices(table)
+            for ys, value in table.items():
                 source = sources.get(ys[u])
                 if source is None:
                     continue
                 k, x = source
+                # the dt bits passed, as the parity of the codes' sum
                 passed = ys[:u] if convention.from_left else ys[u + 1:]
-                if sum(y & 1 for y in passed) & 1:
-                    k = -k
+                i = multiple(indices[id(value)], -k if sum(passed) & 1 else k)
                 xs = ys[:u] + (x,) + ys[u + 1:]
                 previous = total.get(xs)
-                value = value.scale(k)
-                total[xs] = value if previous is None else previous + value
-        return _nonzero(total)
+                total[xs] = i if previous is None else add(previous, i)
+        return pool.table(total)
 
     return MultiMap(f.arity, f.shifted_degree + 1, rule,
                     f"{f.name}.d_insertions")
@@ -402,9 +415,10 @@ def hom_boundary(f: MultiMap,
     pre_sign = -1 if f.plain_degree % 2 == 0 else 1
 
     def rule(domain):
-        total = _delta_table(f.table(domain))
-        _add_into(total, insertions.table(domain), pre_sign)
-        return _nonzero(total)
+        pool, total = CochainPool(), {}
+        _add_into(pool, total, _delta_table(f.table(domain)))
+        _add_into(pool, total, insertions.table(domain), pre_sign)
+        return pool.table(total)
 
     return MultiMap(f.arity, f.shifted_degree + 1, rule, f"boundary({f.name})")
 
@@ -416,30 +430,44 @@ def cup_pair(left: MultiMap, right: MultiMap,
     Under convention A the right map picks up (-1)^{|right| * deg} from the
     form degrees it passes on the left; convention B mirrors this.  On
     codes the form degrees are the dt bits, so the sign is a single
-    (-1)^{|moving| * dt bits passed}; the table cups each nonzero entry
-    of the left table with each nonzero entry of the right one.
+    (-1)^{|moving| * dt bits passed}.  By bilinearity the sign moves onto
+    the passed factor, so each side's entries are grouped by signed value,
+    the value and the dt parity of the entry's codes; the table cups each
+    distinct pair of signed values once and puts the product at every key
+    of the product of the two groups.
     """
     arity = left.arity + right.arity
     moving = right if convention.from_left else left
     moving_parity = moving.plain_degree % 2
 
-    def signed(entries: Table, passed: bool) -> list:
-        if not (passed and moving_parity):
-            return list(entries.items())
-        # by bilinearity the sign can move onto the passed factor
-        return [(xs, -value if sum(x & 1 for x in xs) & 1 else value)
-                for xs, value in entries.items()]
+    def groups(pool: CochainPool, entries: Table, passed: bool) -> dict:
+        """signed value index -> the keys of the entries that carry it"""
+        indices = pool.indices(entries)
+        # odd entries, by the parity of the codes' sum (their dt bits)
+        odd = pool.indices(entries, -1) if passed and moving_parity else indices
+        grouped: dict[int, list] = {}
+        for xs, value in entries.items():
+            k = (odd if sum(xs) & 1 else indices)[id(value)]
+            grouped.setdefault(k, []).append(xs)
+        return grouped
 
     def rule(domain):
-        lefts = signed(left.table(domain[:left.arity]), convention.from_left)
-        rights = signed(right.table(domain[left.arity:]),
+        pool = CochainPool()
+        lefts = groups(pool, left.table(domain[:left.arity]),
+                       convention.from_left)
+        rights = groups(pool, right.table(domain[left.arity:]),
                         not convention.from_left)
+        values = pool.values
         table = {}
-        for left_xs, left_value in lefts:
-            for right_xs, right_value in rights:
-                value = cup(left_value, right_value)
-                if not value.is_zero():
-                    table[left_xs + right_xs] = value
+        for a, left_keys in lefts.items():
+            for b, right_keys in rights.items():
+                value = cup(values[a], values[b])
+                if value.is_zero():
+                    continue
+                value = values[pool.intern(value)]
+                for left_xs in left_keys:
+                    for right_xs in right_keys:
+                        table[left_xs + right_xs] = value
         return table
 
     return MultiMap(arity, left.shifted_degree + right.shifted_degree + 1, rule,

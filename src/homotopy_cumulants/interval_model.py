@@ -457,6 +457,63 @@ def _stored_cochain(n0: int, n1: int, ne: int, den: int) -> Cochain:
 _COCHAIN_ZERO = _stored_cochain(0, 0, 0, 1)
 
 
+class CochainPool:
+    """The distinct cochains of one table build, as indices.
+
+    A table has many entries but few distinct values, so a table rule can
+    work on value indices: `values[k]` is the value of index k, `intern`
+    gives a value's index by equality, and each multiple (`multiple`) and
+    sum (`add`) is formed once per distinct index and coefficient or
+    index pair.  Index 0 is the zero cochain, so `table` drops zeros by
+    index.  A pool lives for one build; the tables built share its values.
+    """
+
+    __slots__ = ("values", "_index", "_multiples", "_sums")
+
+    def __init__(self):
+        self.values = [_COCHAIN_ZERO]
+        self._index = {_COCHAIN_ZERO: 0}
+        self._multiples: dict[tuple[int, Scalar], int] = {}
+        self._sums: dict[tuple[int, int], int] = {}
+
+    def intern(self, value: Cochain) -> int:
+        k = self._index.get(value)
+        if k is None:
+            k = self._index[value] = len(self.values)
+            self.values.append(value)
+        return k
+
+    def indices(self, table: dict, c: Scalar = 1) -> dict[int, int]:
+        """id(value) -> the index of c * value, over a table's values.
+
+        Each value object is interned and scaled once.  Keys are id()s, so
+        read the result only in a loop over the unchanged table, which
+        keeps the objects alive.
+        """
+        distinct = {id(value): value for value in table.values()}
+        return {i: self.multiple(self.intern(value), c)
+                for i, value in distinct.items()}
+
+    def multiple(self, k: int, c: Scalar) -> int:
+        if c == 1:
+            return k
+        m = self._multiples.get((k, c))
+        if m is None:
+            m = self._multiples[k, c] = self.intern(self.values[k].scale(c))
+        return m
+
+    def add(self, a: int, b: int) -> int:
+        k = self._sums.get((a, b))
+        if k is None:
+            k = self._sums[a, b] = self.intern(self.values[a] + self.values[b])
+        return k
+
+    def table(self, indices: dict) -> dict:
+        """The nonzero values of a dict of value indices, by key."""
+        values = self.values
+        return {key: values[k] for key, k in indices.items() if k}
+
+
 def wedge(a: PolyForm, b: PolyForm) -> PolyForm:
     """Wedge product; the dt.dt component vanishes on a one-manifold."""
     return PolyForm(a.part0 * b.part0, a.part0 * b.part1 + a.part1 * b.part0)

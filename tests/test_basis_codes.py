@@ -365,6 +365,26 @@ class TestOracle:
         for left, right in ((i1, odd), (odd, i1), (i2, odd), (odd, i2)):
             assert_paths_agree(lambda: cup_pair(left(), right(), convention))
 
+    def test_cup_sign_of_a_value_at_both_dt_parities(self, convention):
+        # The twin map takes the same value on t^k and on t^k dt, so one of
+        # its values sits at codes of both dt parities, and the Koszul sign
+        # of a cup with an odd map differs between them.  A table that
+        # grouped its entries by value alone would sign them alike.
+        def twin():
+            return ReferenceMap(
+                1, 1,
+                lambda x: Cochain(*[integrate(PolyForm(part1=x.part0 + x.part1)).edge] * 3),
+                name="twin")
+
+        def odd():
+            return ReferenceMap(1, 1, lambda x: Cochain(*[integrate(x).edge] * 3),
+                                name="odd")
+
+        for k in range(3):  # t^k is code 2k, t^k dt is 2k + 1
+            assert twin()(2 * k) == twin()(2 * k + 1) != Cochain.zero()
+        for left, right in ((twin, odd), (odd, twin)):
+            assert_paths_agree(lambda: cup_pair(left(), right(), convention))
+
     def test_witnesses_and_morphism_defects(self, convention):
         for n in (2, 3, 4):
             assert_paths_agree(lambda: homotopy_witness(n, convention))

@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from homotopy_cumulants import hom_complex
 from homotopy_cumulants.cumulants import Composition, composition_sign
 from homotopy_cumulants.cube_complex import (
     FREE,
@@ -37,6 +38,7 @@ from homotopy_cumulants.hom_complex import (
     wedge_at,
     zero_map,
 )
+from homotopy_cumulants.interval_model import cup
 
 
 def cell_census(n: int) -> dict[int, int]:
@@ -182,6 +184,23 @@ class TestVerification:
         for cell in cells_of(4):
             if cell.dimension >= 1:
                 assert verify_cell(4, cell, 2).equal, cell
+
+    def test_g4_cells_cup_once_per_value_pair(self, monkeypatch):
+        """The cost model of `cup_pair` over every cell check of g4 on the
+        exponent-2 grid: each distinct pair of signed values of the two
+        factors' tables is cupped once, 3,872 cups in all.  Cupping entry
+        by entry makes 21,141."""
+        calls = [0]
+
+        def counted_cup(a, b):
+            calls[0] += 1
+            return cup(a, b)
+
+        monkeypatch.setattr(hom_complex, "cup", counted_cup)
+        for cell in cells_of(4):
+            if cell.dimension >= 1:
+                assert verify_cell(4, cell, 2).equal, cell
+        assert calls[0] == 3872
 
     def test_both_square_types_occur_in_g4(self):
         two_cells = [c for c in cells_of(4) if c.dimension == 2]

@@ -1,10 +1,12 @@
 """Formal composites, boundaries, tree enumeration, polytope checks."""
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
+from homotopy_cumulants import formal_ainfty
 from homotopy_cumulants.cube_complex import FREE, CubeCell, cell_boundary
 from homotopy_cumulants.formal_ainfty import (
     FormalSum,
@@ -210,6 +212,31 @@ class TestPolytopes:
     def test_contractibility_range(self):
         with pytest.raises(ValueError):
             associahedron_contractibility(5)
+
+    def test_rank_agrees_with_sympy(self, monkeypatch):
+        """The fraction-free rank against sympy's, on the face boundary
+        matrices for n <= 4 and on seeded rational matrices of every rank,
+        with zero rows and columns."""
+        sympy = pytest.importorskip("sympy")
+        rank = formal_ainfty._matrix_rank
+        boundaries = []
+        monkeypatch.setattr(formal_ainfty, "_matrix_rank",
+                            lambda rows: boundaries.append(rows) or rank(rows))
+        for n in (2, 3, 4):
+            associahedron_contractibility(n)
+        assert [len(rows) for rows in boundaries] == [1, 13]
+        rng = random.Random(7)
+        seeded = []
+        for _ in range(200):
+            height, width = rng.randint(1, 7), rng.randint(1, 7)
+            k = rng.randint(0, min(height, width))
+            left = [[rng.randint(-3, 3) for _ in range(k)] for _ in range(height)]
+            right = [[rng.randint(-3, 3) for _ in range(width)] for _ in range(k)]
+            seeded.append([[Fraction(sum(a * b[j] for a, b in zip(row, right)),
+                                     rng.choice((1, 1, 2, 3)))
+                            for j in range(width)] for row in left])
+        for rows in boundaries + seeded:
+            assert rank(rows) == sympy.Matrix(rows).rank(), rows
 
     def test_polytope_dot(self):
         dot = polytope_to_dot(3)
