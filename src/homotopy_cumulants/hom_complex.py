@@ -162,13 +162,14 @@ class MultiMap:
             value = table.get(xs)
             if value is not None:
                 w = prod(map(getitem, weights, xs))
-                total = sums.get(value.den)
+                v0, v1, ve, den = value
+                total = sums.get(den)
                 if total is None:
-                    sums[value.den] = [w * value.n0, w * value.n1, w * value.ne]
+                    sums[den] = [w * v0, w * v1, w * ve]
                 else:
-                    total[0] += w * value.n0
-                    total[1] += w * value.n1
-                    total[2] += w * value.ne
+                    total[0] += w * v0
+                    total[1] += w * v1
+                    total[2] += w * ve
         # the numerators over the lcm of the entry denominators, reduced once
         common = lcm(*sums)
         n0 = n1 = ne = 0
@@ -245,19 +246,23 @@ def _add_into(pool: CochainPool, total: dict, table: Table,
     """total += c * table on value indices; sums may leave zeros behind."""
     add, indices = pool.add, pool.indices(table, c)
     for xs, value in table.items():
-        k = indices[id(value)]
+        k = indices[value]
         previous = total.get(xs)
         total[xs] = k if previous is None else add(previous, k)
 
 
+def _delta_indices(pool: CochainPool, table: Table) -> dict:
+    """The value indices of delta . f's nonzero values, by key, from the
+    table of f, with delta applied once per distinct value."""
+    images = {value: pool.intern(delta(value))
+              for value in dict.fromkeys(table.values())}
+    return {xs: k for xs, value in table.items() if (k := images[value])}
+
+
 def _delta_table(table: Table) -> Table:
-    """The table of delta . f from the table of f, with delta applied once
-    per distinct value."""
+    """The table of delta . f from the table of f."""
     pool = CochainPool()
-    indices, values = pool.indices(table), pool.values
-    images = {k: pool.intern(delta(values[k])) for k in set(indices.values())}
-    return {xs: values[image] for xs, value in table.items()
-            if (image := images[indices[id(value)]])}
+    return pool.table(_delta_indices(pool, table))
 
 
 def linear_combination(arity: int, shifted_degree: int,
@@ -359,6 +364,49 @@ def merged_integral(sizes: Sequence[int]) -> MultiMap:
     return merged
 
 
+def _insertions_into(pool: CochainPool, total: dict, f: MultiMap,
+                     domain: Domain, convention: SignConvention,
+                     c: int) -> None:
+    """total += c * (the d insertions of f on a domain), on value indices.
+
+    The slots are grouped by the widened domain whose table of f they
+    read, and each such table is scanned once: an entry is visited for the
+    slots of its group, and counts for slot u only if its slot-u code is a
+    derivative code there.
+    """
+    add, multiple = pool.add, pool.multiple
+    # widened domain -> its slots u, each with its derivative codes
+    # mapped to (c * k, input code t^k)
+    readers: dict[Domain, list] = {}
+    for u, slot in enumerate(domain):
+        sources = {}
+        for x in slot:
+            dx = d_code(x)
+            if dx is not None:
+                sources[dx[1]] = (c * dx[0], x)
+        if sources:
+            widened = domain[:u] + (slot.union(sources),) + domain[u + 1:]
+            readers.setdefault(widened, []).append((u, sources))
+    from_left = convention.from_left
+    for widened, slots in readers.items():
+        table = f.table(widened)
+        indices = pool.indices(table)
+        for ys, value in table.items():
+            index = indices[value]
+            for u, sources in slots:
+                source = sources.get(ys[u])
+                if source is None:
+                    continue
+                k, x = source
+                head, tail = ys[:u], ys[u + 1:]
+                # the dt bits passed, as the parity of the codes' sum
+                i = multiple(index,
+                             -k if sum(head if from_left else tail) & 1 else k)
+                xs = head + (x,) + tail
+                previous = total.get(xs)
+                total[xs] = i if previous is None else add(previous, i)
+
+
 def d_insertion_sum(f: MultiMap,
                     convention: SignConvention = CONVENTION_A) -> MultiMap:
     """sum_u koszul(u) f(1 x .. x d x .. x 1) with signs per convention.
@@ -367,37 +415,15 @@ def d_insertion_sum(f: MultiMap,
     t^k, signed by the dt inputs it passes.  The table asks f for its
     table with slot u widened by the derivative codes (on a grid the
     widened domain is the grid itself, so every slot and the boundary's
-    delta term share one table of f) and maps each entry whose slot u is
-    t^(k-1) dt back to t^k with weight +-k.  Each distinct value is scaled
-    once per weight, and the terms are summed on value indices.
+    delta term share one table of f, scanned once) and maps each entry
+    whose slot u is t^(k-1) dt back to t^k with weight +-k.  Each distinct
+    value is scaled once per weight, and the terms are summed on value
+    indices.
     """
 
     def rule(domain):
         pool, total = CochainPool(), {}
-        add, multiple = pool.add, pool.multiple
-        for u, slot in enumerate(domain):
-            # derivative code -> (k, input code t^k)
-            sources = {}
-            for x in slot:
-                dx = d_code(x)
-                if dx is not None:
-                    sources[dx[1]] = (dx[0], x)
-            if not sources:
-                continue
-            widened = domain[:u] + (slot.union(sources),) + domain[u + 1:]
-            table = f.table(widened)
-            indices = pool.indices(table)
-            for ys, value in table.items():
-                source = sources.get(ys[u])
-                if source is None:
-                    continue
-                k, x = source
-                # the dt bits passed, as the parity of the codes' sum
-                passed = ys[:u] if convention.from_left else ys[u + 1:]
-                i = multiple(indices[id(value)], -k if sum(passed) & 1 else k)
-                xs = ys[:u] + (x,) + ys[u + 1:]
-                previous = total.get(xs)
-                total[xs] = i if previous is None else add(previous, i)
+        _insertions_into(pool, total, f, domain, convention, 1)
         return pool.table(total)
 
     return MultiMap(f.arity, f.shifted_degree + 1, rule,
@@ -409,15 +435,15 @@ def hom_boundary(f: MultiMap,
     """The Hom-complex differential; squares to zero.
 
     boundary(f) = delta . f - (-1)^{|f|} (Koszul-signed d insertions),
-    with |f| the unsuspended degree of f.
+    with |f| the unsuspended degree of f.  Both terms are summed on the
+    value indices of one pool.
     """
-    insertions = d_insertion_sum(f, convention)
     pre_sign = -1 if f.plain_degree % 2 == 0 else 1
 
     def rule(domain):
-        pool, total = CochainPool(), {}
-        _add_into(pool, total, _delta_table(f.table(domain)))
-        _add_into(pool, total, insertions.table(domain), pre_sign)
+        pool = CochainPool()
+        total = _delta_indices(pool, f.table(domain))
+        _insertions_into(pool, total, f, domain, convention, pre_sign)
         return pool.table(total)
 
     return MultiMap(f.arity, f.shifted_degree + 1, rule, f"boundary({f.name})")
@@ -447,7 +473,7 @@ def cup_pair(left: MultiMap, right: MultiMap,
         odd = pool.indices(entries, -1) if passed and moving_parity else indices
         grouped: dict[int, list] = {}
         for xs, value in entries.items():
-            k = (odd if sum(xs) & 1 else indices)[id(value)]
+            k = (odd if sum(xs) & 1 else indices)[value]
             grouped.setdefault(k, []).append(xs)
         return grouped
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
+from operator import itemgetter
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[Fraction, int, str]
@@ -63,6 +64,9 @@ class Polynomial:
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    def __reduce__(self):
+        return _polynomial, (list(self.numerators), self.denominator)
 
     @classmethod
     def monomial(cls, exponent: int, coefficient: Scalar = 1) -> "Polynomial":
@@ -262,6 +266,9 @@ class PolyForm:
     def __setattr__(self, name, value):
         raise AttributeError("PolyForm is immutable")
 
+    def __reduce__(self):
+        return PolyForm, (self.part0, self.part1)
+
     @classmethod
     def zero(cls) -> "PolyForm":
         return _FORM_ZERO
@@ -329,21 +336,36 @@ DT = PolyForm(part1=Polynomial([1]))
 ONE = PolyForm(part0=Polynomial([1]))
 
 
-class Cochain:
+class Cochain(tuple):
     """A simplicial cochain on the interval: vertex values plus r dt.
 
-    The fields v0, v1 and edge are n0 / den, n1 / den and ne / den, with
-    integer numerators over one positive common denominator.  The form is
-    reduced: gcd(n0, n1, ne, den) is 1, and the zero cochain is
-    (0, 0, 0, 1) and the one shared `Cochain.zero()`.  So equality and
-    hashing are structural, and a zero result is recognised by identity;
-    the operations below return the shared zero and pass it through, since
-    most values in a grid sweep vanish.  All arithmetic runs on the
-    integers with one reduction per result; `v0`, `v1` and `edge` give the
-    reduced Fractions, a zero field as the shared Fraction `_ZERO`.
+    A cochain is the reduced 4-tuple (n0, n1, ne, den): the fields v0, v1
+    and edge are n0 / den, n1 / den and ne / den, with integer numerators
+    over one positive common denominator.  Reduced means gcd(n0, n1, ne,
+    den) is 1, and the zero cochain is (0, 0, 0, 1) and the one shared
+    `Cochain.zero()`.  So equality and hashing are the tuple's, run in C,
+    and a cochain compares equal to (and hashes as) the plain tuple of its
+    fields; a zero result is recognised by identity, and the operations
+    below return the shared zero and pass it through, since most values in
+    a grid sweep vanish.  Every cochain is built by `_cochain`, which
+    reduces it; repetition and ordering, which a tuple would allow, are
+    refused with TypeError.  A cochain is serialized only through
+    `to_json_dict` (copy and pickle rebuild it through `_cochain`).  All
+    arithmetic runs on the integers with one reduction per result; `v0`,
+    `v1` and `edge` give the reduced Fractions, a zero field as the shared
+    Fraction `_ZERO`.
     """
 
-    __slots__ = ("n0", "n1", "ne", "den")
+    __slots__ = ()
+
+    n0 = property(itemgetter(0))
+    n1 = property(itemgetter(1))
+    ne = property(itemgetter(2))
+    den = property(itemgetter(3))
+
+    # a cochain is a value, not a sequence: no repetition, no ordering
+    __mul__ = __rmul__ = None
+    __lt__ = __le__ = __gt__ = __ge__ = None
 
     def __new__(cls, v0: Scalar = 0, v1: Scalar = 0, edge: Scalar = 0):
         v0, v1, edge = _frac(v0), _frac(v1), _frac(edge)
@@ -352,8 +374,8 @@ class Cochain:
                         v1.numerator * (den // v1.denominator),
                         edge.numerator * (den // edge.denominator), den)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Cochain is immutable")
+    def __reduce__(self):
+        return _cochain, tuple(self)
 
     @classmethod
     def zero(cls) -> "Cochain":
@@ -361,46 +383,39 @@ class Cochain:
 
     @property
     def v0(self) -> Fraction:
-        return Fraction(self.n0, self.den) if self.n0 else _ZERO
+        n0, _, _, den = self
+        return Fraction(n0, den) if n0 else _ZERO
 
     @property
     def v1(self) -> Fraction:
-        return Fraction(self.n1, self.den) if self.n1 else _ZERO
+        _, n1, _, den = self
+        return Fraction(n1, den) if n1 else _ZERO
 
     @property
     def edge(self) -> Fraction:
-        return Fraction(self.ne, self.den) if self.ne else _ZERO
+        _, _, ne, den = self
+        return Fraction(ne, den) if ne else _ZERO
 
     def is_zero(self) -> bool:
         return self is _COCHAIN_ZERO
-
-    def __eq__(self, other) -> bool:
-        if self is other:
-            return True
-        return (isinstance(other, Cochain) and self.n0 == other.n0
-                and self.n1 == other.n1 and self.ne == other.ne
-                and self.den == other.den)
-
-    def __hash__(self) -> int:
-        return hash((self.n0, self.n1, self.ne, self.den))
 
     def __add__(self, other: "Cochain") -> "Cochain":
         if other is _COCHAIN_ZERO:
             return self
         if self is _COCHAIN_ZERO:
             return other
-        da, db = self.den, other.den
+        a0, a1, ae, da = self
+        b0, b1, be, db = other
         if da == db:
-            return _cochain(self.n0 + other.n0, self.n1 + other.n1,
-                            self.ne + other.ne, da)
-        return _cochain(self.n0 * db + other.n0 * da,
-                        self.n1 * db + other.n1 * da,
-                        self.ne * db + other.ne * da, da * db)
+            return _cochain(a0 + b0, a1 + b1, ae + be, da)
+        return _cochain(a0 * db + b0 * da, a1 * db + b1 * da,
+                        ae * db + be * da, da * db)
 
     def __neg__(self) -> "Cochain":
         if self is _COCHAIN_ZERO:
             return self
-        return _cochain(-self.n0, -self.n1, -self.ne, self.den)
+        n0, n1, ne, den = self
+        return _cochain(-n0, -n1, -ne, den)
 
     def __sub__(self, other: "Cochain") -> "Cochain":
         return self + (-other)
@@ -413,7 +428,8 @@ class Cochain:
             m, q = s.numerator, s.denominator
         if self is _COCHAIN_ZERO:
             return self
-        return _cochain(m * self.n0, m * self.n1, m * self.ne, q * self.den)
+        n0, n1, ne, den = self
+        return _cochain(m * n0, m * n1, m * ne, q * den)
 
     def to_text(self) -> str:
         return (f"({_format_rational(self.v0)}, {_format_rational(self.v1)}; "
@@ -430,6 +446,9 @@ class Cochain:
         return f"Cochain({self.to_text()!r})"
 
 
+_new_tuple = tuple.__new__
+
+
 def _cochain(n0: int, n1: int, ne: int, den: int) -> Cochain:
     """The reduced Cochain of (n0, n1, ne) / den (den > 0).
 
@@ -442,19 +461,10 @@ def _cochain(n0: int, n1: int, ne: int, den: int) -> Cochain:
         g = gcd(n0, n1, ne, den)
         if g != 1:
             n0, n1, ne, den = n0 // g, n1 // g, ne // g, den // g
-    return _stored_cochain(n0, n1, ne, den)
+    return _new_tuple(Cochain, (n0, n1, ne, den))
 
 
-def _stored_cochain(n0: int, n1: int, ne: int, den: int) -> Cochain:
-    cochain = object.__new__(Cochain)
-    object.__setattr__(cochain, "n0", n0)
-    object.__setattr__(cochain, "n1", n1)
-    object.__setattr__(cochain, "ne", ne)
-    object.__setattr__(cochain, "den", den)
-    return cochain
-
-
-_COCHAIN_ZERO = _stored_cochain(0, 0, 0, 1)
+_COCHAIN_ZERO = _new_tuple(Cochain, (0, 0, 0, 1))
 
 
 class CochainPool:
@@ -462,8 +472,9 @@ class CochainPool:
 
     A table has many entries but few distinct values, so a table rule can
     work on value indices: `values[k]` is the value of index k, `intern`
-    gives a value's index by equality, and each multiple (`multiple`) and
-    sum (`add`) is formed once per distinct index and coefficient or
+    gives a value's index by equality, `indices` gives the indices of a
+    table's distinct values keyed by value, and each multiple (`multiple`)
+    and sum (`add`) is formed once per distinct index and coefficient or
     index pair.  Index 0 is the zero cochain, so `table` drops zeros by
     index.  A pool lives for one build; the tables built share its values.
     """
@@ -483,16 +494,14 @@ class CochainPool:
             self.values.append(value)
         return k
 
-    def indices(self, table: dict, c: Scalar = 1) -> dict[int, int]:
-        """id(value) -> the index of c * value, over a table's values.
+    def indices(self, table: dict, c: Scalar = 1) -> dict[Cochain, int]:
+        """value -> the index of c * value, over a table's distinct values.
 
-        Each value object is interned and scaled once.  Keys are id()s, so
-        read the result only in a loop over the unchanged table, which
-        keeps the objects alive.
+        Each distinct value is interned and scaled once; the result is
+        keyed by value, so any equal cochain reads it.
         """
-        distinct = {id(value): value for value in table.values()}
-        return {i: self.multiple(self.intern(value), c)
-                for i, value in distinct.items()}
+        return {value: self.multiple(self.intern(value), c)
+                for value in dict.fromkeys(table.values())}
 
     def multiple(self, k: int, c: Scalar) -> int:
         if c == 1:
@@ -533,13 +542,15 @@ def cup(a: Cochain, b: Cochain) -> Cochain:
     """
     if a is _COCHAIN_ZERO or b is _COCHAIN_ZERO:
         return _COCHAIN_ZERO
-    a0, b1 = a.n0, b.n1
-    return _cochain(a0 * b.n0, a.n1 * b1, a0 * b.ne + a.ne * b1, a.den * b.den)
+    a0, a1, ae, da = a
+    b0, b1, be, db = b
+    return _cochain(a0 * b0, a1 * b1, a0 * be + ae * b1, da * db)
 
 
 def delta(a: Cochain) -> Cochain:
     """Simplicial coboundary: vertex values map to their edge difference."""
-    return _cochain(0, 0, a.n1 - a.n0, a.den)
+    n0, n1, _, den = a
+    return _cochain(0, 0, n1 - n0, den)
 
 
 def integrate(a: PolyForm) -> Cochain:

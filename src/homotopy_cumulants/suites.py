@@ -9,6 +9,9 @@ variable), and records what it returns:
   witness is its `to_json_dict()` as JSON with sorted keys;
 * a (status, witness) pair: both as given, the witness a text or None.
 
+Any other outcome, a truthy object or a tuple of another shape, raises
+TypeError naming the check, so it is never recorded as a pass.
+
 Parameters are recorded as strings.  `duration_ms` is the body's own
 wall time in whole milliseconds: work done before the body is called,
 such as building a shared context, is not counted.
@@ -122,10 +125,16 @@ def _entry(check: str, parameters: dict,
         status = outcome.equal
         if not status:
             witness = json.dumps(outcome.to_json_dict(), sort_keys=True)
-    elif isinstance(outcome, tuple):
+    elif type(outcome) is bool:
+        status = outcome
+    elif (type(outcome) is tuple and len(outcome) == 2
+          and type(outcome[0]) is bool
+          and (outcome[1] is None or type(outcome[1]) is str)):
         status, witness = outcome
     else:
-        status = outcome
+        raise TypeError(f"check {check!r} returned a {type(outcome).__name__}, "
+                        "not a bool, an EqualityVerdict or a "
+                        "(bool, str | None) pair")
     return ReportEntry(check, {k: str(v) for k, v in parameters.items()},
                        status, witness, duration_ms)
 

@@ -5,6 +5,7 @@ import io
 import json
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -64,6 +65,19 @@ class TestVerify:
         for entry in entries:
             assert type(entry.duration_ms) is int and entry.duration_ms >= 0
             assert all(type(v) is str for v in entry.parameters.values())
+
+    def test_entry_accepts_three_kinds_of_outcome(self):
+        assert suites._entry("bool", {}, lambda: True).status is True
+        assert suites._entry("pair", {}, lambda: (False, "x")).witness == "x"
+        assert suites._entry("pair", {}, lambda: (True, None)).status is True
+        verdict = suites.maps_equal_on_truncation(
+            suites.iterated_integral_map(1), suites.iterated_integral_map(1),
+            suites.TruncationGrid(1))
+        assert suites._entry("verdict", {}, lambda: verdict).status is True
+        for outcome in (1, "pass", [True], (True,), (1, None), (True, 3),
+                        (True, None, None), suites.Cochain(1, 2, 3)):
+            with pytest.raises(TypeError, match="'odd check'"):
+                suites._entry("odd check", {}, lambda: outcome)
 
     def test_convention_b_fails(self, capsys):
         code, out, _ = run(capsys, "verify", "ainfty", "--n-max", "2",

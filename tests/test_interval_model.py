@@ -1,6 +1,8 @@
 """Forms, cochains, and the integration maps on the interval."""
 
+import copy
 import itertools
+import pickle
 from fractions import Fraction
 from math import gcd
 
@@ -13,6 +15,7 @@ from homotopy_cumulants.interval_model import (
     MAX_PARSE_DEGREE,
     MAX_PARSE_EXPONENT,
     Cochain,
+    CochainPool,
     ParseError,
     PolyForm,
     Polynomial,
@@ -538,6 +541,86 @@ class TestCochainKernel:
             with pytest.raises(AttributeError):
                 setattr(a, name, 5)
         assert a == Cochain(1, 2, 3)
+
+
+class TestCochainValue:
+    """A Cochain is a reduced 4-tuple whose equality and hash are the
+    tuple's own."""
+
+    def test_equality_and_hash_are_the_tuples(self):
+        assert Cochain.__eq__ is tuple.__eq__
+        assert Cochain.__hash__ is tuple.__hash__
+        assert "__eq__" not in vars(Cochain) and "__hash__" not in vars(Cochain)
+
+    def test_equal_values_built_separately(self):
+        a = Cochain("1/2", "1/3", 2)
+        b = cup(Cochain(1, 1, 0), Cochain("3/6", "2/6", "4/2"))
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert a == (3, 2, 12, 6) and hash(a) == hash((3, 2, 12, 6))
+        assert len({a, b, (3, 2, 12, 6)}) == 1
+
+    def test_repetition_and_ordering_are_refused(self):
+        c = Cochain(1, 2, 3)
+        for operation in (lambda: c * 2, lambda: 2 * c, lambda: c < c,
+                          lambda: c <= c, lambda: c > c, lambda: c >= c):
+            with pytest.raises(TypeError):
+                operation()
+
+    def test_fields_cannot_be_assigned(self):
+        c = Cochain(1, 2, 3)
+        for name in ("n0", "n1", "ne", "den", "v0", "v1", "edge", "other"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, 5)
+        assert c == (1, 2, 3, 1)
+
+    def test_the_zero_is_shared(self):
+        assert Cochain(0, 0, 0) is Cochain.zero()
+        assert Cochain(1, 2, 3) - Cochain(1, 2, 3) is Cochain.zero()
+
+
+def test_pool_indices_are_keyed_by_value():
+    pool = CochainPool()
+    half = Cochain("1/2", 0, 1)
+    table = {(0,): half, (1,): Cochain(1, 0, 2).scale("1/2"), (2,): cup(
+        Cochain(1, 1, 0), half)}
+    indices = pool.indices(table, -2)
+    assert len(indices) == 1 and len(pool.values) == 3
+    # a cochain built afresh, equal to the table's, reads the same index
+    k = indices[Cochain("2/4", 0, "3/3")]
+    assert pool.values[k] == Cochain(-1, 0, -2)
+    assert pool.indices(table) == {half: pool.intern(half)}
+
+
+class TestCopyAndPickle:
+    """copy, deepcopy and pickle rebuild a value through its reducing
+    constructor."""
+
+    values = [
+        Cochain.zero(), Cochain("1/2", "-1/3", 4), Cochain(0, 0, "7/9"),
+        Polynomial([]), Polynomial(["1/2", 0, "-3/4"]),
+        PolyForm(), PolyForm(Polynomial([1, "2/3"]), Polynomial(["-1/5"])),
+    ]
+
+    @pytest.mark.parametrize("value", values, ids=repr)
+    def test_round_trips(self, value):
+        for copied in (copy.copy(value), copy.deepcopy(value),
+                       pickle.loads(pickle.dumps(value))):
+            assert type(copied) is type(value)
+            assert copied == value and hash(copied) == hash(value)
+
+    def test_zeros_stay_shared(self):
+        zero = Cochain.zero()
+        assert copy.copy(zero) is zero
+        assert copy.deepcopy(zero) is zero
+        assert pickle.loads(pickle.dumps(zero)) is zero
+        assert copy.deepcopy(Polynomial([])) is Polynomial([])
+
+    def test_copies_stay_reduced(self):
+        a = pickle.loads(pickle.dumps(Cochain("2/4", "4/8", 0)))
+        assert (a.n0, a.n1, a.ne, a.den) == (1, 1, 0, 2)
+        assert copy.deepcopy(Cochain(1, 2, 3)).scale("1/3") == Cochain(
+            "1/3", "2/3", 1)
 
 
 class TestTextFormats:
