@@ -6,6 +6,11 @@ every leaf-to-root path crosses exactly one p node.  The formal boundary
 expands a p node through the morphism relation and an m node through the
 algebra relation, extended to composites as a graded derivation; its
 square is zero, which check_d_squared certifies by exact cancellation.
+Coefficients are exact: ints stay ints, and floats are refused.  Inside
+a check (see `hom_complex.check_store`) each tree's boundary is expanded
+once per convention and kept for the rest of the check, so a subtree met
+in many terms, or a term of the boundary of p_n met again in its square,
+is not expanded again; tree nodes cache their hashes.
 
 Vertices (all nodes binary or unary p) of the induced polytopes are the
 classical painted binary trees; for three inputs they form a hexagon and
@@ -24,7 +29,7 @@ terms' maps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
@@ -37,11 +42,13 @@ from .hom_complex import (
     CONVENTION_A,
     MultiMap,
     SignConvention,
+    _stored,
     cup_pair,
     linear_combination,
     merged_integral,
     zero_map,
 )
+from .interval_model import _frac
 
 
 class Kind(Enum):
@@ -92,9 +99,13 @@ class _Node:
     """An operation node: its generator applied to child subtrees.
 
     Subclasses fix the generator's kind and the least arity it allows.
+    A node caches its hash, which its children's cached hashes make cheap;
+    a copy or a pickle rebuilds the node through its constructor, so the
+    hash is always computed in the process that holds the node.
     """
 
     children: tuple
+    _hash: int = field(init=False, repr=False, compare=False)
 
     kind: ClassVar[Kind]
     min_arity: ClassVar[int]
@@ -103,6 +114,13 @@ class _Node:
         if len(self.children) < self.min_arity:
             raise ValueError(
                 f"{self.kind.value} nodes have arity >= {self.min_arity}")
+        object.__setattr__(self, "_hash", hash((self.children,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        return type(self), (self.children,)
 
     @property
     def generator(self) -> Generator:
@@ -190,15 +208,24 @@ def tree_text(tree: FormalTree) -> str:
     return f"p{len(tree.children)}({inner})"
 
 
+def _coefficient(value) -> int | Fraction:
+    """An exact coefficient: ints stay ints, other scalars go through
+    `_frac`, so floats are refused."""
+    return value if type(value) is int else _frac(value)
+
+
 class FormalSum:
-    """A rational linear combination of formal trees."""
+    """A rational linear combination of formal trees.
+
+    Coefficients are ints or Fractions; floats are refused.
+    """
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Iterable[tuple[FormalTree, Fraction]] = ()):
-        acc: dict[FormalTree, Fraction] = {}
+    def __init__(self, terms: Iterable[tuple[FormalTree, int | Fraction]] = ()):
+        acc: dict[FormalTree, int | Fraction] = {}
         for tree, coefficient in terms:
-            c = acc.get(tree, Fraction(0)) + coefficient
+            c = acc.get(tree, 0) + _coefficient(coefficient)
             if c:
                 acc[tree] = c
             elif tree in acc:
@@ -207,7 +234,7 @@ class FormalSum:
 
     @classmethod
     def of(cls, tree: FormalTree, coefficient=1) -> "FormalSum":
-        return cls([(tree, Fraction(coefficient))])
+        return cls([(tree, coefficient)])
 
     @classmethod
     def zero(cls) -> "FormalSum":
@@ -229,7 +256,7 @@ class FormalSum:
         return FormalSum(list(self.terms.items()) + list(other.terms.items()))
 
     def scale(self, scalar) -> "FormalSum":
-        s = Fraction(scalar)
+        s = _coefficient(scalar)
         return FormalSum([(t, s * c) for t, c in self.terms.items()])
 
     def __sub__(self, other: "FormalSum") -> "FormalSum":
@@ -340,10 +367,16 @@ def _generator_boundary(tree, convention: SignConvention) -> list:
 
 
 def _tree_boundary(tree: FormalTree, convention: SignConvention) -> FormalSum:
+    """The formal boundary of one tree, kept per (tree, convention) in the
+    open check store (see `hom_complex.check_store`)."""
     if isinstance(tree, Leaf):
         return FormalSum.zero()
-    terms = [(new, Fraction(sign))
-             for new, sign in _generator_boundary(tree, convention)]
+    return _stored(("boundary", tree, convention),
+                   lambda: _expand_boundary(tree, convention))
+
+
+def _expand_boundary(tree: FormalTree, convention: SignConvention) -> FormalSum:
+    terms = _generator_boundary(tree, convention)
     # graded Leibniz into the children, Koszul over unsuspended degrees
     children = tree.children
     node_parity = tree.generator.plain_degree % 2

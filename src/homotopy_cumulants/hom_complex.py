@@ -32,7 +32,11 @@ values, so the arithmetic is done once per distinct value on the indices
 of an `interval_model.CochainPool`: a cup once per pair of distinct
 signed values, a multiple once per value and coefficient, a sum once per
 index pair, and delta once per value.  Tables are memoized per map and
-per domain.
+per domain, and the leaves are shared per check: while a `check_store`
+is open (every suite entry opens one), `iterated_integral_map(n)` is one
+map per n, so every block, wedge, cup and delta.I_n term of the check
+reads one I_n table per domain.  The store and what it holds are dropped
+when the check returns; with no store open each call builds a fresh map.
 A map evaluates any forms by contracting a table over the product of
 their supports (see `MultiMap.__call__`).  The table is any kept one
 whose domain covers the supports, else one built over S^n with S their
@@ -43,6 +47,8 @@ tuple of the product; which table is read cannot change the value.
 from __future__ import annotations
 
 import itertools
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
@@ -111,7 +117,8 @@ class MultiMap:
     never other combinations.  `terms` is None for a leaf map.
     """
 
-    __slots__ = ("arity", "shifted_degree", "name", "terms", "rule", "_tables")
+    __slots__ = ("arity", "shifted_degree", "name", "terms", "rule", "_tables",
+                 "__weakref__")
 
     def __init__(self, arity: int, shifted_degree: int,
                  rule: Callable[[Domain], Table], name: str = ""):
@@ -303,11 +310,52 @@ def zero_map(arity: int, shifted_degree: int = 0) -> MultiMap:
     return linear_combination(arity, shifted_degree, (), f"0/{arity}")
 
 
+# the store of the check being run (see `check_store`), or None
+_check_store: ContextVar[dict | None] = ContextVar("check_store", default=None)
+
+
+@contextmanager
+def check_store():
+    """Share the leaves of one check: a store that lives while it is open.
+
+    While the store is open, `iterated_integral_map(n)` is one map per n,
+    so every term of the check reads one I_n table per domain, and the
+    formal layer keeps each tree's boundary there.  On exit, also when
+    the body raises, the previous store is restored and everything this
+    one held is dropped.
+    """
+    token = _check_store.set({})
+    try:
+        yield
+    finally:
+        _check_store.reset(token)
+
+
+def _stored(key, build: Callable[[], object]):
+    """The open check store's value at key, built once by build(); with no
+    store open, a fresh build()."""
+    store = _check_store.get()
+    if store is None:
+        return build()
+    value = store.get(key)
+    if value is None:
+        value = store[key] = build()
+    return value
+
+
 def iterated_integral_map(n: int) -> MultiMap:
-    """The n-th iterated-integral map as a MultiMap of shifted degree 0."""
+    """The n-th iterated-integral map as a MultiMap of shifted degree 0.
+
+    Inside a check (see `check_store`) this is the check's one I_n, whose
+    tables every block, wedge, cup and delta term of the check reads;
+    with no store open it is a fresh map.
+    """
     if n < 1:
         raise ValueError("n must be positive")
+    return _stored(("I", n), lambda: _iterated_integral_map(n))
 
+
+def _iterated_integral_map(n: int) -> MultiMap:
     def rule(domain):
         # for n >= 2 only dt inputs contribute
         slots = domain if n == 1 else [[x for x in s if x & 1] for s in domain]

@@ -15,6 +15,12 @@ TypeError naming the check, so it is never recorded as a pass.
 Parameters are recorded as strings.  `duration_ms` is the body's own
 wall time in whole milliseconds: work done before the body is called,
 such as building a shared context, is not counted.
+
+Each body runs inside its own `hom_complex.check_store`, so the leaves of
+one check are shared: every term that asks for I_n gets the check's one
+I_n map and reads one table per domain, and each painted tree's formal
+boundary is expanded once.  What the store holds is dropped when the
+body returns or raises, so no check sees another's tables.
 """
 
 from __future__ import annotations
@@ -63,6 +69,7 @@ from .hom_complex import (
     SignConvention,
     TruncationGrid,
     ainfty_relation_defect,
+    check_store,
     cumulant_multimap,
     first_difference,
     hom_boundary,
@@ -116,9 +123,11 @@ class ReportEntry:
 def _entry(check: str, parameters: dict,
            body: Callable[[], bool | EqualityVerdict | tuple[bool, str | None]]
            ) -> ReportEntry:
-    """Run one check body, timed, and record its outcome as an entry."""
+    """Run one check body, timed, in a store that shares the check's leaves
+    (see `hom_complex.check_store`), and record its outcome as an entry."""
     started = time.monotonic()
-    outcome = body()
+    with check_store():
+        outcome = body()
     duration_ms = int((time.monotonic() - started) * 1000)
     witness = None
     if isinstance(outcome, EqualityVerdict):

@@ -43,6 +43,22 @@ class TestVerify:
         _, second, _ = run(capsys, "verify", "all", "--n-max", "2", "--degree", "2")
         assert strip(first) == strip(second)
 
+    def test_repeated_runs_in_one_process_agree(self, tmp_path):
+        """No state leaks from one run into the next: the second `verify
+        all` in a process writes the first one's report, bar durations."""
+        def report(path):
+            code = main(["verify", "all", "--n-max", "4", "--degree", "2",
+                         "--out", str(path)])
+            entries = json.loads(path.read_text(encoding="utf-8"))["entries"]
+            for entry in entries:
+                assert type(entry.pop("duration_ms")) is int
+            return code, entries
+
+        first = report(tmp_path / "first.json")
+        second = report(tmp_path / "second.json")
+        assert first[0] == second[0] == 0
+        assert first[1] == second[1]
+
     def test_entry_schema(self, capsys):
         _, out, _ = run(capsys, "verify", "cumulants", "--n-max", "2",
                         "--degree", "2")

@@ -1,6 +1,8 @@
 """Formal composites, boundaries, tree enumeration, polytope checks."""
 
+import copy
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -30,7 +32,10 @@ from homotopy_cumulants.formal_ainfty import (
     validate_painted,
 )
 from homotopy_cumulants.hom_complex import (
+    CONVENTION_A,
+    CONVENTION_B,
     TruncationGrid,
+    check_store,
     hom_boundary,
     iterated_integral_map,
     maps_equal_on_truncation,
@@ -81,6 +86,24 @@ class TestTrees:
         merged = Paint((SourceOp(leaves(2)), Leaf()))
         assert tree_text(merged) == "p2(m2(1⊗1)⊗1)"
 
+    def test_equal_trees_hash_equal(self):
+        def build():
+            return TargetOp((Paint((SourceOp(leaves(2)), Leaf())),
+                             Paint(leaves(1))))
+
+        a, b = build(), build()
+        assert a is not b and a == b and hash(a) == hash(b)
+        # the same children under another node type is another tree
+        assert SourceOp(leaves(2)) != Paint(leaves(2))
+
+    @pytest.mark.parametrize("round_trip", [
+        copy.copy, copy.deepcopy, lambda t: pickle.loads(pickle.dumps(t))])
+    def test_copies_keep_equality_and_hash(self, round_trip):
+        for tree in (p_tree(3), *formal_boundary(p_tree(4)).terms):
+            copied = round_trip(tree)
+            assert copied == tree and hash(copied) == hash(tree)
+            assert tree_text(copied) == tree_text(tree)
+
 
 class TestFormalBoundary:
     def test_p1_is_closed(self):
@@ -113,6 +136,46 @@ class TestFormalBoundary:
         boundary = formal_boundary(p_tree(3))
         assert Paint((SourceOp(leaves(3)),)) in boundary.terms
         assert TargetOp((Paint(leaves(1)),) * 3) in boundary.terms
+
+    @pytest.mark.parametrize("convention, n, text", [
+        (CONVENTION_A, 3, "m2(p1⊗p2) - m2(p2⊗p1) - m3(p1⊗p1⊗p1)"
+         " + p1(m3(1⊗1⊗1)) + p2(1⊗m2(1⊗1)) - p2(m2(1⊗1)⊗1)"),
+        (CONVENTION_A, 4, "-m2(p1⊗p3) - m2(p2⊗p2) - m2(p3⊗p1)"
+         " - m3(p1⊗p1⊗p2) + m3(p1⊗p2⊗p1) - m3(p2⊗p1⊗p1)"
+         " - m4(p1⊗p1⊗p1⊗p1) + p1(m4(1⊗1⊗1⊗1)) - p2(1⊗m3(1⊗1⊗1))"
+         " - p2(m3(1⊗1⊗1)⊗1) + p3(1⊗1⊗m2(1⊗1)) - p3(1⊗m2(1⊗1)⊗1)"
+         " + p3(m2(1⊗1)⊗1⊗1)"),
+        (CONVENTION_B, 3, "-m2(p1⊗p2) + m2(p2⊗p1) - m3(p1⊗p1⊗p1)"
+         " + p1(m3(1⊗1⊗1)) - p2(1⊗m2(1⊗1)) + p2(m2(1⊗1)⊗1)"),
+        (CONVENTION_B, 4, "-m2(p1⊗p3) - m2(p2⊗p2) - m2(p3⊗p1)"
+         " - m3(p1⊗p1⊗p2) + m3(p1⊗p2⊗p1) - m3(p2⊗p1⊗p1)"
+         " - m4(p1⊗p1⊗p1⊗p1) + p1(m4(1⊗1⊗1⊗1)) - p2(1⊗m3(1⊗1⊗1))"
+         " - p2(m3(1⊗1⊗1)⊗1) + p3(1⊗1⊗m2(1⊗1)) - p3(1⊗m2(1⊗1)⊗1)"
+         " + p3(m2(1⊗1)⊗1⊗1)"),
+    ])
+    def test_pinned_boundaries(self, convention, n, text):
+        assert formal_boundary(p_tree(n), convention).to_text() == text
+        # the same inside a check, where tree boundaries are kept
+        with check_store():
+            assert formal_boundary(p_tree(n), convention).to_text() == text
+            assert formal_boundary(p_tree(n), convention).to_text() == text
+
+    def test_float_coefficients_refused(self):
+        with pytest.raises(TypeError):
+            FormalSum.of(p_tree(2), 0.1)
+        with pytest.raises(TypeError):
+            FormalSum.of(p_tree(2)).scale(0.1)
+        with pytest.raises(TypeError):
+            FormalSum([(p_tree(2), 0.5)])
+        third = FormalSum.of(p_tree(2), "1/3").scale(Fraction(3, 2))
+        assert third.terms == {p_tree(2): Fraction(1, 2)}
+
+    def test_int_coefficients_stay_ints(self):
+        doubled = FormalSum.of(p_tree(2), 2).scale(3) + FormalSum.of(p_tree(2))
+        assert [type(c) for c in doubled.terms.values()] == [int]
+        assert doubled.terms == {p_tree(2): 7}
+        boundary = formal_boundary(p_tree(4))
+        assert {type(c) for c in boundary.terms.values()} == {int}
 
     def test_linearity(self):
         s = FormalSum([(p_tree(2), Fraction(2)), (p_tree(2), Fraction(1))])

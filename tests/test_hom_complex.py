@@ -2,13 +2,15 @@
 
 import itertools
 import random
+import threading
+import weakref
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homotopy_cumulants import hom_complex
+from homotopy_cumulants import hom_complex, suites
 from homotopy_cumulants.cube_complex import cell_to_map, cells_of
 from homotopy_cumulants.cumulants import integration_context
 from homotopy_cumulants.hom_complex import (
@@ -469,3 +471,93 @@ class TestExactForms:
                 from homotopy_cumulants.cumulants import cumulant
                 rhs = cumulant(ctx, [f1, d_form(f2)])
                 assert lhs == rhs
+
+
+class TestCheckStore:
+    """A check store shares the I_n leaves of one check and drops them after."""
+
+    def test_one_leaf_per_n_inside_an_entry(self):
+        seen = []
+
+        def body():
+            seen.append(iterated_integral_map(2) is iterated_integral_map(2))
+            seen.append(iterated_integral_map(2) is not iterated_integral_map(3))
+            return True
+
+        assert suites._entry("shared", {}, body).status
+        assert seen == [True, True]
+        assert iterated_integral_map(2) is not iterated_integral_map(2)
+
+    def test_store_is_restored_on_exit(self):
+        with hom_complex.check_store():
+            outer = iterated_integral_map(1)
+            with hom_complex.check_store():
+                assert iterated_integral_map(1) is not outer
+            assert iterated_integral_map(1) is outer
+
+    def test_store_is_not_seen_by_another_thread(self):
+        shared = []
+
+        def in_thread():
+            shared.append(iterated_integral_map(1) is iterated_integral_map(1))
+
+        with hom_complex.check_store():
+            thread = threading.Thread(target=in_thread)
+            thread.start()
+            thread.join(timeout=10)
+        assert not thread.is_alive() and shared == [False]
+
+    def test_leaf_is_dropped_when_the_entry_returns(self):
+        refs = []
+
+        def body():
+            refs.append(weakref.ref(iterated_integral_map(2)))
+            return True
+
+        suites._entry("returns", {}, body)
+        assert refs[0]() is None
+
+    def test_leaf_is_dropped_when_the_body_raises(self):
+        refs = []
+
+        def body():
+            refs.append(weakref.ref(iterated_integral_map(2)))
+            raise RuntimeError("body failed")
+
+        with pytest.raises(RuntimeError):
+            suites._entry("raises", {}, body)
+        assert refs[0]() is None
+        assert iterated_integral_map(2) is not iterated_integral_map(2)
+
+    def test_g4_cells_build_each_leaf_table_once(self, monkeypatch):
+        """The work over every cell check of g4 on the exponent-2 grid, run
+        as one entry: the I_k leaves build 14 tables, one per distinct
+        (k, domain), from 397 Chen products.  With a fresh leaf per block
+        the same check builds 150 leaf tables from 1,779 products."""
+        leaves, products = [], [0]
+        leaf_map = hom_complex._iterated_integral_map
+        chen = hom_complex.iterated_integral_codes
+
+        def kept_leaf_map(n):
+            leaves.append(leaf_map(n))
+            return leaves[-1]
+
+        def counted_chen(xs):
+            products[0] += 1
+            return chen(xs)
+
+        monkeypatch.setattr(hom_complex, "_iterated_integral_map", kept_leaf_map)
+        monkeypatch.setattr(hom_complex, "iterated_integral_codes", counted_chen)
+
+        def check():
+            return suites._first_failing_cell(4, 2, CONVENTION_A)
+
+        def work():
+            return sum(len(leaf._tables) for leaf in leaves), products[0]
+
+        assert suites._entry("cells of g4", {}, check).status
+        assert len(leaves) == 4 and work() == (14, 397)
+        leaves.clear()
+        products[0] = 0
+        assert check() is True
+        assert work() == (150, 1779)
