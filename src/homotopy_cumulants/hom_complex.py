@@ -37,22 +37,28 @@ is open (every suite entry opens one), `iterated_integral_map(n)` is one
 map per n, so every block, wedge, cup and delta.I_n term of the check
 reads one I_n table per domain.  The store and what it holds are dropped
 when the check returns; with no store open each call builds a fresh map.
-A map evaluates any forms by contracting a table over the product of
-their supports (see `MultiMap.__call__`).  The table is any kept one
-whose domain covers the supports, else one built over S^n with S their
-union, so a call costs at most one table over S^n plus one lookup per
-tuple of the product; which table is read cannot change the value.
+A map evaluates any forms by contracting a table through its prefix
+index, nested dicts by slot code, slot by slot, so a code prefix missing
+from the table prunes every tuple that extends it (see
+`MultiMap.__call__`).  The table is any kept one whose domain covers the
+supports.  Else, with S their union, it is built on (S,) * n, or on
+(U,) * n for U the union of S and the supports of the call tables the
+map keeps, when |U|^n is at most |S|^n plus what the call tables built
+since the last such growth cost; U's table then replaces the call
+tables.  So calls build at most twice what one table over S^n per
+uncovered call would, and a call on a zero input builds none.  Which
+table is read cannot change the value.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
-from operator import getitem
 from typing import Callable, Iterable, Sequence
 
 from .cumulants import CumulantContext, cumulant_table, integration_context
@@ -118,7 +124,7 @@ class MultiMap:
     """
 
     __slots__ = ("arity", "shifted_degree", "name", "terms", "rule", "_tables",
-                 "__weakref__")
+                 "_indexes", "_grown", "_call_built", "_lock", "__weakref__")
 
     def __init__(self, arity: int, shifted_degree: int,
                  rule: Callable[[Domain], Table], name: str = ""):
@@ -130,6 +136,13 @@ class MultiMap:
         self.terms = None
         self.rule = rule
         self._tables: dict[Domain, Table] = {}
+        # the prefix indexes of the tables calls have read, by domain
+        self._indexes: dict[Domain, dict] = {}
+        # the support of the grown call table, and the supports of the call
+        # tables built since it grew
+        self._grown: frozenset = frozenset()
+        self._call_built: list[frozenset] = []
+        self._lock = threading.Lock()
 
     @property
     def plain_degree(self) -> int:
@@ -139,44 +152,65 @@ class MultiMap:
         """The value on PolyForms or basis codes, mixed freely.
 
         Each input is expanded into integer coefficients on basis codes
-        over one denominator (a code is itself with coefficient 1).  The
-        table read is the first one the map keeps whose domain covers
-        every slot's support; if none does, the table on (S,) * arity, with
-        S the union of the inputs' supports, is built and kept.  The
-        table is contracted over the product S_1 x .. x S_arity of the
-        supports: each tuple found in it is weighted by the product of its
-        slots' coefficients, the numerators are summed per entry
-        denominator, and the sums are put over the lcm of those
-        denominators and reduced once.  An entry depends on its code tuple alone and a tuple
-        missing from a covering table is a zero, so the value does not
-        depend on which table is read.  The cost is at most one table over
-        S^arity, plus one lookup per tuple of the product, plus one scan of
-        the domains the map keeps; calls on many distinct supports that no
-        kept table covers keep many tables.
+        over one denominator (a code is itself with coefficient 1); a zero
+        input gives the zero cochain and reads no table.  The table read
+        is the first one the map keeps whose domain covers every slot's
+        support.  If none does, let S be the union of the supports and U
+        the union of S, the grown call table's support and the supports
+        D of the call tables built since it grew.  If |U|^n <= |S|^n plus
+        the sum of |D|^n (n the arity), the map builds the table on
+        (U,) * n, which becomes the grown call table, and drops the call
+        tables it supersedes with their indexes.  Otherwise it builds and
+        keeps the table on (S,) * n.  Each uncovered call's |S|^n is then
+        paid by its own table or by one growth, so calls build at most
+        twice the tuples one table on (S,) * n per uncovered call would;
+        calls on disjoint supports never grow a table.  The map's lock is
+        held while the table is found or built.
+
+        The table is read through its prefix index, nested dicts from the
+        slot-0 code to a leaf of {last code: value}, built on the first
+        call that reads the table and dropped with it.  The contraction
+        walks the index slot by slot: a frontier of (node, weight) pairs
+        starts at (root, 1), and each slot's codes c with coefficient w'
+        lead every node to its child at c, if there is one, with weight
+        w * w'.  A prefix missing from the table prunes its whole subtree.
+        At the last slot each value found adds weight times value to the
+        numerators of its entry denominator; the sums are put over the
+        lcm of those denominators and reduced once.  An entry depends on
+        its code tuple alone and a tuple missing from a covering table is
+        a zero, so the value does not depend on which table is read.  The
+        cost is the builds above, one lookup per frontier node and code of
+        the next slot, and one scan of the domains the map keeps.
         """
         if len(forms) != self.arity:
             raise ValueError(
                 f"{self.name} expects {self.arity} inputs, got {len(forms)}")
         weights, denominators = zip(*map(_expansion, range(self.arity), forms))
-        table = next((kept for domain, kept in self._tables.items()
-                      if all(w.keys() <= slot
-                             for w, slot in zip(weights, domain))), None)
-        if table is None:
-            support = frozenset().union(*weights)
-            table = self.table((support,) * self.arity)
+        if not all(weights):
+            return Cochain.zero()
+        with self._lock:
+            index = self._covering_index(weights)
+        frontier = [(index, 1)]
+        for slot in weights[:-1]:
+            items = slot.items()
+            frontier = [(child, w * c) for node, w in frontier
+                        for x, c in items
+                        if (child := node.get(x)) is not None]
         sums: dict[int, list[int]] = {}
-        for xs in itertools.product(*weights):
-            value = table.get(xs)
-            if value is not None:
-                w = prod(map(getitem, weights, xs))
-                v0, v1, ve, den = value
-                total = sums.get(den)
-                if total is None:
-                    sums[den] = [w * v0, w * v1, w * ve]
-                else:
-                    total[0] += w * v0
-                    total[1] += w * v1
-                    total[2] += w * ve
+        last = weights[-1].items()
+        for node, w in frontier:
+            for x, c in last:
+                value = node.get(x)
+                if value is not None:
+                    wc = w * c
+                    v0, v1, ve, den = value
+                    total = sums.get(den)
+                    if total is None:
+                        sums[den] = [wc * v0, wc * v1, wc * ve]
+                    else:
+                        total[0] += wc * v0
+                        total[1] += wc * v1
+                        total[2] += wc * ve
         # the numerators over the lcm of the entry denominators, reduced once
         common = lcm(*sums)
         n0 = n1 = ne = 0
@@ -187,12 +221,40 @@ class MultiMap:
             ne += me * scale
         return _cochain(n0, n1, ne, common * prod(denominators))
 
+    def _covering_index(self, weights: Sequence[dict[int, int]]) -> dict:
+        """The prefix index of a table covering the supports, kept or built
+        by the policy of `__call__`; called with the map's lock held."""
+        # a snapshot, since a parent's rule may add a table meanwhile
+        domain = next((domain for domain in tuple(self._tables)
+                       if all(w.keys() <= slot
+                              for w, slot in zip(weights, domain))), None)
+        if domain is None:
+            n = self.arity
+            support = frozenset().union(*weights)
+            grown = support.union(self._grown, *self._call_built)
+            if len(grown) ** n <= len(support) ** n + sum(
+                    len(built) ** n for built in self._call_built):
+                for superseded in (self._grown, *self._call_built):
+                    self._tables.pop((superseded,) * n, None)
+                    self._indexes.pop((superseded,) * n, None)
+                self._grown, self._call_built = grown, []
+                support = grown
+            else:
+                self._call_built.append(support)
+            domain = (support,) * n
+        index = self._indexes.get(domain)
+        if index is None:
+            index = self._indexes[domain] = _prefix_index(self.table(domain))
+        return index
+
     def table(self, domain: Iterable[Iterable[int]]) -> Table:
         """The nonzero values of the map on the code tuples of a domain.
 
         `domain` holds one collection of basis codes per slot.  A tuple
         missing from the table is a zero of the map.  The table is
-        memoized per domain and shared, so it must not be mutated.
+        memoized per domain and shared, so it must not be mutated; a table
+        built for calls may later be replaced by a grown one (see
+        `__call__`).
         """
         domain = tuple(map(frozenset, domain))
         table = self._tables.get(domain)
@@ -246,6 +308,21 @@ def _expansion(slot: int, x: PolyForm | int) -> tuple[dict[int, int], int]:
             if n:
                 coefficients[2 * k + dt] = n * scale
     return coefficients, denominator
+
+
+def _prefix_index(table: Table) -> dict:
+    """A table as nested dicts from the slot-0 code through the last-but-one
+    slot's code to a leaf dict {last code: value}, holding its values."""
+    root: dict = {}
+    for xs, value in table.items():
+        node = root
+        for x in xs[:-1]:
+            child = node.get(x)
+            if child is None:
+                child = node[x] = {}
+            node = child
+        node[xs[-1]] = value
+    return root
 
 
 def _add_into(pool: CochainPool, total: dict, table: Table,

@@ -13,6 +13,9 @@ witness order, and the values on random forms off the basis.
 """
 
 import itertools
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -942,8 +945,187 @@ def test_values_do_not_depend_on_the_kept_tables(family, convention, inputs,
     fresh_tables, kept_tables = len(fresh._tables), len(kept._tables)
     expected = reference(build)(*inputs)
     assert fresh(*inputs) == kept(*inputs) == expected
-    # the grid table was read if it covers every support, else one was built
-    covered = all(hom_complex._expansion(slot, x)[0].keys() <= set(codes)
-                  for slot, x in enumerate(inputs))
-    assert len(kept._tables) == kept_tables + (not covered)
+    # the grid table was read if it covers every support, else one was
+    # built; a zero input reads none
+    supports = [hom_complex._expansion(slot, x)[0].keys()
+                for slot, x in enumerate(inputs)]
+    covered = all(support <= set(codes) for support in supports)
+    assert len(kept._tables) == kept_tables + (not covered and all(supports))
     assert len(fresh._tables) <= fresh_tables + 1
+
+
+_small_forms = st.builds(PolyForm, st.lists(_fractions, max_size=3),
+                         st.lists(_fractions, max_size=3))
+_small_inputs = st.one_of(st.integers(0, 7), _small_forms)
+# t^6 lies off the D = 2 grid and off every drawn support
+OFF_GRID = encode_basis(PolyForm.monomial(6))
+
+
+def _support(x) -> frozenset:
+    return frozenset(hom_complex._expansion(0, x)[0])
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS, ids=lambda c: c.name)
+@pytest.mark.parametrize("family", OFF_BASIS)
+@settings(max_examples=6, deadline=None)
+@given(data=st.data())
+def test_calls_contract_the_prefix_index(family, convention, data):
+    """A call contracts the prefix index of the table it reads, slot by
+    slot.  Codes and forms mix; the table read is a kept D = 2 grid table,
+    one a call built, the empty table of the morphism defect, or the table
+    of a growth step, read by the call that grows it and by the calls
+    after it.  Every value is the reference's."""
+    indices, builder = OFF_BASIS[family]
+    index = data.draw(st.sampled_from(indices), label="index")
+
+    def build():
+        return builder(index, convention)
+
+    f, expected = build(), reference(build)
+    if data.draw(st.booleans(), label="grid kept"):
+        f.table([TruncationGrid(2).slot_codes()] * f.arity)
+    calls = data.draw(st.lists(st.lists(_small_inputs, min_size=f.arity,
+                                        max_size=f.arity),
+                               min_size=1, max_size=3), label="calls")
+    # a call whose support holds every earlier one and t^6 builds the
+    # table on its own support and drops the earlier call tables
+    slots = [sorted(frozenset({OFF_GRID}).union(
+                 *(_support(xs[u]) for xs in calls)))
+             for u in range(f.arity)]
+    widened = [sum((decode_basis(x).scale(k + 2) for k, x in enumerate(slot)),
+                   PolyForm.zero())
+               for slot in slots]
+    grown = frozenset().union(*slots)
+    for xs in calls + [widened] + calls:
+        assert f(*xs) == expected(*xs), xs
+        if xs is widened:
+            # the defect keeps the D = 0 grid table of its own verdict
+            assert (grown,) * f.arity in f._tables
+            assert f._tables.keys() <= {
+                (frozenset(codes),) * f.arity for codes in (
+                    grown, TruncationGrid(2).slot_codes(),
+                    TruncationGrid(0).slot_codes())}
+
+
+def _sparse_form(rng: random.Random, codes: int) -> PolyForm:
+    """Two basis terms with nonzero integer coefficients, codes < codes."""
+    a, b = rng.sample(range(codes), 2)
+    return (decode_basis(a).scale(rng.randint(1, 5))
+            + decode_basis(b).scale(rng.choice((-1, 1)) * rng.randint(1, 5)))
+
+
+def test_sparse_calls_keep_few_tables():
+    """Calls on 600 seeded sparse triples (two terms per form, degree at
+    most 12) grow one call table rather than keep one per support: the
+    boundary of H_3 keeps at most two tables, and each value is that of a
+    fresh map and of the reference."""
+    def build():
+        return hom_boundary(homotopy_witness(3))
+
+    rng = random.Random(1)
+    triples = [tuple(_sparse_form(rng, 26) for _ in range(3))
+               for _ in range(600)]
+    f, expected = build(), reference(build)
+    for xs in triples:
+        assert f(*xs) == build()(*xs) == expected(*xs), xs
+    assert len(f._tables) <= 2
+
+
+def _recording(f: MultiMap) -> list:
+    """The domains f's rule is asked for from now on."""
+    domains, rule = [], f.rule
+
+    def recording(domain):
+        domains.append(domain)
+        return rule(domain)
+
+    f.rule = recording
+    return domains
+
+
+def _per_call_work(supports, arity: int) -> int:
+    """The build work, in tuples, of one table on (S,) * arity per call
+    that no earlier call's table covers."""
+    kept, work = [], 0
+    for support in supports:
+        if not any(support <= k for k in kept):
+            kept.append(support)
+            work += len(support) ** arity
+    return work
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_call_tables_cost_at_most_twice_one_per_call(data):
+    """Growing the call table at most doubles the build work of one table
+    per uncovered call, whatever the order of the supports."""
+    n = data.draw(st.sampled_from((2, 3)), label="arity")
+
+    def build():
+        return hom_boundary(homotopy_witness(n))
+
+    f, expected = build(), reference(build)
+    domains = _recording(f)
+    slot = st.sets(st.integers(0, 11), min_size=1, max_size=3)
+    calls = data.draw(st.lists(st.lists(slot, min_size=n, max_size=n),
+                               min_size=1, max_size=12), label="calls")
+    for call in calls:
+        xs = [sum((decode_basis(x).scale(k + 2) for k, x in enumerate(codes)),
+                  PolyForm.zero())
+              for codes in call]
+        assert f(*xs) == expected(*xs), xs
+    supports = [frozenset().union(*call) for call in calls]
+    built = sum(len(domain[0]) ** n for domain in domains)
+    assert built <= 2 * _per_call_work(supports, n)
+
+
+def test_disjoint_calls_build_no_table_on_their_union():
+    """Calls on disjoint sparse supports, one dt form and three functions
+    up to t^131, each build the table on their own support, never one on
+    the union of 132 codes."""
+    def build():
+        return hom_boundary(homotopy_witness(4))
+
+    f, expected = build(), reference(build)
+    domains = _recording(f)
+    supports, values = [], []
+    for j in range(33):
+        codes = [8 * j + 1, 8 * j + 2, 8 * j + 4, 8 * j + 6]
+        xs = [decode_basis(x).scale(u + 2) for u, x in enumerate(codes)]
+        values.append(f(*xs))
+        assert values[-1] == expected(*xs), xs
+        supports.append(frozenset(codes))
+    assert any(not value.is_zero() for value in values)
+    assert domains == [(support,) * 4 for support in supports]
+
+
+def test_a_call_with_a_zero_input_reads_no_table():
+    f = hom_boundary(homotopy_witness(3))
+    domains = _recording(f)
+    assert f(T + DT, PolyForm.zero(), PolyForm.monomial(9)) == Cochain.zero()
+    assert f(0, 1, PolyForm.zero()) == Cochain.zero()
+    assert domains == [] and not f._tables
+
+
+def test_concurrent_calls_on_one_map():
+    """Four threads call one boundary of H_3 on different off-grid
+    supports, so call tables are built, grown and dropped while other
+    calls read them; every value is the reference's."""
+    def build():
+        return hom_boundary(homotopy_witness(3))
+
+    f, expected = build(), reference(build)
+    rng = random.Random(4)
+    batches = [[tuple(_sparse_form(rng, 30) for _ in range(3))
+                for _ in range(40)] for _ in range(4)]
+    wanted = [[expected(*xs) for xs in batch] for batch in batches]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            futures = [pool.submit(lambda batch: [f(*xs) for xs in batch], batch)
+                       for batch in batches]
+            values = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert values == wanted
