@@ -29,7 +29,6 @@ from .hom_complex import (
     SignConvention,
     TruncationGrid,
     ainfty_relation_defect,
-    alternate_witness_k3,
     cumulant_multimap,
     get_convention,
     hom_boundary,
@@ -67,7 +66,6 @@ __all__ = [
     "TruncationGrid",
     "__version__",
     "ainfty_relation_defect",
-    "alternate_witness_k3",
     "composition_sign",
     "compositions",
     "cumulant",

@@ -12,6 +12,7 @@ import sys
 
 from .cumulants import (
     CumulantTerm,
+    cumulant,
     cumulant_terms,
     integration_context,
     symbolic_formula,
@@ -20,7 +21,7 @@ from .cumulants import (
 from .cube_complex import graph_to_dot
 from .formal_ainfty import polytope_to_dot
 from .hom_complex import get_convention
-from .interval_model import Cochain, ParseError, parse_form_tuple
+from .interval_model import ParseError, parse_form_tuple
 from .suites import (
     DEGREE_LIMIT,
     N_MAX_LIMITS,
@@ -132,13 +133,10 @@ def _cmd_cumulant(args) -> int:
         if forms is None:
             handle.write(symbolic_formula(args.n) + "\n")
             return 0
-        terms = cumulant_terms(integration_context(), forms)
-        total = Cochain.zero()
+        ctx = integration_context()
         lines = [f"K{args.n} of ({'; '.join(f.to_text() for f in forms)}):"]
-        for term in terms:
-            lines.append(_format_term(term))
-            total = total + term.signed_value()
-        lines.append(f"total: {total.to_text()}")
+        lines += map(_format_term, cumulant_terms(ctx, forms))
+        lines.append(f"total: {cumulant(ctx, forms).to_text()}")
         handle.write("\n".join(lines) + "\n")
     return 0
 

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
+from ._record import Record
 from .cumulants import Composition, composition_sign, compositions
 from .hom_complex import (
     CONVENTION_A,
@@ -34,15 +34,15 @@ LOW, HIGH, FREE = "L", "H", "F"
 _LETTERS = frozenset((LOW, HIGH, FREE))
 
 
-@dataclass(frozen=True)
-class CubeCell:
+class CubeCell(Record):
     """A cell of g_n: one letter per cut position between inputs."""
 
-    word: tuple[str, ...]
+    __slots__ = ("word",)
 
-    def __post_init__(self):
-        if any(letter not in _LETTERS for letter in self.word):
+    def __init__(self, word: tuple[str, ...]):
+        if any(letter not in _LETTERS for letter in word):
             raise ValueError(f"cell letters must be in {sorted(_LETTERS)}")
+        object.__setattr__(self, "word", word)
 
     @property
     def n(self) -> int:
@@ -74,12 +74,14 @@ def cells_of(n: int) -> list[CubeCell]:
     return [CubeCell(w) for w in itertools.product((FREE, HIGH, LOW), repeat=n - 1)]
 
 
-@dataclass(frozen=True)
-class CellLabel:
+class CellLabel(Record):
     """Block pattern plus the iterated-integral arity used in each block."""
 
-    block_pattern: Composition
-    p_indices: tuple[int, ...]
+    __slots__ = ("block_pattern", "p_indices")
+
+    def __init__(self, block_pattern: Composition, p_indices: tuple[int, ...]):
+        object.__setattr__(self, "block_pattern", block_pattern)
+        object.__setattr__(self, "p_indices", p_indices)
 
     @property
     def dimension(self) -> int:
@@ -129,11 +131,14 @@ def cell_term_text(cell: CubeCell, letters: str | None = None) -> str:
 # the graph G_n
 
 
-@dataclass(frozen=True)
-class CumulantGraph:
-    n: int
-    vertices: tuple[Composition, ...]
-    edges: tuple[tuple[Composition, Composition], ...]
+class CumulantGraph(Record):
+    __slots__ = ("n", "vertices", "edges")
+
+    def __init__(self, n: int, vertices: tuple[Composition, ...],
+                 edges: tuple[tuple[Composition, Composition], ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
 
 
 def cumulant_graph(n: int) -> CumulantGraph:

@@ -23,10 +23,10 @@ compares the two tables.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Iterable, Sequence
 
+from ._record import Record
 from .interval_model import (
     Cochain,
     CochainPool,
@@ -41,15 +41,15 @@ from .interval_model import (
 )
 
 
-@dataclass(frozen=True)
-class Composition:
+class Composition(Record):
     """An ordered partition of n into positive blocks."""
 
-    blocks: tuple[int, ...]
+    __slots__ = ("blocks",)
 
-    def __post_init__(self):
-        if not self.blocks or any(b < 1 for b in self.blocks):
+    def __init__(self, blocks: tuple[int, ...]):
+        if not blocks or any(b < 1 for b in blocks):
             raise ValueError("blocks must be positive integers")
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def n(self) -> int:
@@ -105,8 +105,7 @@ def composition_sign(c: Composition) -> int:
     return -1 if len(c) % 2 == 0 else 1
 
 
-@dataclass(frozen=True)
-class CumulantContext:
+class CumulantContext(Record):
     """A chain map together with the two products it fails to intertwine.
 
     Chain-map values and PolyForm products are memoized per context.
@@ -120,17 +119,22 @@ class CumulantContext:
     zero form, which `apply` sends to the shared zero cochain and `multiply`
     keeps as None.  Codes multiply by `wedge_codes` when the source product
     is the wedge, as in every context built here; under any other source
-    product they are decoded and multiplied as PolyForms.
+    product they are decoded and multiplied as PolyForms.  Contexts compare
+    by their three callables; a copy or a pickle starts with empty memos.
     """
 
-    chain_map: Callable[[PolyForm], Cochain]
-    source_product: Callable[[PolyForm, PolyForm], PolyForm] = wedge
-    target_product: Callable[[Cochain, Cochain], Cochain] = cup
+    __slots__ = ("chain_map", "source_product", "target_product",
+                 "_map_cache", "_product_cache", "_wedge_source")
 
-    def __post_init__(self):
+    def __init__(self, chain_map: Callable[[PolyForm], Cochain],
+                 source_product: Callable[[PolyForm, PolyForm], PolyForm] = wedge,
+                 target_product: Callable[[Cochain, Cochain], Cochain] = cup):
+        object.__setattr__(self, "chain_map", chain_map)
+        object.__setattr__(self, "source_product", source_product)
+        object.__setattr__(self, "target_product", target_product)
         object.__setattr__(self, "_map_cache", {None: Cochain.zero()})
         object.__setattr__(self, "_product_cache", {})
-        object.__setattr__(self, "_wedge_source", self.source_product is wedge)
+        object.__setattr__(self, "_wedge_source", source_product is wedge)
 
     def apply(self, form: PolyForm | int | None) -> Cochain:
         cache = self._map_cache
@@ -189,16 +193,15 @@ def endpoint_evaluation_context() -> CumulantContext:
     return CumulantContext(endpoint_evaluation)
 
 
-@dataclass(frozen=True)
-class CumulantTerm:
+class CumulantTerm(Record):
     """One composition's contribution to a cumulant evaluation."""
 
-    composition: Composition
-    sign: int
-    value: Cochain
+    __slots__ = ("composition", "sign", "value")
 
-    def signed_value(self) -> Cochain:
-        return self.value.scale(self.sign)
+    def __init__(self, composition: Composition, sign: int, value: Cochain):
+        object.__setattr__(self, "composition", composition)
+        object.__setattr__(self, "sign", sign)
+        object.__setattr__(self, "value", value)
 
 
 def _composition_products(ctx: CumulantContext,
@@ -285,12 +288,14 @@ def cumulant_table(ctx: CumulantContext, domain: Iterable[Iterable[int]]
     The runs x_i..x_j are kept grouped by their product, a run that is
     None (dt^dt) is dropped as it forms, and each group is mapped once.
     For each nonzero image e and span j < n-1 the scaled tail, the nonzero
-    (ys, -e S_{j+1}(ys)), is built once per call and added at xs + ys for
-    every run xs of the group; at j = n-1 the tail is the one entry
-    ((), e).  The sums run over the few distinct values as indices of an
-    `interval_model.CochainPool`, so each pair is added once per call.  Only nonzero values are
-    stored, each distinct value as one object.  Any source product works;
-    under one other than the wedge the run products are PolyForms.
+    (ys, -e S_{j+1}(ys)), is built once per call, with one product per
+    distinct value of S_{j+1}, and added at xs + ys for every run xs of
+    the group; at j = n-1 the tail is the one entry ((), e).  The sums run
+    over the few distinct values as indices of an
+    `interval_model.CochainPool`, so each pair is added once per call.
+    Only nonzero values are stored, each distinct value as one object.
+    Any source product works; under one other than the wedge the run
+    products are PolyForms.
     """
     slots = _code_slots(domain)
     n = len(slots)
@@ -298,7 +303,8 @@ def cumulant_table(ctx: CumulantContext, domain: Iterable[Iterable[int]]
     zero = Cochain.zero()
     pool = CochainPool()  # the distinct values met, with their sums
     values, intern, add = pool.values, pool.intern, pool.add
-    tails: list[dict] = [{}] * n  # tails[i] is the table of S_i
+    # tails[i] is the table of S_i grouped by value: value -> its tuples
+    tails: list[dict] = [{}] * n
     # scaled[j][image]: (ys, index of -image * S_{j+1}(ys)) for the nonzero
     # ones, and for j = n - 1 the one entry ((), index of image)
     scaled: list[dict] = [{} for _ in range(n)]
@@ -335,10 +341,11 @@ def cumulant_table(ctx: CumulantContext, domain: Iterable[Iterable[int]]
                         else:
                             entries = []
                             negated = -image  # the product is bilinear
-                            for ys, tail in tails[j + 1].items():
+                            for tail, yss in tails[j + 1].items():
                                 value = product(negated, tail)
                                 if value is not zero:
-                                    entries.append((ys, intern(value)))
+                                    k = intern(value)
+                                    entries += [(ys, k) for ys in yss]
                         scaled[j][image] = entries
                     for xs in runs:
                         for ys, k in entries:
@@ -351,8 +358,17 @@ def cumulant_table(ctx: CumulantContext, domain: Iterable[Iterable[int]]
             for xs, k in total.items():
                 if k:
                     table[xs] = values[k]
-        tails[i] = table
-    return tails[0]
+        if i == 0:
+            return table
+        tails[i] = _by_value(table)
+
+
+def _by_value(table: dict) -> dict:
+    """A table's tuples grouped by their value, in first-seen order."""
+    groups: dict = {}
+    for xs, value in table.items():
+        groups.setdefault(value, []).append(xs)
+    return groups
 
 
 def cumulant_recursive(ctx: CumulantContext,
@@ -392,10 +408,11 @@ def cumulant_recursive_table(ctx: CumulantContext,
     `hom_complex.wedge_at` does, and the split term subtracts
     e(x_0) K_{n-1}(x_1, ..) for each x_0 with a nonzero image and each
     entry of the K_{n-1} table on slots 1.. .  The codes x_0 are grouped
-    by their image, so each distinct image is multiplied by each entry
-    once and the product is spread over its group.  Sub-tables are
-    memoized per domain within the call and freed when it returns; nothing
-    is kept in the context.  Every product goes through `ctx.multiply` and
+    by their image and the entries by their value, so each distinct image
+    is multiplied by each distinct value once and the product is spread
+    over both groups.  Sub-tables and their groupings are memoized per
+    domain within the call and freed when it returns; nothing is kept in
+    the context.  Every product goes through `ctx.multiply` and
     `ctx.target_product`, so any context works; under a source product
     other than the wedge the merged slots hold PolyForms, and only the
     domain given is checked for codes.  The result has the keys and values
@@ -404,6 +421,7 @@ def cumulant_recursive_table(ctx: CumulantContext,
     domain = _code_slots(domain)
     apply, multiply, product = ctx.apply, ctx.multiply, ctx.target_product
     memo: dict[tuple[frozenset, ...], dict] = {}
+    grouped: dict[tuple[frozenset, ...], dict] = {}  # memo's tables by value
 
     def table(slots: tuple[frozenset, ...]) -> dict:
         known = memo.get(slots)
@@ -426,29 +444,32 @@ def cumulant_recursive_table(ctx: CumulantContext,
             tail = ys[1:]
             for pair in preimages[ys[0]]:
                 result[pair + tail] = value
-        tails = table(slots[1:])
+        tails = grouped.get(slots[1:])
+        if tails is None:
+            tails = grouped[slots[1:]] = _by_value(table(slots[1:]))
         sharing: dict = {}  # nonzero image -> the codes x_0 that have it
         for x in slots[0]:
             image = apply(x)
             if not image.is_zero():
                 sharing.setdefault(image, []).append(x)
         for image, xs in sharing.items():
-            for ys, value in tails.items():
+            for value, yss in tails.items():
                 split = product(image, value)
                 if split.is_zero():
                     continue
                 negated = -split
-                for x in xs:
-                    key = (x,) + ys
-                    previous = result.get(key)
-                    if previous is None:
-                        result[key] = negated
-                    else:
-                        difference = previous - split
-                        if difference.is_zero():
-                            del result[key]
+                for ys in yss:
+                    for x in xs:
+                        key = (x,) + ys
+                        previous = result.get(key)
+                        if previous is None:
+                            result[key] = negated
                         else:
-                            result[key] = difference
+                            difference = previous - split
+                            if difference.is_zero():
+                                del result[key]
+                            else:
+                                result[key] = difference
         return result
 
     try:

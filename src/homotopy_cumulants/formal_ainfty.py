@@ -29,13 +29,13 @@ terms' maps.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 from typing import ClassVar, Iterable, Union
 
+from ._record import Record
 from .cube_complex import graph_is_connected
 from .cumulants import compositions
 from .hom_complex import (
@@ -57,16 +57,16 @@ class Kind(Enum):
     P = "p"
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(Record):
     """An operation symbol: source/target multiplication or morphism term."""
 
-    kind: Kind
-    arity: int
+    __slots__ = ("kind", "arity")
 
-    def __post_init__(self):
-        if self.arity < 1:
+    def __init__(self, kind: Kind, arity: int):
+        if arity < 1:
             raise ValueError("arity must be positive")
+        object.__setattr__(self, "kind", kind)
+        object.__setattr__(self, "arity", arity)
 
     @property
     def shifted_degree(self) -> int:
@@ -78,10 +78,10 @@ class Generator:
         return self.shifted_degree + 1 - self.arity
 
 
-@dataclass(frozen=True)
-class Leaf:
+class Leaf(Record):
     """An input slot."""
 
+    __slots__ = ()
     children: ClassVar[tuple] = ()
 
     def leaf_count(self) -> int:
@@ -94,8 +94,7 @@ class Leaf:
         return 0
 
 
-@dataclass(frozen=True)
-class _Node:
+class _Node(Record):
     """An operation node: its generator applied to child subtrees.
 
     Subclasses fix the generator's kind and the least arity it allows.
@@ -104,23 +103,25 @@ class _Node:
     hash is always computed in the process that holds the node.
     """
 
-    children: tuple
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("children", "_hash")
 
     kind: ClassVar[Kind]
     min_arity: ClassVar[int]
 
-    def __post_init__(self):
-        if len(self.children) < self.min_arity:
+    def __init__(self, children: tuple):
+        if len(children) < self.min_arity:
             raise ValueError(
                 f"{self.kind.value} nodes have arity >= {self.min_arity}")
-        object.__setattr__(self, "_hash", hash((self.children,)))
+        object.__setattr__(self, "children", children)
+        object.__setattr__(self, "_hash", hash((children,)))
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.children == other.children
+        return NotImplemented
 
     def __hash__(self) -> int:
         return self._hash
-
-    def __reduce__(self):
-        return type(self), (self.children,)
 
     @property
     def generator(self) -> Generator:
@@ -141,6 +142,7 @@ class _Node:
 class SourceOp(_Node):
     """A source-algebra multiplication applied to source subtrees."""
 
+    __slots__ = ()
     kind = Kind.M_SOURCE
     min_arity = 2
 
@@ -148,6 +150,7 @@ class SourceOp(_Node):
 class Paint(_Node):
     """A morphism node p_k applied to k source subtrees (the paint line)."""
 
+    __slots__ = ()
     kind = Kind.P
     min_arity = 1
 
@@ -155,6 +158,7 @@ class Paint(_Node):
 class TargetOp(_Node):
     """A target-algebra multiplication applied to painted subtrees."""
 
+    __slots__ = ()
     kind = Kind.M_TARGET
     min_arity = 2
 
@@ -481,12 +485,16 @@ def painted_trees(n: int) -> tuple[PaintedNode, ...]:
 # the polytope graph and its 2-skeleton
 
 
-@dataclass(frozen=True)
-class PolytopeGraph:
-    n: int
-    vertices: tuple[PaintedNode, ...]
-    edges: tuple[tuple[PaintedNode, PaintedNode], ...]
-    edge_cells: tuple[PaintedNode, ...]
+class PolytopeGraph(Record):
+    __slots__ = ("n", "vertices", "edges", "edge_cells")
+
+    def __init__(self, n: int, vertices: tuple[PaintedNode, ...],
+                 edges: tuple[tuple[PaintedNode, PaintedNode], ...],
+                 edge_cells: tuple[PaintedNode, ...]):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edge_cells", edge_cells)
 
 
 def cumulant_polytope_graph(n: int,
@@ -510,15 +518,19 @@ def cumulant_polytope_graph(n: int,
     return PolytopeGraph(n, vertices, tuple(edges), cells)
 
 
-@dataclass(frozen=True)
-class ContractibilityVerdict:
-    n: int
-    vertices: int
-    edges: int
-    faces: int
-    connected: bool
-    cycle_rank: int
-    boundary_rank: int
+class ContractibilityVerdict(Record):
+    __slots__ = ("n", "vertices", "edges", "faces", "connected",
+                 "cycle_rank", "boundary_rank")
+
+    def __init__(self, n: int, vertices: int, edges: int, faces: int,
+                 connected: bool, cycle_rank: int, boundary_rank: int):
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "faces", faces)
+        object.__setattr__(self, "connected", connected)
+        object.__setattr__(self, "cycle_rank", cycle_rank)
+        object.__setattr__(self, "boundary_rank", boundary_rank)
 
     @property
     def contractible_two_skeleton(self) -> bool:

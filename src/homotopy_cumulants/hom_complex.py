@@ -56,11 +56,11 @@ import itertools
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm, prod
 from typing import Callable, Iterable, Sequence
 
+from ._record import Record
 from .cumulants import CumulantContext, cumulant_table, integration_context
 from .interval_model import (
     Cochain,
@@ -84,12 +84,14 @@ Domain = tuple[frozenset, ...]
 Table = dict[tuple[int, ...], Cochain]
 
 
-@dataclass(frozen=True)
-class SignConvention:
+class SignConvention(Record):
     """Direction in which Koszul signs accumulate past tensor factors."""
 
-    name: str
-    from_left: bool
+    __slots__ = ("name", "from_left")
+
+    def __init__(self, name: str, from_left: bool):
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "from_left", from_left)
 
 
 CONVENTION_A = SignConvention("A", from_left=True)
@@ -625,15 +627,15 @@ def cup_pair(left: MultiMap, right: MultiMap,
                     f"cup({left.name},{right.name})")
 
 
-@dataclass(frozen=True)
-class TruncationGrid:
+class TruncationGrid(Record):
     """The finite certification basis {t^k, t^k dt : k <= max_exponent}."""
 
-    max_exponent: int
+    __slots__ = ("max_exponent",)
 
-    def __post_init__(self):
-        if self.max_exponent < 0:
+    def __init__(self, max_exponent: int):
+        if max_exponent < 0:
             raise ValueError("max_exponent must be nonnegative")
+        object.__setattr__(self, "max_exponent", max_exponent)
 
     def slot_basis(self) -> tuple[PolyForm, ...]:
         return tuple(
@@ -647,17 +649,22 @@ class TruncationGrid:
         return tuple(map(encode_basis, self.slot_basis()))
 
 
-@dataclass(frozen=True)
-class EqualityVerdict:
+class EqualityVerdict(Record):
     """Outcome of a grid comparison, with the first witness on failure."""
 
-    check: str
-    arity: int
-    grid_max_exponent: int
-    equal: bool
-    witness_tuple: tuple[PolyForm, ...] | None = None
-    lhs: Cochain | None = None
-    rhs: Cochain | None = None
+    __slots__ = ("check", "arity", "grid_max_exponent", "equal",
+                 "witness_tuple", "lhs", "rhs")
+
+    def __init__(self, check: str, arity: int, grid_max_exponent: int,
+                 equal: bool, witness_tuple: tuple[PolyForm, ...] | None = None,
+                 lhs: Cochain | None = None, rhs: Cochain | None = None):
+        object.__setattr__(self, "check", check)
+        object.__setattr__(self, "arity", arity)
+        object.__setattr__(self, "grid_max_exponent", grid_max_exponent)
+        object.__setattr__(self, "equal", equal)
+        object.__setattr__(self, "witness_tuple", witness_tuple)
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "rhs", rhs)
 
     def __bool__(self) -> bool:
         return self.equal
@@ -785,24 +792,6 @@ def homotopy_witness(n: int,
             - cup_pair(iterated_integral_map(1), witness, convention)
         )
     return witness.renamed(f"H{n}", n - 2)
-
-
-def alternate_witness_k3(variant: str,
-                         convention: SignConvention = CONVENTION_A) -> MultiMap:
-    """The two one-step witnesses for K_3.
-
-    left:  I_2(ab, c) - I(a) I_2(b, c)
-    right: I_2(a, bc) - I_2(a, b) I(c)
-    Both have boundary K_3; their difference is a cycle.
-    """
-    i1, i2 = iterated_integral_map(1), iterated_integral_map(2)
-    if variant == "left":
-        witness = wedge_at(i2, 0) - cup_pair(i1, i2, convention)
-    elif variant == "right":
-        witness = wedge_at(i2, 1) - cup_pair(i2, i1, convention)
-    else:
-        raise ValueError(f"unknown witness variant {variant!r}")
-    return witness.renamed(f"K3_witness_{variant}", 1)
 
 
 def cumulant_multimap(n: int, ctx: CumulantContext | None = None) -> MultiMap:

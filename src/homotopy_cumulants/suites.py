@@ -28,10 +28,10 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import dataclass
 from typing import Callable
 
 from . import __version__
+from ._record import Record
 from .cumulants import (
     CumulantContext,
     composition_sign,
@@ -101,13 +101,21 @@ DEGREE_LIMIT = 12
 _CUMULANT_EXPONENT_CAPS = {7: 3, 8: 2}
 
 
-@dataclass
-class ReportEntry:
-    check: str
-    parameters: dict[str, str]
-    status: bool
-    witness: str | None = None
-    duration_ms: int = 0
+class ReportEntry(Record):
+    """One checked claim of a report; mutable, so not hashable."""
+
+    __slots__ = ("check", "parameters", "status", "witness", "duration_ms")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, check: str, parameters: dict[str, str], status: bool,
+                 witness: str | None = None, duration_ms: int = 0):
+        self.check = check
+        self.parameters = parameters
+        self.status = status
+        self.witness = witness
+        self.duration_ms = duration_ms
 
     def to_json_dict(self) -> dict:
         record = {

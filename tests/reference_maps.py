@@ -6,12 +6,22 @@ inputs, codes decoded, and never contracts a table, so its values do not
 depend on the table engine they are compared with.  Its rule tabulates the
 function on the decoded tuples of a domain, so a library combinator can
 take a reference map as a leaf.
+
+`alternate_witness_k3` builds two other null-homotopies of K_3 from the
+library's combinators, for the tests that compare them with H_3.
 """
 
 import itertools
 from typing import Callable
 
-from homotopy_cumulants.hom_complex import MultiMap
+from homotopy_cumulants.hom_complex import (
+    CONVENTION_A,
+    MultiMap,
+    SignConvention,
+    cup_pair,
+    iterated_integral_map,
+    wedge_at,
+)
 from homotopy_cumulants.interval_model import Cochain, PolyForm, decode_basis
 
 
@@ -46,3 +56,21 @@ class ReferenceMap(MultiMap):
         renamed = ReferenceMap(self.arity, shifted_degree, self.evaluator, name)
         renamed.terms = self.terms
         return renamed
+
+
+def alternate_witness_k3(variant: str,
+                         convention: SignConvention = CONVENTION_A) -> MultiMap:
+    """The two one-step witnesses for K_3.
+
+    left:  I_2(ab, c) - I(a) I_2(b, c)
+    right: I_2(a, bc) - I_2(a, b) I(c)
+    Both have boundary K_3; their difference is a cycle.
+    """
+    i1, i2 = iterated_integral_map(1), iterated_integral_map(2)
+    if variant == "left":
+        witness = wedge_at(i2, 0) - cup_pair(i1, i2, convention)
+    elif variant == "right":
+        witness = wedge_at(i2, 1) - cup_pair(i2, i1, convention)
+    else:
+        raise ValueError(f"unknown witness variant {variant!r}")
+    return witness.renamed(f"K3_witness_{variant}", 1)

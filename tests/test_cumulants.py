@@ -272,10 +272,12 @@ def test_direct_table_works_once_per_run_product(monkeypatch):
     """The direct table's cost model at n = 5 on the exponent-3 grid.
 
     Runs are grouped by their product: each group is mapped once and grown
-    once per next code, each nonzero image is multiplied by a tail table
-    once per span, and each pair of distinct values is added once.
-    Working once per run and tail entry instead makes 9,704 `apply`,
-    15,744 `multiply`, 32,992 target products and 7,392 additions.
+    once per next code, each nonzero image is multiplied by each distinct
+    value of a tail table once per span, and each pair of distinct values
+    is added once.  Working once per run and tail entry instead makes
+    9,704 `apply`, 15,744 `multiply`, 32,992 target products and 7,392
+    additions; once per tail entry but per distinct image, 5,628 target
+    products.
     """
     calls = dict.fromkeys(("apply", "multiply", "target_product", "add"), 0)
     apply, multiply = CumulantContext.apply, CumulantContext.multiply
@@ -304,17 +306,19 @@ def test_direct_table_works_once_per_run_product(monkeypatch):
     table = cumulant_table(CumulantContext(integrate, target_product=counted_cup),
                            (codes,) * 5)
     assert len(table) == 3264
-    assert calls == {"apply": 880, "multiply": 3712, "target_product": 5628,
+    assert calls == {"apply": 880, "multiply": 3712, "target_product": 774,
                      "add": 84}
 
 
 @pytest.mark.parametrize("n, exponent, products, entries",
-                         [(5, 3, 6996, 3264), (6, 4, 121470, 65000)])
+                         [(5, 3, 1344, 3264), (6, 4, 5095, 65000)])
 def test_recursive_table_splits_once_per_image(n, exponent, products, entries):
     """The recursive table's cost model: its split term multiplies each
-    distinct image of slot 0 by each entry of the K_{n-1} table once (the
-    codes t^1..t^k all integrate to (0, 1; 0)).  Once per code instead it
-    makes 9,832 target products at n = 5 and 180,340 at n = 6."""
+    distinct image of slot 0 (the codes t^1..t^k all integrate to
+    (0, 1; 0)) by each distinct value of the K_{n-1} table once.  Once per
+    entry of that table instead it makes 6,996 target products at n = 5
+    and 121,470 at n = 6, and once per code and entry 9,832 and
+    180,340."""
     calls = 0
 
     def counted_cup(a, b):

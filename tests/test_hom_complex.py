@@ -24,7 +24,6 @@ from homotopy_cumulants.hom_complex import (
     get_convention,
     hom_boundary,
     homotopy_witness,
-    alternate_witness_k3,
     iterated_integral_map,
     linear_combination,
     map_is_zero_on,
@@ -43,7 +42,7 @@ from homotopy_cumulants.interval_model import (
     iterated_integral,
     wedge,
 )
-from reference_maps import ReferenceMap
+from reference_maps import ReferenceMap, alternate_witness_k3
 
 T = PolyForm.monomial(1)
 DT = PolyForm.monomial(0, dt=True)
