@@ -42,8 +42,8 @@ from .hom_complex import (
     CONVENTION_A,
     MultiMap,
     SignConvention,
-    _stored,
     cup_pair,
+    from_check_store,
     linear_combination,
     merged_integral,
     zero_map,
@@ -375,8 +375,8 @@ def _tree_boundary(tree: FormalTree, convention: SignConvention) -> FormalSum:
     open check store (see `hom_complex.check_store`)."""
     if isinstance(tree, Leaf):
         return FormalSum.zero()
-    return _stored(("boundary", tree, convention),
-                   lambda: _expand_boundary(tree, convention))
+    return from_check_store(("boundary", tree, convention),
+                            lambda: _expand_boundary(tree, convention))
 
 
 def _expand_boundary(tree: FormalTree, convention: SignConvention) -> FormalSum:

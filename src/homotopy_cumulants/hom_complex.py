@@ -34,7 +34,7 @@ signed values, a multiple once per value and coefficient, a sum once per
 index pair, and delta once per value.  Tables are memoized per map and
 per domain, and the leaves are shared per check: while a `check_store`
 is open (every suite entry opens one), `iterated_integral_map(n)` is one
-map per n, so every block, wedge, cup and delta.I_n term of the check
+map per n, so every block, wedge, cup and boundary term of the check
 reads one I_n table per domain.  The store and what it holds are dropped
 when the check returns; with no store open each call builds a fresh map.
 A map evaluates any forms by contracting a table through its prefix
@@ -337,20 +337,6 @@ def _add_into(pool: CochainPool, total: dict, table: Table,
         total[xs] = k if previous is None else add(previous, k)
 
 
-def _delta_indices(pool: CochainPool, table: Table) -> dict:
-    """The value indices of delta . f's nonzero values, by key, from the
-    table of f, with delta applied once per distinct value."""
-    images = {value: pool.intern(delta(value))
-              for value in dict.fromkeys(table.values())}
-    return {xs: k for xs, value in table.items() if (k := images[value])}
-
-
-def _delta_table(table: Table) -> Table:
-    """The table of delta . f from the table of f."""
-    pool = CochainPool()
-    return pool.table(_delta_indices(pool, table))
-
-
 def linear_combination(arity: int, shifted_degree: int,
                        pairs: Iterable[tuple[MultiMap, Scalar]],
                        name: str) -> MultiMap:
@@ -399,9 +385,9 @@ def check_store():
 
     While the store is open, `iterated_integral_map(n)` is one map per n,
     so every term of the check reads one I_n table per domain, and the
-    formal layer keeps each tree's boundary there.  On exit, also when
-    the body raises, the previous store is restored and everything this
-    one held is dropped.
+    formal layer keeps each tree's boundary there; both go through
+    `from_check_store`.  On exit, also when the body raises, the previous
+    store is restored and everything this one held is dropped.
     """
     token = _check_store.set({})
     try:
@@ -410,7 +396,7 @@ def check_store():
         _check_store.reset(token)
 
 
-def _stored(key, build: Callable[[], object]):
+def from_check_store(key, build: Callable[[], object]):
     """The open check store's value at key, built once by build(); with no
     store open, a fresh build()."""
     store = _check_store.get()
@@ -426,12 +412,12 @@ def iterated_integral_map(n: int) -> MultiMap:
     """The n-th iterated-integral map as a MultiMap of shifted degree 0.
 
     Inside a check (see `check_store`) this is the check's one I_n, whose
-    tables every block, wedge, cup and delta term of the check reads;
+    tables every block, wedge, cup and boundary term of the check reads;
     with no store open it is a fresh map.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return _stored(("I", n), lambda: _iterated_integral_map(n))
+    return from_check_store(("I", n), lambda: _iterated_integral_map(n))
 
 
 def _iterated_integral_map(n: int) -> MultiMap:
@@ -491,86 +477,59 @@ def merged_integral(sizes: Sequence[int]) -> MultiMap:
     return merged
 
 
-def _insertions_into(pool: CochainPool, total: dict, f: MultiMap,
-                     domain: Domain, convention: SignConvention,
-                     c: int) -> None:
-    """total += c * (the d insertions of f on a domain), on value indices.
-
-    The slots are grouped by the widened domain whose table of f they
-    read, and each such table is scanned once: an entry is visited for the
-    slots of its group, and counts for slot u only if its slot-u code is a
-    derivative code there.
-    """
-    add, multiple = pool.add, pool.multiple
-    # widened domain -> its slots u, each with its derivative codes
-    # mapped to (c * k, input code t^k)
-    readers: dict[Domain, list] = {}
-    for u, slot in enumerate(domain):
-        sources = {}
-        for x in slot:
-            dx = d_code(x)
-            if dx is not None:
-                sources[dx[1]] = (c * dx[0], x)
-        if sources:
-            widened = domain[:u] + (slot.union(sources),) + domain[u + 1:]
-            readers.setdefault(widened, []).append((u, sources))
-    from_left = convention.from_left
-    for widened, slots in readers.items():
-        table = f.table(widened)
-        indices = pool.indices(table)
-        for ys, value in table.items():
-            index = indices[value]
-            for u, sources in slots:
-                source = sources.get(ys[u])
-                if source is None:
-                    continue
-                k, x = source
-                head, tail = ys[:u], ys[u + 1:]
-                # the dt bits passed, as the parity of the codes' sum
-                i = multiple(index,
-                             -k if sum(head if from_left else tail) & 1 else k)
-                xs = head + (x,) + tail
-                previous = total.get(xs)
-                total[xs] = i if previous is None else add(previous, i)
-
-
-def d_insertion_sum(f: MultiMap,
-                    convention: SignConvention = CONVENTION_A) -> MultiMap:
-    """sum_u koszul(u) f(1 x .. x d x .. x 1) with signs per convention.
-
-    On codes the one term of slot u is k f(.., t^(k-1) dt, ..) for an input
-    t^k, signed by the dt inputs it passes.  The table asks f for its
-    table with slot u widened by the derivative codes (on a grid the
-    widened domain is the grid itself, so every slot and the boundary's
-    delta term share one table of f, scanned once) and maps each entry
-    whose slot u is t^(k-1) dt back to t^k with weight +-k.  Each distinct
-    value is scaled once per weight, and the terms are summed on value
-    indices.
-    """
-
-    def rule(domain):
-        pool, total = CochainPool(), {}
-        _insertions_into(pool, total, f, domain, convention, 1)
-        return pool.table(total)
-
-    return MultiMap(f.arity, f.shifted_degree + 1, rule,
-                    f"{f.name}.d_insertions")
-
-
 def hom_boundary(f: MultiMap,
                  convention: SignConvention = CONVENTION_A) -> MultiMap:
     """The Hom-complex differential; squares to zero.
 
-    boundary(f) = delta . f - (-1)^{|f|} (Koszul-signed d insertions),
-    with |f| the unsuspended degree of f.  Both terms are summed on the
-    value indices of one pool.
+    boundary(f) = delta . f - (-1)^{|f|} sum_u koszul(u) f(1 x .. d .. x 1),
+    with |f| the unsuspended degree of f.  On codes the d insertion at slot
+    u is k f(.., t^(k-1) dt, ..) for an input t^k, signed by the dt inputs
+    it passes (on the left under convention A, on the right under B).  The
+    slots are grouped by the domain, widened at the slot by its derivative
+    codes, whose table of f they read (on a grid every slot and the delta
+    term read the grid's one table), and each such table is scanned once.
+    delta is applied once per distinct value, each value scaled once per
+    weight, and both terms are summed on the value indices of one pool.
     """
     pre_sign = -1 if f.plain_degree % 2 == 0 else 1
+    from_left = convention.from_left
 
     def rule(domain):
         pool = CochainPool()
-        total = _delta_indices(pool, f.table(domain))
-        _insertions_into(pool, total, f, domain, convention, pre_sign)
+        add, multiple = pool.add, pool.multiple
+        table = f.table(domain)
+        images = {value: pool.intern(delta(value))
+                  for value in dict.fromkeys(table.values())}
+        total = {xs: k for xs, value in table.items() if (k := images[value])}
+        # widened domain -> its slots u, each with its derivative codes
+        # mapped to (pre_sign * k, input code t^k)
+        readers: dict[Domain, list] = {}
+        for u, slot in enumerate(domain):
+            sources = {}
+            for x in slot:
+                dx = d_code(x)
+                if dx is not None:
+                    sources[dx[1]] = (pre_sign * dx[0], x)
+            if sources:
+                widened = domain[:u] + (slot.union(sources),) + domain[u + 1:]
+                readers.setdefault(widened, []).append((u, sources))
+        for widened, slots in readers.items():
+            table = f.table(widened)
+            indices = pool.indices(table)
+            for ys, value in table.items():
+                index = indices[value]
+                for u, sources in slots:
+                    source = sources.get(ys[u])
+                    if source is None:
+                        continue
+                    k, x = source
+                    head, tail = ys[:u], ys[u + 1:]
+                    # the dt bits passed, as the parity of the codes' sum
+                    i = multiple(
+                        index, -k if sum(head if from_left else tail) & 1 else k)
+                    xs = head + (x,) + tail
+                    previous = total.get(xs)
+                    total[xs] = i if previous is None else add(previous, i)
         return pool.table(total)
 
     return MultiMap(f.arity, f.shifted_degree + 1, rule, f"boundary({f.name})")
@@ -733,42 +692,28 @@ def map_is_zero_on(f: MultiMap, grid: TruncationGrid,
         check or f"{f.name} == 0")
 
 
-def _morphism_source(n: int, convention: SignConvention) -> MultiMap:
-    """Insertion side of the morphism relation for (I, I2, .., I_n)."""
-    pairs = [(d_insertion_sum(iterated_integral_map(n), convention),
-              (-1) ** (n - 1))]
-    if n >= 2:
-        lower = iterated_integral_map(n - 1)
-        pairs.extend((wedge_at(lower, u), (-1) ** (n + u)) for u in range(n - 1))
-    return linear_combination(n, 1, pairs, f"morphism_source({n})")
-
-
-def _morphism_target(n: int, convention: SignConvention) -> MultiMap:
-    """Product side: delta . I_n plus the signed cup(I_i x I_j) terms."""
-    i_n = iterated_integral_map(n)
-    pairs = [(MultiMap(n, 1, lambda domain: _delta_table(i_n.table(domain)),
-                       f"delta.I{n}"), 1)]
-    pairs.extend((cup_pair(iterated_integral_map(i), iterated_integral_map(n - i),
-                           convention), (-1) ** (n - i - 1))
-                 for i in range(1, n))
-    return linear_combination(n, 1, pairs, f"morphism_target({n})")
-
-
 def ainfty_relation_defect(
     n: int, max_exponent: int,
     convention: SignConvention = CONVENTION_A,
 ) -> tuple[EqualityVerdict, MultiMap]:
-    """Difference of the two sides of the defining morphism relation.
+    """The defect of the defining morphism relation for (I, I2, .., I_n).
 
-    The family (I, I2, .., I_n) between the interval forms and cochains,
-    with all products of arity three and higher equal to zero on both
-    sides, should make this vanish identically; the verdict certifies it
-    on the truncation grid and the defect map is returned for diagnosis.
+    With all products of arity three and higher equal to zero on both
+    sides, the relation says that boundary(I_n) equals
+    sum_u (-1)^(n+u) I_{n-1}(wedge@u) + sum_i (-1)^(n-i) cup(I_i, I_{n-i}).
+    The defect is the right side minus the left, one flat combination that
+    should vanish identically; the verdict certifies it on the truncation
+    grid and the defect map is returned for diagnosis.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    defect = _morphism_source(n, convention) - _morphism_target(n, convention)
-    defect = defect.renamed(f"morphism_defect({n})", 1)
+    pairs = [(hom_boundary(iterated_integral_map(n), convention), -1)]
+    pairs.extend((wedge_at(iterated_integral_map(n - 1), u), (-1) ** (n + u))
+                 for u in range(n - 1))
+    pairs.extend((cup_pair(iterated_integral_map(i), iterated_integral_map(n - i),
+                           convention), (-1) ** (n - i))
+                 for i in range(1, n))
+    defect = linear_combination(n, 1, pairs, f"morphism_defect({n})")
     verdict = map_is_zero_on(
         defect, TruncationGrid(max_exponent),
         check=f"morphism relation n={n} (convention {convention.name})")

@@ -225,10 +225,11 @@ def _polynomial(numerators: list[int], denominator: int) -> Polynomial:
     if g != 1:
         numerators = [n // g for n in numerators]
         denominator //= g
-    return _stored(tuple(numerators), denominator)
+    return _new_polynomial(tuple(numerators), denominator)
 
 
-def _stored(numerators: tuple[int, ...], denominator: int) -> Polynomial:
+def _new_polynomial(numerators: tuple[int, ...], denominator: int) -> Polynomial:
+    """A Polynomial of numerators already reduced over denominator."""
     poly = object.__new__(Polynomial)
     object.__setattr__(poly, "numerators", numerators)
     object.__setattr__(poly, "denominator", denominator)
@@ -242,7 +243,7 @@ def _lcm_upto(m: int) -> int:
     return lcm(*range(1, m + 1))
 
 
-_POLY_ZERO = _stored((), 1)
+_POLY_ZERO = _new_polynomial((), 1)
 
 
 class PolyForm:
