@@ -10,8 +10,9 @@ measure the failure of integration to respect the wedge and cup products.
 Inputs are PolyForms or basis codes (ints, see
 `interval_model.encode_basis`); on codes a context multiplies by
 `wedge_codes`, with None for the zero form dt^dt (see CumulantContext).
-`cumulant` and `cumulant_terms` evaluate one input tuple by the direct
-formula, and `cumulant_recursive` by the recursion
+`cumulant` evaluates one input tuple by the direct formula grouped by
+its first block, `cumulant_terms` traces the same sum composition by
+composition, and `cumulant_recursive` evaluates by the recursion
 K_n(a_1, ..) = K_{n-1}(a_1 a_2, ..) - e(a_1) K_{n-1}(a_2, ..); they are
 the oracles on PolyForms for the two tables, which give K_n's nonzero
 values on every code tuple of a per-slot product of code sets:
@@ -243,12 +244,34 @@ def cumulant_terms(ctx: CumulantContext,
 
 
 def cumulant(ctx: CumulantContext, inputs: Sequence[PolyForm | int]) -> Cochain:
-    """Direct signed sum over all compositions; K_1 is the chain map."""
-    zero = total = Cochain.zero()
-    for comp, product in _composition_products(ctx, inputs):
-        if product is not zero:
-            total = total + product if len(comp) % 2 else total - product
-    return total
+    """The direct signed sum over all compositions; K_1 is the chain map.
+
+    The sum is grouped by its first block, as in `cumulant_table`: with
+    S_i the signed sum over the compositions of inputs i..n-1,
+    S_i = e(x_i..x_{n-1}) - sum_{j < n-1} e(x_i..x_j) S_{j+1}, and
+    K_n = S_0.  That is n(n-1)/2 input and target products and no loop
+    over the compositions, which `cumulant_terms` traces one by one.
+    """
+    n = len(inputs)
+    if n == 0:
+        raise ValueError("cumulant requires at least one input")
+    apply, multiply, product = ctx.apply, ctx.multiply, ctx.target_product
+    zero = Cochain.zero()
+    negated = [zero] * n  # negated[i] is -S_i once i is done
+    for i in reversed(range(n)):
+        run = inputs[i]
+        image = apply(run)  # e(x_i..x_j)
+        total = zero
+        for j in range(i, n - 1):
+            tail = negated[j + 1]
+            if image is not zero and tail is not zero:
+                total = total + product(image, tail)  # the product is bilinear
+            run = multiply(run, inputs[j + 1])
+            image = apply(run)
+        total = image + total
+        if i == 0:
+            return total
+        negated[i] = -total
 
 
 def _code_slots(domain: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:

@@ -22,7 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from operator import itemgetter
+from operator import itemgetter, mul
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[Fraction, int, str]
@@ -134,10 +134,7 @@ class Polynomial:
         if not a or not b:
             return _POLY_ZERO
         out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] += x * y
+        _convolve_into(out, a, b, 1)
         return _polynomial(out, self.denominator * other.denominator)
 
     def scale(self, scalar: Scalar) -> "Polynomial":
@@ -157,10 +154,9 @@ class Polynomial:
         a = self.numerators
         if not a:
             return _POLY_ZERO
-        scale = _lcm_upto(len(a))
-        return _polynomial(
-            [0] + [n * (scale // k) for k, n in enumerate(a, 1)],
-            self.denominator * scale)
+        scale, weights = _reciprocals(len(a))
+        return _polynomial([0, *map(mul, a, weights)],
+                           self.denominator * scale)
 
     def __call__(self, point: Scalar) -> Fraction:
         a = self.numerators
@@ -238,9 +234,10 @@ def _new_polynomial(numerators: tuple[int, ...], denominator: int) -> Polynomial
 
 
 @lru_cache(maxsize=None)
-def _lcm_upto(m: int) -> int:
-    """lcm(1, .., m): the common denominator of 1/1, .., 1/m."""
-    return lcm(*range(1, m + 1))
+def _reciprocals(m: int) -> tuple[int, tuple[int, ...]]:
+    """1/1, .., 1/m as (L, (L // 1, .., L // m)) over L = lcm(1, .., m)."""
+    scale = lcm(*range(1, m + 1))
+    return scale, tuple(scale // k for k in range(1, m + 1))
 
 
 _POLY_ZERO = _new_polynomial((), 1)
@@ -525,8 +522,34 @@ class CochainPool:
 
 
 def wedge(a: PolyForm, b: PolyForm) -> PolyForm:
-    """Wedge product; the dt.dt component vanishes on a one-manifold."""
-    return PolyForm(a.part0 * b.part0, a.part0 * b.part1 + a.part1 * b.part0)
+    """Wedge product; the dt.dt component vanishes on a one-manifold.
+
+    (f + g dt)(p + q dt) = f p + (f q + g p) dt.  The integer numerators
+    of f q and g p are convolved into one list over the lcm of their
+    denominators, so the dt part is reduced once, as f p is.
+    """
+    f, g, p, q = a.part0, a.part1, b.part0, b.part1
+    fq, gp = f.denominator * q.denominator, g.denominator * p.denominator
+    denominator = lcm(fq, gp)
+    out = [0] * max(len(f.numerators) + len(q.numerators),
+                    len(g.numerators) + len(p.numerators))
+    _convolve_into(out, f.numerators, q.numerators, denominator // fq)
+    _convolve_into(out, g.numerators, p.numerators, denominator // gp)
+    form = object.__new__(PolyForm)
+    object.__setattr__(form, "part0", f * p)
+    object.__setattr__(form, "part1", _polynomial(out, denominator))
+    object.__setattr__(form, "_hash", None)
+    return form
+
+
+def _convolve_into(out: list[int], a: Sequence[int], b: Sequence[int],
+                   scale: int) -> None:
+    """out[i + j] += scale * a[i] * b[j] for every i, j."""
+    for i, x in enumerate(a):
+        if x:
+            x *= scale
+            for j, y in enumerate(b, i):
+                out[j] += x * y
 
 
 def d_form(a: PolyForm) -> PolyForm:
@@ -562,8 +585,8 @@ def integrate(a: PolyForm) -> Cochain:
     is sum m_k / (k + 1) / e, put over lcm(1, .., deg g + 1) first.
     """
     f, g = a.part0.numerators, a.part1.numerators
-    scale = _lcm_upto(len(g))
-    edge = sum(m * (scale // k) for k, m in enumerate(g, 1))
+    scale, weights = _reciprocals(len(g))
+    edge = sum(map(mul, g, weights))
     d, e = a.part0.denominator, a.part1.denominator * scale
     return _cochain(f[0] * e if f else 0, sum(f) * e, edge * d, d * e)
 

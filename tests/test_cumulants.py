@@ -2,6 +2,7 @@
 
 import gc
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -213,6 +214,39 @@ class TestProductMemo:
                 assert table.get(codes, Cochain.zero()) == total
                 nonzero += not total.is_zero()
             assert len(table) == nonzero
+
+
+def signed_sum(terms) -> Cochain:
+    total = Cochain.zero()
+    for term in terms:
+        total = total + term.value.scale(term.sign)
+    return total
+
+
+@pytest.mark.parametrize("target", [cup, reversed_cup])
+@pytest.mark.parametrize("n", range(1, 7))
+def test_factored_cumulant_is_the_signed_sum_of_its_terms(n, target):
+    """The cumulant grouped by its first block against the composition by
+    composition trace, on seeded PolyForms and on codes in which dt meets
+    dt (a zero product) at a seeded position."""
+    ctx = CumulantContext(integrate, target_product=target)
+    rng = random.Random(n)
+
+    def polynomial():
+        return [Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                for _ in range(rng.randint(0, 3))]
+
+    tuples = [[PolyForm(polynomial(), polynomial()) for _ in range(n)]
+              for _ in range(6)]
+    for _ in range(6):
+        codes = [rng.randrange(8) for _ in range(n)]
+        if n > 1:
+            u = rng.randrange(n - 1)
+            codes[u:u + 2] = 2 * rng.randrange(4) + 1, 2 * rng.randrange(4) + 1
+        tuples.append(codes)
+    values = [cumulant(ctx, xs) for xs in tuples]
+    assert values == [signed_sum(cumulant_terms(ctx, xs)) for xs in tuples]
+    assert any(not value.is_zero() for value in values)
 
 
 class TestTableDomains:

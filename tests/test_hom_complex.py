@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homotopy_cumulants import hom_complex, suites
+from homotopy_cumulants import hom_complex, interval_model, suites
 from homotopy_cumulants.cube_complex import cell_to_map, cells_of
 from homotopy_cumulants.cumulants import integration_context
 from homotopy_cumulants.hom_complex import (
@@ -392,6 +392,50 @@ class TestHomBoundary:
         assert map_is_zero_on(hom_boundary(square), TruncationGrid(2)).equal
 
 
+def index_entries(index) -> dict:
+    """The (code tuple, value) pairs a prefix index holds, path by path."""
+    levels, values = index
+    if not levels:
+        return {}
+    paths = {(): 0}
+    for level in levels[:-1]:
+        paths = {xs + (x,): child for xs, k in paths.items()
+                 for x, child in level[k].items()}
+    return {xs + (x,): values[v] for xs, k in paths.items()
+            for x, v in levels[-1][k].items()}
+
+
+def assert_reduced(index, table):
+    """The index holds exactly the table, and no level two equal nodes
+    (a node's child indices name shared nodes, so equal items mean equal
+    subtrees)."""
+    levels, values = index
+    assert index_entries(index) == table
+    assert len(set(values)) == len(values) == len(set(table.values()))
+    for level in levels:
+        assert len({frozenset(node.items()) for node in level}) == len(level)
+
+
+class TestPrefixIndex:
+    def test_k4_shares_its_equal_subtrees(self):
+        """On the 8 codes of the D = 3 grid, K_4's table has one subtree
+        per code prefix, 1, 7, 40 and 208 by prefix length; the index keeps
+        one node per distinct subtree."""
+        codes = TruncationGrid(3).slot_codes()
+        table = cumulant_multimap(4).table([codes] * 4)
+        index = hom_complex._prefix_index(table)
+        assert [len({xs[:u] for xs in table}) for u in range(4)] == [1, 7, 40, 208]
+        assert [len(level) for level in index[0]] == [1, 7, 13, 19]
+        assert_reduced(index, table)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.dictionaries(
+        st.tuples(*[st.integers(0, 3)] * n),
+        st.sampled_from([Cochain(1, 0, 0), Cochain(0, 0, 2), Cochain(1, 2, 3)]))))
+    def test_any_table(self, table):
+        assert_reduced(hom_complex._prefix_index(table), table)
+
+
 class TestMorphismRelation:
     def test_defect_vanishes_up_to_four(self):
         for n in (1, 2, 3, 4):
@@ -410,6 +454,26 @@ class TestMorphismRelation:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError):
             ainfty_relation_defect(0, 2)
+
+    def test_each_value_of_the_boundary_is_negated_once(self, monkeypatch):
+        """At odd n the boundary of I_n enters the defect with coefficient
+        1, so the pre-sign of `hom_boundary` is the one negation of its
+        values.  One build at n = 5, D = 3 reduces 12,934 cochains; with
+        coefficient -1, which negated each of the boundary's 1,232 distinct
+        values a second time, it reduced 13,927."""
+        calls = 0
+        reduced = interval_model._cochain
+
+        def counting(*fields):
+            nonlocal calls
+            calls += 1
+            return reduced(*fields)
+
+        monkeypatch.setattr(interval_model, "_cochain", counting)
+        with hom_complex.check_store():
+            verdict, _ = ainfty_relation_defect(5, 3)
+        assert verdict.equal
+        assert calls == 12934
 
     def test_convention_lookup(self):
         assert get_convention("A") is CONVENTION_A

@@ -254,6 +254,21 @@ class TestWedge:
         assert wedge(T, T) == form((0, 0, 1))
         assert wedge(T, form((), (0, 1))) == form((), (0, 0, 1))
 
+    @settings(max_examples=200, deadline=None)
+    @given(*[coefficient_lists] * 4)
+    def test_fused_kernel_is_the_product_of_the_parts(self, a0, a1, b0, b1):
+        """The one-kernel wedge against f p + (f q + g p) dt spelled with
+        Polynomial products and sums; parts may be zero, and the
+        denominators of f q and g p differ."""
+        a, b = form(a0, a1), form(b0, b1)
+        expected = PolyForm(a.part0 * b.part0,
+                            a.part0 * b.part1 + a.part1 * b.part0)
+        value = wedge(a, b)
+        assert value == expected and hash(value) == hash(expected)
+        for part, reference in ((value.part0, expected.part0),
+                                (value.part1, expected.part1)):
+            assert_matches_reference(part, reference)
+
 
 class TestDifferential:
     def test_examples(self):

@@ -1,4 +1,4 @@
-"""Mutants of the library that the suites must catch, with what fails.
+"""Mutants of the library that the checks must catch, with what fails.
 
 Each case replaces one library name (through `monkeypatch`, which puts
 it back after the test), runs `run_suite("all", 4, 2)` and asserts the
@@ -6,16 +6,30 @@ exact set of failing checks.  So a check that stops seeing a mutant, or
 starts failing where it should not, shows up here.  Convention B is the
 one mutant the library ships: it fails the same 12 checks here as at
 `--n-max 4 --degree 4`.
+
+Some defects live where the suites never go: in the contraction that
+evaluates a map on forms, and in the per-tuple cumulant.  Those mutants
+are the library function recompiled from its source with one line
+changed; each is called on fixed off-grid forms against a reference
+map, and the case asserts which comparisons fail.
 """
 
+import __future__
+import inspect
 from fractions import Fraction
 
 import pytest
 
-from homotopy_cumulants import cube_complex, hom_complex
-from homotopy_cumulants.hom_complex import CONVENTION_B
-from homotopy_cumulants.interval_model import Cochain
+from homotopy_cumulants import cube_complex, cumulants, hom_complex
+from homotopy_cumulants.hom_complex import (
+    CONVENTION_B,
+    cumulant_multimap,
+    hom_boundary,
+    homotopy_witness,
+)
+from homotopy_cumulants.interval_model import Cochain, PolyForm
 from homotopy_cumulants.suites import run_suite
+from reference_maps import ReferenceMap
 
 CELLS = {f"all cells of g{n} bound their facets" for n in (2, 3, 4)}
 INTERPRETATIONS = {f"formal boundary of p{n} interprets to the Hom boundary"
@@ -100,3 +114,101 @@ def test_convention_b_fails_exactly():
     assert failing_checks(CONVENTION_B) == CELLS | INTERPRETATIONS | {
         "boundary(H2) = K2", "boundary(H3) = K3", "boundary(H4) = K4",
         "boundary(I2) = K2"} | morphism(2, 4, convention="B")
+
+
+def source_mutant(function, old: str, new: str):
+    """function recompiled from its source with `old` replaced by `new`.
+
+    `old` must occur exactly once, so a mutant whose line has changed
+    fails here instead of silently testing the unmutated code.  The copy
+    runs in a copy of its module's namespace.
+    """
+    source = inspect.getsource(function)
+    assert source.count(old) == 1, (function.__name__, old)
+    namespace = dict(function.__globals__)
+    code = compile(source.replace(old, new), inspect.getsourcefile(function),
+                   "exec", flags=__future__.annotations.compiler_flag,
+                   dont_inherit=True)
+    exec(code, namespace)
+    return namespace[function.__name__]
+
+
+# off the D = 2 grid, with rational coefficients and both parts
+OFF_GRID_FORMS = [
+    (PolyForm((Fraction(1, 2), 0, 0, 3), (0, Fraction(-2, 3))),
+     PolyForm((0, 1), (Fraction(5, 4), 0, 0, 0, 1)),
+     PolyForm((2, Fraction(-1, 3)), (Fraction(1, 5), 1))),
+    (PolyForm((0, 0, 0, 0, 1), (1,)),
+     PolyForm((1, 1), (Fraction(3, 2),)),
+     PolyForm((Fraction(-7, 6),), (0, 0, 0, 2))),
+    # pairs of codes with equal sums in slots 0 and 1, t t^2 and t^2 t
+    # say, lead to one shared subtree, where contraction paths meet
+    (PolyForm((1, Fraction(1, 2), 3), (Fraction(-2, 3), 1)),
+     PolyForm((2, 1, Fraction(1, 4)), (1,)),
+     PolyForm((0, 0, 0, 0, 0, 1), (Fraction(1, 5), 0, 0, 1))),
+]
+
+
+def failing_comparisons() -> set:
+    """Which of four comparisons fail on OFF_GRID_FORMS: the two library
+    maps called on forms, each against the reference K_3 (the per-tuple
+    cumulant), with each other, and the per-tuple cumulant against the
+    per-tuple recursion."""
+    ctx = cumulants.integration_context()
+    boundary, k3 = hom_boundary(homotopy_witness(3)), cumulant_multimap(3)
+    reference = ReferenceMap(
+        3, 2, lambda *xs: cumulants.cumulant(ctx, xs), "K3 reference")
+    failing = set()
+    for xs in OFF_GRID_FORMS:
+        expected = reference(*xs)
+        checks = {
+            "boundary(H3) = reference K3": boundary(*xs) == expected,
+            "K3 = reference K3": k3(*xs) == expected,
+            "boundary(H3) = K3": boundary(*xs) == k3(*xs),
+            "cumulant = cumulant_recursive":
+                cumulants.cumulant(ctx, xs)
+                == cumulants.cumulant_recursive(ctx, xs),
+        }
+        failing.update(name for name, holds in checks.items() if not holds)
+    return failing
+
+
+LIBRARY_MAPS = {"boundary(H3) = reference K3", "K3 = reference K3"}
+
+# name: (module, function, old line, new line, failing comparisons)
+CALL_MUTANTS = {
+    # each slot's coefficient c dropped from the frontier weights
+    "dropped frontier weight": (
+        hom_complex, "_contract",
+        "merged[child] = merged.get(child, 0) + w * c",
+        "merged[child] = merged.get(child, 0) + w", LIBRARY_MAPS),
+    # paths that meet at a node keep the weight of the last one
+    "frontier merge keeps one weight": (
+        hom_complex, "_contract",
+        "merged[child] = merged.get(child, 0) + w * c",
+        "merged[child] = w * c", LIBRARY_MAPS),
+    # S_i loses e(x_i..x_{n-1}), the single-block term
+    "factored cumulant without j = n-1": (
+        cumulants, "cumulant",
+        "total = image + total", "total = total",
+        {"boundary(H3) = reference K3", "K3 = reference K3",
+         "cumulant = cumulant_recursive"}),
+}
+
+
+def test_unmutated_calls_pass():
+    ctx = cumulants.integration_context()
+    assert all(not cumulants.cumulant(ctx, xs).is_zero()
+               for xs in OFF_GRID_FORMS)
+    assert failing_comparisons() == set()
+
+
+@pytest.mark.parametrize("name", CALL_MUTANTS)
+def test_call_mutant_fails_exactly(monkeypatch, name):
+    """The comparisons on forms catch the mutant; the suites, which
+    tabulate grids and never call a map on forms, do not."""
+    module, function, old, new, expected = CALL_MUTANTS[name]
+    monkeypatch.setattr(module, function,
+                        source_mutant(getattr(module, function), old, new))
+    assert failing_comparisons() == expected
+    assert failing_checks() == set()
