@@ -2,6 +2,9 @@
 
 Exit status: 0 when every check passes, 1 when any check fails, 2 on a
 usage error (bad parameters or malformed form syntax).
+
+This module imports every layer at start: `verify all` runs them all,
+so importing them during its run would only move the cost into the run.
 """
 
 from __future__ import annotations

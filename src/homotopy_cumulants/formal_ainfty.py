@@ -7,7 +7,7 @@ expands a p node through the morphism relation and an m node through the
 algebra relation, extended to composites as a graded derivation; its
 square is zero, which check_d_squared certifies by exact cancellation.
 Coefficients are exact: ints stay ints, and floats are refused.  Inside
-a check (see `hom_complex.check_store`) each tree's boundary is expanded
+a check (see `certify.check_store`) each tree's boundary is expanded
 once per convention and kept for the rest of the check, so a subtree met
 in many terms, or a term of the boundary of p_n met again in its square,
 is not expanded again; tree nodes cache their hashes.
@@ -372,7 +372,7 @@ def _generator_boundary(tree, convention: SignConvention) -> list:
 
 def _tree_boundary(tree: FormalTree, convention: SignConvention) -> FormalSum:
     """The formal boundary of one tree, kept per (tree, convention) in the
-    open check store (see `hom_complex.check_store`)."""
+    open check store (see `certify.check_store`)."""
     if isinstance(tree, Leaf):
         return FormalSum.zero()
     return from_check_store(("boundary", tree, convention),

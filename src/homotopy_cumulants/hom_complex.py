@@ -32,11 +32,11 @@ values, so the arithmetic is done once per distinct value on the indices
 of an `interval_model.CochainPool`: a cup once per pair of distinct
 signed values, a multiple once per value and coefficient, a sum once per
 index pair, and delta once per value.  Tables are memoized per map and
-per domain, and the leaves are shared per check: while a `check_store`
-is open (every suite entry opens one), `iterated_integral_map(n)` is one
-map per n, so every block, wedge, cup and boundary term of the check
-reads one I_n table per domain.  The store and what it holds are dropped
-when the check returns; with no store open each call builds a fresh map.
+per domain, and the leaves are shared per check: while a check store is
+open (every suite entry opens one), `iterated_integral_map(n)` is one map
+per n, so every block, wedge, cup and boundary term of the check reads
+one I_n table per domain.  The store and what it holds are dropped when
+the check returns; with no store open each call builds a fresh map.
 A map evaluates any forms by contracting a table through its prefix
 index, slot by slot: the index keeps one node per distinct subtree of
 code prefixes, paths that meet at a node add their weights, and a code
@@ -49,20 +49,34 @@ since the last such growth cost; U's table then replaces the call
 tables.  So calls build at most twice what one table over S^n per
 uncovered call would, and a call on a zero input builds none.  Which
 table is read cannot change the value.
+
+The sign conventions, `TruncationGrid`, `EqualityVerdict`,
+`first_difference` and the check store live below this layer, in
+`certify`, so a check that needs no MultiMap never loads this module;
+they are imported here, so they resolve here too.
 """
 
 from __future__ import annotations
 
 import itertools
 import threading
-from contextlib import contextmanager
-from contextvars import ContextVar
 from fractions import Fraction
 from math import lcm, prod
 from operator import le
 from typing import Callable, Iterable, Sequence
 
-from ._record import Record
+from .certify import (
+    CONVENTION_A,
+    CONVENTION_B,
+    EqualityVerdict,
+    SignConvention,
+    Table,
+    TruncationGrid,
+    check_store,
+    first_difference,
+    from_check_store,
+    get_convention,
+)
 from .cumulants import CumulantContext, cumulant_table, integration_context
 from .interval_model import (
     Cochain,
@@ -75,36 +89,12 @@ from .interval_model import (
     d_code,
     decode_basis,
     delta,
-    encode_basis,
     iterated_integral_codes,
     wedge_codes,
 )
 
-# A domain holds one set of basis codes per input slot; a table holds a
-# map's nonzero values on the code tuples of a domain.
+# A domain holds one set of basis codes per input slot.
 Domain = tuple[frozenset, ...]
-Table = dict[tuple[int, ...], Cochain]
-
-
-class SignConvention(Record):
-    """Direction in which Koszul signs accumulate past tensor factors."""
-
-    __slots__ = ("name", "from_left")
-
-    def __init__(self, name: str, from_left: bool):
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "from_left", from_left)
-
-
-CONVENTION_A = SignConvention("A", from_left=True)
-CONVENTION_B = SignConvention("B", from_left=False)
-
-
-def get_convention(name: str) -> SignConvention:
-    try:
-        return {"A": CONVENTION_A, "B": CONVENTION_B}[name]
-    except KeyError:
-        raise ValueError(f"unknown sign convention {name!r}") from None
 
 
 class MultiMap:
@@ -403,39 +393,6 @@ def zero_map(arity: int, shifted_degree: int = 0) -> MultiMap:
     return linear_combination(arity, shifted_degree, (), f"0/{arity}")
 
 
-# the store of the check being run (see `check_store`), or None
-_check_store: ContextVar[dict | None] = ContextVar("check_store", default=None)
-
-
-@contextmanager
-def check_store():
-    """Share the leaves of one check: a store that lives while it is open.
-
-    While the store is open, `iterated_integral_map(n)` is one map per n,
-    so every term of the check reads one I_n table per domain, and the
-    formal layer keeps each tree's boundary there; both go through
-    `from_check_store`.  On exit, also when the body raises, the previous
-    store is restored and everything this one held is dropped.
-    """
-    token = _check_store.set({})
-    try:
-        yield
-    finally:
-        _check_store.reset(token)
-
-
-def from_check_store(key, build: Callable[[], object]):
-    """The open check store's value at key, built once by build(); with no
-    store open, a fresh build()."""
-    store = _check_store.get()
-    if store is None:
-        return build()
-    value = store.get(key)
-    if value is None:
-        value = store[key] = build()
-    return value
-
-
 def iterated_integral_map(n: int) -> MultiMap:
     """The n-th iterated-integral map as a MultiMap of shifted degree 0.
 
@@ -612,79 +569,6 @@ def cup_pair(left: MultiMap, right: MultiMap,
 
     return MultiMap(arity, left.shifted_degree + right.shifted_degree + 1, rule,
                     f"cup({left.name},{right.name})")
-
-
-class TruncationGrid(Record):
-    """The finite certification basis {t^k, t^k dt : k <= max_exponent}."""
-
-    __slots__ = ("max_exponent",)
-
-    def __init__(self, max_exponent: int):
-        if max_exponent < 0:
-            raise ValueError("max_exponent must be nonnegative")
-        object.__setattr__(self, "max_exponent", max_exponent)
-
-    def slot_basis(self) -> tuple[PolyForm, ...]:
-        return tuple(
-            PolyForm.monomial(k, dt=dt)
-            for dt in (False, True)
-            for k in range(self.max_exponent + 1)
-        )
-
-    def slot_codes(self) -> tuple[int, ...]:
-        """The basis codes of `slot_basis`, in the same order."""
-        return tuple(map(encode_basis, self.slot_basis()))
-
-
-class EqualityVerdict(Record):
-    """Outcome of a grid comparison, with the first witness on failure."""
-
-    __slots__ = ("check", "arity", "grid_max_exponent", "equal",
-                 "witness_tuple", "lhs", "rhs")
-
-    def __init__(self, check: str, arity: int, grid_max_exponent: int,
-                 equal: bool, witness_tuple: tuple[PolyForm, ...] | None = None,
-                 lhs: Cochain | None = None, rhs: Cochain | None = None):
-        object.__setattr__(self, "check", check)
-        object.__setattr__(self, "arity", arity)
-        object.__setattr__(self, "grid_max_exponent", grid_max_exponent)
-        object.__setattr__(self, "equal", equal)
-        object.__setattr__(self, "witness_tuple", witness_tuple)
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "rhs", rhs)
-
-    def __bool__(self) -> bool:
-        return self.equal
-
-    def to_json_dict(self) -> dict:
-        record = {
-            "check": self.check,
-            "arity": self.arity,
-            "grid_D": self.grid_max_exponent,
-            "status": "pass" if self.equal else "fail",
-        }
-        if not self.equal:
-            record["witness_tuple"] = [x.to_text() for x in self.witness_tuple]
-            record["lhs"] = self.lhs.to_json_dict()
-            record["rhs"] = self.rhs.to_json_dict()
-        return record
-
-
-def first_difference(lhs: Table, rhs: Table,
-                     codes: Sequence[int]) -> tuple[int, ...] | None:
-    """The first code tuple at which two tables differ, or None if equal.
-
-    A tuple missing from a table is a zero.  First means slot-major order
-    over `codes` in every slot, the order of `itertools.product(codes,
-    repeat=n)`, so the witness is the one a tuple-by-tuple sweep would
-    stop at.
-    """
-    if lhs == rhs:
-        return None
-    position = {code: i for i, code in enumerate(codes)}
-    return min((xs for xs in lhs.keys() | rhs.keys()
-                if lhs.get(xs) != rhs.get(xs)),
-               key=lambda xs: [position[x] for x in xs])
 
 
 def maps_equal_on_truncation(f: MultiMap, g: MultiMap,

@@ -16,11 +16,15 @@ Parameters are recorded as strings.  `duration_ms` is the body's own
 wall time in whole milliseconds: work done before the body is called,
 such as building a shared context, is not counted.
 
-Each body runs inside its own `hom_complex.check_store`, so the leaves of
+Each body runs inside its own `certify.check_store`, so the leaves of
 one check are shared: every term that asks for I_n gets the check's one
 I_n map and reads one table per domain, and each painted tree's formal
 boundary is expanded once.  What the store holds is dropped when the
 body returns or raises, so no check sees another's tables.
+
+At import this module loads only what the dga, chain-map and cumulants
+families use (`interval_model`, `cumulants`, `certify`); the ainfty, cube
+and formal runners import their layers when they run.
 """
 
 from __future__ import annotations
@@ -32,6 +36,14 @@ from typing import Callable
 
 from . import __version__
 from ._record import Record
+from .certify import (
+    CONVENTION_A,
+    EqualityVerdict,
+    SignConvention,
+    TruncationGrid,
+    check_store,
+    first_difference,
+)
 from .cumulants import (
     CumulantContext,
     composition_sign,
@@ -40,44 +52,6 @@ from .cumulants import (
     cumulant_table,
     endpoint_evaluation_context,
     integration_context,
-)
-from .cube_complex import (
-    cell_to_map,
-    cells_of,
-    cumulant_graph,
-    euler_characteristic,
-    graph_degrees,
-    graph_is_bipartite_by_sign,
-    graph_is_connected,
-    hypercube_isomorphism,
-    verify_cell,
-    vertex_composition,
-)
-from .formal_ainfty import (
-    associahedron_contractibility,
-    binary_trees,
-    check_d_squared,
-    cumulant_polytope_graph,
-    formal_boundary,
-    interpret_sum,
-    p_tree,
-)
-from .hom_complex import (
-    CONVENTION_A,
-    EqualityVerdict,
-    MultiMap,
-    SignConvention,
-    TruncationGrid,
-    ainfty_relation_defect,
-    check_store,
-    cumulant_multimap,
-    first_difference,
-    hom_boundary,
-    homotopy_witness,
-    iterated_integral_map,
-    linear_combination,
-    map_is_zero_on,
-    maps_equal_on_truncation,
 )
 from .interval_model import (
     Cochain,
@@ -132,7 +106,7 @@ def _entry(check: str, parameters: dict,
            body: Callable[[], bool | EqualityVerdict | tuple[bool, str | None]]
            ) -> ReportEntry:
     """Run one check body, timed, in a store that shares the check's leaves
-    (see `hom_complex.check_store`), and record its outcome as an entry."""
+    (see `certify.check_store`), and record its outcome as an entry."""
     started = time.monotonic()
     with check_store():
         outcome = body()
@@ -232,6 +206,16 @@ def run_cumulants_suite(n_max: int, degree: int) -> list[ReportEntry]:
 
 def run_ainfty_suite(n_max: int, degree: int,
                      convention: SignConvention = CONVENTION_A) -> list[ReportEntry]:
+    from .hom_complex import (
+        ainfty_relation_defect,
+        cumulant_multimap,
+        hom_boundary,
+        homotopy_witness,
+        iterated_integral_map,
+        map_is_zero_on,
+        maps_equal_on_truncation,
+    )
+
     grid = TruncationGrid(degree)
     entries = [
         _entry("boundary(I1) = 0", {"degree": degree}, lambda: map_is_zero_on(
@@ -264,6 +248,14 @@ def run_ainfty_suite(n_max: int, degree: int,
 
 
 def _is_hypercube_skeleton(n: int) -> bool:
+    from .cube_complex import (
+        cumulant_graph,
+        graph_degrees,
+        graph_is_bipartite_by_sign,
+        graph_is_connected,
+        hypercube_isomorphism,
+    )
+
     graph = cumulant_graph(n)
     degrees = graph_degrees(graph)
     ok = (len(graph.vertices) == 2 ** (n - 1)
@@ -282,6 +274,8 @@ def _first_failing_cell(n: int, degree: int,
                         convention: SignConvention) -> EqualityVerdict | bool:
     """The verdict of the first cell of g_n that does not bound its facets,
     or True if every cell does."""
+    from .cube_complex import cells_of, verify_cell
+
     verdicts = (verify_cell(n, cell, degree, convention)
                 for cell in cells_of(n) if cell.dimension >= 1)
     return next((verdict for verdict in verdicts if not verdict.equal), True)
@@ -289,6 +283,19 @@ def _first_failing_cell(n: int, degree: int,
 
 def run_cube_suite(n_max: int, degree: int,
                    convention: SignConvention = CONVENTION_A) -> list[ReportEntry]:
+    from .cube_complex import (
+        cell_to_map,
+        cells_of,
+        euler_characteristic,
+        vertex_composition,
+    )
+    from .hom_complex import (
+        MultiMap,
+        cumulant_multimap,
+        linear_combination,
+        maps_equal_on_truncation,
+    )
+
     entries = []
     for n in range(2, n_max + 1):
         entries.append(_entry(f"G{n} is the hypercube skeleton", {"n": n},
@@ -318,6 +325,21 @@ def run_cube_suite(n_max: int, degree: int,
 
 def run_formal_suite(n_max: int, degree: int,
                      convention: SignConvention = CONVENTION_A) -> list[ReportEntry]:
+    from .formal_ainfty import (
+        associahedron_contractibility,
+        binary_trees,
+        check_d_squared,
+        cumulant_polytope_graph,
+        formal_boundary,
+        interpret_sum,
+        p_tree,
+    )
+    from .hom_complex import (
+        hom_boundary,
+        iterated_integral_map,
+        maps_equal_on_truncation,
+    )
+
     entries = []
     for n in range(1, min(n_max, 5) + 1):
         entries.append(_entry(f"formal boundary squares to zero on p{n}",

@@ -52,3 +52,12 @@ def test_untraced_dense_forms_pass_on_another_seed_is_correct(tmp_path):
     result = run_worker("dense-forms", 7, 0, tmp_path)
     assert result["failed"] == 0
     assert result["checked"] == DENSE_FORMS_CHECKED
+
+
+def test_untraced_cumulants_pass_is_correct(tmp_path):
+    """The measured path: untraced, the suites load the cumulants family's
+    layers on demand, while the tracer imports every layer when it
+    installs."""
+    result = run_worker("cumulants-n5", 1, 0, tmp_path)
+    assert result["failed"] == 0
+    assert result["checked"] == expected_checked("cumulants-n5")

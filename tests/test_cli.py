@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homotopy_cumulants import cli, suites
+from homotopy_cumulants import cli, cube_complex, hom_complex, suites
 from homotopy_cumulants.cli import main
 
 
@@ -67,13 +67,13 @@ class TestVerify:
                               "duration_ms"}
 
     def test_duration_covers_the_check_body(self, monkeypatch):
-        euler_characteristic = suites.euler_characteristic
+        euler_characteristic = cube_complex.euler_characteristic
 
         def slow(n):
             time.sleep(0.05)
             return euler_characteristic(n)
 
-        monkeypatch.setattr(suites, "euler_characteristic", slow)
+        monkeypatch.setattr(cube_complex, "euler_characteristic", slow)
         entries = suites.run_suite("cube", 2, 1)
         slowed = [e for e in entries if e.check == "euler characteristic g2 = 1"]
         assert len(slowed) == 1 and slowed[0].status
@@ -86,9 +86,9 @@ class TestVerify:
         assert suites._entry("bool", {}, lambda: True).status is True
         assert suites._entry("pair", {}, lambda: (False, "x")).witness == "x"
         assert suites._entry("pair", {}, lambda: (True, None)).status is True
-        verdict = suites.maps_equal_on_truncation(
-            suites.iterated_integral_map(1), suites.iterated_integral_map(1),
-            suites.TruncationGrid(1))
+        verdict = hom_complex.maps_equal_on_truncation(
+            hom_complex.iterated_integral_map(1),
+            hom_complex.iterated_integral_map(1), suites.TruncationGrid(1))
         assert suites._entry("verdict", {}, lambda: verdict).status is True
         for outcome in (1, "pass", [True], (True,), (1, None), (True, 3),
                         (True, None, None), suites.Cochain(1, 2, 3)):

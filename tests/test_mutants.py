@@ -8,26 +8,34 @@ one mutant the library ships: it fails the same 12 checks here as at
 `--n-max 4 --degree 4`.
 
 Some defects live where the suites never go: in the contraction that
-evaluates a map on forms, and in the per-tuple cumulant.  Those mutants
-are the library function recompiled from its source with one line
-changed; each is called on fixed off-grid forms against a reference
-map, and the case asserts which comparisons fail.
+evaluates a map on forms, in the choice of the table a call reads, in the
+per-tuple cumulant, and in a cup sign that only a map of odd degree with
+vertex values carries.  Those mutants are the library function
+recompiled from its source with one line changed; each is called on
+fixed off-grid forms against a reference map, or tabulated on synthetic
+maps against the Koszul sign, and the case asserts which comparisons
+fail.
 """
 
 import __future__
 import inspect
+import itertools
+import textwrap
 from fractions import Fraction
 
 import pytest
 
-from homotopy_cumulants import cube_complex, cumulants, hom_complex
+from homotopy_cumulants import cube_complex, cumulants, formal_ainfty, hom_complex
 from homotopy_cumulants.hom_complex import (
+    CONVENTION_A,
     CONVENTION_B,
+    MultiMap,
+    TruncationGrid,
     cumulant_multimap,
     hom_boundary,
     homotopy_witness,
 )
-from homotopy_cumulants.interval_model import Cochain, PolyForm
+from homotopy_cumulants.interval_model import Cochain, PolyForm, cup
 from homotopy_cumulants.suites import run_suite
 from reference_maps import ReferenceMap
 
@@ -121,9 +129,10 @@ def source_mutant(function, old: str, new: str):
 
     `old` must occur exactly once, so a mutant whose line has changed
     fails here instead of silently testing the unmutated code.  The copy
-    runs in a copy of its module's namespace.
+    runs in a copy of its module's namespace; a method's source is
+    dedented, and the copy is a plain function to set on the class.
     """
-    source = inspect.getsource(function)
+    source = textwrap.dedent(inspect.getsource(function))
     assert source.count(old) == 1, (function.__name__, old)
     namespace = dict(function.__globals__)
     code = compile(source.replace(old, new), inspect.getsourcefile(function),
@@ -211,4 +220,88 @@ def test_call_mutant_fails_exactly(monkeypatch, name):
     monkeypatch.setattr(module, function,
                         source_mutant(getattr(module, function), old, new))
     assert failing_comparisons() == expected
+    assert failing_checks() == set()
+
+
+# a has the codes 0, 1, 2 and 3; b has 5 and 6, none of them a's
+COVER_FORMS = (PolyForm((1, Fraction(1, 2)), (Fraction(-2, 3), 1)),
+               PolyForm((0, 0, 0, 1), (0, 0, Fraction(5, 4))))
+
+
+def failing_cover_comparisons() -> set:
+    """Which calls of a fresh K_3 differ from the per-tuple cumulant: first
+    on (a, a, a), which builds the call table over a's codes, then on
+    (a, b, a), whose slot 1 that table does not cover."""
+    ctx = cumulants.integration_context()
+    k3 = cumulant_multimap(3)
+    a, b = COVER_FORMS
+    return {name for name, xs in (("K3(a, a, a)", (a, a, a)),
+                                  ("K3(a, b, a)", (a, b, a)))
+            if k3(*xs) != cumulants.cumulant(ctx, xs)}
+
+
+def test_cover_mutant_fails_exactly(monkeypatch):
+    """`any` for `all` in the cover test reads the table over a's codes for
+    (a, b, a), since slots 0 and 2 lie in it, and finds no entry at b."""
+    ctx = cumulants.integration_context()
+    a, b = COVER_FORMS
+    assert not cumulants.cumulant(ctx, (a, b, a)).is_zero()
+    assert failing_cover_comparisons() == set()
+    monkeypatch.setattr(MultiMap, "_covering_index", source_mutant(
+        MultiMap._covering_index, "if all(map(le, supports, domain))",
+        "if any(map(le, supports, domain))"))
+    assert failing_cover_comparisons() == {"K3(a, b, a)"}
+    assert failing_checks() == set()
+
+
+def vertex_valued_map(name: str, shift: int) -> MultiMap:
+    """A map of arity 2 and shifted degree 0, so of odd plain degree, that
+    has vertex values on every code pair."""
+    return MultiMap(2, 0, lambda domain: {
+        xs: Cochain(xs[0] + shift, xs[1] + 1, 1)
+        for xs in itertools.product(*domain)}, name)
+
+
+def koszul_cup_table(left: MultiMap, right: MultiMap, convention,
+                     domain) -> dict:
+    """cup(left, right) on a domain, each entry signed by the dt count:
+    (-1)^(|moving| * the dt inputs the moving map passes)."""
+    moving = right if convention.from_left else left
+    lefts, rights = left.table(domain[:2]), right.table(domain[2:])
+    table = {}
+    for xs in itertools.product(*domain):
+        passed = xs[:2] if convention.from_left else xs[2:]
+        value = cup(lefts[xs[:2]], rights[xs[2:]])
+        odd = moving.plain_degree * sum(x & 1 for x in passed) % 2
+        table[xs] = -value if odd else value
+    return table
+
+
+def cup_sign_differences() -> dict:
+    """convention name -> how many entries of `hom_complex.cup_pair` of two
+    vertex-valued maps of odd degree differ from the Koszul sign on the
+    D = 1 grid (256 tuples), for each convention with any."""
+    left, right = vertex_valued_map("V", 1), vertex_valued_map("W", 2)
+    domain = (TruncationGrid(1).slot_codes(),) * 4
+    differences = {}
+    for convention in (CONVENTION_A, CONVENTION_B):
+        table = hom_complex.cup_pair(left, right, convention).table(domain)
+        expected = koszul_cup_table(left, right, convention, domain)
+        count = sum(table.get(xs) != expected.get(xs)
+                    for xs in table.keys() | expected.keys())
+        if count:
+            differences[convention.name] = count
+    return differences
+
+
+def test_first_parity_cup_sign_mutant_fails_exactly(monkeypatch):
+    """The sign taken from the first passed input's dt bit alone is wrong
+    wherever the second passed input is a dt: half of the tuples.  The
+    library's maps of odd plain degree (I_2, H_n) take only edge values,
+    so the suites do not see it."""
+    assert cup_sign_differences() == {}
+    mutant = source_mutant(hom_complex.cup_pair, "sum(xs) & 1", "xs[0] & 1")
+    for module in (hom_complex, cube_complex, formal_ainfty):
+        monkeypatch.setattr(module, "cup_pair", mutant)
+    assert cup_sign_differences() == {"A": 128, "B": 128}
     assert failing_checks() == set()
