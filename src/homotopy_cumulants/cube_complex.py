@@ -16,7 +16,7 @@ import itertools
 import math
 
 from ._record import Record
-from .cumulants import Composition, composition_sign, compositions
+from .cumulants import Composition, composition_sign, compositions, input_letters
 from .hom_complex import (
     CONVENTION_A,
     EqualityVerdict,
@@ -111,11 +111,9 @@ def vertex_composition(cell: CubeCell) -> Composition:
     return label_for_cell(cell).block_pattern
 
 
-def cell_term_text(cell: CubeCell, letters: str | None = None) -> str:
+def cell_term_text(cell: CubeCell) -> str:
     """Composite-map notation for a cell, e.g. FL -> 'p2(a,bc)'."""
-    n = cell.n
-    if letters is None:
-        letters = "".join(chr(ord("a") + i) for i in range(n))
+    letters = input_letters(cell.n)
     pieces = []
     pos = 0
     for runs in _blocks(cell):
@@ -223,7 +221,7 @@ def cell_to_map(n: int, cell: CubeCell,
     total = block_maps[0]
     for block in block_maps[1:]:
         total = cup_pair(total, block, convention)
-    return total.renamed(f"cell[{cell.to_text()}]")
+    return total
 
 
 def cell_boundary(cell: CubeCell) -> list[tuple[int, CubeCell]]:

@@ -173,10 +173,11 @@ class CumulantContext(Record):
         return True
 
 
-def integration_context(check_exponent: int = 6) -> CumulantContext:
-    """The integration map context; the chain property is checked eagerly."""
+def integration_context() -> CumulantContext:
+    """The integration map context; the chain property is checked eagerly,
+    on the monomials up to t^6 and t^6 dt."""
     ctx = CumulantContext(integrate)
-    if not ctx.verify_chain_map(check_exponent):
+    if not ctx.verify_chain_map(6):
         raise ValueError("integration map failed the chain-map check")
     return ctx
 
@@ -425,107 +426,107 @@ def cumulant_recursive_table(ctx: CumulantContext,
                              ) -> dict[tuple, Cochain]:
     """K_n's nonzero values on a per-slot product, by the recursion.
 
-    The recursion as a table identity: the merged term spreads each entry
-    of the K_{n-1} table on (the products of slots 0 and 1, slots 2..)
-    over the pairs whose product is its merged input, as
-    `hom_complex.wedge_at` does, and the split term subtracts
-    e(x_0) K_{n-1}(x_1, ..) for each x_0 with a nonzero image and each
-    entry of the K_{n-1} table on slots 1.. .  The codes x_0 are grouped
-    by their image and the entries by their value, so each distinct image
-    is multiplied by each distinct value once and the product is spread
-    over both groups.  Sub-tables and their groupings are memoized per
-    domain within the call and freed when it returns; nothing is kept in
+    The recursion as a table identity, evaluated by `_recursive_table`
+    with two memos that live for this call only, so nothing is kept in
     the context.  Every product goes through `ctx.multiply` and
     `ctx.target_product`, so any context works; under a source product
     other than the wedge the merged slots hold PolyForms, and only the
     domain given is checked for codes.  The result has the keys and values
     of `cumulant_table`, with which it shares nothing but that check.
     """
-    domain = _code_slots(domain)
-    apply, multiply, product = ctx.apply, ctx.multiply, ctx.target_product
-    memo: dict[tuple[frozenset, ...], dict] = {}
-    grouped: dict[tuple[frozenset, ...], dict] = {}  # memo's tables by value
+    slots = tuple(map(frozenset, _code_slots(domain)))
+    return _recursive_table(ctx, {}, {}, slots)
 
-    def table(slots: tuple[frozenset, ...]) -> dict:
-        known = memo.get(slots)
-        if known is not None:
-            return known
-        result = memo[slots] = {}
-        if len(slots) == 1:
-            for x in slots[0]:
-                image = apply(x)
-                if not image.is_zero():
-                    result[(x,)] = image
-            return result
-        preimages: dict = {}
-        for a in slots[0]:
-            for b in slots[1]:
-                ab = multiply(a, b)
-                if ab is not None:
-                    preimages.setdefault(ab, []).append((a, b))
-        for ys, value in table((frozenset(preimages),) + slots[2:]).items():
-            tail = ys[1:]
-            for pair in preimages[ys[0]]:
-                result[pair + tail] = value
-        tails = grouped.get(slots[1:])
-        if tails is None:
-            tails = grouped[slots[1:]] = _by_value(table(slots[1:]))
-        sharing: dict = {}  # nonzero image -> the codes x_0 that have it
+
+def _recursive_table(ctx: CumulantContext, memo: dict, grouped: dict,
+                     slots: tuple[frozenset, ...]) -> dict:
+    """K_n's table on slots, memoized per slots in `memo`.
+
+    The merged term spreads each entry of the K_{n-1} table on (the
+    products of slots 0 and 1, slots 2..) over the pairs whose product is
+    its merged input, as `hom_complex.wedge_at` does, and the split term
+    subtracts e(x_0) K_{n-1}(x_1, ..) for each x_0 with a nonzero image and
+    each entry of the K_{n-1} table on slots 1.. .  The codes x_0 are
+    grouped by their image and the entries by their value (kept in
+    `grouped`, by slots), so each distinct image is multiplied by each
+    distinct value once and the product is spread over both groups.
+    """
+    known = memo.get(slots)
+    if known is not None:
+        return known
+    apply, multiply, product = ctx.apply, ctx.multiply, ctx.target_product
+    result = memo[slots] = {}
+    if len(slots) == 1:
         for x in slots[0]:
             image = apply(x)
             if not image.is_zero():
-                sharing.setdefault(image, []).append(x)
-        for image, xs in sharing.items():
-            for value, yss in tails.items():
-                split = product(image, value)
-                if split.is_zero():
-                    continue
-                negated = -split
-                for ys in yss:
-                    for x in xs:
-                        key = (x,) + ys
-                        previous = result.get(key)
-                        if previous is None:
-                            result[key] = negated
-                        else:
-                            difference = previous - split
-                            if difference.is_zero():
-                                del result[key]
-                            else:
-                                result[key] = difference
+                result[(x,)] = image
         return result
+    preimages: dict = {}
+    for a in slots[0]:
+        for b in slots[1]:
+            ab = multiply(a, b)
+            if ab is not None:
+                preimages.setdefault(ab, []).append((a, b))
+    merged = (frozenset(preimages),) + slots[2:]
+    for ys, value in _recursive_table(ctx, memo, grouped, merged).items():
+        tail = ys[1:]
+        for pair in preimages[ys[0]]:
+            result[pair + tail] = value
+    tails = grouped.get(slots[1:])
+    if tails is None:
+        tails = grouped[slots[1:]] = _by_value(
+            _recursive_table(ctx, memo, grouped, slots[1:]))
+    sharing: dict = {}  # nonzero image -> the codes x_0 that have it
+    for x in slots[0]:
+        image = apply(x)
+        if not image.is_zero():
+            sharing.setdefault(image, []).append(x)
+    for image, xs in sharing.items():
+        for value, yss in tails.items():
+            split = product(image, value)
+            if split.is_zero():
+                continue
+            negated = -split
+            for ys in yss:
+                for x in xs:
+                    key = (x,) + ys
+                    previous = result.get(key)
+                    if previous is None:
+                        result[key] = negated
+                    else:
+                        difference = previous - split
+                        if difference.is_zero():
+                            del result[key]
+                        else:
+                            result[key] = difference
+    return result
 
-    try:
-        return table(tuple(map(frozenset, domain)))
-    finally:
-        # `table` refers to itself through its closure: break that cycle,
-        # or the memo of every sub-table lives on until a cyclic collection
-        del table
+
+def input_letters(n: int) -> str:
+    """The names of n inputs in the printed formulas: 'abc' for n = 3."""
+    return "".join(chr(ord("a") + i) for i in range(n))
 
 
-def term_notation(composition: Composition, letters: str | None = None,
-                  map_symbol: str = "p") -> str:
+def term_notation(composition: Composition) -> str:
     """Render one cumulant term, e.g. (1,2) -> 'p(a)p(bc)'."""
-    n = composition.n
-    if letters is None:
-        letters = "".join(chr(ord("a") + i) for i in range(n))
+    letters = input_letters(composition.n)
     pieces = []
     pos = 0
     for size in composition:
-        pieces.append(f"{map_symbol}({letters[pos:pos + size]})")
+        pieces.append(f"p({letters[pos:pos + size]})")
         pos += size
     return "".join(pieces)
 
 
-def symbolic_formula(n: int, map_symbol: str = "p") -> str:
+def symbolic_formula(n: int) -> str:
     """The signed cumulant formula, e.g. K_2 = p(ab) - p(a)p(b)."""
     if n < 1:
         raise ValueError("n must be positive")
-    letters = "".join(chr(ord("a") + i) for i in range(n))
-    lhs = f"K{n}({','.join(letters)})"
+    lhs = f"K{n}({','.join(input_letters(n))})"
     body = ""
     for comp in compositions(n):
-        term = term_notation(comp, letters, map_symbol)
+        term = term_notation(comp)
         if not body:
             body = term if composition_sign(comp) > 0 else f"-{term}"
         else:

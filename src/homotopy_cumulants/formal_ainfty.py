@@ -620,13 +620,11 @@ def interpret(tree: PaintedNode,
     validate_painted(tree)
     n = tree.leaf_count()
     if isinstance(tree, Paint) and not any(c.dimension() for c in tree.children):
-        mapped = merged_integral([c.leaf_count() for c in tree.children])
-    elif isinstance(tree, TargetOp) and len(tree.children) == 2:
+        return merged_integral([c.leaf_count() for c in tree.children])
+    if isinstance(tree, TargetOp) and len(tree.children) == 2:
         left, right = (interpret(c, convention) for c in tree.children)
-        mapped = cup_pair(left, right, convention)
-    else:
-        mapped = zero_map(n, tree.plain_degree() + n - 1)
-    return mapped.renamed(tree_text(tree))
+        return cup_pair(left, right, convention)
+    return zero_map(n, tree.plain_degree() + n - 1)
 
 
 def interpret_sum(value: FormalSum,

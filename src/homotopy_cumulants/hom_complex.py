@@ -15,6 +15,18 @@ exhibits the failure of B.
 Sums of maps are flat: `+`, `-`, `scale` and `zero_map` build one linear
 combination of leaf maps (`linear_combination`), with the terms of one
 map merged, so a signed sum of k maps is a single node over its leaves.
+The terms of a sum share its shifted degree; a sum of maps of different
+degrees is refused, since its boundary takes one Koszul pre-sign.
+
+The maps of a construction are data.  Each combinator's rule is a
+module-level table function bound by `functools.partial` to the map's
+children and parameters, so `f.rule.func` is the operation and
+`f.rule.args` holds the children and parameters: `_wedge_table` (child,
+slot), `_boundary_table` (child, pre-sign, from_left), `_cup_table` (left,
+right, from_left, moving parity) and `_sum_table` (the (leaf,
+coefficient) terms).  The leaves are I_n, `_iterated_integral_table` (n),
+and K_n, `cumulants.cumulant_table` (context).  A walk over `rule.args`
+from any map reaches its whole DAG, which shares the I_n leaves of a check.
 
 Equality of MultiMaps is certified on truncated monomial bases, which by
 multilinearity is exact on the truncated subspace.  A map is its table
@@ -61,6 +73,7 @@ from __future__ import annotations
 import itertools
 import threading
 from fractions import Fraction
+from functools import partial
 from math import lcm, prod
 from operator import le
 from typing import Callable, Iterable, Sequence
@@ -106,7 +119,11 @@ class MultiMap:
 
     A map is its table rule: `rule(domain)` builds the dict of the map's
     nonzero values on the code tuples of a per-slot product of code sets,
-    from its children's tables.  `table(domain)` memoizes it per domain,
+    from its children's tables.  Every rule this module builds is a
+    `functools.partial` of a module-level table function, whose `args` are
+    the map's children and parameters (see the module docstring); any
+    callable of a domain works, such as the wrapper that perfbench's
+    tracer puts in its place, which has no `func` or `args`.  `table(domain)` memoizes it per domain,
     so a table shared by several parents (H_{n-1} feeds both terms of
     H_n, and a boundary reads its map's table for delta and for every d
     insertion) is built once.  Calling a map on forms or codes contracts a
@@ -229,14 +246,6 @@ class MultiMap:
                     f"{self.name} expects {self.arity} slots, got {len(domain)}")
             table = self._tables[domain] = self.rule(domain)
         return table
-
-    def renamed(self, name: str, shifted_degree: int | None = None) -> "MultiMap":
-        """The same map under a new name (and degree), with fresh tables."""
-        if shifted_degree is None:
-            shifted_degree = self.shifted_degree
-        renamed = MultiMap(self.arity, shifted_degree, self.rule, name)
-        renamed.terms = self.terms
-        return renamed
 
     def __add__(self, other: "MultiMap") -> "MultiMap":
         return linear_combination(self.arity, self.shifted_degree,
@@ -370,22 +379,25 @@ def linear_combination(arity: int, shifted_degree: int,
     for f, c in pairs:
         if f.arity != arity:
             raise ValueError("arity mismatch")
+        if f.shifted_degree != shifted_degree:
+            raise ValueError("shifted degree mismatch")
         c = _frac(c)
         for leaf, leaf_c in f.terms if f.terms is not None else ((f, 1),):
             merged[leaf] = merged.get(leaf, 0) + c * leaf_c
     # integral coefficients as ints, so multiples scale by them cheaply
     terms = tuple((leaf, c.numerator if c.denominator == 1 else c)
                   for leaf, c in merged.items() if c)
-
-    def rule(domain):
-        pool, total = CochainPool(), {}
-        for leaf, c in terms:
-            _add_into(pool, total, leaf.table(domain), c)
-        return pool.table(total)
-
-    combination = MultiMap(arity, shifted_degree, rule, name)
+    combination = MultiMap(arity, shifted_degree, partial(_sum_table, terms),
+                           name)
     combination.terms = terms
     return combination
+
+
+def _sum_table(terms: tuple, domain: Domain) -> Table:
+    pool, total = CochainPool(), {}
+    for leaf, c in terms:
+        _add_into(pool, total, leaf.table(domain), c)
+    return pool.table(total)
 
 
 def zero_map(arity: int, shifted_degree: int = 0) -> MultiMap:
@@ -406,17 +418,18 @@ def iterated_integral_map(n: int) -> MultiMap:
 
 
 def _iterated_integral_map(n: int) -> MultiMap:
-    def rule(domain):
-        # for n >= 2 only dt inputs contribute
-        slots = domain if n == 1 else [[x for x in s if x & 1] for s in domain]
-        table = {}
-        for xs in itertools.product(*slots):
-            value = iterated_integral_codes(xs)
-            if not value.is_zero():
-                table[xs] = value
-        return table
+    return MultiMap(n, 0, partial(_iterated_integral_table, n), f"I{n}")
 
-    return MultiMap(n, 0, rule, f"I{n}")
+
+def _iterated_integral_table(n: int, domain: Domain) -> Table:
+    # for n >= 2 only dt inputs contribute
+    slots = domain if n == 1 else [[x for x in s if x & 1] for s in domain]
+    table = {}
+    for xs in itertools.product(*slots):
+        value = iterated_integral_codes(xs)
+        if not value.is_zero():
+            table[xs] = value
+    return table
 
 
 def wedge_at(f: MultiMap, slot: int) -> MultiMap:
@@ -428,24 +441,24 @@ def wedge_at(f: MultiMap, slot: int) -> MultiMap:
     """
     if not 0 <= slot < f.arity:
         raise ValueError("slot out of range")
+    return MultiMap(f.arity + 1, f.shifted_degree + 1,
+                    partial(_wedge_table, f, slot), f"{f.name}(wedge@{slot})")
 
-    def rule(domain):
-        preimages: dict[int, list[tuple[int, int]]] = {}
-        for a in domain[slot]:
-            for b in domain[slot + 1]:
-                product = wedge_codes(a, b)
-                if product is not None:
-                    preimages.setdefault(product, []).append((a, b))
-        merged = domain[:slot] + (preimages.keys(),) + domain[slot + 2:]
-        table = {}
-        for ys, value in f.table(merged).items():
-            head, tail = ys[:slot], ys[slot + 1:]
-            for pair in preimages[ys[slot]]:
-                table[head + pair + tail] = value
-        return table
 
-    return MultiMap(f.arity + 1, f.shifted_degree + 1, rule,
-                    f"{f.name}(wedge@{slot})")
+def _wedge_table(f: MultiMap, slot: int, domain: Domain) -> Table:
+    preimages: dict[int, list[tuple[int, int]]] = {}
+    for a in domain[slot]:
+        for b in domain[slot + 1]:
+            product = wedge_codes(a, b)
+            if product is not None:
+                preimages.setdefault(product, []).append((a, b))
+    merged = domain[:slot] + (preimages.keys(),) + domain[slot + 2:]
+    table = {}
+    for ys, value in f.table(merged).items():
+        head, tail = ys[:slot], ys[slot + 1:]
+        for pair in preimages[ys[slot]]:
+            table[head + pair + tail] = value
+    return table
 
 
 def merged_integral(sizes: Sequence[int]) -> MultiMap:
@@ -477,47 +490,49 @@ def hom_boundary(f: MultiMap,
     weight, and both terms are summed on the value indices of one pool.
     """
     pre_sign = -1 if f.plain_degree % 2 == 0 else 1
-    from_left = convention.from_left
+    return MultiMap(f.arity, f.shifted_degree + 1,
+                    partial(_boundary_table, f, pre_sign, convention.from_left),
+                    f"boundary({f.name})")
 
-    def rule(domain):
-        pool = CochainPool()
-        add, multiple = pool.add, pool.multiple
-        table = f.table(domain)
-        images = {value: pool.intern(delta(value))
-                  for value in dict.fromkeys(table.values())}
-        total = {xs: k for xs, value in table.items() if (k := images[value])}
-        # widened domain -> its slots u, each with its derivative codes
-        # mapped to (pre_sign * k, input code t^k)
-        readers: dict[Domain, list] = {}
-        for u, slot in enumerate(domain):
-            sources = {}
-            for x in slot:
-                dx = d_code(x)
-                if dx is not None:
-                    sources[dx[1]] = (pre_sign * dx[0], x)
-            if sources:
-                widened = domain[:u] + (slot.union(sources),) + domain[u + 1:]
-                readers.setdefault(widened, []).append((u, sources))
-        for widened, slots in readers.items():
-            table = f.table(widened)
-            indices = pool.indices(table)
-            for ys, value in table.items():
-                index = indices[value]
-                for u, sources in slots:
-                    source = sources.get(ys[u])
-                    if source is None:
-                        continue
-                    k, x = source
-                    head, tail = ys[:u], ys[u + 1:]
-                    # the dt bits passed, as the parity of the codes' sum
-                    i = multiple(
-                        index, -k if sum(head if from_left else tail) & 1 else k)
-                    xs = head + (x,) + tail
-                    previous = total.get(xs)
-                    total[xs] = i if previous is None else add(previous, i)
-        return pool.table(total)
 
-    return MultiMap(f.arity, f.shifted_degree + 1, rule, f"boundary({f.name})")
+def _boundary_table(f: MultiMap, pre_sign: int, from_left: bool,
+                    domain: Domain) -> Table:
+    pool = CochainPool()
+    add, multiple = pool.add, pool.multiple
+    table = f.table(domain)
+    images = {value: pool.intern(delta(value))
+              for value in dict.fromkeys(table.values())}
+    total = {xs: k for xs, value in table.items() if (k := images[value])}
+    # widened domain -> its slots u, each with its derivative codes mapped to
+    # (pre_sign * k, input code t^k)
+    readers: dict[Domain, list] = {}
+    for u, slot in enumerate(domain):
+        sources = {}
+        for x in slot:
+            dx = d_code(x)
+            if dx is not None:
+                sources[dx[1]] = (pre_sign * dx[0], x)
+        if sources:
+            widened = domain[:u] + (slot.union(sources),) + domain[u + 1:]
+            readers.setdefault(widened, []).append((u, sources))
+    for widened, slots in readers.items():
+        table = f.table(widened)
+        indices = pool.indices(table)
+        for ys, value in table.items():
+            index = indices[value]
+            for u, sources in slots:
+                source = sources.get(ys[u])
+                if source is None:
+                    continue
+                k, x = source
+                head, tail = ys[:u], ys[u + 1:]
+                # the dt bits passed, as the parity of the codes' sum
+                i = multiple(
+                    index, -k if sum(head if from_left else tail) & 1 else k)
+                xs = head + (x,) + tail
+                previous = total.get(xs)
+                total[xs] = i if previous is None else add(previous, i)
+    return pool.table(total)
 
 
 def cup_pair(left: MultiMap, right: MultiMap,
@@ -533,42 +548,48 @@ def cup_pair(left: MultiMap, right: MultiMap,
     distinct pair of signed values once and puts the product at every key
     of the product of the two groups.
     """
-    arity = left.arity + right.arity
-    moving = right if convention.from_left else left
-    moving_parity = moving.plain_degree % 2
-
-    def groups(pool: CochainPool, entries: Table, passed: bool) -> dict:
-        """signed value index -> the keys of the entries that carry it"""
-        indices = pool.indices(entries)
-        # odd entries, by the parity of the codes' sum (their dt bits)
-        odd = pool.indices(entries, -1) if passed and moving_parity else indices
-        grouped: dict[int, list] = {}
-        for xs, value in entries.items():
-            k = (odd if sum(xs) & 1 else indices)[value]
-            grouped.setdefault(k, []).append(xs)
-        return grouped
-
-    def rule(domain):
-        pool = CochainPool()
-        lefts = groups(pool, left.table(domain[:left.arity]),
-                       convention.from_left)
-        rights = groups(pool, right.table(domain[left.arity:]),
-                        not convention.from_left)
-        values = pool.values
-        table = {}
-        for a, left_keys in lefts.items():
-            for b, right_keys in rights.items():
-                value = cup(values[a], values[b])
-                if value.is_zero():
-                    continue
-                value = values[pool.intern(value)]
-                for left_xs in left_keys:
-                    for right_xs in right_keys:
-                        table[left_xs + right_xs] = value
-        return table
-
-    return MultiMap(arity, left.shifted_degree + right.shifted_degree + 1, rule,
+    from_left = convention.from_left
+    moving = right if from_left else left
+    return MultiMap(left.arity + right.arity,
+                    left.shifted_degree + right.shifted_degree + 1,
+                    partial(_cup_table, left, right, from_left,
+                            moving.plain_degree % 2),
                     f"cup({left.name},{right.name})")
+
+
+def _cup_table(left: MultiMap, right: MultiMap, from_left: bool,
+               moving_parity: int, domain: Domain) -> Table:
+    pool = CochainPool()
+    lefts = _cup_groups(pool, left.table(domain[:left.arity]),
+                        from_left and moving_parity)
+    rights = _cup_groups(pool, right.table(domain[left.arity:]),
+                         not from_left and moving_parity)
+    values = pool.values
+    table = {}
+    for a, left_keys in lefts.items():
+        for b, right_keys in rights.items():
+            value = cup(values[a], values[b])
+            if value.is_zero():
+                continue
+            value = values[pool.intern(value)]
+            for left_xs in left_keys:
+                for right_xs in right_keys:
+                    table[left_xs + right_xs] = value
+    return table
+
+
+def _cup_groups(pool: CochainPool, entries: Table, signed: bool) -> dict:
+    """signed value index -> the keys of the entries that carry it; if
+    `signed`, the entries whose codes pass an odd number of dt bits carry
+    their negated value."""
+    indices = pool.indices(entries)
+    # odd entries, by the parity of the codes' sum (their dt bits)
+    odd = pool.indices(entries, -1) if signed else indices
+    grouped: dict[int, list] = {}
+    for xs, value in entries.items():
+        k = (odd if sum(xs) & 1 else indices)[value]
+        grouped.setdefault(k, []).append(xs)
+    return grouped
 
 
 def maps_equal_on_truncation(f: MultiMap, g: MultiMap,
@@ -653,7 +674,7 @@ def homotopy_witness(n: int,
             wedge_at(witness, 0)
             - cup_pair(iterated_integral_map(1), witness, convention)
         )
-    return witness.renamed(f"H{n}", n - 2)
+    return witness
 
 
 def cumulant_multimap(n: int, ctx: CumulantContext | None = None) -> MultiMap:
@@ -662,6 +683,5 @@ def cumulant_multimap(n: int, ctx: CumulantContext | None = None) -> MultiMap:
     if n < 1:
         raise ValueError("n must be positive")
     context = ctx if ctx is not None else integration_context()
-    return MultiMap(n, n - 1, lambda domain: cumulant_table(context, domain),
-                    f"K{n}")
+    return MultiMap(n, n - 1, partial(cumulant_table, context), f"K{n}")
 

@@ -181,7 +181,7 @@ class Polynomial:
             acc = acc * p + n * q_power
         return Fraction(acc, self.denominator * q_power)
 
-    def to_text(self, variable: str = "t") -> str:
+    def to_text(self) -> str:
         if not self.numerators:
             return "0"
         parts = []
@@ -191,7 +191,7 @@ class Polynomial:
             if k == 0:
                 parts.append(_format_rational(c))
             else:
-                power = variable if k == 1 else f"{variable}^{k}"
+                power = "t" if k == 1 else f"t^{k}"
                 if c == 1:
                     parts.append(power)
                 elif c == -1:

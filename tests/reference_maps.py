@@ -50,13 +50,6 @@ class ReferenceMap(MultiMap):
         return self.evaluator(*(x if isinstance(x, PolyForm)
                                 else decode_basis(x) for x in forms))
 
-    def renamed(self, name: str, shifted_degree: int | None = None) -> "ReferenceMap":
-        if shifted_degree is None:
-            shifted_degree = self.shifted_degree
-        renamed = ReferenceMap(self.arity, shifted_degree, self.evaluator, name)
-        renamed.terms = self.terms
-        return renamed
-
 
 def alternate_witness_k3(variant: str,
                          convention: SignConvention = CONVENTION_A) -> MultiMap:
@@ -68,9 +61,7 @@ def alternate_witness_k3(variant: str,
     """
     i1, i2 = iterated_integral_map(1), iterated_integral_map(2)
     if variant == "left":
-        witness = wedge_at(i2, 0) - cup_pair(i1, i2, convention)
-    elif variant == "right":
-        witness = wedge_at(i2, 1) - cup_pair(i2, i1, convention)
-    else:
-        raise ValueError(f"unknown witness variant {variant!r}")
-    return witness.renamed(f"K3_witness_{variant}", 1)
+        return wedge_at(i2, 0) - cup_pair(i1, i2, convention)
+    if variant == "right":
+        return wedge_at(i2, 1) - cup_pair(i2, i1, convention)
+    raise ValueError(f"unknown witness variant {variant!r}")

@@ -7,10 +7,11 @@ the convention-B failure witnesses, the `verify cumulants` reports at
 n = 5 (degrees 1 and 3), n = 6 (degree 1) and n = 8 (degree 2), the
 term-by-term traces of `cumulant 4 --inputs ...` and of
 `cumulant 5 --inputs ...` on mixed
-rational forms, the SHA-256 of `cumulant 6 --inputs ...` on six degree-64
-powers (the PolyForm path at the parser's caps; its 48 KB output is not
-committed), the DOT text of the polytope graphs, and the enumeration order
-of painted cells.
+rational forms, the formula `cumulant 5` prints, the SHA-256 of
+`cumulant 6 --inputs ...` on six degree-64 powers (the PolyForm path at
+the parser's caps; its 48 KB output is not committed), the DOT text of
+the cube graph at n = 4 and of the polytope graphs, and the enumeration
+order of painted cells.
 
 Regenerate them (only when a change of output is intended) with
 
@@ -48,8 +49,8 @@ def _verify_report(*argv: str) -> str:
     return f"exit {code}\n" + json.dumps(report, indent=2, sort_keys=True) + "\n"
 
 
-def _cumulant_trace(n: str, inputs: str) -> str:
-    code, text = _run("cumulant", n, "--inputs", inputs)
+def _cumulant_trace(n: str, *inputs: str) -> str:
+    code, text = _run("cumulant", n, *inputs)
     return f"exit {code}\n" + text
 
 
@@ -59,8 +60,8 @@ def _cumulant_digest(n: str, inputs: str) -> str:
     return f"exit {code}\n{len(data)} bytes sha256 {hashlib.sha256(data).hexdigest()}\n"
 
 
-def _polytope_dot(n: int) -> str:
-    code, text = _run("graph", "polytope", str(n))
+def _graph_dot(kind: str, n: int) -> str:
+    code, text = _run("graph", kind, str(n))
     assert code == 0
     return text
 
@@ -95,17 +96,19 @@ OUTPUTS = {
         "cumulants", "--n-max", "6", "--degree", "1"),
     "verify_cumulants_n8_d2.txt": lambda: _verify_report(
         "cumulants", "--n-max", "8", "--degree", "2"),
+    "cumulant_5_formula.txt": lambda: _cumulant_trace("5"),
     "cumulant_4_trace.txt": lambda: _cumulant_trace(
-        "4", "1 + t ; 2*t + dt ; t^2 ; 1/2 + t*dt"),
+        "4", "--inputs", "1 + t ; 2*t + dt ; t^2 ; 1/2 + t*dt"),
     "cumulant_5_trace.txt": lambda: _cumulant_trace(
-        "5", "1/2 + 2/3*t + (3/5 - 1/7*t^2)dt ; -4/9*t^3 + (1/11 + t)dt ; "
+        "5", "--inputs", "1/2 + 2/3*t + (3/5 - 1/7*t^2)dt ; -4/9*t^3 + (1/11 + t)dt ; "
         "5/6 - t + 1/13*t^2*dt ; (2/3*t - 7/8*t^3)dt + 1/5 ; "
         "3 + 1/17*t^2 + (1 - 1/19*t)dt"),
     "cumulant_6_degree64.sha256": lambda: _cumulant_digest(
         "6", "(1/3 + 2/7*t)^64 ; (1/5*t + dt)^64 ; (3/11 + t)^64 ; "
         "(1/2 + t*dt)^64 ; (2/9 - t)^64 ; (1 + 1/13*t)^64"),
-    "polytope_3.dot": lambda: _polytope_dot(3),
-    "polytope_4.dot": lambda: _polytope_dot(4),
+    "cube_4.dot": lambda: _graph_dot("cube", 4),
+    "polytope_3.dot": lambda: _graph_dot("polytope", 3),
+    "polytope_4.dot": lambda: _graph_dot("polytope", 4),
     "painted_cells_n4.txt": _painted_cells_text,
 }
 
@@ -127,7 +130,8 @@ def test_exit_codes_pinned():
     assert (GOLDEN / "verify_cumulants_n5_d3.txt").read_text().startswith("exit 0\n")
     assert (GOLDEN / "verify_cumulants_n6_d1.txt").read_text().startswith("exit 0\n")
     assert (GOLDEN / "verify_cumulants_n8_d2.txt").read_text().startswith("exit 0\n")
-    for name in ("cumulant_4_trace.txt", "cumulant_5_trace.txt",
+    for name in ("cumulant_5_formula.txt", "cumulant_4_trace.txt",
+                 "cumulant_5_trace.txt",
                  "cumulant_6_degree64.sha256"):
         assert (GOLDEN / name).read_text().startswith("exit 0\n")
 

@@ -2,9 +2,11 @@
 
 import itertools
 import random
+import sys
 import threading
 import weakref
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from hypothesis import strategies as st
 from homotopy_cumulants import hom_complex, interval_model, suites
 from homotopy_cumulants.cube_complex import cell_to_map, cells_of
 from homotopy_cumulants.cumulants import integration_context
+from homotopy_cumulants.formal_ainfty import formal_boundary, interpret_sum, p_tree
 from homotopy_cumulants.hom_complex import (
     CONVENTION_A,
     CONVENTION_B,
@@ -127,11 +130,13 @@ class TestMultiMap:
 
 
 def _arity3_leaves() -> list[MultiMap]:
-    """Leaf maps of arity 3: I_3, both wedges, both cups, H_3, g3's cells."""
+    """Leaf maps of arity 3 and shifted degree 1: both wedges, both cups,
+    H_3 and g3's edges."""
     i1, i2 = iterated_integral_map(1), iterated_integral_map(2)
-    return ([iterated_integral_map(3), wedge_at(i2, 0), wedge_at(i2, 1),
+    return ([wedge_at(i2, 0), wedge_at(i2, 1),
              cup_pair(i1, i2), cup_pair(i2, i1), homotopy_witness(3)]
-            + [cell_to_map(3, cell) for cell in cells_of(3)])
+            + [cell_to_map(3, cell) for cell in cells_of(3)
+               if cell.dimension == 1])
 
 
 def _nested(evaluator) -> MultiMap:
@@ -140,12 +145,12 @@ def _nested(evaluator) -> MultiMap:
     It is a reference map, so a call runs the evaluator on PolyForms (code
     inputs decoded), and the reference calls every leaf on them.
     """
-    return ReferenceMap(3, 0, evaluator, "nested")
+    return ReferenceMap(3, 1, evaluator, "nested")
 
 
 _coefficients = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-2, 3), 0])
 _expressions = st.recursive(
-    st.integers(0, 14),
+    st.integers(0, 8),
     lambda inner: st.one_of(
         st.tuples(st.sampled_from(["+", "-"]), inner, inner),
         st.tuples(st.just("scale"), _coefficients, inner)),
@@ -175,13 +180,14 @@ def _build(expression, leaves):
 
 class TestLinearCombination:
     def test_sums_hold_merged_leaf_terms(self):
-        f, g = iterated_integral_map(3), wedge_at(iterated_integral_map(2), 0)
+        i1, i2 = iterated_integral_map(1), iterated_integral_map(2)
+        f, g = wedge_at(i2, 0), cup_pair(i1, i2)
         h = g.scale(3)
-        combined = ((f + g) - h).scale(2) + zero_map(3, 0)
+        combined = ((f + g) - h).scale(2) + zero_map(3, 1)
         assert combined.terms == ((f, 2), (g, -4))
         assert all(leaf.terms is None for leaf, _ in combined.terms)
         assert combined.name == f"((2)*(({f.name} + {g.name}) - (3)*{g.name}) + 0/3)"
-        for xs in ((DT, DT, DT), (T, DT, DT)):
+        for xs in ((T, DT, DT), (PolyForm.monomial(0), DT, DT)):
             assert combined(*xs) == f(*xs).scale(2) - g(*xs).scale(4)
             assert combined(*xs) != Cochain.zero()
 
@@ -199,15 +205,19 @@ class TestLinearCombination:
             assert f(*xs) != Cochain.zero()
             assert difference(*xs) is Cochain.zero()
 
-    def test_terms_survive_renaming(self):
-        f, g = iterated_integral_map(2), wedge_at(iterated_integral_map(1), 0)
-        renamed = (f - g).renamed("named", 5)
-        assert (renamed.terms, renamed.shifted_degree) == (((f, 1), (g, -1)), 5)
-        assert (renamed + g).terms == ((f, 1),)
-
     def test_arity_mismatch_rejected(self):
         with pytest.raises(ValueError):
             linear_combination(2, 0, [(iterated_integral_map(3), 1)], "bad")
+
+    def test_shifted_degree_mismatch_rejected(self):
+        """A sum has one shifted degree, so its boundary takes one Koszul
+        pre-sign for all its terms: boundary(I2 - I1(wedge@0)) read -2 dt at
+        (1, t), where boundary(I2) and boundary(I1(wedge@0)) differ by 0."""
+        i2, wedged = iterated_integral_map(2), wedge_at(iterated_integral_map(1), 0)
+        for build in (lambda: i2 - wedged, lambda: wedged + i2,
+                      lambda: linear_combination(2, 0, [(wedged, 1)], "bad")):
+            with pytest.raises(ValueError, match="shifted degree mismatch"):
+                build()
 
     def test_float_coefficients_refused(self):
         f = iterated_integral_map(2)
@@ -594,9 +604,11 @@ class TestCheckStore:
 
     def test_g4_cells_build_each_leaf_table_once(self, monkeypatch):
         """The work over every cell check of g4 on the exponent-2 grid, run
-        as one entry: the I_k leaves build 14 tables, one per distinct
-        (k, domain), from 397 Chen products.  With a fresh leaf per block
-        the same check builds 150 leaf tables from 1,779 products."""
+        as one entry: the I_k leaves build 15 tables, one per distinct
+        (k, domain), from 397 Chen products; the FFF cell is the leaf I_4,
+        so the widened domains its boundary reads are leaf tables too.
+        With a fresh leaf per block the same check builds 151 leaf tables
+        from 1,779 products."""
         leaves, products = [], [0]
         leaf_map = hom_complex._iterated_integral_map
         chen = hom_complex.iterated_integral_codes
@@ -619,8 +631,50 @@ class TestCheckStore:
             return sum(len(leaf._tables) for leaf in leaves), products[0]
 
         assert suites._entry("cells of g4", {}, check).status
-        assert len(leaves) == 4 and work() == (14, 397)
+        assert len(leaves) == 4 and work() == (15, 397)
         leaves.clear()
         products[0] = 0
         assert check() is True
-        assert work() == (150, 1779)
+        assert work() == (151, 1779)
+
+
+def _children(f: MultiMap):
+    """The maps a rule reads: its MultiMap arguments, and the leaves of a
+    sum's (leaf, coefficient) terms."""
+    for arg in f.rule.args:
+        if isinstance(arg, MultiMap):
+            yield arg
+        elif isinstance(arg, tuple):
+            yield from (leaf for leaf, _ in arg)
+
+
+@pytest.mark.parametrize("convention", [CONVENTION_A, CONVENTION_B])
+def test_the_map_dag_is_data(convention):
+    """Every map reached from the identities of n = 4 has a rule that is a
+    module-level table function bound to its children and parameters, and
+    the walk ends at the check's own I_k leaves and K_4."""
+    with hom_complex.check_store():
+        witness = homotopy_witness(4, convention)
+        k4 = cumulant_multimap(4)
+        tops = [witness, hom_boundary(witness, convention),
+                ainfty_relation_defect(4, 1, convention)[1], k4,
+                interpret_sum(formal_boundary(p_tree(4), convention), convention)]
+        tops += [cell_to_map(4, cell, convention) for cell in cells_of(4)]
+        seen, leaves, stack = set(), set(), list(tops)
+        while stack:
+            f = stack.pop()
+            if f in seen:
+                continue
+            seen.add(f)
+            rule = f.rule
+            assert type(rule) is partial, f
+            module = vars(sys.modules[rule.func.__module__])
+            assert module[rule.func.__name__] is rule.func, f
+            assert rule.func.__closure__ is None, f
+            children = list(_children(f))
+            if children:
+                stack += children
+            else:
+                leaves.add(f)
+        expected = {iterated_integral_map(k) for k in range(1, 5)} | {k4}
+    assert leaves == expected
