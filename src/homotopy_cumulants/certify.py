@@ -4,8 +4,8 @@
 * the truncation grid the checks certify on (`TruncationGrid`);
 * the verdict of a grid comparison (`EqualityVerdict`) and the first
   tuple at which two code tables differ (`first_difference`);
-* the store that shares the leaves of one check (`check_store`,
-  `from_check_store`).
+* the store that shares the leaves and the table store of one check
+  (`check_store`, `from_check_store`).
 
 The module sits below the Hom layer: it imports only `_record` and
 `interval_model`, and `hom_complex` imports these names from here.  So a
@@ -129,8 +129,10 @@ def check_store():
     """Share the leaves of one check: a store that lives while it is open.
 
     While the store is open, `hom_complex.iterated_integral_map(n)` is one
-    map per n, so every term of the check reads one I_n table per domain,
-    and the formal layer keeps each tree's boundary there; both go through
+    map per n, which keeps its tables for the whole check, so every term
+    of the check reads one I_n table per domain; the formal layer keeps
+    each tree's boundary there; and the check's top-level builds share one
+    `hom_complex.TableStore`, which counts their work.  All go through
     `from_check_store`.  On exit, also when the body raises, the previous
     store is restored and everything this one held is dropped.
     """

@@ -43,12 +43,17 @@ I_n is Chen's closed form, and the cumulant K_n is
 values, so the arithmetic is done once per distinct value on the indices
 of an `interval_model.CochainPool`: a cup once per pair of distinct
 signed values, a multiple once per value and coefficient, a sum once per
-index pair, and delta once per value.  Tables are memoized per map and
-per domain, and the leaves are shared per check: while a check store is
+index pair, and delta once per value.  Tables belong to the build that
+reads them (see `TableStore`): a top-level request builds its table
+through a build that holds the tables its rules ask of the maps below,
+keyed by (map, domain), and drops each child's tables once its last
+parent in the build has read them.  Only the requested table is memoized
+on its map.  The leaves are shared per check: while a check store is
 open (every suite entry opens one), `iterated_integral_map(n)` is one map
-per n, so every block, wedge, cup and boundary term of the check reads
-one I_n table per domain.  The store and what it holds are dropped when
-the check returns; with no store open each call builds a fresh map.
+per n, which keeps its tables on itself, so every block, wedge, cup and
+boundary term of the check reads one I_n table per domain.  The store
+and what it holds are dropped when the check returns; with no store open
+each call builds a fresh map.
 A map evaluates any forms by contracting a table through its prefix
 index, slot by slot: the index keeps one node per distinct subtree of
 code prefixes, paths that meet at a node add their weights, and a code
@@ -72,6 +77,7 @@ from __future__ import annotations
 
 import itertools
 import threading
+from contextvars import ContextVar
 from fractions import Fraction
 from functools import partial
 from math import lcm, prod
@@ -123,11 +129,14 @@ class MultiMap:
     `functools.partial` of a module-level table function, whose `args` are
     the map's children and parameters (see the module docstring); any
     callable of a domain works, such as the wrapper that perfbench's
-    tracer puts in its place, which has no `func` or `args`.  `table(domain)` memoizes it per domain,
-    so a table shared by several parents (H_{n-1} feeds both terms of
-    H_n, and a boundary reads its map's table for delta and for every d
-    insertion) is built once.  Calling a map on forms or codes contracts a
-    table that covers the inputs, kept or built (see `__call__`).
+    tracer puts in its place, which has no `func` or `args`.
+    `table(domain)` runs the rule in a build (see `TableStore`), which
+    builds a table shared by several parents once (H_{n-1} feeds both
+    terms of H_n, and a boundary reads its map's table for delta and for
+    every d insertion) and keeps it until the last of them has read it;
+    the map keeps the tables asked of it at top level.  Calling a map on
+    forms or codes contracts a table that covers the inputs, kept or built
+    (see `__call__`).
 
     Sums are flat: `+`, `-` and `scale` build a linear combination (see
     `linear_combination`) whose `terms` are (leaf map, coefficient) pairs,
@@ -135,7 +144,8 @@ class MultiMap:
     """
 
     __slots__ = ("arity", "shifted_degree", "name", "terms", "rule", "_tables",
-                 "_indexes", "_grown", "_call_built", "_lock", "__weakref__")
+                 "_indexes", "_grown", "_call_built", "_lock", "_reached",
+                 "__weakref__")
 
     def __init__(self, arity: int, shifted_degree: int,
                  rule: Callable[[Domain], Table], name: str = ""):
@@ -154,6 +164,8 @@ class MultiMap:
         self._grown: frozenset = frozenset()
         self._call_built: list[frozenset] = []
         self._lock = threading.Lock()
+        # the token of the last table store whose build reached the map
+        self._reached = None
 
     @property
     def plain_degree(self) -> int:
@@ -226,25 +238,37 @@ class MultiMap:
             domain = (support,) * n
         index = self._indexes.get(domain)
         if index is None:
-            index = self._indexes[domain] = _prefix_index(self.table(domain))
+            index = self._indexes[domain] = _prefix_index(
+                self._kept_table(domain))
         return index
 
     def table(self, domain: Iterable[Iterable[int]]) -> Table:
         """The nonzero values of the map on the code tuples of a domain.
 
         `domain` holds one collection of basis codes per slot.  A tuple
-        missing from the table is a zero of the map.  The table is
-        memoized per domain and shared, so it must not be mutated; a table
-        built for calls may later be replaced by a grown one (see
-        `__call__`).
+        missing from the table is a zero of the map.  Asked while no build
+        runs, the table is a top-level request: it is built by a build of
+        its own (see `TableStore`) and memoized on the map, so it must not
+        be mutated; a table built for calls may later be replaced by a
+        grown one (see `__call__`).  Asked by a rule, it is read from the
+        running build, which keeps it only until the map's last parent in
+        that build has read it.
         """
         domain = tuple(map(frozenset, domain))
+        if len(domain) != self.arity:
+            raise ValueError(
+                f"{self.name} expects {self.arity} slots, got {len(domain)}")
+        build = _running.get()
+        if build is not None:
+            return build.table(self, domain)
+        return self._kept_table(domain)
+
+    def _kept_table(self, domain: Domain) -> Table:
+        """The table the map keeps on domain, built as a top-level request
+        if it keeps none."""
         table = self._tables.get(domain)
         if table is None:
-            if len(domain) != self.arity:
-                raise ValueError(
-                    f"{self.name} expects {self.arity} slots, got {len(domain)}")
-            table = self._tables[domain] = self.rule(domain)
+            table = self._tables[domain] = _top_build(self, domain)
         return table
 
     def __add__(self, other: "MultiMap") -> "MultiMap":
@@ -263,6 +287,161 @@ class MultiMap:
 
     def __repr__(self) -> str:
         return f"MultiMap({self.name}, arity={self.arity}, shifted_degree={self.shifted_degree})"
+
+
+class TableStore:
+    """The tables and counters shared by the top-level builds of one check.
+
+    A top-level request (`MultiMap.table` while no build runs, or a call
+    on forms that needs a table) runs a build: before the top's rule runs,
+    the DAG below the top is walked over `rule.args` (see `_children`) and
+    each map's parent edges are counted.  The tables the rules ask of the
+    maps below the top live in the build, keyed by (map, domain), and each
+    parent releases its edge to a child once it has read everything it
+    needs of it: a sum right after reading that term, a wedge and a cup on
+    reading their children, a boundary on its last widened table.  A map
+    with no edges left drops its tables (see `_Build`).  A rule with no
+    `args`, such as perfbench's tracing wrapper, is a leaf of the walk, so
+    nothing below it is released before the top build ends.
+
+    Three kinds of table outlive the build: the top's own table, memoized
+    on the top map; a map's call tables (see `MultiMap.__call__`); and the
+    tables of the maps in `kept`, which stay on those maps for as long as
+    the store lives.  A check store (see `certify.check_store`) holds one
+    store for the whole check: its own maps, the I_n leaves, are kept, and
+    so is any map that a later build of the check reaches again.  Outside
+    a check each top-level build has a store of its own.
+
+    The counters are the tables built, their entries, the tables the rules
+    read, and the tables dropped on release before their build ended.
+    """
+
+    __slots__ = ("kept", "token", "built", "entries", "reads", "released")
+
+    def __init__(self):
+        self.kept: set[MultiMap] = set()
+        # what the store's builds mark the maps they reach with
+        self.token = object()
+        self.built = self.entries = self.reads = self.released = 0
+
+
+def table_store() -> TableStore:
+    """The open check store's table store; with none open, a fresh one."""
+    return from_check_store(TableStore, TableStore)
+
+
+def _children(f: MultiMap) -> list[MultiMap]:
+    """The maps f's rule reads, once per edge: its MultiMap arguments and
+    the leaves of a sum's (leaf, coefficient) terms; none for a rule with
+    no `args`."""
+    children = []
+    for arg in getattr(f.rule, "args", ()):
+        if isinstance(arg, MultiMap):
+            children.append(arg)
+        elif type(arg) is tuple:
+            children.extend(leaf for leaf, _ in arg)
+    return children
+
+
+class _Build:
+    """One top-level build: the tables of the maps below its top.
+
+    `edges` holds each map the walk reached, with its parent edges not yet
+    released.  A rule releases an edge as it reads the child for the last
+    time along it (see `table`), but only in a final run: a run of a map
+    none of whose edges is still open, so no parent asks the map again in
+    this build.  A map whose last edge is released drops its tables, and
+    its own edges are released too: by its final run, as it reads its
+    children, or else as it drops.  So no (map, domain) is built twice in
+    one build.
+    """
+
+    __slots__ = ("store", "tables", "edges", "final")
+
+    def __init__(self, store: TableStore, top: MultiMap):
+        self.store = store
+        self.tables: dict[MultiMap, dict[Domain, Table]] = {}
+        self.edges = edges = {top: 0}
+        self.final = False
+        kept, token, stack = store.kept, store.token, [top]
+        top._reached = token
+        while stack:
+            for child in _children(stack.pop()):
+                if child in edges:
+                    edges[child] += 1
+                elif child not in kept:
+                    if child._reached is token:
+                        kept.add(child)
+                    else:
+                        edges[child] = 1
+                        child._reached = token
+                    stack.append(child)
+
+    def run(self, f: MultiMap, domain: Domain) -> Table:
+        """Run f's rule on domain, final if f has no open edge (the top
+        has none)."""
+        outer, self.final = self.final, self.edges.get(f) == 0
+        table = f.rule(domain)
+        self.final = outer
+        store = self.store
+        store.built += 1
+        store.entries += len(table)
+        return table
+
+    def table(self, f: MultiMap, domain: Domain, last: bool = False) -> Table:
+        """f's table on domain, asked by the running rule: found on f, found
+        in the build, or built.  `last` says the rule reads no more of f
+        along this edge; in a final run that releases the edge."""
+        self.store.reads += 1
+        edges = self.edges
+        last = last and self.final and edges.get(f, 0) > 0
+        if last:
+            edges[f] -= 1
+        built = False
+        table = f._tables.get(domain)
+        if table is None:
+            tables = (f._tables if f in self.store.kept
+                      else self.tables.setdefault(f, {}))
+            table = tables.get(domain)
+            if table is None:
+                table = tables[domain] = self.run(f, domain)
+                built = True
+        if last and not edges[f]:
+            self.drop(f, built)
+        return table
+
+    def drop(self, f: MultiMap, released: bool) -> None:
+        """Drop the tables of f, which no parent reads again, and release
+        f's own edges unless its final run has."""
+        self.store.released += len(self.tables.pop(f, ()))
+        if not released:
+            edges = self.edges
+            for child in _children(f):
+                if child in edges:
+                    edges[child] -= 1
+                    if not edges[child]:
+                        self.drop(child, False)
+
+
+# the build running in this thread, or None
+_running: ContextVar["_Build | None"] = ContextVar("running_build", default=None)
+
+
+def _top_build(f: MultiMap, domain: Domain) -> Table:
+    """f's table on domain, built by a build of its own."""
+    build = _Build(table_store(), f)
+    token = _running.set(build)
+    try:
+        return build.run(f, domain)
+    finally:
+        _running.reset(token)
+
+
+def _read(f: MultiMap, domain: Domain, last: bool = True) -> Table:
+    """f's table on domain (slots as frozensets) for the running rule,
+    which reads no more of f along this edge if `last` (see `_Build`)."""
+    build = _running.get()
+    return f.table(domain) if build is None else build.table(f, domain, last)
 
 
 def _expansion(slot: int, x: PolyForm | int) -> tuple[dict[int, int], int]:
@@ -396,7 +575,7 @@ def linear_combination(arity: int, shifted_degree: int,
 def _sum_table(terms: tuple, domain: Domain) -> Table:
     pool, total = CochainPool(), {}
     for leaf, c in terms:
-        _add_into(pool, total, leaf.table(domain), c)
+        _add_into(pool, total, _read(leaf, domain), c)
     return pool.table(total)
 
 
@@ -414,7 +593,14 @@ def iterated_integral_map(n: int) -> MultiMap:
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return from_check_store(("I", n), lambda: _iterated_integral_map(n))
+    return from_check_store(("I", n), partial(_check_leaf, n))
+
+
+def _check_leaf(n: int) -> MultiMap:
+    """The check's I_n, whose tables stay on it for the whole check."""
+    leaf = _iterated_integral_map(n)
+    table_store().kept.add(leaf)
+    return leaf
 
 
 def _iterated_integral_map(n: int) -> MultiMap:
@@ -452,9 +638,9 @@ def _wedge_table(f: MultiMap, slot: int, domain: Domain) -> Table:
             product = wedge_codes(a, b)
             if product is not None:
                 preimages.setdefault(product, []).append((a, b))
-    merged = domain[:slot] + (preimages.keys(),) + domain[slot + 2:]
+    merged = domain[:slot] + (frozenset(preimages),) + domain[slot + 2:]
     table = {}
-    for ys, value in f.table(merged).items():
+    for ys, value in _read(f, merged).items():
         head, tail = ys[:slot], ys[slot + 1:]
         for pair in preimages[ys[slot]]:
             table[head + pair + tail] = value
@@ -497,12 +683,6 @@ def hom_boundary(f: MultiMap,
 
 def _boundary_table(f: MultiMap, pre_sign: int, from_left: bool,
                     domain: Domain) -> Table:
-    pool = CochainPool()
-    add, multiple = pool.add, pool.multiple
-    table = f.table(domain)
-    images = {value: pool.intern(delta(value))
-              for value in dict.fromkeys(table.values())}
-    total = {xs: k for xs, value in table.items() if (k := images[value])}
     # widened domain -> its slots u, each with its derivative codes mapped to
     # (pre_sign * k, input code t^k)
     readers: dict[Domain, list] = {}
@@ -515,8 +695,14 @@ def _boundary_table(f: MultiMap, pre_sign: int, from_left: bool,
         if sources:
             widened = domain[:u] + (slot.union(sources),) + domain[u + 1:]
             readers.setdefault(widened, []).append((u, sources))
-    for widened, slots in readers.items():
-        table = f.table(widened)
+    pool = CochainPool()
+    add, multiple = pool.add, pool.multiple
+    table = _read(f, domain, not readers)
+    images = {value: pool.intern(delta(value))
+              for value in dict.fromkeys(table.values())}
+    total = {xs: k for xs, value in table.items() if (k := images[value])}
+    for k, (widened, slots) in enumerate(readers.items(), 1):
+        table = _read(f, widened, k == len(readers))
         indices = pool.indices(table)
         for ys, value in table.items():
             index = indices[value]
@@ -560,9 +746,9 @@ def cup_pair(left: MultiMap, right: MultiMap,
 def _cup_table(left: MultiMap, right: MultiMap, from_left: bool,
                moving_parity: int, domain: Domain) -> Table:
     pool = CochainPool()
-    lefts = _cup_groups(pool, left.table(domain[:left.arity]),
+    lefts = _cup_groups(pool, _read(left, domain[:left.arity]),
                         from_left and moving_parity)
-    rights = _cup_groups(pool, right.table(domain[left.arity:]),
+    rights = _cup_groups(pool, _read(right, domain[left.arity:]),
                          not from_left and moving_parity)
     values = pool.values
     table = {}
@@ -664,16 +850,20 @@ def homotopy_witness(n: int,
 
     H_2 = I_2 and H_n = H_{n-1}(wedge x 1 x .. x 1) - cup(I x H_{n-1}),
     the second term carrying the Koszul sign of the tensor evaluation.
-    Satisfies boundary(H_n) = K_n.
+    Satisfies boundary(H_n) = K_n.  H_n is named by this step, with
+    H_{n-1} by its label (H_3 is `(I2(wedge@0) - cup(I1,I2))`, H_4
+    `(H3(wedge@0) - cup(I1,H3))`), so names do not grow with n.
     """
     if n < 2:
         raise ValueError("homotopy witnesses start at n = 2")
     witness = iterated_integral_map(2)
     for m in range(3, n + 1):
-        witness = (
-            wedge_at(witness, 0)
-            - cup_pair(iterated_integral_map(1), witness, convention)
-        )
+        previous = "I2" if m == 3 else f"H{m - 1}"
+        terms = ((wedge_at(witness, 0), 1),
+                 (cup_pair(iterated_integral_map(1), witness, convention), -1))
+        witness = linear_combination(
+            m, witness.shifted_degree + 1, terms,
+            f"({previous}(wedge@0) - cup(I1,{previous}))")
     return witness
 
 

@@ -9,11 +9,17 @@ take a reference map as a leaf.
 
 `alternate_witness_k3` builds two other null-homotopies of K_3 from the
 library's combinators, for the tests that compare them with H_3.
+
+`maps_below` walks a map's DAG, and `record_builds` makes the rules of
+that DAG record the tables they build, for the tests that count the work
+of one top-level build and what it leaves behind.
 """
 
 import itertools
+from functools import partial
 from typing import Callable
 
+from homotopy_cumulants import hom_complex
 from homotopy_cumulants.hom_complex import (
     CONVENTION_A,
     MultiMap,
@@ -65,3 +71,36 @@ def alternate_witness_k3(variant: str,
     if variant == "right":
         return wedge_at(i2, 1) - cup_pair(i2, i1, convention)
     raise ValueError(f"unknown witness variant {variant!r}")
+
+
+class _RecordingRule(partial):
+    """A table function bound like the rule it replaces, so a build still
+    walks its children, that appends (map, domain) to `runs` on each run."""
+
+    def __call__(self, domain):
+        runs, f = self.record
+        runs.append((f, domain))
+        return super().__call__(domain)
+
+
+def maps_below(top: MultiMap) -> set:
+    """The maps of top's DAG other than top, reached over `rule.args`."""
+    below, stack = set(), hom_complex._children(top)
+    while stack:
+        f = stack.pop()
+        if f not in below:
+            below.add(f)
+            stack.extend(hom_complex._children(f))
+    return below
+
+
+def record_builds(top: MultiMap) -> list:
+    """The (map, domain) of every table that the maps of top's DAG build
+    from now on, in order; a map whose rule is not a `partial` is left
+    as it is."""
+    runs = []
+    for f in maps_below(top) | {top}:
+        if isinstance(f.rule, partial):
+            f.rule = _RecordingRule(f.rule.func, *f.rule.args)
+            f.rule.record = runs, f
+    return runs

@@ -6,7 +6,11 @@ the same information).
 """
 
 import math
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from homotopy_cumulants.cube_complex import (
     FREE,
@@ -236,3 +240,53 @@ def test_criterion_11_cumulant_consistency_to_n8():
     ok = ok and elapsed < 60.0
     _report(11, "direct = recursive cumulants at n = 7 (exponent <= 3) and "
                 "n = 8 (exponent <= 2), < 60 s", ok, elapsed)
+
+
+# The vertex sum of g6 against K_6 on the exponent-3 grid, run as a suite
+# entry (so in a check store), in a fresh interpreter that prints the
+# entry's status and its own peak RSS in KiB.  On Linux ru_maxrss also
+# holds the parent's peak, which the child inherits across exec, so the
+# peak is read from VmHWM where /proc has it.
+_VERTEX_SUM_K6 = """
+import resource
+from homotopy_cumulants.cube_complex import cell_to_map, cells_of, vertex_composition
+from homotopy_cumulants.cumulants import composition_sign
+from homotopy_cumulants.hom_complex import (
+    TruncationGrid, cumulant_multimap, linear_combination,
+    maps_equal_on_truncation)
+from homotopy_cumulants.suites import _entry
+
+def check():
+    vertex_sum = linear_combination(
+        6, 5, ((cell_to_map(6, cell), composition_sign(vertex_composition(cell)))
+               for cell in cells_of(6) if cell.is_vertex()), "vertex sum g6")
+    return maps_equal_on_truncation(vertex_sum, cumulant_multimap(6),
+                                    TruncationGrid(3), check="vertex sum = K6")
+
+entry = _entry("vertex sum = K6", {}, check)
+try:
+    with open("/proc/self/status") as status:
+        peak = next(int(line.split()[1]) for line in status
+                    if line.startswith("VmHWM:"))
+except OSError:
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(entry.status, peak)
+"""
+
+
+def test_criterion_12_vertex_sum_k6_in_bounded_memory():
+    # each signed vertex map is added to the sum and then dropped with the
+    # tables below it, so the peak holds one vertex map's subtree, the
+    # check's I_k leaves, the sum and K_6
+    started = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-c", _VERTEX_SUM_K6],
+        env={**os.environ,
+             "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")},
+        capture_output=True, text=True, timeout=120)
+    elapsed = time.monotonic() - started
+    status, peak_kib = done.stdout.split() if done.returncode == 0 else ("", 0)
+    peak_mb = int(peak_kib) / 1024
+    ok = status == "True" and peak_mb <= 40.0 and elapsed < 30.0
+    _report(12, f"vertex sum = K_6 at degree 3 peaks at {peak_mb:.1f} MB "
+                "<= 40 MB of own-process RSS, < 30 s", ok, elapsed)

@@ -23,9 +23,15 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homotopy_cumulants import cube_complex, formal_ainfty, hom_complex, suites
-from homotopy_cumulants.cube_complex import cell_to_map, cells_of, verify_cell
+from homotopy_cumulants.cube_complex import (
+    cell_to_map,
+    cells_of,
+    verify_cell,
+    vertex_composition,
+)
 from homotopy_cumulants.cumulants import (
     CumulantContext,
+    composition_sign,
     cumulant,
     cumulant_recursive,
     cumulant_recursive_table,
@@ -41,12 +47,15 @@ from homotopy_cumulants.hom_complex import (
     MultiMap,
     TruncationGrid,
     ainfty_relation_defect,
+    check_store,
     cumulant_multimap,
     cup_pair,
     hom_boundary,
     homotopy_witness,
     iterated_integral_map,
+    linear_combination,
     maps_equal_on_truncation,
+    table_store,
     wedge_at,
 )
 from homotopy_cumulants.interval_model import (
@@ -67,7 +76,7 @@ from homotopy_cumulants.interval_model import (
     wedge,
     wedge_codes,
 )
-from reference_maps import ReferenceMap
+from reference_maps import ReferenceMap, maps_below, record_builds
 
 CONVENTIONS = (CONVENTION_A, CONVENTION_B)
 
@@ -780,7 +789,8 @@ def test_maps_without_a_code_rule_see_polyforms(monkeypatch):
     # every library map, composites included, passes its rule third to the
     # constructor; perfbench's tracer wraps that argument in a `*xs`
     # forwarder, which must change no table or value and run once per
-    # table built
+    # table the check's table store counts as built, never twice on one
+    # (map, domain)
     forms = (PolyForm((1, "1/2"), (0, 3)), DT, T + ONE, PolyForm((), (2, 1)))
     codes = TruncationGrid(1).slot_codes()
 
@@ -801,7 +811,7 @@ def test_maps_without_a_code_rule_see_polyforms(monkeypatch):
         return values
 
     expected = outcomes()
-    built, forwarded = [], []
+    forwarded = []
     init = MultiMap.__init__
 
     def forwarding(self, arity, shifted_degree, third, name=""):
@@ -809,17 +819,17 @@ def test_maps_without_a_code_rule_see_polyforms(monkeypatch):
             inner = third
 
             def third(*xs):
-                forwarded.append(xs)
+                forwarded.append((inner, xs))
                 return inner(*xs)
 
             third._forwarded = True
         init(self, arity, shifted_degree, third, name)
-        built.append(self)
 
     monkeypatch.setattr(MultiMap, "__init__", forwarding)
-    assert outcomes() == expected
-    assert forwarded
-    assert len(forwarded) == sum(len(f._tables) for f in built)
+    with check_store():
+        assert outcomes() == expected
+        assert forwarded
+        assert len(forwarded) == len(set(forwarded)) == table_store().built
 
 
 def test_reference_values_read_no_table(monkeypatch):
@@ -949,6 +959,57 @@ def test_values_do_not_depend_on_the_kept_tables(family, convention, inputs,
     assert len(fresh._tables) <= fresh_tables + 1
 
 
+def g4_vertex_sum(convention):
+    return linear_combination(
+        4, 3, ((cell_to_map(4, cell, convention),
+                composition_sign(vertex_composition(cell)))
+               for cell in cells_of(4) if cell.is_vertex()), "vertex sum g4")
+
+
+RELEASED = {
+    "boundary of H_3": lambda c: hom_boundary(homotopy_witness(3, c), c),
+    "K_3": lambda c: cumulant_multimap(3),
+    "morphism defect n=3": lambda c: ainfty_relation_defect(3, 0, c)[1],
+    # cup(cup(I1, I1(wedge@0)), I1)
+    "cell HLH of g4": lambda c: cell_to_map(4, cells_of(4)[16], c),
+    "vertex sum of g4": g4_vertex_sum,
+}
+
+
+@pytest.mark.parametrize("convention", CONVENTIONS, ids=lambda c: c.name)
+@pytest.mark.parametrize("family", RELEASED)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_released_tables_change_no_value(family, convention, data):
+    """Each build drops the tables of the maps below its top once their
+    last parent has read them.  A table on a random domain and the values
+    on mixed codes and forms are still the reference's; no build makes a
+    (map, domain) twice, and no map below the top keeps a table."""
+    def build():
+        return RELEASED[family](convention)
+
+    f, expected = build(), reference(build)
+    runs = record_builds(f)
+    domain = data.draw(st.lists(st.sets(st.integers(0, 9), max_size=3),
+                                min_size=f.arity, max_size=f.arity),
+                       label="domain")
+    table = f.table(domain)
+    assert not any(value.is_zero() for value in table.values())
+    for xs in itertools.product(*domain):
+        assert table.get(xs, Cochain.zero()) == expected(*map(decode_basis, xs))
+    builds = [runs[:]]
+    calls = data.draw(st.lists(st.lists(st.one_of(st.integers(0, 9),
+                                                  _mixed_forms),
+                                        min_size=f.arity, max_size=f.arity),
+                               min_size=1, max_size=3), label="calls")
+    for xs in calls:
+        runs.clear()
+        assert f(*xs) == expected(*xs), xs
+        builds.append(runs[:])
+    assert all(len(set(runs)) == len(runs) for runs in builds)
+    assert not any(g._tables for g in maps_below(f))
+
+
 _small_forms = st.builds(PolyForm, st.lists(_fractions, max_size=3),
                          st.lists(_fractions, max_size=3))
 _small_inputs = st.one_of(st.integers(0, 7), _small_forms)
@@ -1012,8 +1073,8 @@ def _sparse_form(rng: random.Random, codes: int) -> PolyForm:
 def test_sparse_calls_keep_few_tables():
     """Calls on 600 seeded sparse triples (two terms per form, degree at
     most 12) grow one call table rather than keep one per support: the
-    boundary of H_3 keeps at most two tables, and each value is that of a
-    fresh map and of the reference."""
+    boundary of H_3 keeps at most two tables, no map below it keeps one,
+    and each value is that of a fresh map and of the reference."""
     def build():
         return hom_boundary(homotopy_witness(3))
 
@@ -1024,6 +1085,8 @@ def test_sparse_calls_keep_few_tables():
     for xs in triples:
         assert f(*xs) == build()(*xs) == expected(*xs), xs
     assert len(f._tables) <= 2
+    below = maps_below(f)
+    assert len(below) == 5 and not any(g._tables for g in below)
 
 
 def _recording(f: MultiMap) -> list:

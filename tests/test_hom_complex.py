@@ -32,6 +32,7 @@ from homotopy_cumulants.hom_complex import (
     map_is_zero_on,
     maps_equal_on_truncation,
     merged_integral,
+    table_store,
     wedge_at,
     zero_map,
 )
@@ -45,7 +46,7 @@ from homotopy_cumulants.interval_model import (
     iterated_integral,
     wedge,
 )
-from reference_maps import ReferenceMap, alternate_witness_k3
+from reference_maps import ReferenceMap, alternate_witness_k3, record_builds
 
 T = PolyForm.monomial(1)
 DT = PolyForm.monomial(0, dt=True)
@@ -243,47 +244,50 @@ class TestLinearCombination:
         mixed[slot], with_a[slot], with_b[slot] = a.scale(s) + b.scale(r), a, b
         assert flat(*mixed) == flat(*with_a).scale(s) + flat(*with_b).scale(r)
 
-    def test_h4_evaluates_its_shared_h3_once_per_tuple(self, monkeypatch):
-        # h3 tabulates once per domain, whether a sweep or a call on codes
-        # or forms asks for the table; a call reads a kept table that
-        # covers its inputs' supports, and builds one only if none does
-        built = []
-
-        def counting(arity, shifted_degree, pairs, name):
-            combination = linear_combination(arity, shifted_degree, pairs, name)
-            rule, domains = combination.rule, []
-
-            def recording(domain):
-                domains.append(domain)
-                return rule(domain)
-
-            combination.rule = recording
-            built.append((combination, domains))
-            return combination
-
-        monkeypatch.setattr(hom_complex, "linear_combination", counting)
-        h4 = homotopy_witness(4)
-        h3, h3_domains = built[0]
-        assert h3.name == "(I2(wedge@0) - cup(I1,I2))"
-        codes = TruncationGrid(2).slot_codes()
-        h4.table([codes] * 4)
-        assert len(h3_domains) == 2  # the merged-code domain and the grid
-        grid_domains = list(h4._tables)
-        assert grid_domains == [(frozenset(codes),) * 4]
-        # calls inside the grid read the grid table and build no table
-        for xs in itertools.product(codes, repeat=4):
-            h4(*xs)
-        forms = (T, DT, PolyForm((1,), (0, 1)), PolyForm.monomial(2, dt=True))
-        for xs in itertools.product(forms, repeat=4):
-            h4(*xs)
-        assert len(h3_domains) == 2
-        assert list(h4._tables) == grid_domains
-        # t^3 lies outside the D = 2 grid: one new table, on (S,) * 4
-        t3 = PolyForm.monomial(3)
-        h4(t3, T, DT, forms[3])
-        support = frozenset(map(encode_basis, (t3, T, DT, forms[3])))
-        assert list(h4._tables) == grid_domains + [(support,) * 4]
-        assert len(set(h3_domains)) == len(h3_domains) == len(h3._tables)
+    def test_h4_evaluates_its_shared_h3_once_per_tuple(self):
+        # h3 tabulates once per domain in each build, whether a sweep or a
+        # call on codes or forms asks for h4's table; a call reads a kept
+        # table that covers its inputs' supports, and builds one only if
+        # none does.  The check's table store counts the tables built.
+        with hom_complex.check_store():
+            store = table_store()
+            h4 = homotopy_witness(4)
+            h3 = h4.terms[0][0].rule.args[0]
+            assert h3.name == "(I2(wedge@0) - cup(I1,I2))"
+            runs = record_builds(h4)
+            codes = TruncationGrid(2).slot_codes()
+            h4.table([codes] * 4)
+            # one table per (map, domain), with 817 entries, as many as every
+            # map kept when maps kept the tables they built; h3 on the
+            # merged-code domain and on the grid.  The rules read 15 tables,
+            # and the 8 of the maps strictly between h4 and the check's I_k
+            # leaves are dropped once read.
+            assert store.built == len(set(runs)) == len(runs) == 14
+            assert store.entries == 817 and store.reads == 15
+            assert [f for f, _ in runs].count(h3) == 2
+            assert store.released == 8
+            grid_domains = list(h4._tables)
+            assert grid_domains == [(frozenset(codes),) * 4]
+            # calls inside the grid read the grid table and build no table
+            for xs in itertools.product(codes, repeat=4):
+                h4(*xs)
+            forms = (T, DT, PolyForm((1,), (0, 1)), PolyForm.monomial(2, dt=True))
+            for xs in itertools.product(forms, repeat=4):
+                h4(*xs)
+            assert store.built == 14
+            assert list(h4._tables) == grid_domains
+            # t^3 lies outside the D = 2 grid: one new build, of h4's table on
+            # (S,) * 4; its maps were reached by the first build of the
+            # check, so they keep their tables for the check
+            t3 = PolyForm.monomial(3)
+            h4(t3, T, DT, forms[3])
+            support = frozenset(map(encode_basis, (t3, T, DT, forms[3])))
+            assert list(h4._tables) == grid_domains + [(support,) * 4]
+            assert store.built == len(set(runs)) == len(runs) == 28
+            assert store.released == 8
+            h3_domains = [domain for f, domain in runs if f is h3]
+            assert len(set(h3_domains)) == len(h3_domains) == 4
+            assert list(h3._tables) == h3_domains[2:]
 
 
 class TestTruncationGrid:
@@ -516,6 +520,12 @@ class TestWitnesses:
         with pytest.raises(ValueError):
             homotopy_witness(1)
 
+    def test_names_stay_short(self):
+        # H_n's name spells H_{n-1} by its label, not by its own name twice
+        assert homotopy_witness(3).name == "(I2(wedge@0) - cup(I1,I2))"
+        assert homotopy_witness(4).name == "(H3(wedge@0) - cup(I1,H3))"
+        assert len(homotopy_witness(12).name) < 100
+
     def test_alternate_witnesses_bound_k3(self):
         for variant in ("left", "right"):
             verdict = maps_equal_on_truncation(
@@ -609,43 +619,37 @@ class TestCheckStore:
         so the widened domains its boundary reads are leaf tables too.
         With a fresh leaf per block the same check builds 151 leaf tables
         from 1,779 products."""
-        leaves, products = [], [0]
+        leaves, work = [], [0, 0]
         leaf_map = hom_complex._iterated_integral_map
+        leaf_table = hom_complex._iterated_integral_table
         chen = hom_complex.iterated_integral_codes
 
         def kept_leaf_map(n):
             leaves.append(leaf_map(n))
             return leaves[-1]
 
+        def counted_leaf_table(n, domain):
+            work[0] += 1
+            return leaf_table(n, domain)
+
         def counted_chen(xs):
-            products[0] += 1
+            work[1] += 1
             return chen(xs)
 
         monkeypatch.setattr(hom_complex, "_iterated_integral_map", kept_leaf_map)
+        monkeypatch.setattr(hom_complex, "_iterated_integral_table",
+                            counted_leaf_table)
         monkeypatch.setattr(hom_complex, "iterated_integral_codes", counted_chen)
 
         def check():
             return suites._first_failing_cell(4, 2, CONVENTION_A)
 
-        def work():
-            return sum(len(leaf._tables) for leaf in leaves), products[0]
-
         assert suites._entry("cells of g4", {}, check).status
-        assert len(leaves) == 4 and work() == (15, 397)
-        leaves.clear()
-        products[0] = 0
+        assert len(leaves) == 4 and work == [15, 397]
+        assert sum(len(leaf._tables) for leaf in leaves) == 15
+        work[:] = [0, 0]
         assert check() is True
-        assert work() == (151, 1779)
-
-
-def _children(f: MultiMap):
-    """The maps a rule reads: its MultiMap arguments, and the leaves of a
-    sum's (leaf, coefficient) terms."""
-    for arg in f.rule.args:
-        if isinstance(arg, MultiMap):
-            yield arg
-        elif isinstance(arg, tuple):
-            yield from (leaf for leaf, _ in arg)
+        assert work == [151, 1779]
 
 
 @pytest.mark.parametrize("convention", [CONVENTION_A, CONVENTION_B])
@@ -671,7 +675,7 @@ def test_the_map_dag_is_data(convention):
             module = vars(sys.modules[rule.func.__module__])
             assert module[rule.func.__name__] is rule.func, f
             assert rule.func.__closure__ is None, f
-            children = list(_children(f))
+            children = list(hom_complex._children(f))
             if children:
                 stack += children
             else:

@@ -21,6 +21,7 @@ import __future__
 import inspect
 import itertools
 import textwrap
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -37,7 +38,7 @@ from homotopy_cumulants.hom_complex import (
 )
 from homotopy_cumulants.interval_model import Cochain, PolyForm, cup
 from homotopy_cumulants.suites import run_suite
-from reference_maps import ReferenceMap
+from reference_maps import ReferenceMap, maps_below, record_builds
 
 CELLS = {f"all cells of g{n} bound their facets" for n in (2, 3, 4)}
 INTERPRETATIONS = {f"formal boundary of p{n} interprets to the Hom boundary"
@@ -303,4 +304,68 @@ def test_first_parity_cup_sign_mutant_fails_exactly(monkeypatch):
     monkeypatch.setattr(hom_complex, "_cup_groups", source_mutant(
         hom_complex._cup_groups, "sum(xs) & 1", "xs[0] & 1"))
     assert cup_sign_differences() == {"A": 128, "B": 128}
+    assert failing_checks() == set()
+
+
+def rebuilt_in_one_build() -> set:
+    """The names of the maps that build a table twice within one build:
+    of H_5's table on the D = 1 grid, or of a call of the boundary of H_3
+    on each of OFF_GRID_FORMS."""
+    h5, boundary = homotopy_witness(5), hom_boundary(homotopy_witness(3))
+    rebuilt = set()
+    for f, requests in ((h5, [lambda: h5.table(
+                            [TruncationGrid(1).slot_codes()] * 5)]),
+                        (boundary, [lambda xs=xs: boundary(*xs)
+                                    for xs in OFF_GRID_FORMS])):
+        runs = record_builds(f)
+        for request in requests:
+            runs.clear()
+            request()
+            rebuilt.update(g.name for (g, _), count in Counter(runs).items()
+                           if count > 1)
+    return rebuilt
+
+
+def maps_below_that_keep_tables() -> int:
+    """How many maps below the boundary of H_3 keep a table after it is
+    called on each of OFF_GRID_FORMS."""
+    boundary = hom_boundary(homotopy_witness(3))
+    for xs in OFF_GRID_FORMS:
+        boundary(*xs)
+    return sum(bool(g._tables) for g in maps_below(boundary))
+
+
+H3 = "(I2(wedge@0) - cup(I1,I2))"
+
+# name: (method of `hom_complex._Build`, old line, new line,
+#        what `rebuilt_in_one_build` and `maps_below_that_keep_tables` return)
+BUILD_MUTANTS = {
+    # a child's tables are dropped when its first parent has read it, so a
+    # later parent builds them again: H_3 inside H_5
+    "release after the first parent's read": (
+        "table", "if last and not edges[f]:", "if last:", {H3}, 0),
+    # every map keeps what it builds on itself, as before tables moved into
+    # the build, so nothing is ever released
+    "never release": (
+        "table", "f._tables if f in self.store.kept", "f._tables if True",
+        set(), 5),
+}
+
+
+def test_unmutated_builds_release_every_table_once():
+    assert rebuilt_in_one_build() == set()
+    assert maps_below_that_keep_tables() == 0
+
+
+@pytest.mark.parametrize("name", BUILD_MUTANTS)
+def test_build_mutant_fails_exactly(monkeypatch, name):
+    """Where a build releases a child's tables changes no value, so the
+    suites pass; the work and what is kept show the mutant."""
+    method, old, new, rebuilt, keeping = BUILD_MUTANTS[name]
+    build = hom_complex._Build
+    monkeypatch.setattr(build, method,
+                        source_mutant(getattr(build, method), old, new))
+    assert rebuilt_in_one_build() == rebuilt
+    assert maps_below_that_keep_tables() == keeping
+    assert failing_comparisons() == set()
     assert failing_checks() == set()
