@@ -144,8 +144,7 @@ class MultiMap:
     """
 
     __slots__ = ("arity", "shifted_degree", "name", "terms", "rule", "_tables",
-                 "_indexes", "_grown", "_call_built", "_lock", "_reached",
-                 "__weakref__")
+                 "_indexes", "_grown", "_call_built", "_lock", "__weakref__")
 
     def __init__(self, arity: int, shifted_degree: int,
                  rule: Callable[[Domain], Table], name: str = ""):
@@ -164,8 +163,6 @@ class MultiMap:
         self._grown: frozenset = frozenset()
         self._call_built: list[frozenset] = []
         self._lock = threading.Lock()
-        # the token of the last table store whose build reached the map
-        self._reached = None
 
     @property
     def plain_degree(self) -> int:
@@ -304,24 +301,23 @@ class TableStore:
     `args`, such as perfbench's tracing wrapper, is a leaf of the walk, so
     nothing below it is released before the top build ends.
 
-    Three kinds of table outlive the build: the top's own table, memoized
-    on the top map; a map's call tables (see `MultiMap.__call__`); and the
-    tables of the maps in `kept`, which stay on those maps for as long as
-    the store lives.  A check store (see `certify.check_store`) holds one
-    store for the whole check: its own maps, the I_n leaves, are kept, and
-    so is any map that a later build of the check reaches again.  Outside
-    a check each top-level build has a store of its own.
+    Three kinds of table outlive the build, each held on its map's own
+    `_tables` for as long as the map lives: the top's own table; a map's
+    call tables (see `MultiMap.__call__`); and the tables of the maps in
+    `kept`.  A check store (see `certify.check_store`) holds one store for
+    the whole check, whose `kept` are the check's own maps, the I_n leaves;
+    every other map below a top keeps nothing between builds, so a later
+    build of the check that reaches it builds its tables again.  Outside a
+    check each top-level build has a store of its own.
 
     The counters are the tables built, their entries, the tables the rules
     read, and the tables dropped on release before their build ended.
     """
 
-    __slots__ = ("kept", "token", "built", "entries", "reads", "released")
+    __slots__ = ("kept", "built", "entries", "reads", "released")
 
     def __init__(self):
         self.kept: set[MultiMap] = set()
-        # what the store's builds mark the maps they reach with
-        self.token = object()
         self.built = self.entries = self.reads = self.released = 0
 
 
@@ -363,18 +359,13 @@ class _Build:
         self.tables: dict[MultiMap, dict[Domain, Table]] = {}
         self.edges = edges = {top: 0}
         self.final = False
-        kept, token, stack = store.kept, store.token, [top]
-        top._reached = token
+        kept, stack = store.kept, [top]
         while stack:
             for child in _children(stack.pop()):
                 if child in edges:
                     edges[child] += 1
                 elif child not in kept:
-                    if child._reached is token:
-                        kept.add(child)
-                    else:
-                        edges[child] = 1
-                        child._reached = token
+                    edges[child] = 1
                     stack.append(child)
 
     def run(self, f: MultiMap, domain: Domain) -> Table:
