@@ -129,12 +129,13 @@ def check_store():
     """Share the leaves of one check: a store that lives while it is open.
 
     While the store is open, `hom_complex.iterated_integral_map(n)` is one
-    map per n, which keeps its tables for the whole check, so every term
-    of the check reads one I_n table per domain; the formal layer keeps
-    each tree's boundary there; and the check's top-level builds share one
-    `hom_complex.TableStore`, which counts their work.  All go through
-    `from_check_store`.  On exit, also when the body raises, the previous
-    store is restored and everything this one held is dropped.
+    map per n; the check's top-level builds share one
+    `hom_complex.TableStore`, which keeps the tables of those I_n for the
+    whole check, so every term of the check reads one I_n table per
+    domain, and counts their work; and the formal layer keeps each tree's
+    boundary there.  All go through `from_check_store`.  On exit, also
+    when the body raises, the previous store is restored and everything
+    this one held is dropped.
     """
     token = _check_store.set({})
     try:

@@ -47,25 +47,26 @@ index pair, and delta once per value.  Tables belong to the build that
 reads them (see `TableStore`): a top-level request builds its table
 through a build that holds the tables its rules ask of the maps below,
 keyed by (map, domain), and drops each child's tables once its last
-parent in the build has read them.  Only the requested table is memoized
-on its map.  The leaves are shared per check: while a check store is
-open (every suite entry opens one), `iterated_integral_map(n)` is one map
-per n, which keeps its tables on itself, so every block, wedge, cup and
-boundary term of the check reads one I_n table per domain.  The store
-and what it holds are dropped when the check returns; with no store open
-each call builds a fresh map.
+parent in the build has read them.  No map holds a table.  The leaves are
+shared per check: while a check store is open (every suite entry opens
+one), `iterated_integral_map(n)` is one map per n, whose tables the
+check's table store keeps, so every block, wedge, cup and boundary term
+of the check reads one I_n table per domain.  The store and what it holds
+are dropped when the check returns; with no store open each call builds a
+fresh map.
 A map evaluates any forms by contracting a table through its prefix
 index, slot by slot: the index keeps one node per distinct subtree of
 code prefixes, paths that meet at a node add their weights, and a code
 prefix missing from the table prunes every tuple that extends it (see
-`MultiMap.__call__`).  The table is any kept one whose domain covers the
-supports.  Else, with S their union, it is built on (S,) * n, or on
-(U,) * n for U the union of S and the supports of the call tables the
-map keeps, when |U|^n is at most |S|^n plus what the call tables built
-since the last such growth cost; U's table then replaces the call
-tables.  So calls build at most twice what one table over S^n per
-uncovered call would, and a call on a zero input builds none.  Which
-table is read cannot change the value.
+`MultiMap.__call__`).  A map keeps the prefix indexes of the tables its
+calls built, each on (S,) * n for a support S, and reads the first whose
+support covers the inputs'.  Else, with S their union, it builds the
+table on (S,) * n, or on (U,) * n for U the union of S and the supports
+it keeps, when |U|^n is at most |S|^n plus what the call tables built
+since the last such growth cost; U's index then replaces the others.  So
+calls build at most twice what one table over S^n per uncovered call
+would, and a call on a zero input builds none.  Which table is read
+cannot change the value.
 
 The sign conventions, `TruncationGrid`, `EqualityVerdict`,
 `first_difference` and the check store live below this layer, in
@@ -81,7 +82,6 @@ from contextvars import ContextVar
 from fractions import Fraction
 from functools import partial
 from math import lcm, prod
-from operator import le
 from typing import Callable, Iterable, Sequence
 
 from .certify import (
@@ -96,7 +96,12 @@ from .certify import (
     from_check_store,
     get_convention,
 )
-from .cumulants import CumulantContext, cumulant_table, integration_context
+from .cumulants import (
+    CumulantContext,
+    _code_slots,
+    cumulant_table,
+    integration_context,
+)
 from .interval_model import (
     Cochain,
     CochainPool,
@@ -134,17 +139,18 @@ class MultiMap:
     builds a table shared by several parents once (H_{n-1} feeds both
     terms of H_n, and a boundary reads its map's table for delta and for
     every d insertion) and keeps it until the last of them has read it;
-    the map keeps the tables asked of it at top level.  Calling a map on
-    forms or codes contracts a table that covers the inputs, kept or built
-    (see `__call__`).
+    the map keeps no table.  Calling a map on forms or codes contracts
+    the prefix index of a table that covers the inputs (see `__call__`);
+    these call indexes, under the map's lock, are all the state a map
+    holds besides its rule.
 
     Sums are flat: `+`, `-` and `scale` build a linear combination (see
     `linear_combination`) whose `terms` are (leaf map, coefficient) pairs,
     never other combinations.  `terms` is None for a leaf map.
     """
 
-    __slots__ = ("arity", "shifted_degree", "name", "terms", "rule", "_tables",
-                 "_indexes", "_grown", "_call_built", "_lock", "__weakref__")
+    __slots__ = ("arity", "shifted_degree", "name", "terms", "rule", "_calls",
+                 "_lock", "__weakref__")
 
     def __init__(self, arity: int, shifted_degree: int,
                  rule: Callable[[Domain], Table], name: str = ""):
@@ -155,13 +161,9 @@ class MultiMap:
         self.name = name or f"map/{arity}"
         self.terms = None
         self.rule = rule
-        self._tables: dict[Domain, Table] = {}
-        # the prefix indexes of the tables calls have read, by domain
-        self._indexes: dict[Domain, dict] = {}
-        # the support of the grown call table, and the supports of the call
-        # tables built since it grew
-        self._grown: frozenset = frozenset()
-        self._call_built: list[frozenset] = []
+        # support S -> the prefix index of the call table on (S,) * arity:
+        # first the grown one, then those built since it grew
+        self._calls: dict[frozenset, tuple] = {}
         self._lock = threading.Lock()
 
     @property
@@ -174,23 +176,22 @@ class MultiMap:
         Each input is expanded into integer coefficients on basis codes
         over one denominator (a code is itself with coefficient 1); a zero
         input gives the zero cochain and reads no table.  The table read
-        is the first one the map keeps whose domain covers every slot's
-        support.  If none does, let S be the union of the supports and U
-        the union of S, the grown call table's support and the supports
-        D of the call tables built since it grew.  If |U|^n <= |S|^n plus
-        the sum of |D|^n (n the arity), the map builds the table on
-        (U,) * n, which becomes the grown call table, and drops the call
-        tables it supersedes with their indexes.  Otherwise it builds and
-        keeps the table on (S,) * n.  Each uncovered call's |S|^n is then
-        paid by its own table or by one growth, so calls build at most
-        twice the tuples one table on (S,) * n per uncovered call would;
-        calls on disjoint supports never grow a table.  The map's lock is
-        held while the table is found or built.
+        is the first call table the map keeps whose support covers every
+        slot's support.  If none does, let S be the union of the supports
+        and U the union of S, the grown call table's support and the
+        supports D of the call tables built since it grew.  If |U|^n <=
+        |S|^n plus the sum of |D|^n (n the arity), the map builds the table
+        on (U,) * n, which becomes the grown call table and replaces all the
+        others.  Otherwise it builds the table on (S,) * n and keeps it too.
+        Each uncovered call's |S|^n is then paid by its own table or by one
+        growth, so calls build at most twice the tuples one table on
+        (S,) * n per uncovered call would; calls on disjoint supports never
+        grow a table.  The map keeps a call table as its prefix index (see
+        `_prefix_index`), and its lock is held while the index is found or
+        built.
 
-        The table is read through its prefix index (see `_prefix_index`),
-        built on the first call that reads it and dropped with it.  The
-        contraction walks the index slot by slot: a frontier maps nodes to
-        integer weights, from the root with weight 1, and each slot's code
+        The contraction walks the index slot by slot: a frontier maps nodes
+        to integer weights, from the root with weight 1, and each slot's code
         c with coefficient w' leads a node of weight w to its child at c,
         if there is one, with weight w * w'; paths that meet at a node add
         their weights, and a prefix missing from the table prunes its
@@ -200,7 +201,7 @@ class MultiMap:
         from a covering table is a zero, so the value does not depend on
         which table is read.  The cost is the builds above, one lookup per
         frontier node and code of the next slot, and one scan of the
-        domains the map keeps.
+        supports the map keeps.
         """
         if len(forms) != self.arity:
             raise ValueError(
@@ -213,60 +214,45 @@ class MultiMap:
         return _contract(index, weights, prod(denominators))
 
     def _covering_index(self, weights: Sequence[dict[int, int]]) -> tuple:
-        """The prefix index of a table covering the supports, kept or built
-        by the policy of `__call__`; called with the map's lock held."""
+        """The prefix index of a call table covering the supports, kept or
+        built by the policy of `__call__`; called with the map's lock held."""
         supports = [w.keys() for w in weights]
-        # a snapshot, since a parent's rule may add a table meanwhile
-        domain = next((domain for domain in tuple(self._tables)
-                       if all(map(le, supports, domain))), None)
-        if domain is None:
-            n = self.arity
-            support = frozenset().union(*weights)
-            grown = support.union(self._grown, *self._call_built)
-            if len(grown) ** n <= len(support) ** n + sum(
-                    len(built) ** n for built in self._call_built):
-                for superseded in (self._grown, *self._call_built):
-                    self._tables.pop((superseded,) * n, None)
-                    self._indexes.pop((superseded,) * n, None)
-                self._grown, self._call_built = grown, []
-                support = grown
-            else:
-                self._call_built.append(support)
-            domain = (support,) * n
-        index = self._indexes.get(domain)
-        if index is None:
-            index = self._indexes[domain] = _prefix_index(
-                self._kept_table(domain))
+        calls = self._calls
+        for covering, index in calls.items():
+            if all(map(covering.issuperset, supports)):
+                return index
+        n, held = self.arity, list(calls)
+        support = frozenset().union(*weights)
+        grown = support.union(*held)
+        if len(grown) ** n <= len(support) ** n + sum(
+                len(built) ** n for built in held[1:]):
+            calls.clear()
+            support = grown
+        index = calls[support] = _prefix_index(
+            _top_build(self, (support,) * n))
         return index
 
     def table(self, domain: Iterable[Iterable[int]]) -> Table:
         """The nonzero values of the map on the code tuples of a domain.
 
-        `domain` holds one collection of basis codes per slot.  A tuple
-        missing from the table is a zero of the map.  Asked while no build
-        runs, the table is a top-level request: it is built by a build of
-        its own (see `TableStore`) and memoized on the map, so it must not
-        be mutated; a table built for calls may later be replaced by a
-        grown one (see `__call__`).  Asked by a rule, it is read from the
-        running build, which keeps it only until the map's last parent in
-        that build has read it.
+        `domain` holds one collection of basis codes per slot, each code a
+        nonnegative int (see `cumulants._code_slots`).  A tuple missing
+        from the table is a zero of the map.  Asked while no build runs,
+        the table is a top-level request: a build of its own (see
+        `TableStore`) makes it, and the map keeps nothing, so each request
+        builds the table again, apart from the tables a check keeps.  Asked
+        by a rule, it is read from the running build, which keeps it only
+        until the map's last parent in that build has read it.
         """
-        domain = tuple(map(frozenset, domain))
-        if len(domain) != self.arity:
+        slots = tuple(domain)
+        if len(slots) != self.arity:
             raise ValueError(
-                f"{self.name} expects {self.arity} slots, got {len(domain)}")
+                f"{self.name} expects {self.arity} slots, got {len(slots)}")
+        domain = tuple(map(frozenset, _code_slots(slots)))
         build = _running.get()
         if build is not None:
             return build.table(self, domain)
-        return self._kept_table(domain)
-
-    def _kept_table(self, domain: Domain) -> Table:
-        """The table the map keeps on domain, built as a top-level request
-        if it keeps none."""
-        table = self._tables.get(domain)
-        if table is None:
-            table = self._tables[domain] = _top_build(self, domain)
-        return table
+        return _top_build(self, domain)
 
     def __add__(self, other: "MultiMap") -> "MultiMap":
         return linear_combination(self.arity, self.shifted_degree,
@@ -301,23 +287,24 @@ class TableStore:
     `args`, such as perfbench's tracing wrapper, is a leaf of the walk, so
     nothing below it is released before the top build ends.
 
-    Three kinds of table outlive the build, each held on its map's own
-    `_tables` for as long as the map lives: the top's own table; a map's
-    call tables (see `MultiMap.__call__`); and the tables of the maps in
-    `kept`.  A check store (see `certify.check_store`) holds one store for
-    the whole check, whose `kept` are the check's own maps, the I_n leaves;
-    every other map below a top keeps nothing between builds, so a later
-    build of the check that reaches it builds its tables again.  Outside a
-    check each top-level build has a store of its own.
+    Two kinds of table outlive the build: the tables of the maps in
+    `kept`, held here by map and domain, and a map's call tables, held on
+    the map as their prefix indexes (see `MultiMap.__call__`).  A check
+    store (see `certify.check_store`) holds one store for the whole check,
+    whose `kept` are the check's own maps, the I_n leaves; every other map
+    keeps nothing between builds, so a later build of the check that
+    reaches it builds its tables again.  Outside a check each top-level
+    build has a store of its own.
 
-    The counters are the tables built, their entries, the tables the rules
-    read, and the tables dropped on release before their build ended.
+    The counters are the tables built, their entries, the tables asked of
+    the builds (by the rules and by each top-level request), and the
+    tables dropped on release before their build ended.
     """
 
     __slots__ = ("kept", "built", "entries", "reads", "released")
 
     def __init__(self):
-        self.kept: set[MultiMap] = set()
+        self.kept: dict[MultiMap, dict[Domain, Table]] = {}
         self.built = self.entries = self.reads = self.released = 0
 
 
@@ -380,23 +367,22 @@ class _Build:
         return table
 
     def table(self, f: MultiMap, domain: Domain, last: bool = False) -> Table:
-        """f's table on domain, asked by the running rule: found on f, found
-        in the build, or built.  `last` says the rule reads no more of f
-        along this edge; in a final run that releases the edge."""
+        """f's table on domain, asked by the running rule or by the top-level
+        request: kept for the check, found in the build, or built.  `last`
+        says the rule reads no more of f along this edge; in a final run
+        that releases the edge."""
         self.store.reads += 1
         edges = self.edges
         last = last and self.final and edges.get(f, 0) > 0
         if last:
             edges[f] -= 1
-        built = False
-        table = f._tables.get(domain)
-        if table is None:
-            tables = (f._tables if f in self.store.kept
-                      else self.tables.setdefault(f, {}))
-            table = tables.get(domain)
-            if table is None:
-                table = tables[domain] = self.run(f, domain)
-                built = True
+        tables = self.store.kept.get(f)
+        if tables is None:
+            tables = self.tables.setdefault(f, {})
+        table = tables.get(domain)
+        built = table is None
+        if built:
+            table = tables[domain] = self.run(f, domain)
         if last and not edges[f]:
             self.drop(f, built)
         return table
@@ -419,11 +405,11 @@ _running: ContextVar["_Build | None"] = ContextVar("running_build", default=None
 
 
 def _top_build(f: MultiMap, domain: Domain) -> Table:
-    """f's table on domain, built by a build of its own."""
+    """f's table on domain, asked of a build of its own."""
     build = _Build(table_store(), f)
     token = _running.set(build)
     try:
-        return build.run(f, domain)
+        return build.table(f, domain)
     finally:
         _running.reset(token)
 
@@ -588,9 +574,9 @@ def iterated_integral_map(n: int) -> MultiMap:
 
 
 def _check_leaf(n: int) -> MultiMap:
-    """The check's I_n, whose tables stay on it for the whole check."""
+    """The check's I_n, whose tables the check's table store keeps."""
     leaf = _iterated_integral_map(n)
-    table_store().kept.add(leaf)
+    table_store().kept[leaf] = {}
     return leaf
 
 

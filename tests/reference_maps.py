@@ -12,7 +12,8 @@ library's combinators, for the tests that compare them with H_3.
 
 `maps_below` walks a map's DAG, and `record_builds` makes the rules of
 that DAG record the tables they build, for the tests that count the work
-of one top-level build and what it leaves behind.
+of one top-level build and what it leaves behind.  `call_supports` reads
+the only tables a map keeps, those of its calls.
 """
 
 import itertools
@@ -104,3 +105,9 @@ def record_builds(top: MultiMap) -> list:
             f.rule = _RecordingRule(f.rule.func, *f.rule.args)
             f.rule.record = runs, f
     return runs
+
+
+def call_supports(f: MultiMap) -> list:
+    """The supports S of the call tables f keeps, each on (S,) * f.arity,
+    the grown one first (see `MultiMap.__call__`)."""
+    return list(f._calls)

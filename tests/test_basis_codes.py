@@ -16,6 +16,7 @@ import itertools
 import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from fractions import Fraction
 
 import pytest
@@ -76,7 +77,12 @@ from homotopy_cumulants.interval_model import (
     wedge,
     wedge_codes,
 )
-from reference_maps import ReferenceMap, maps_below, record_builds
+from reference_maps import (
+    ReferenceMap,
+    call_supports,
+    maps_below,
+    record_builds,
+)
 
 CONVENTIONS = (CONVENTION_A, CONVENTION_B)
 
@@ -790,7 +796,7 @@ def test_maps_without_a_code_rule_see_polyforms(monkeypatch):
     # constructor; perfbench's tracer wraps that argument in a `*xs`
     # forwarder, which must change no table or value and run once per
     # table the check's table store counts as built, never twice on one
-    # (map, domain)
+    # domain of a check's I_n leaf, whose tables the store keeps
     forms = (PolyForm((1, "1/2"), (0, 3)), DT, T + ONE, PolyForm((), (2, 1)))
     codes = TruncationGrid(1).slot_codes()
 
@@ -829,7 +835,10 @@ def test_maps_without_a_code_rule_see_polyforms(monkeypatch):
     with check_store():
         assert outcomes() == expected
         assert forwarded
-        assert len(forwarded) == len(set(forwarded)) == table_store().built
+        assert len(forwarded) == table_store().built
+        leaf_runs = [run for run in forwarded
+                     if run[0].func is hom_complex._iterated_integral_table]
+        assert leaf_runs and len(set(leaf_runs)) == len(leaf_runs)
 
 
 def test_reference_values_read_no_table(monkeypatch):
@@ -935,28 +944,30 @@ _inputs = st.lists(st.one_of(st.integers(0, 9), _mixed_forms),
 @example(inputs=[T + DT, PolyForm((0, 1), (0, 0, 0, 5)), 9], zero_slot=2)
 def test_values_do_not_depend_on_the_kept_tables(family, convention, inputs,
                                                  zero_slot):
-    """A call reads the first kept table that covers its inputs, or builds
-    one: a fresh map, the same map with its D = 2 grid table kept, and the
-    reference agree on inputs whose supports lie partly off that grid."""
+    """A call builds its table from the tables a check keeps where they
+    cover it: a fresh map, the same map called in a check whose I_n leaves
+    keep their D = 2 grid tables, and the reference agree on inputs whose
+    supports lie partly off that grid."""
     def build():
         return KEPT_TABLES[family](convention)
 
     if zero_slot is not None:
         inputs[zero_slot] = PolyForm.zero()
     codes = TruncationGrid(2).slot_codes()
-    fresh, kept = build(), build()
-    kept.table([codes] * 3)
-    # the defect keeps the D = 0 grid table of its own verdict
-    fresh_tables, kept_tables = len(fresh._tables), len(kept._tables)
-    expected = reference(build)(*inputs)
-    assert fresh(*inputs) == kept(*inputs) == expected
-    # the grid table was read if it covers every support, else one was
-    # built; a zero input reads none
+    fresh, expected = build(), reference(build)(*inputs)
+    with check_store():
+        kept = build()
+        kept.table([codes] * 3)
+        # the grid tables stay in the check's store, none on the map
+        assert all(table_store().kept.values()) and not call_supports(kept)
+        value = kept(*inputs)
+    assert fresh(*inputs) == value == expected
+    # a call builds one table, on the union of the supports; a zero input
+    # reads none
     supports = [hom_complex._expansion(slot, x)[0].keys()
                 for slot, x in enumerate(inputs)]
-    covered = all(support <= set(codes) for support in supports)
-    assert len(kept._tables) == kept_tables + (not covered and all(supports))
-    assert len(fresh._tables) <= fresh_tables + 1
+    union = [frozenset().union(*supports)] if all(supports) else []
+    assert call_supports(kept) == call_supports(fresh) == union
 
 
 def g4_vertex_sum(convention):
@@ -1007,7 +1018,7 @@ def test_released_tables_change_no_value(family, convention, data):
         assert f(*xs) == expected(*xs), xs
         builds.append(runs[:])
     assert all(len(set(runs)) == len(runs) for runs in builds)
-    assert not any(g._tables for g in maps_below(f))
+    assert not any(call_supports(g) for g in maps_below(f))
 
 
 _small_forms = st.builds(PolyForm, st.lists(_fractions, max_size=3),
@@ -1027,40 +1038,40 @@ def _support(x) -> frozenset:
 @given(data=st.data())
 def test_calls_contract_the_prefix_index(family, convention, data):
     """A call contracts the prefix index of the table it reads, slot by
-    slot.  Codes and forms mix; the table read is a kept D = 2 grid table,
-    one a call built, the empty table of the morphism defect, or the table
-    of a growth step, read by the call that grows it and by the calls
-    after it.  Every value is the reference's."""
+    slot.  Codes and forms mix; the table read is one a call built, the
+    empty table of the morphism defect, or the table of a growth step,
+    read by the call that grows it and by the calls after it.  The map is
+    called alone or in a check whose I_n leaves keep their D = 2 grid
+    tables.  Every value is the reference's."""
     indices, builder = OFF_BASIS[family]
     index = data.draw(st.sampled_from(indices), label="index")
 
     def build():
         return builder(index, convention)
 
-    f, expected = build(), reference(build)
-    if data.draw(st.booleans(), label="grid kept"):
-        f.table([TruncationGrid(2).slot_codes()] * f.arity)
-    calls = data.draw(st.lists(st.lists(_small_inputs, min_size=f.arity,
-                                        max_size=f.arity),
-                               min_size=1, max_size=3), label="calls")
-    # a call whose support holds every earlier one and t^6 builds the
-    # table on its own support and drops the earlier call tables
-    slots = [sorted(frozenset({OFF_GRID}).union(
-                 *(_support(xs[u]) for xs in calls)))
-             for u in range(f.arity)]
-    widened = [sum((decode_basis(x).scale(k + 2) for k, x in enumerate(slot)),
-                   PolyForm.zero())
-               for slot in slots]
-    grown = frozenset().union(*slots)
-    for xs in calls + [widened] + calls:
-        assert f(*xs) == expected(*xs), xs
-        if xs is widened:
-            # the defect keeps the D = 0 grid table of its own verdict
-            assert (grown,) * f.arity in f._tables
-            assert f._tables.keys() <= {
-                (frozenset(codes),) * f.arity for codes in (
-                    grown, TruncationGrid(2).slot_codes(),
-                    TruncationGrid(0).slot_codes())}
+    expected = reference(build)
+    in_check = data.draw(st.booleans(), label="in a check")
+    with check_store() if in_check else nullcontext():
+        f = build()
+        if in_check:
+            f.table([TruncationGrid(2).slot_codes()] * f.arity)
+        calls = data.draw(st.lists(st.lists(_small_inputs, min_size=f.arity,
+                                            max_size=f.arity),
+                                   min_size=1, max_size=3), label="calls")
+        # a call whose support holds every earlier one and t^6 builds the
+        # table on its own support and drops the earlier call tables
+        slots = [sorted(frozenset({OFF_GRID}).union(
+                     *(_support(xs[u]) for xs in calls)))
+                 for u in range(f.arity)]
+        widened = [sum((decode_basis(x).scale(k + 2)
+                        for k, x in enumerate(slot)), PolyForm.zero())
+                   for slot in slots]
+        grown = frozenset().union(*slots)
+        for xs in calls + [widened] + calls:
+            assert f(*xs) == expected(*xs), xs
+            if xs is widened:
+                assert call_supports(f) == [grown]
+        assert call_supports(f) == [grown]
 
 
 def _sparse_form(rng: random.Random, codes: int) -> PolyForm:
@@ -1084,9 +1095,9 @@ def test_sparse_calls_keep_few_tables():
     f, expected = build(), reference(build)
     for xs in triples:
         assert f(*xs) == build()(*xs) == expected(*xs), xs
-    assert len(f._tables) <= 2
+    assert len(call_supports(f)) <= 2
     below = maps_below(f)
-    assert len(below) == 5 and not any(g._tables for g in below)
+    assert len(below) == 5 and not any(call_supports(g) for g in below)
 
 
 def _recording(f: MultiMap) -> list:
@@ -1162,7 +1173,7 @@ def test_a_call_with_a_zero_input_reads_no_table():
     domains = _recording(f)
     assert f(T + DT, PolyForm.zero(), PolyForm.monomial(9)) == Cochain.zero()
     assert f(0, 1, PolyForm.zero()) == Cochain.zero()
-    assert domains == [] and not f._tables
+    assert domains == [] and call_supports(f) == []
 
 
 def test_concurrent_calls_on_one_map():

@@ -31,7 +31,7 @@ from homotopy_cumulants.interval_model import (
     integrate,
     wedge,
 )
-from homotopy_cumulants.hom_complex import TruncationGrid
+from homotopy_cumulants.hom_complex import TruncationGrid, iterated_integral_map
 
 T = PolyForm.monomial(1)
 DT = PolyForm.monomial(0, dt=True)
@@ -249,8 +249,16 @@ def test_factored_cumulant_is_the_signed_sum_of_its_terms(n, target):
     assert any(not value.is_zero() for value in values)
 
 
+def multimap_table(ctx, domain):
+    """`MultiMap.table` of I_n, n the number of slots, which must refuse
+    the codes the cumulant tables refuse."""
+    domain = list(domain)
+    return iterated_integral_map(len(domain)).table(domain)
+
+
 class TestTableDomains:
-    """Both tables take the same domains and refuse the same bad codes."""
+    """Both tables take the same domains, and they and `MultiMap.table`
+    refuse the same bad codes."""
 
     @pytest.mark.parametrize("tabulate", [cumulant_table,
                                           cumulant_recursive_table])
@@ -267,7 +275,8 @@ class TestTableDomains:
             tabulate(integration_context(), iter(()))
 
     @pytest.mark.parametrize("tabulate", [cumulant_table,
-                                          cumulant_recursive_table])
+                                          cumulant_recursive_table,
+                                          multimap_table])
     @pytest.mark.parametrize("domain, error, message", [
         ([[True]], TypeError, "slot 0: expected a basis code, got bool"),
         ([[0, 2], [1, False]], TypeError,

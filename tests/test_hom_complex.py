@@ -46,7 +46,12 @@ from homotopy_cumulants.interval_model import (
     iterated_integral,
     wedge,
 )
-from reference_maps import ReferenceMap, alternate_witness_k3, record_builds
+from reference_maps import (
+    ReferenceMap,
+    alternate_witness_k3,
+    call_supports,
+    record_builds,
+)
 
 T = PolyForm.monomial(1)
 DT = PolyForm.monomial(0, dt=True)
@@ -246,9 +251,10 @@ class TestLinearCombination:
 
     def test_h4_evaluates_its_shared_h3_once_per_tuple(self):
         # h3 tabulates once per domain in each build, whether a sweep or a
-        # call on codes or forms asks for h4's table; a call reads a kept
-        # table that covers its inputs' supports, and builds one only if
-        # none does.  The check's table store counts the tables built.
+        # call on codes or forms asks for h4's table.  h4 keeps no table: a
+        # call builds one on its inputs' supports, and later calls that it
+        # covers read it and build none.  The check's table store keeps
+        # the tables of the I_k leaves and counts the tables built.
         with hom_complex.check_store():
             store = table_store()
             h4 = homotopy_witness(4)
@@ -259,35 +265,37 @@ class TestLinearCombination:
             h4.table([codes] * 4)
             # one table per (map, domain), with 817 entries, as many as every
             # map kept when maps kept the tables they built; h3 on the
-            # merged-code domain and on the grid.  The rules read 15 tables,
-            # and the 8 of the maps strictly between h4 and the check's I_k
-            # leaves are dropped once read.
+            # merged-code domain and on the grid.  The build is asked for 16
+            # tables, h4's and the 15 its rules read, and the 8 of the maps
+            # strictly between h4 and the check's I_k leaves are dropped
+            # once read.
             assert store.built == len(set(runs)) == len(runs) == 14
-            assert store.entries == 817 and store.reads == 15
+            assert store.entries == 817 and store.reads == 16
             assert [f for f, _ in runs].count(h3) == 2
             assert store.released == 8
-            grid_domains = list(h4._tables)
-            assert grid_domains == [(frozenset(codes),) * 4]
-            # calls inside the grid read the grid table and build no table
-            for xs in itertools.product(codes, repeat=4):
-                h4(*xs)
-            forms = (T, DT, PolyForm((1,), (0, 1)), PolyForm.monomial(2, dt=True))
-            for xs in itertools.product(forms, repeat=4):
-                h4(*xs)
-            assert store.built == 14
-            assert list(h4._tables) == grid_domains
+            # the sweep leaves no call state on h4, and the leaves' 5 tables
+            # in the check's store
+            leaves = {iterated_integral_map(1), iterated_integral_map(2)}
+            assert call_supports(h4) == [] and store.kept.keys() == leaves
+            assert sum(map(len, store.kept.values())) == 5
             # t^3 lies outside the D = 2 grid: one new build, of h4's table on
             # (S,) * 4, which again builds h3 on two domains, once each, and
             # drops the tables below h4 once read
-            t3 = PolyForm.monomial(3)
-            h4(t3, T, DT, forms[3])
-            support = frozenset(map(encode_basis, (t3, T, DT, forms[3])))
-            assert list(h4._tables) == grid_domains + [(support,) * 4]
+            forms = (PolyForm.monomial(3), T, DT, PolyForm.monomial(2, dt=True))
+            h4(*forms)
+            support = frozenset(map(encode_basis, forms))
+            assert call_supports(h4) == [support]
             assert store.built == len(set(runs)) == len(runs) == 28
             assert store.released == 16
             h3_domains = [domain for f, domain in runs if f is h3]
             assert len(set(h3_domains)) == len(h3_domains) == 4
-            assert not h3._tables
+            assert call_supports(h3) == []
+            # calls inside S read that table and build none
+            for xs in itertools.product(sorted(support), repeat=4):
+                h4(*xs)
+            for xs in itertools.product(forms, repeat=4):
+                h4(*xs)
+            assert store.built == 28 and call_supports(h4) == [support]
 
 
 class TestTruncationGrid:
@@ -641,12 +649,17 @@ class TestCheckStore:
                             counted_leaf_table)
         monkeypatch.setattr(hom_complex, "iterated_integral_codes", counted_chen)
 
+        stores = []
+
         def check():
+            stores.append(table_store())
             return suites._first_failing_cell(4, 2, CONVENTION_A)
 
         assert suites._entry("cells of g4", {}, check).status
         assert len(leaves) == 4 and work == [15, 397]
-        assert sum(len(leaf._tables) for leaf in leaves) == 15
+        # the leaves' tables are kept in the check's table store
+        assert stores[0].kept.keys() == set(leaves)
+        assert sum(map(len, stores[0].kept.values())) == 15
         work[:] = [0, 0]
         assert check() is True
         assert work == [151, 1779]
