@@ -4,8 +4,8 @@
 * the truncation grid the checks certify on (`TruncationGrid`);
 * the verdict of a grid comparison (`EqualityVerdict`) and the first
   tuple at which two code tables differ (`first_difference`);
-* the store that shares the leaves and the table store of one check
-  (`check_store`, `from_check_store`).
+* the store that shares the leaves, their tables and the table store of
+  one check (`check_store`, `from_check_store`).
 
 The module sits below the Hom layer: it imports only `_record` and
 `interval_model`, and `hom_complex` imports these names from here.  So a
@@ -128,14 +128,15 @@ _check_store: ContextVar[dict | None] = ContextVar("check_store", default=None)
 def check_store():
     """Share the leaves of one check: a store that lives while it is open.
 
-    While the store is open, `hom_complex.iterated_integral_map(n)` is one
-    map per n; the check's top-level builds share one
-    `hom_complex.TableStore`, which keeps the tables of those I_n for the
-    whole check, so every term of the check reads one I_n table per
-    domain, and counts their work; and the formal layer keeps each tree's
-    boundary there.  All go through `from_check_store`.  On exit, also
-    when the body raises, the previous store is restored and everything
-    this one held is dropped.
+    While the store is open it holds the check's leaf maps, one
+    `hom_complex.iterated_integral_map(n)` per n; their tables by (n,
+    domain), each built once, so every term of the check reads one I_n
+    table per domain; each formal tree's boundary; and the one
+    `hom_complex.TableStore` whose counters the check's top-level builds
+    share.  All go through `from_check_store`.  A call of a map on forms
+    opens a store of its own around its build.  On exit, also when the
+    body raises, the previous store is restored and everything this one
+    held is dropped.
     """
     token = _check_store.set({})
     try:

@@ -47,26 +47,27 @@ index pair, and delta once per value.  Tables belong to the build that
 reads them (see `TableStore`): a top-level request builds its table
 through a build that holds the tables its rules ask of the maps below,
 keyed by (map, domain), and drops each child's tables once its last
-parent in the build has read them.  No map holds a table.  The leaves are
-shared per check: while a check store is open (every suite entry opens
-one), `iterated_integral_map(n)` is one map per n, whose tables the
-check's table store keeps, so every block, wedge, cup and boundary term
-of the check reads one I_n table per domain.  The store and what it holds
-are dropped when the check returns; with no store open each call builds a
-fresh map.
+parent in the build has read them, the leaves' alike.  No map holds a
+table.  The leaves are shared per check: while a check store is open
+(every suite entry opens one), `iterated_integral_map(n)` is one map per
+n, and its rule keeps each table it builds in the check store by (n,
+domain), as the formal layer keeps tree boundaries there, so every block,
+wedge, cup and boundary term of the check reads one I_n table per domain.
+The store and what it holds are dropped when the check returns; with no
+store open each call builds a fresh map, whose rule keeps nothing.
 A map evaluates any forms by contracting a table through its prefix
 index, slot by slot: the index keeps one node per distinct subtree of
 code prefixes, paths that meet at a node add their weights, and a code
 prefix missing from the table prunes every tuple that extends it (see
 `MultiMap.__call__`).  A map keeps the prefix indexes of the tables its
-calls built, each on (S,) * n for a support S, and reads the first whose
-support covers the inputs'.  Else, with S their union, it builds the
-table on (S,) * n, or on (U,) * n for U the union of S and the supports
-it keeps, when |U|^n is at most |S|^n plus what the call tables built
-since the last such growth cost; U's index then replaces the others.  So
-calls build at most twice what one table over S^n per uncovered call
-would, and a call on a zero input builds none.  Which table is read
-cannot change the value.
+calls built, each in a check store of its own and on (S,) * n for a
+support S, and reads the first whose support covers the inputs'.  Else,
+with S their union, it builds the table on (S,) * n, or on (U,) * n for
+U the union of S and the supports it keeps, when |U|^n is at most |S|^n
+plus what the call tables built since the last such growth cost; U's
+index then replaces the others.  So calls build at most twice what one
+table over S^n per uncovered call would, and a call on a zero input
+builds none.  Which table is read cannot change the value.
 
 The sign conventions, `TruncationGrid`, `EqualityVerdict`,
 `first_difference` and the check store live below this layer, in
@@ -183,6 +184,8 @@ class MultiMap:
         |S|^n plus the sum of |D|^n (n the arity), the map builds the table
         on (U,) * n, which becomes the grown call table and replaces all the
         others.  Otherwise it builds the table on (S,) * n and keeps it too.
+        The build runs in a check store of its own, so a call inside a
+        check neither reads nor fills the check's I_n tables.
         Each uncovered call's |S|^n is then paid by its own table or by one
         growth, so calls build at most twice the tuples one table on
         (S,) * n per uncovered call would; calls on disjoint supports never
@@ -228,8 +231,9 @@ class MultiMap:
                 len(built) ** n for built in held[1:]):
             calls.clear()
             support = grown
-        index = calls[support] = _prefix_index(
-            _top_build(self, (support,) * n))
+        with check_store():
+            table = _top_build(self, (support,) * n)
+        index = calls[support] = _prefix_index(table)
         return index
 
     def table(self, domain: Iterable[Iterable[int]]) -> Table:
@@ -240,9 +244,9 @@ class MultiMap:
         from the table is a zero of the map.  Asked while no build runs,
         the table is a top-level request: a build of its own (see
         `TableStore`) makes it, and the map keeps nothing, so each request
-        builds the table again, apart from the tables a check keeps.  Asked
-        by a rule, it is read from the running build, which keeps it only
-        until the map's last parent in that build has read it.
+        builds the table again, apart from the I_n tables a check keeps.
+        Asked by a rule, it is read from the running build, which keeps it
+        only until the map's last parent in that build has read it.
         """
         slots = tuple(domain)
         if len(slots) != self.arity:
@@ -273,7 +277,7 @@ class MultiMap:
 
 
 class TableStore:
-    """The tables and counters shared by the top-level builds of one check.
+    """The counters of the top-level builds of one check.
 
     A top-level request (`MultiMap.table` while no build runs, or a call
     on forms that needs a table) runs a build: before the top's rule runs,
@@ -283,28 +287,28 @@ class TableStore:
     parent releases its edge to a child once it has read everything it
     needs of it: a sum right after reading that term, a wedge and a cup on
     reading their children, a boundary on its last widened table.  A map
-    with no edges left drops its tables (see `_Build`).  A rule with no
-    `args`, such as perfbench's tracing wrapper, is a leaf of the walk, so
-    nothing below it is released before the top build ends.
+    with no edges left drops its tables (see `_Build`).  Every map is
+    walked, counted and released alike, the I_n leaves too.  A rule with
+    no `args`, such as perfbench's tracing wrapper, is a leaf of the walk,
+    so nothing below it is released before the top build ends.
 
-    Two kinds of table outlive the build: the tables of the maps in
-    `kept`, held here by map and domain, and a map's call tables, held on
-    the map as their prefix indexes (see `MultiMap.__call__`).  A check
-    store (see `certify.check_store`) holds one store for the whole check,
-    whose `kept` are the check's own maps, the I_n leaves; every other map
-    keeps nothing between builds, so a later build of the check that
-    reaches it builds its tables again.  Outside a check each top-level
-    build has a store of its own.
+    No table outlives its build here.  Two kinds are held elsewhere: a
+    check's I_n tables in its check store, where the leaves' rule keeps
+    them (see `iterated_integral_map`), and a map's call tables, on the map
+    as their prefix indexes (see `MultiMap.__call__`).  A check store (see
+    `certify.check_store`) holds one table store for the whole check;
+    outside a check, and for each call on forms, a top-level build has a
+    store of its own.
 
-    The counters are the tables built, their entries, the tables asked of
-    the builds (by the rules and by each top-level request), and the
-    tables dropped on release before their build ended.
+    The counters are the rule runs (a leaf's run may read its table from
+    the check store) with their tables' entries, the tables asked of the
+    builds (by the rules and by each top-level request), and the tables
+    dropped on release before their build ended.
     """
 
-    __slots__ = ("kept", "built", "entries", "reads", "released")
+    __slots__ = ("built", "entries", "reads", "released")
 
     def __init__(self):
-        self.kept: dict[MultiMap, dict[Domain, Table]] = {}
         self.built = self.entries = self.reads = self.released = 0
 
 
@@ -346,12 +350,12 @@ class _Build:
         self.tables: dict[MultiMap, dict[Domain, Table]] = {}
         self.edges = edges = {top: 0}
         self.final = False
-        kept, stack = store.kept, [top]
+        stack = [top]
         while stack:
             for child in _children(stack.pop()):
                 if child in edges:
                     edges[child] += 1
-                elif child not in kept:
+                else:
                     edges[child] = 1
                     stack.append(child)
 
@@ -368,17 +372,15 @@ class _Build:
 
     def table(self, f: MultiMap, domain: Domain, last: bool = False) -> Table:
         """f's table on domain, asked by the running rule or by the top-level
-        request: kept for the check, found in the build, or built.  `last`
-        says the rule reads no more of f along this edge; in a final run
-        that releases the edge."""
+        request: found in the build, or built.  `last` says the rule reads
+        no more of f along this edge; in a final run that releases the
+        edge."""
         self.store.reads += 1
         edges = self.edges
         last = last and self.final and edges.get(f, 0) > 0
         if last:
             edges[f] -= 1
-        tables = self.store.kept.get(f)
-        if tables is None:
-            tables = self.tables.setdefault(f, {})
+        tables = self.tables.setdefault(f, {})
         table = tables.get(domain)
         built = table is None
         if built:
@@ -564,27 +566,24 @@ def zero_map(arity: int, shifted_degree: int = 0) -> MultiMap:
 def iterated_integral_map(n: int) -> MultiMap:
     """The n-th iterated-integral map as a MultiMap of shifted degree 0.
 
-    Inside a check (see `check_store`) this is the check's one I_n, whose
-    tables every block, wedge, cup and boundary term of the check reads;
-    with no store open it is a fresh map.
+    Inside a check (see `check_store`) this is the check's one I_n, and its
+    rule keeps each table it builds in the check store by (n, domain), so
+    every block, wedge, cup and boundary term of the check reads one table
+    per domain, built once; with no store open it is a fresh map whose rule
+    keeps nothing.
     """
     if n < 1:
         raise ValueError("n must be positive")
-    return from_check_store(("I", n), partial(_check_leaf, n))
-
-
-def _check_leaf(n: int) -> MultiMap:
-    """The check's I_n, whose tables the check's table store keeps."""
-    leaf = _iterated_integral_map(n)
-    table_store().kept[leaf] = {}
-    return leaf
-
-
-def _iterated_integral_map(n: int) -> MultiMap:
-    return MultiMap(n, 0, partial(_iterated_integral_table, n), f"I{n}")
+    return from_check_store(("I", n), partial(
+        MultiMap, n, 0, partial(_iterated_integral_table, n), f"I{n}"))
 
 
 def _iterated_integral_table(n: int, domain: Domain) -> Table:
+    """I_n's table on domain, built once per check and domain."""
+    return from_check_store(("I", n, domain), partial(_chen_table, n, domain))
+
+
+def _chen_table(n: int, domain: Domain) -> Table:
     # for n >= 2 only dt inputs contribute
     slots = domain if n == 1 else [[x for x in s if x & 1] for s in domain]
     table = {}

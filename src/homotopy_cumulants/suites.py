@@ -18,9 +18,10 @@ such as building a shared context, is not counted.
 
 Each body runs inside its own `certify.check_store`, so the leaves of
 one check are shared: every term that asks for I_n gets the check's one
-I_n map and reads one table per domain, and each painted tree's formal
-boundary is expanded once.  What the store holds is dropped when the
-body returns or raises, so no check sees another's tables.
+I_n map, whose tables the store keeps by (n, domain), so each is built
+once, and each painted tree's formal boundary is expanded once.  What the
+store holds is dropped when the body returns or raises, so no check sees
+another's tables.
 
 At import this module loads only what the dga, chain-map and cumulants
 families use (`interval_model`, `cumulants`, `certify`); the ainfty, cube
@@ -70,9 +71,8 @@ SUITE_NAMES = ("dga", "chain-map", "cumulants", "ainfty", "cube", "formal", "all
 # enumeration cost caps, per the module preconditions
 N_MAX_LIMITS = {"cumulants": 8, "cube": 6, "ainfty": 4, "formal": 4, "all": 6}
 DEGREE_LIMIT = 12
-# the grid exponent of the K_n check is at most 4, and less at the n whose
-# (2(exponent + 1))^n grid tuples would cost the most
-_CUMULANT_EXPONENT_CAPS = {7: 3, 8: 2}
+# the K_n check sweeps at most this many grid tuples
+_CUMULANT_GRID_BUDGET = 2 ** 21
 
 
 class ReportEntry(Record):
@@ -177,16 +177,29 @@ def _cumulant_tables_agree(ctx: CumulantContext, n: int,
     return False, "; ".join(decode_basis(x).to_text() for x in first)
 
 
+def _cumulant_exponent(n: int, degree: int) -> int:
+    """The largest grid exponent e <= min(degree, 4) of the K_n check
+    whose grid of (2e + 2)^n tuples fits `_CUMULANT_GRID_BUDGET`."""
+    for exponent in range(min(degree, 4), -1, -1):
+        if (2 * exponent + 2) ** n <= _CUMULANT_GRID_BUDGET:
+            return exponent
+    raise ValueError(f"no cumulant grid of exponent <= {degree} at n={n} "
+                     f"fits {_CUMULANT_GRID_BUDGET} tuples")
+
+
 def run_cumulants_suite(n_max: int, degree: int) -> list[ReportEntry]:
     """Direct against recursive K_n on the basis codes of the grid.
 
     Both sides are tables over the grid, compared whole; on a mismatch the
-    witness is the first differing tuple in slot-major order.
+    witness is the first differing tuple in slot-major order.  The grid
+    exponent is `_cumulant_exponent(n, degree)`; an n_max at which no grid
+    fits the budget is refused before any check runs.
     """
     ctx = integration_context()
+    _cumulant_exponent(n_max, degree)
     entries = []
     for n in range(1, n_max + 1):
-        exponent = min(degree, _CUMULANT_EXPONENT_CAPS.get(n, 4))
+        exponent = _cumulant_exponent(n, degree)
         entries.append(_entry(f"direct vs recursive cumulant n={n}",
                               {"n": n, "exponent": exponent},
                               lambda: _cumulant_tables_agree(ctx, n, exponent)))

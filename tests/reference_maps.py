@@ -13,14 +13,15 @@ library's combinators, for the tests that compare them with H_3.
 `maps_below` walks a map's DAG, and `record_builds` makes the rules of
 that DAG record the tables they build, for the tests that count the work
 of one top-level build and what it leaves behind.  `call_supports` reads
-the only tables a map keeps, those of its calls.
+the only tables a map keeps, those of its calls, and `leaf_tables` the
+I_n tables a check keeps.
 """
 
 import itertools
 from functools import partial
 from typing import Callable
 
-from homotopy_cumulants import hom_complex
+from homotopy_cumulants import certify, hom_complex
 from homotopy_cumulants.hom_complex import (
     CONVENTION_A,
     MultiMap,
@@ -111,3 +112,12 @@ def call_supports(f: MultiMap) -> list:
     """The supports S of the call tables f keeps, each on (S,) * f.arity,
     the grown one first (see `MultiMap.__call__`)."""
     return list(f._calls)
+
+
+def leaf_tables() -> dict:
+    """The I_n tables of the open check store by (n, domain), each built
+    once for the check (see `hom_complex._iterated_integral_table`); none
+    with no store open."""
+    store = certify._check_store.get() or {}
+    return {key[1:]: table for key, table in store.items()
+            if type(key) is tuple and len(key) == 3 and key[0] == "I"}

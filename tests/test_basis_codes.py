@@ -80,6 +80,7 @@ from homotopy_cumulants.interval_model import (
 from reference_maps import (
     ReferenceMap,
     call_supports,
+    leaf_tables,
     maps_below,
     record_builds,
 )
@@ -795,8 +796,9 @@ def test_maps_without_a_code_rule_see_polyforms(monkeypatch):
     # every library map, composites included, passes its rule third to the
     # constructor; perfbench's tracer wraps that argument in a `*xs`
     # forwarder, which must change no table or value and run once per
-    # table the check's table store counts as built, never twice on one
-    # domain of a check's I_n leaf, whose tables the store keeps
+    # table a table store counts as built: the check's, for its table
+    # requests, or a call's own.  Inside the forwarder an I_n leaf's rule
+    # computes Chen's table only on an (n, domain) its store lacks
     forms = (PolyForm((1, "1/2"), (0, 3)), DT, T + ONE, PolyForm((), (2, 1)))
     codes = TruncationGrid(1).slot_codes()
 
@@ -832,13 +834,26 @@ def test_maps_without_a_code_rule_see_polyforms(monkeypatch):
         init(self, arity, shifted_degree, third, name)
 
     monkeypatch.setattr(MultiMap, "__init__", forwarding)
+    stores = []
+
+    def recorded_store():
+        stores.append(table_store())
+        return stores[-1]
+
+    chen, repeated = hom_complex._chen_table, []
+
+    def counted_chen(n, domain):
+        repeated.append((n, domain) in leaf_tables())
+        return chen(n, domain)
+
+    monkeypatch.setattr(hom_complex, "table_store", recorded_store)
+    monkeypatch.setattr(hom_complex, "_chen_table", counted_chen)
     with check_store():
         assert outcomes() == expected
-        assert forwarded
-        assert len(forwarded) == table_store().built
-        leaf_runs = [run for run in forwarded
-                     if run[0].func is hom_complex._iterated_integral_table]
-        assert leaf_runs and len(set(leaf_runs)) == len(leaf_runs)
+        assert forwarded and leaf_tables()
+        distinct = {id(store): store for store in stores}.values()
+        assert len(forwarded) == sum(store.built for store in distinct)
+        assert repeated and not any(repeated)
 
 
 def test_reference_values_read_no_table(monkeypatch):
@@ -944,10 +959,11 @@ _inputs = st.lists(st.one_of(st.integers(0, 9), _mixed_forms),
 @example(inputs=[T + DT, PolyForm((0, 1), (0, 0, 0, 5)), 9], zero_slot=2)
 def test_values_do_not_depend_on_the_kept_tables(family, convention, inputs,
                                                  zero_slot):
-    """A call builds its table from the tables a check keeps where they
-    cover it: a fresh map, the same map called in a check whose I_n leaves
+    """A call builds its table in a store of its own, whatever a check
+    keeps: a fresh map, the same map called in a check whose I_n leaves
     keep their D = 2 grid tables, and the reference agree on inputs whose
-    supports lie partly off that grid."""
+    supports lie partly off that grid, and the call leaves the check's
+    leaf tables as they were."""
     def build():
         return KEPT_TABLES[family](convention)
 
@@ -958,9 +974,12 @@ def test_values_do_not_depend_on_the_kept_tables(family, convention, inputs,
     with check_store():
         kept = build()
         kept.table([codes] * 3)
-        # the grid tables stay in the check's store, none on the map
-        assert all(table_store().kept.values()) and not call_supports(kept)
+        # the grid tables stay in the check's store, none on the map; K_3
+        # has no I_n leaf
+        grid = leaf_tables()
+        assert bool(grid) == (family != "K_3") and not call_supports(kept)
         value = kept(*inputs)
+        assert leaf_tables() == grid
     assert fresh(*inputs) == value == expected
     # a call builds one table, on the union of the supports; a zero input
     # reads none
@@ -1098,6 +1117,21 @@ def test_sparse_calls_keep_few_tables():
     assert len(call_supports(f)) <= 2
     below = maps_below(f)
     assert len(below) == 5 and not any(call_supports(g) for g in below)
+
+
+def test_leaf_calls_in_a_check_keep_no_table_there():
+    """Calls of a check's I_3 on 200 seeded sparse triples (two terms per
+    form, codes < 26) build their tables in stores of their own: the check
+    keeps none of them, the leaf keeps one grown call index, and each
+    value is the reference's."""
+    rng = random.Random(1)
+    triples = [tuple(_sparse_form(rng, 26) for _ in range(3))
+               for _ in range(200)]
+    with check_store():
+        f = iterated_integral_map(3)
+        for xs in triples:
+            assert f(*xs) == iterated_integral(list(xs)), xs
+        assert leaf_tables() == {} and len(call_supports(f)) == 1
 
 
 def _recording(f: MultiMap) -> list:

@@ -152,6 +152,22 @@ class TestVerify:
         assert run(capsys, "verify", "dga", "--degree", "13")[0] == 2
         assert run(capsys, "verify", "dga", "--n-max", "0")[0] == 2
 
+    def test_cumulant_exponent_fits_the_grid_budget(self, monkeypatch):
+        """The K_n check's grid exponent is the largest e <= min(degree, 4)
+        with (2e + 2)^n <= 2^21 tuples: the old caps {7: 3, 8: 2} at every
+        n <= 8, and a bound past the CLI's n_max, where the library
+        still runs the suite.  No grid is swept."""
+        exponent = suites._cumulant_exponent
+        assert [exponent(n, 12) for n in range(1, 12)] == [
+            4, 4, 4, 4, 4, 4, 3, 2, 1, 1, 0]
+        assert all(exponent(n, degree) == min(degree, {7: 3, 8: 2}.get(n, 4))
+                   for n in range(1, 9) for degree in range(13))
+        assert [exponent(n, 0) for n in (9, 10, 11)] == [0, 0, 0]
+        # no grid fits past n = 21: refused before any check runs
+        monkeypatch.setattr(suites, "_entry", None)
+        with pytest.raises(ValueError, match="at n=22 fits 2097152 tuples"):
+            suites.run_cumulants_suite(22, 4)
+
 
 class TestGraph:
     def test_cube_three(self, capsys):

@@ -50,6 +50,7 @@ from reference_maps import (
     ReferenceMap,
     alternate_witness_k3,
     call_supports,
+    leaf_tables,
     record_builds,
 )
 
@@ -252,9 +253,10 @@ class TestLinearCombination:
     def test_h4_evaluates_its_shared_h3_once_per_tuple(self):
         # h3 tabulates once per domain in each build, whether a sweep or a
         # call on codes or forms asks for h4's table.  h4 keeps no table: a
-        # call builds one on its inputs' supports, and later calls that it
-        # covers read it and build none.  The check's table store keeps
-        # the tables of the I_k leaves and counts the tables built.
+        # call builds one on its inputs' supports, in a store of its own,
+        # and later calls that it covers read it and build none.  The
+        # check's store keeps the tables of the I_k leaves, and its table
+        # store counts the tables the check's own requests build.
         with hom_complex.check_store():
             store = table_store()
             h4 = homotopy_witness(4)
@@ -266,27 +268,28 @@ class TestLinearCombination:
             # one table per (map, domain), with 817 entries, as many as every
             # map kept when maps kept the tables they built; h3 on the
             # merged-code domain and on the grid.  The build is asked for 16
-            # tables, h4's and the 15 its rules read, and the 8 of the maps
-            # strictly between h4 and the check's I_k leaves are dropped
-            # once read.
+            # tables, h4's and the 15 its rules read, and the 13 below h4
+            # are dropped once read, the 5 of the I_k leaves too
             assert store.built == len(set(runs)) == len(runs) == 14
             assert store.entries == 817 and store.reads == 16
             assert [f for f, _ in runs].count(h3) == 2
-            assert store.released == 8
+            assert store.released == 13
             # the sweep leaves no call state on h4, and the leaves' 5 tables
             # in the check's store
-            leaves = {iterated_integral_map(1), iterated_integral_map(2)}
-            assert call_supports(h4) == [] and store.kept.keys() == leaves
-            assert sum(map(len, store.kept.values())) == 5
+            assert call_supports(h4) == []
+            assert len(leaf_tables()) == 5
+            assert {n for n, _ in leaf_tables()} == {1, 2}
             # t^3 lies outside the D = 2 grid: one new build, of h4's table on
             # (S,) * 4, which again builds h3 on two domains, once each, and
-            # drops the tables below h4 once read
+            # drops the tables below h4 once read.  It runs in a store of
+            # its own, so the check's counts and leaf tables stay as they are
             forms = (PolyForm.monomial(3), T, DT, PolyForm.monomial(2, dt=True))
             h4(*forms)
             support = frozenset(map(encode_basis, forms))
             assert call_supports(h4) == [support]
-            assert store.built == len(set(runs)) == len(runs) == 28
-            assert store.released == 16
+            assert len(set(runs)) == len(runs) == 28
+            assert (store.built, store.released) == (14, 13)
+            assert len(leaf_tables()) == 5
             h3_domains = [domain for f, domain in runs if f is h3]
             assert len(set(h3_domains)) == len(h3_domains) == 4
             assert call_supports(h3) == []
@@ -295,7 +298,7 @@ class TestLinearCombination:
                 h4(*xs)
             for xs in itertools.product(forms, repeat=4):
                 h4(*xs)
-            assert store.built == 28 and call_supports(h4) == [support]
+            assert len(runs) == 28 and call_supports(h4) == [support]
 
 
 class TestTruncationGrid:
@@ -622,47 +625,50 @@ class TestCheckStore:
 
     def test_g4_cells_build_each_leaf_table_once(self, monkeypatch):
         """The work over every cell check of g4 on the exponent-2 grid, run
-        as one entry: the I_k leaves build 15 tables, one per distinct
-        (k, domain), from 397 Chen products; the FFF cell is the leaf I_4,
-        so the widened domains its boundary reads are leaf tables too.
-        With a fresh leaf per block the same check builds 151 leaf tables
-        from 1,779 products."""
-        leaves, work = [], [0, 0]
-        leaf_map = hom_complex._iterated_integral_map
-        leaf_table = hom_complex._iterated_integral_table
-        chen = hom_complex.iterated_integral_codes
-
-        def kept_leaf_map(n):
-            leaves.append(leaf_map(n))
-            return leaves[-1]
-
-        def counted_leaf_table(n, domain):
-            work[0] += 1
-            return leaf_table(n, domain)
-
-        def counted_chen(xs):
-            work[1] += 1
-            return chen(xs)
-
-        monkeypatch.setattr(hom_complex, "_iterated_integral_map", kept_leaf_map)
-        monkeypatch.setattr(hom_complex, "_iterated_integral_table",
-                            counted_leaf_table)
-        monkeypatch.setattr(hom_complex, "iterated_integral_codes", counted_chen)
-
-        stores = []
+        as one entry: the check's store keeps 15 I_k tables, one per
+        distinct (k, domain), built from 397 Chen products; the FFF cell is
+        the leaf I_4, so the widened domains its boundary reads are leaf
+        tables too.  With no store open, each block has a leaf of its own
+        and the same check takes 1,779 products and keeps no table."""
+        products = _count_chen_products(monkeypatch)
+        tables = []
 
         def check():
-            stores.append(table_store())
-            return suites._first_failing_cell(4, 2, CONVENTION_A)
+            passed = suites._first_failing_cell(4, 2, CONVENTION_A)
+            tables.append(leaf_tables())
+            return passed
 
         assert suites._entry("cells of g4", {}, check).status
-        assert len(leaves) == 4 and work == [15, 397]
-        # the leaves' tables are kept in the check's table store
-        assert stores[0].kept.keys() == set(leaves)
-        assert sum(map(len, stores[0].kept.values())) == 15
-        work[:] = [0, 0]
+        assert products == [397]
+        assert len(tables[0]) == 15
+        assert {n for n, _ in tables[0]} == {1, 2, 3, 4}
+        products[0] = 0
         assert check() is True
-        assert work == [151, 1779]
+        assert products == [1779] and tables[1] == {}
+
+    def test_leaf_tables_die_with_the_check(self, monkeypatch):
+        """Two runs of the g4-cells check at D = 2, each a suite entry,
+        take 397 Chen products each: no leaf table outlives its check, so
+        no check reads a table built before a mutant of Chen's formula was
+        put in place."""
+        products = _count_chen_products(monkeypatch)
+        for _ in range(2):
+            products[0] = 0
+            assert suites._entry("cells of g4", {}, lambda: (
+                suites._first_failing_cell(4, 2, CONVENTION_A))).status
+            assert products == [397]
+
+
+def _count_chen_products(monkeypatch) -> list:
+    """[the Chen products `hom_complex` computes from now on]."""
+    chen, products = hom_complex.iterated_integral_codes, [0]
+
+    def counted_chen(xs):
+        products[0] += 1
+        return chen(xs)
+
+    monkeypatch.setattr(hom_complex, "iterated_integral_codes", counted_chen)
+    return products
 
 
 def _children(f: MultiMap):

@@ -38,7 +38,7 @@ from homotopy_cumulants.hom_complex import (
 )
 from homotopy_cumulants.interval_model import Cochain, PolyForm, cup
 from homotopy_cumulants.suites import run_suite
-from reference_maps import ReferenceMap, maps_below, record_builds
+from reference_maps import ReferenceMap, record_builds
 
 CELLS = {f"all cells of g{n} bound their facets" for n in (2, 3, 4)}
 INTERPRETATIONS = {f"formal boundary of p{n} interprets to the Hom boundary"
@@ -326,50 +326,49 @@ def rebuilt_in_one_build() -> set:
     return rebuilt
 
 
-def maps_below_that_keep_tables() -> int:
-    """How many maps below the boundary of H_3, the check's I_k leaves
-    aside, have tables kept in the check's table store after it is called
-    on each of OFF_GRID_FORMS in one check."""
+def tables_held_to_the_end() -> int:
+    """How many tables below the boundary of H_3 its builds hold until
+    they end, where each should drop them once read: over its tables on
+    the D = 0, 1 and 2 grids, asked in one check."""
     with hom_complex.check_store():
         boundary = hom_boundary(homotopy_witness(3))
-        for xs in OFF_GRID_FORMS:
-            boundary(*xs)
-        kept = hom_complex.table_store().kept
-        return sum(bool(kept.get(g)) for g in maps_below(boundary)
-                   if hom_complex._children(g))
+        for degree in range(3):
+            boundary.table([TruncationGrid(degree).slot_codes()] * 3)
+        store = hom_complex.table_store()
+        return store.built - store.released - 3
 
 
 H3 = "(I2(wedge@0) - cup(I1,I2))"
 
 # name: (method of `hom_complex._Build`, old line, new line,
-#        what `rebuilt_in_one_build` and `maps_below_that_keep_tables` return)
+#        what `rebuilt_in_one_build` and `tables_held_to_the_end` return)
 BUILD_MUTANTS = {
     # a child's tables are dropped when its first parent has read it, so a
     # later parent builds them again: H_3 inside H_5
     "release after the first parent's read": (
         "table", "if last and not edges[f]:", "if last:", {H3}, 0),
-    # the check's store keeps every map's tables, as it keeps its I_k
-    # leaves', so nothing is ever released: H_3 and its two terms
+    # no read is ever a child's last, so nothing is released before the
+    # build ends: the 17 tables below the boundary of H_3
     "never release": (
-        "table", "tables = self.store.kept.get(f)",
-        "tables = self.store.kept.setdefault(f, {})", set(), 3),
+        "table", "last = last and self.final and edges.get(f, 0) > 0",
+        "last = False", set(), 17),
 }
 
 
 def test_unmutated_builds_release_every_table_once():
     assert rebuilt_in_one_build() == set()
-    assert maps_below_that_keep_tables() == 0
+    assert tables_held_to_the_end() == 0
 
 
 @pytest.mark.parametrize("name", BUILD_MUTANTS)
 def test_build_mutant_fails_exactly(monkeypatch, name):
     """Where a build releases a child's tables changes no value, so the
-    suites pass; the work and what is kept show the mutant."""
-    method, old, new, rebuilt, keeping = BUILD_MUTANTS[name]
+    suites pass; the work and what the builds hold show the mutant."""
+    method, old, new, rebuilt, held = BUILD_MUTANTS[name]
     build = hom_complex._Build
     monkeypatch.setattr(build, method,
                         source_mutant(getattr(build, method), old, new))
     assert rebuilt_in_one_build() == rebuilt
-    assert maps_below_that_keep_tables() == keeping
+    assert tables_held_to_the_end() == held
     assert failing_comparisons() == set()
     assert failing_checks() == set()
