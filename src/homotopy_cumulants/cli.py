@@ -1,7 +1,8 @@
 """Command-line front end: verification suites, graph exports, cumulants.
 
 Exit status: 0 when every check passes, 1 when any check fails, 2 on a
-usage error (bad parameters or malformed form syntax).
+usage error (bad parameters, malformed form syntax, or an output that
+cannot be written).
 
 This module imports every layer at start: `verify all` runs them all,
 so importing them during its run would only move the cost into the run.
@@ -71,14 +72,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@contextlib.contextmanager
 def _open_out(out: str | None):
-    """Standard output, or `out` opened for writing before any work starts."""
-    if out is None:
-        return contextlib.nullcontext(sys.stdout)
+    """Standard output, or `out` opened for writing before any work starts,
+    flushed (and a file closed) when the block ends.  A closed standard
+    output, and an output that cannot be opened, written, flushed or
+    closed, is a usage error."""
+    name = "standard output" if out is None else out
+    if out is None and sys.stdout is None:
+        raise UsageError(f"cannot write {name}: it is closed")
     try:
-        return open(out, "w", encoding="utf-8")
+        handle = (contextlib.nullcontext(sys.stdout) if out is None
+                  else open(out, "w", encoding="utf-8"))
+        with handle as stream:
+            yield stream
+            stream.flush()
     except OSError as exc:
-        raise UsageError(f"cannot write {out}: {exc.strerror or exc}") from None
+        raise UsageError(f"cannot write {name}: {exc.strerror or exc}") from None
 
 
 def _cmd_verify(args) -> int:

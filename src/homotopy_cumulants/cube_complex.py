@@ -13,7 +13,6 @@ geometric content of the cumulant collapse.
 from __future__ import annotations
 
 import itertools
-import math
 
 from ._record import Record
 from .cumulants import Composition, composition_sign, compositions, input_letters
@@ -264,17 +263,11 @@ def verify_cell(n: int, cell: CubeCell, max_exponent: int,
 
 
 def euler_characteristic(n: int) -> int:
-    """Alternating sum of cell counts; 1 for every solid cube.
-
-    Dimension k holds C(n-1, k) 2^(n-1-k) cells, so the sum telescopes to
-    (2 - 1)^(n-1).
-    """
-    if n < 2:
-        raise ValueError("cubes start at n = 2")
-    return sum(
-        (-1) ** k * math.comb(n - 1, k) * 2 ** (n - 1 - k)
-        for k in range(n)
-    )
+    """Alternating sum over the enumerated cells, sum (-1)^dimension over
+    `cells_of(n)`; 1 for every solid cube, since dimension k holds
+    C(n-1, k) 2^(n-1-k) cells and the counts sum to (2 - 1)^(n-1).  A cell
+    missing from or listed twice in `cells_of` moves the sum off 1."""
+    return sum(-1 if cell.dimension & 1 else 1 for cell in cells_of(n))
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,9 @@ the oracles on PolyForms for the two tables, which give K_n's nonzero
 values on every code tuple of a per-slot product of code sets:
 `cumulant_table` by the direct formula, doing its products and chain-map
 images once per distinct run product rather than once per run, and
-`cumulant_recursive_table` by the recursion.  The cumulants suite
-compares the two tables.
+`cumulant_recursive_table` by the recursion.  Both sum on the value
+indices of an `interval_model.CochainPool`, so each pair of distinct
+values is added once.  The cumulants suite compares the two tables.
 """
 
 from __future__ import annotations
@@ -112,8 +113,8 @@ class CumulantContext(Record):
     Chain-map values and PolyForm products are memoized per context.
     Nothing else is kept here: `cumulant_recursive` keeps its inner values,
     `cumulant_table` its run groups, scaled tails and distinct values, and
-    `cumulant_recursive_table` its sub-tables, within one call only.  Both
-    products are bilinear.
+    `cumulant_recursive_table` its distinct values and its tail tables,
+    within one call only.  Both products are bilinear.
 
     `apply` and `multiply` take PolyForms or basis codes.  A code is mapped
     through its decoded monomial once and cached under the int; None is the
@@ -426,8 +427,9 @@ def cumulant_recursive_table(ctx: CumulantContext,
                              ) -> dict[tuple, Cochain]:
     """K_n's nonzero values on a per-slot product, by the recursion.
 
-    The recursion as a table identity, evaluated by `_recursive_table`
-    with two memos that live for this call only, so nothing is kept in
+    The recursion as a table identity, evaluated by `_recursive_table` on
+    the value indices of one `interval_model.CochainPool`, with one cache
+    of tail tables; both live for this call only, so nothing is kept in
     the context.  Every product goes through `ctx.multiply` and
     `ctx.target_product`, so any context works; under a source product
     other than the wedge the merged slots hold PolyForms, and only the
@@ -435,33 +437,31 @@ def cumulant_recursive_table(ctx: CumulantContext,
     of `cumulant_table`, with which it shares nothing but that check.
     """
     slots = tuple(map(frozenset, _code_slots(domain)))
-    return _recursive_table(ctx, {}, {}, slots)
+    pool = CochainPool()
+    return pool.table(_recursive_table(ctx, pool, {}, slots))
 
 
-def _recursive_table(ctx: CumulantContext, memo: dict, grouped: dict,
+def _recursive_table(ctx: CumulantContext, pool: CochainPool, tails: dict,
                      slots: tuple[frozenset, ...]) -> dict:
-    """K_n's table on slots, memoized per slots in `memo`.
+    """K_n's table on slots as value indices of pool.
+
+    A zero value is index 0, and the table's one reader drops it: the
+    merged term skips it, the tail groups lose it and `pool.table` leaves
+    it out of the result, so no table is copied to drop its zeros.
 
     The merged term spreads each entry of the K_{n-1} table on (the
     products of slots 0 and 1, slots 2..) over the pairs whose product is
     its merged input, as `hom_complex.wedge_at` does, and the split term
     subtracts e(x_0) K_{n-1}(x_1, ..) for each x_0 with a nonzero image and
     each entry of the K_{n-1} table on slots 1.. .  The codes x_0 are
-    grouped by their image and the entries by their value (kept in
-    `grouped`, by slots), so each distinct image is multiplied by each
-    distinct value once and the product is spread over both groups.
+    grouped by their image and the entries by their value (the one cache,
+    `tails`, holds each tail table grouped so, by its slots), so each
+    distinct image is multiplied by each distinct value once, the product
+    is spread over both groups, and each pair of indices is added once.
     """
-    known = memo.get(slots)
-    if known is not None:
-        return known
     apply, multiply, product = ctx.apply, ctx.multiply, ctx.target_product
-    result = memo[slots] = {}
     if len(slots) == 1:
-        for x in slots[0]:
-            image = apply(x)
-            if not image.is_zero():
-                result[(x,)] = image
-        return result
+        return {(x,): pool.intern(apply(x)) for x in slots[0]}
     preimages: dict = {}
     for a in slots[0]:
         for b in slots[1]:
@@ -469,38 +469,34 @@ def _recursive_table(ctx: CumulantContext, memo: dict, grouped: dict,
             if ab is not None:
                 preimages.setdefault(ab, []).append((a, b))
     merged = (frozenset(preimages),) + slots[2:]
-    for ys, value in _recursive_table(ctx, memo, grouped, merged).items():
-        tail = ys[1:]
-        for pair in preimages[ys[0]]:
-            result[pair + tail] = value
-    tails = grouped.get(slots[1:])
-    if tails is None:
-        tails = grouped[slots[1:]] = _by_value(
-            _recursive_table(ctx, memo, grouped, slots[1:]))
+    table = {}
+    for ys, k in _recursive_table(ctx, pool, tails, merged).items():
+        if k:
+            tail = ys[1:]
+            for pair in preimages[ys[0]]:
+                table[pair + tail] = k
+    grouped = tails.get(slots[1:])
+    if grouped is None:
+        grouped = tails[slots[1:]] = _by_value(
+            _recursive_table(ctx, pool, tails, slots[1:]))
+        grouped.pop(0, None)
     sharing: dict = {}  # nonzero image -> the codes x_0 that have it
     for x in slots[0]:
         image = apply(x)
         if not image.is_zero():
             sharing.setdefault(image, []).append(x)
+    values, intern, add = pool.values, pool.intern, pool.add
     for image, xs in sharing.items():
-        for value, yss in tails.items():
-            split = product(image, value)
-            if split.is_zero():
+        for k, yss in grouped.items():
+            split = intern(-product(image, values[k]))
+            if not split:
                 continue
-            negated = -split
             for ys in yss:
                 for x in xs:
                     key = (x,) + ys
-                    previous = result.get(key)
-                    if previous is None:
-                        result[key] = negated
-                    else:
-                        difference = previous - split
-                        if difference.is_zero():
-                            del result[key]
-                        else:
-                            result[key] = difference
-    return result
+                    old = table.get(key)
+                    table[key] = split if old is None else add(old, split)
+    return table
 
 
 def input_letters(n: int) -> str:

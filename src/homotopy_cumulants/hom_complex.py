@@ -241,22 +241,17 @@ class MultiMap:
 
         `domain` holds one collection of basis codes per slot, each code a
         nonnegative int (see `cumulants._code_slots`).  A tuple missing
-        from the table is a zero of the map.  Asked while no build runs,
-        the table is a top-level request: a build of its own (see
-        `TableStore`) makes it, and the map keeps nothing, so each request
-        builds the table again, apart from the I_n tables a check keeps.
-        Asked by a rule, it is read from the running build, which keeps it
-        only until the map's last parent in that build has read it.
+        from the table is a zero of the map.  Each request is a top-level
+        one: a build of its own (see `TableStore`) makes the table, and the
+        map keeps nothing, so each request builds the table again, apart
+        from the I_n tables a check keeps.  Rules read their children's
+        tables from the running build instead (see `_read`).
         """
         slots = tuple(domain)
         if len(slots) != self.arity:
             raise ValueError(
                 f"{self.name} expects {self.arity} slots, got {len(slots)}")
-        domain = tuple(map(frozenset, _code_slots(slots)))
-        build = _running.get()
-        if build is not None:
-            return build.table(self, domain)
-        return _top_build(self, domain)
+        return _top_build(self, tuple(map(frozenset, _code_slots(slots))))
 
     def __add__(self, other: "MultiMap") -> "MultiMap":
         return linear_combination(self.arity, self.shifted_degree,
@@ -279,18 +274,18 @@ class MultiMap:
 class TableStore:
     """The counters of the top-level builds of one check.
 
-    A top-level request (`MultiMap.table` while no build runs, or a call
-    on forms that needs a table) runs a build: before the top's rule runs,
-    the DAG below the top is walked over `rule.args` (see `_children`) and
-    each map's parent edges are counted.  The tables the rules ask of the
-    maps below the top live in the build, keyed by (map, domain), and each
-    parent releases its edge to a child once it has read everything it
-    needs of it: a sum right after reading that term, a wedge and a cup on
-    reading their children, a boundary on its last widened table.  A map
-    with no edges left drops its tables (see `_Build`).  Every map is
-    walked, counted and released alike, the I_n leaves too.  A rule with
-    no `args`, such as perfbench's tracing wrapper, is a leaf of the walk,
-    so nothing below it is released before the top build ends.
+    A top-level request (`MultiMap.table`, or a call on forms that needs
+    a table) runs a build: before the top's rule runs, the DAG below the
+    top is walked over `rule.args` (see `_children`) and each map's parent
+    edges are counted.  The tables the rules ask of the maps below the top
+    live in the build, keyed by (map, domain), and each parent releases its
+    edge to a child once it has read everything it needs of it: a sum right
+    after reading that term, a wedge and a cup on reading their children, a
+    boundary on its last widened table.  A map with no edges left drops
+    its tables (see `_Build`).  Every map is walked, counted and released
+    alike, the I_n leaves too.  A rule with no `args`, such as perfbench's
+    tracing wrapper, is a leaf of the walk, so nothing below it is released
+    before the top build ends.
 
     No table outlives its build here.  Two kinds are held elsewhere: a
     check's I_n tables in its check store, where the leaves' rule keeps
@@ -417,10 +412,10 @@ def _top_build(f: MultiMap, domain: Domain) -> Table:
 
 
 def _read(f: MultiMap, domain: Domain, last: bool = True) -> Table:
-    """f's table on domain (slots as frozensets) for the running rule,
-    which reads no more of f along this edge if `last` (see `_Build`)."""
-    build = _running.get()
-    return f.table(domain) if build is None else build.table(f, domain, last)
+    """f's table on domain (slots as frozensets), read from the running
+    build by its running rule, which reads no more of f along this edge if
+    `last` (see `_Build`)."""
+    return _running.get().table(f, domain, last)
 
 
 def _expansion(slot: int, x: PolyForm | int) -> tuple[dict[int, int], int]:

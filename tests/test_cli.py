@@ -1,8 +1,10 @@
 """Command-line interface: exit codes, reports, graphs, cumulant traces."""
 
 import contextlib
+import errno
 import io
 import json
+import os
 import time
 
 import pytest
@@ -142,6 +144,42 @@ class TestVerify:
                              "--degree", "3", "--out", "/nonexistent/x.json")
         assert code == 2 and out == ""
         assert err.startswith("error: cannot write /nonexistent/x.json")
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"),
+                        reason="needs /dev/full")
+    @pytest.mark.parametrize("argv", [("verify", "dga", "--degree", "1"),
+                                      ("cumulant", "3"),
+                                      ("cumulant", "2", "--inputs", "t ; dt"),
+                                      ("graph", "cube", "3")])
+    def test_a_full_out_file_is_a_usage_error(self, capsys, argv):
+        code, out, err = run(capsys, *argv, "--out", "/dev/full")
+        assert code == 2 and out == ""
+        assert err.splitlines() == [
+            f"error: cannot write /dev/full: {os.strerror(errno.ENOSPC)}"]
+
+    @pytest.mark.parametrize("argv", [("verify", "dga", "--degree", "1"),
+                                      ("cumulant", "3"),
+                                      ("graph", "cube", "3")])
+    def test_a_full_standard_output_is_a_usage_error(self, capsys,
+                                                     monkeypatch, argv):
+        class Full(io.StringIO):
+            def write(self, text):
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr("sys.stdout", Full())
+        code = main(list(argv))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.splitlines() == [
+            "error: cannot write standard output: "
+            f"{os.strerror(errno.ENOSPC)}"]
+
+    def test_a_closed_standard_output_is_a_usage_error(self, capsys,
+                                                       monkeypatch):
+        monkeypatch.setattr("sys.stdout", None)
+        assert main(["cumulant", "3"]) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            "error: cannot write standard output: it is closed"]
 
     def test_usage_errors(self, capsys):
         assert run(capsys, "verify", "nonsense")[0] == 2

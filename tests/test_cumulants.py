@@ -355,25 +355,32 @@ def test_direct_table_works_once_per_run_product(monkeypatch):
 
 @pytest.mark.parametrize("n, exponent, products, entries",
                          [(5, 3, 1344, 3264), (6, 4, 5095, 65000)])
-def test_recursive_table_splits_once_per_image(n, exponent, products, entries):
+def test_recursive_table_splits_once_per_image(monkeypatch, n, exponent,
+                                               products, entries):
     """The recursive table's cost model: its split term multiplies each
     distinct image of slot 0 (the codes t^1..t^k all integrate to
-    (0, 1; 0)) by each distinct value of the K_{n-1} table once.  Once per
-    entry of that table instead it makes 6,996 target products at n = 5
-    and 121,470 at n = 6, and once per code and entry 9,832 and
-    180,340."""
-    calls = 0
+    (0, 1; 0)) by each distinct value of the K_{n-1} table once, and adds
+    each pair of distinct values once.  Once per entry of that table
+    instead it makes 6,996 target products at n = 5 and 121,470 at n = 6,
+    and once per code and entry 9,832 and 180,340; adding key by key makes
+    1,296 and 16,275 additions."""
+    calls = {"target_product": 0, "add": 0}
+    add = Cochain.__add__
 
     def counted_cup(a, b):
-        nonlocal calls
-        calls += 1
+        calls["target_product"] += 1
         return cup(a, b)
 
+    def counted_add(a, b):
+        calls["add"] += 1
+        return add(a, b)
+
+    monkeypatch.setattr(Cochain, "__add__", counted_add)
     codes = TruncationGrid(exponent).slot_codes()
     table = cumulant_recursive_table(
         CumulantContext(integrate, target_product=counted_cup), (codes,) * n)
     assert len(table) == entries
-    assert calls == products
+    assert calls == {"target_product": products, "add": {5: 82, 6: 170}[n]}
 
 
 class TestNotation:

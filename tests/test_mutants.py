@@ -1,11 +1,12 @@
 """Mutants of the library that the checks must catch, with what fails.
 
 Each case replaces one library name (through `monkeypatch`, which puts
-it back after the test), runs `run_suite("all", 4, 2)` and asserts the
-exact set of failing checks.  So a check that stops seeing a mutant, or
-starts failing where it should not, shows up here.  Convention B is the
-one mutant the library ships: it fails the same 12 checks here as at
-`--n-max 4 --degree 4`.
+it back after the test; a K_n table in every module that imported it),
+runs `run_suite("all", 4, 2)` and asserts the exact set of failing
+checks.  So a check that stops seeing a mutant, or starts failing where
+it should not, shows up here.  Convention B is the one mutant the
+library ships: it fails the same 12 checks here as at `--n-max 4
+--degree 4`.
 
 Some defects live where the suites never go: in the contraction that
 evaluates a map on forms, in the choice of the table a call reads, in the
@@ -26,7 +27,7 @@ from fractions import Fraction
 
 import pytest
 
-from homotopy_cumulants import cube_complex, cumulants, hom_complex
+from homotopy_cumulants import cube_complex, cumulants, hom_complex, suites
 from homotopy_cumulants.hom_complex import (
     CONVENTION_A,
     CONVENTION_B,
@@ -84,6 +85,23 @@ def first_facet_flipped(cell_boundary):
     return mutant
 
 
+def first_one_cell_dropped(cells_of):
+    """g_n without its first cell of dimension 1."""
+    def mutant(n):
+        cells = cells_of(n)
+        cells.remove(next(cell for cell in cells if cell.dimension == 1))
+        return cells
+    return mutant
+
+
+def first_cell_listed_twice(cells_of):
+    """g_n with its first cell, the top cell, listed twice."""
+    def mutant(n):
+        cells = cells_of(n)
+        return cells[:1] + cells
+    return mutant
+
+
 MUTANTS = {
     "d_code": (hom_complex, negated_d_code, CELLS | INTERPRETATIONS | {
         "boundary(H2) = K2", "boundary(H3) = K3", "boundary(H4) = K4",
@@ -103,6 +121,14 @@ MUTANTS = {
 }
 
 
+EULER = {f"euler characteristic g{n} = 1" for n in (2, 3, 4)}
+
+# the cells of g_n, as `cube_complex.cells_of` enumerates them, miscounted:
+# only the Euler characteristic counts them
+CELLS_OF_MUTANTS = {"a 1-cell dropped": first_one_cell_dropped,
+                    "the first cell listed twice": first_cell_listed_twice}
+
+
 def failing_checks(*convention):
     return {entry.check for entry in run_suite("all", 4, 2, *convention)
             if not entry.status}
@@ -117,6 +143,13 @@ def test_mutant_fails_exactly(monkeypatch, name):
     module, mutate, expected = MUTANTS[name]
     monkeypatch.setattr(module, name, mutate(getattr(module, name)))
     assert failing_checks() == expected
+
+
+@pytest.mark.parametrize("name", CELLS_OF_MUTANTS)
+def test_cells_of_mutant_fails_exactly(monkeypatch, name):
+    monkeypatch.setattr(cube_complex, "cells_of",
+                        CELLS_OF_MUTANTS[name](cube_complex.cells_of))
+    assert failing_checks() == EULER
 
 
 def test_convention_b_fails_exactly():
@@ -141,6 +174,39 @@ def source_mutant(function, old: str, new: str):
                    dont_inherit=True)
     exec(code, namespace)
     return namespace[function.__name__]
+
+
+DIRECT_VS_RECURSIVE = {f"direct vs recursive cumulant n={n}"
+                       for n in (2, 3, 4)}
+
+# name: (function of `cumulants`, the modules that import it, old line,
+#        new line, failing checks)
+TABLE_MUTANTS = {
+    # the direct table's scaled tail is +e S_{j+1} where it is -e S_{j+1}:
+    # every check that tabulates K_n reads it
+    "direct table's tail unsigned": (
+        "cumulant_table", (cumulants, suites, hom_complex),
+        "negated = -image", "negated = image",
+        {"algebra morphism has zero cumulants", "boundary(I2) = K2",
+         "boundary(H2) = K2", "boundary(H3) = K3", "boundary(H4) = K4",
+         "signed vertex maps sum to the cumulant"} | DIRECT_VS_RECURSIVE),
+    # the recursion adds e(a) K_{n-1}(b, ..) where it subtracts it, at
+    # every level, as the mutant calls itself; `cumulant_recursive_table`
+    # reaches it through the module's name
+    "recursion's split term added": (
+        "_recursive_table", (cumulants,),
+        "split = intern(-product(image, values[k]))",
+        "split = intern(product(image, values[k]))", DIRECT_VS_RECURSIVE),
+}
+
+
+@pytest.mark.parametrize("name", TABLE_MUTANTS)
+def test_table_mutant_fails_exactly(monkeypatch, name):
+    function, modules, old, new, expected = TABLE_MUTANTS[name]
+    mutant = source_mutant(getattr(cumulants, function), old, new)
+    for module in modules:
+        monkeypatch.setattr(module, function, mutant)
+    assert failing_checks() == expected
 
 
 # off the D = 2 grid, with rational coefficients and both parts
