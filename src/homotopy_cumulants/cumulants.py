@@ -10,17 +10,20 @@ measure the failure of integration to respect the wedge and cup products.
 Inputs are PolyForms or basis codes (ints, see
 `interval_model.encode_basis`); on codes a context multiplies by
 `wedge_codes`, with None for the zero form dt^dt (see CumulantContext).
-`cumulant` evaluates one input tuple by the direct formula grouped by
-its first block, `cumulant_terms` traces the same sum composition by
-composition, and `cumulant_recursive` evaluates by the recursion
-K_n(a_1, ..) = K_{n-1}(a_1 a_2, ..) - e(a_1) K_{n-1}(a_2, ..); they are
-the oracles on PolyForms for the two tables, which give K_n's nonzero
-values on every code tuple of a per-slot product of code sets:
-`cumulant_table` by the direct formula, doing its products and chain-map
-images once per distinct run product rather than once per run, and
-`cumulant_recursive_table` by the recursion.  Both sum on the value
-indices of an `interval_model.CochainPool`, so each pair of distinct
-values is added once.  The cumulants suite compares the two tables.
+The three per-tuple functions read one run table per input tuple, the
+images e(x_i..x_j) of its left-nested run products, which the context
+keeps for the latest tuple only.  `cumulant` evaluates the direct
+formula grouped by its first block, `cumulant_terms` traces the same
+sum composition by composition, and `cumulant_recursive` evaluates by
+the recursion K_n(a_1, ..) = K_{n-1}(a_1 a_2, ..) - e(a_1) K_{n-1}(a_2, ..)
+on run indices; they are the oracles on PolyForms for the two tables,
+which give K_n's nonzero values on every code tuple of a per-slot
+product of code sets: `cumulant_table` by the direct formula, doing its
+products and chain-map images once per distinct run product rather than
+once per run, and `cumulant_recursive_table` by the recursion.  Both sum
+on the value indices of an `interval_model.CochainPool`, so each pair of
+distinct values is added once.  The cumulants suite compares the two
+tables.
 """
 
 from __future__ import annotations
@@ -110,23 +113,27 @@ def composition_sign(c: Composition) -> int:
 class CumulantContext(Record):
     """A chain map together with the two products it fails to intertwine.
 
-    Chain-map values and PolyForm products are memoized per context.
-    Nothing else is kept here: `cumulant_recursive` keeps its inner values,
-    `cumulant_table` its run groups, scaled tails and distinct values, and
-    `cumulant_recursive_table` its distinct values and its tail tables,
-    within one call only.  Both products are bilinear.
+    The chain-map images of basis codes are memoized for the life of the
+    context.  Besides them a context keeps only the run table of the
+    latest input tuple that `cumulant`, `cumulant_terms` or
+    `cumulant_recursive` evaluated (see `_run_table`), so a context fed
+    many distinct PolyForm tuples does not grow.  A product or an image of
+    a PolyForm is computed afresh on each `multiply` or `apply`.  The
+    tables keep their run groups, scaled tails and distinct values within
+    one call only.  Both products are bilinear.
 
     `apply` and `multiply` take PolyForms or basis codes.  A code is mapped
     through its decoded monomial once and cached under the int; None is the
     zero form, which `apply` sends to the shared zero cochain and `multiply`
-    keeps as None.  Codes multiply by `wedge_codes` when the source product
-    is the wedge, as in every context built here; under any other source
-    product they are decoded and multiplied as PolyForms.  Contexts compare
-    by their three callables; a copy or a pickle starts with empty memos.
+    keeps as None.  Two codes multiply by `wedge_codes` when the source
+    product is the wedge, as in every context built here; under any other
+    source product, or beside a PolyForm, a code is decoded and multiplied
+    as a PolyForm.  Contexts compare by their three callables; a copy or a
+    pickle starts with no memos.
     """
 
     __slots__ = ("chain_map", "source_product", "target_product",
-                 "_map_cache", "_product_cache", "_wedge_source")
+                 "_map_cache", "_runs", "_wedge_source")
 
     def __init__(self, chain_map: Callable[[PolyForm], Cochain],
                  source_product: Callable[[PolyForm, PolyForm], PolyForm] = wedge,
@@ -135,34 +142,30 @@ class CumulantContext(Record):
         object.__setattr__(self, "source_product", source_product)
         object.__setattr__(self, "target_product", target_product)
         object.__setattr__(self, "_map_cache", {None: Cochain.zero()})
-        object.__setattr__(self, "_product_cache", {})
+        # (inputs, run table) of the latest tuple evaluated, set as a whole
+        object.__setattr__(self, "_runs", None)
         object.__setattr__(self, "_wedge_source", source_product is wedge)
 
     def apply(self, form: PolyForm | int | None) -> Cochain:
-        cache = self._map_cache
-        value = cache.get(form)
-        if value is None:
-            value = self.chain_map(
-                decode_basis(form) if type(form) is int else form)
-            cache[form] = value
-        return value
+        if type(form) is int or form is None:
+            cache = self._map_cache
+            value = cache.get(form)
+            if value is None:
+                value = cache[form] = self.chain_map(decode_basis(form))
+            return value
+        return self.chain_map(form)
 
     def multiply(self, a: PolyForm | int | None,
                  b: PolyForm | int) -> PolyForm | int | None:
         if type(a) is int:
-            if self._wedge_source:
+            if type(b) is int and self._wedge_source:
                 return wedge_codes(a, b)
             a = decode_basis(a)
         elif a is None:
             return None
         if type(b) is int:
             b = decode_basis(b)
-        cache = self._product_cache
-        value = cache.get((a, b))
-        if value is None:
-            value = self.source_product(a, b)
-            cache[(a, b)] = value
-        return value
+        return self.source_product(a, b)
 
     def verify_chain_map(self, max_exponent: int = 4) -> bool:
         """Check chain_map . d = delta . chain_map on the monomial grid."""
@@ -207,42 +210,66 @@ class CumulantTerm(Record):
         object.__setattr__(self, "value", value)
 
 
-def _composition_products(ctx: CumulantContext,
-                          inputs: Sequence[PolyForm | int]):
-    """Yield each composition with the product of its block images, in order.
+def _run_table(ctx: CumulantContext, inputs: Sequence[PolyForm | int]
+               ) -> list[tuple[Cochain, ...]]:
+    """The images of the runs of one input tuple: row i holds
+    e(x_i..x_j) for j = i..n-1, so row i, entry j - i is e(p_ij).
 
-    The image of each left-nested run product inputs[i..j] is computed
-    once.  A partial product that is the shared zero cochain absorbs the
+    The run products are left-nested, p_{i,j+1} = p_ij x_{j+1}: n(n-1)/2
+    products through `ctx.multiply` and n(n+1)/2 images through
+    `ctx.apply`.  Each input is checked first, as `hom_complex` checks the
+    inputs of a call.  The context keeps the table of the latest tuple
+    only, published with its inputs as one attribute, so a caller reads
+    either its own tuple's table or builds one, and the next evaluation of
+    an equal tuple, by any of the three per-tuple functions, builds none.
+    """
+    inputs = tuple(inputs)
+    if not inputs:
+        raise ValueError("cumulant requires at least one input")
+    for i, x in enumerate(inputs):
+        if type(x) is int:
+            if x < 0:
+                raise ValueError(f"input {i}: basis code {x} is negative")
+        elif not isinstance(x, PolyForm):
+            raise TypeError(f"input {i}: expected a PolyForm or a basis "
+                            f"code, got {type(x).__name__}")
+    latest = ctx._runs
+    if latest is not None and latest[0] == inputs:
+        return latest[1]
+    apply, multiply = ctx.apply, ctx.multiply
+    table = []
+    for i, run in enumerate(inputs):
+        images = [apply(run)]
+        for x in inputs[i + 1:]:
+            run = multiply(run, x)
+            images.append(apply(run))
+        table.append(tuple(images))
+    object.__setattr__(ctx, "_runs", (inputs, table))
+    return table
+
+
+def cumulant_terms(ctx: CumulantContext,
+                   inputs: Sequence[PolyForm | int]) -> list[CumulantTerm]:
+    """Term-by-term trace of the direct cumulant formula.
+
+    Each composition's product of block images, read from the tuple's run
+    table; a partial product that is the shared zero cochain absorbs the
     rest.
     """
-    n = len(inputs)
-    if n == 0:
-        raise ValueError("cumulant requires at least one input")
-    images = {}
-    for i in range(n):
-        acc = inputs[i]
-        images[i, i] = ctx.apply(acc)
-        for j in range(i + 1, n):
-            acc = ctx.multiply(acc, inputs[j])
-            images[i, j] = ctx.apply(acc)
+    runs = _run_table(ctx, inputs)
     zero = Cochain.zero()
-    for comp in _compositions(n):
+    terms = []
+    for comp in _compositions(len(runs)):
         acc, pos = None, 0
         for size in comp:
-            image = images[pos, pos + size - 1]
+            image = runs[pos][size - 1]
             pos += size
             if acc is None:
                 acc = image
             elif acc is not zero:
                 acc = ctx.target_product(acc, image)
-        yield comp, acc
-
-
-def cumulant_terms(ctx: CumulantContext,
-                   inputs: Sequence[PolyForm | int]) -> list[CumulantTerm]:
-    """Term-by-term trace of the direct cumulant formula."""
-    return [CumulantTerm(comp, composition_sign(comp), product)
-            for comp, product in _composition_products(ctx, inputs)]
+        terms.append(CumulantTerm(comp, composition_sign(comp), acc))
+    return terms
 
 
 def cumulant(ctx: CumulantContext, inputs: Sequence[PolyForm | int]) -> Cochain:
@@ -251,25 +278,23 @@ def cumulant(ctx: CumulantContext, inputs: Sequence[PolyForm | int]) -> Cochain:
     The sum is grouped by its first block, as in `cumulant_table`: with
     S_i the signed sum over the compositions of inputs i..n-1,
     S_i = e(x_i..x_{n-1}) - sum_{j < n-1} e(x_i..x_j) S_{j+1}, and
-    K_n = S_0.  That is n(n-1)/2 input and target products and no loop
-    over the compositions, which `cumulant_terms` traces one by one.
+    K_n = S_0.  The images come from the tuple's run table, so this is
+    n(n-1)/2 target products and no loop over the compositions, which
+    `cumulant_terms` traces one by one.
     """
-    n = len(inputs)
-    if n == 0:
-        raise ValueError("cumulant requires at least one input")
-    apply, multiply, product = ctx.apply, ctx.multiply, ctx.target_product
+    runs = _run_table(ctx, inputs)
+    n = len(runs)
+    product = ctx.target_product
     zero = Cochain.zero()
     negated = [zero] * n  # negated[i] is -S_i once i is done
     for i in reversed(range(n)):
-        run = inputs[i]
-        image = apply(run)  # e(x_i..x_j)
+        images = runs[i]
         total = zero
         for j in range(i, n - 1):
-            tail = negated[j + 1]
+            image, tail = images[j - i], negated[j + 1]
             if image is not zero and tail is not zero:
                 total = total + product(image, tail)  # the product is bilinear
-            run = multiply(run, inputs[j + 1])
-            image = apply(run)
+        image = images[-1]  # e(x_i..x_{n-1})
         total = image + total
         if i == 0:
             return total
@@ -400,26 +425,23 @@ def cumulant_recursive(ctx: CumulantContext,
                        inputs: Sequence[PolyForm | int]) -> Cochain:
     """K_n(a_1,..) = K_{n-1}(a_1 a_2, a_3,..) - e(a_1) K_{n-1}(a_2,..).
 
-    The inner values are memoized within the call, so a sweep over
-    n-tuples keeps nothing once each call returns.
+    The merged inputs are the left-nested run products, so the recursion
+    runs on run indices: with K(i, j) the cumulant of (p_ij, x_{j+1}, ..),
+    K(i, j) = K(i, j+1) - e(p_ij) K(j+1, j+1), K(i, n-1) = e(p_i,n-1) and
+    K_n = K(0, 0).  That is n(n-1)/2 target products on the images of the
+    tuple's run table; the values K(m, m) live for this call only.
     """
-    if len(inputs) == 0:
-        raise ValueError("cumulant requires at least one input")
-    return _recursive(ctx, tuple(inputs), {})
-
-
-def _recursive(ctx: CumulantContext, key: tuple, memo: dict) -> Cochain:
-    value = memo.get(key)
-    if value is None:
-        if len(key) == 1:
-            value = ctx.apply(key[0])
-        else:
-            tail = _recursive(ctx, key[1:], memo)
-            split = ctx.target_product(ctx.apply(key[0]), tail)
-            merged = (ctx.multiply(key[0], key[1]),) + key[2:]
-            value = _recursive(ctx, merged, memo) - split
-        memo[key] = value
-    return value
+    runs = _run_table(ctx, inputs)
+    n = len(runs)
+    product = ctx.target_product
+    suffix = [None] * n  # suffix[m] is K(m, m), the cumulant of x_m..
+    for i in reversed(range(n)):
+        images = runs[i]
+        value = images[-1]
+        for j in reversed(range(i, n - 1)):
+            value = value - product(images[j - i], suffix[j + 1])
+        suffix[i] = value
+    return suffix[0]
 
 
 def cumulant_recursive_table(ctx: CumulantContext,

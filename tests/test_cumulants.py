@@ -3,9 +3,14 @@
 import gc
 import itertools
 import random
+import sys
+import threading
+import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from homotopy_cumulants.cumulants import (
     Composition,
@@ -381,6 +386,155 @@ def test_recursive_table_splits_once_per_image(monkeypatch, n, exponent,
         CumulantContext(integrate, target_product=counted_cup), (codes,) * n)
     assert len(table) == entries
     assert calls == {"target_product": products, "add": {5: 82, 6: 170}[n]}
+
+
+def seeded_form(rng) -> PolyForm:
+    """A dense form with rational coefficients of degree at most 3 in
+    each part, as the benchmark's dense-forms workload draws them."""
+    def polynomial():
+        return [Fraction(rng.randint(-5, 5), rng.randint(1, 6))
+                for _ in range(rng.randint(1, 4))]
+
+    return PolyForm(polynomial(), polynomial())
+
+
+PER_TUPLE = {
+    "cumulant": cumulant,
+    "cumulant_terms": lambda ctx, xs: [(t.composition, t.sign, t.value)
+                                       for t in cumulant_terms(ctx, xs)],
+    "cumulant_recursive": cumulant_recursive,
+}
+
+_coefficients = st.lists(st.fractions(-3, 3, max_denominator=4), max_size=3)
+_mixed_inputs = st.lists(
+    st.one_of(st.integers(0, 7), st.builds(PolyForm, _coefficients,
+                                           _coefficients)),
+    min_size=1, max_size=4)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([integration_context, endpoint_evaluation_context]),
+       _mixed_inputs)
+@example(integration_context, [2, T])
+@example(integration_context, [3, T, 2])
+def test_mixed_codes_and_forms(build, inputs):
+    """A tuple of codes and PolyForms, in any order, has the values of its
+    decoded all-PolyForm tuple, by all three per-tuple functions."""
+    forms = [decode_basis(x) if type(x) is int else x for x in inputs]
+    ctx, on_forms = build(), build()
+    for name, evaluate in PER_TUPLE.items():
+        assert evaluate(ctx, inputs) == evaluate(on_forms, forms), name
+
+
+@pytest.mark.parametrize("evaluate", PER_TUPLE.values(), ids=PER_TUPLE.keys())
+@pytest.mark.parametrize("inputs, error, message", [
+    ((True, 2), TypeError,
+     "input 0: expected a PolyForm or a basis code, got bool"),
+    ((T, False), TypeError,
+     "input 1: expected a PolyForm or a basis code, got bool"),
+    ((0, 2, 1.0), TypeError,
+     "input 2: expected a PolyForm or a basis code, got float"),
+    ((T, None), TypeError,
+     "input 1: expected a PolyForm or a basis code, got NoneType"),
+    ((Cochain.zero(),), TypeError,
+     "input 0: expected a PolyForm or a basis code, got Cochain"),
+    ((-1,), ValueError, "input 0: basis code -1 is negative"),
+    ((T, 3, -4), ValueError, "input 2: basis code -4 is negative"),
+], ids=["bool", "bool after a form", "float", "None", "Cochain",
+        "negative", "negative last"])
+def test_bad_inputs_refused(evaluate, inputs, error, message):
+    ctx = integration_context()
+    # (1, 2) == (True, 2): the run table of a good tuple evaluated first
+    # must not let an equal bad one through
+    evaluate(ctx, (1, 2))
+    with pytest.raises(error, match=message):
+        evaluate(ctx, inputs)
+
+
+def retained_bytes(tuples: int) -> int:
+    """Bytes still allocated after one context evaluated K_4 directly
+    and by the recursion on `tuples` distinct seeded tuples, each made
+    and dropped in turn, so no form outlives its evaluation unless the
+    context keeps it."""
+    ctx, rng = integration_context(), random.Random(11)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for _ in range(tuples):
+            xs = tuple(seeded_form(rng) for _ in range(4))
+            assert cumulant(ctx, xs) == cumulant_recursive(ctx, xs)
+        del xs
+        gc.collect()
+        return tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_context_keeps_one_run_table():
+    """A context fed many distinct PolyForm tuples holds no more than one
+    fed a few: it keeps only the latest tuple's run table."""
+    assert retained_bytes(2000) - retained_bytes(20) < 64 * 1024
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_each_run_product_is_formed_once(n):
+    """A second per-tuple function on the same tuple reads the run table
+    the first one built: n(n-1)/2 source products for both together."""
+    products = 0
+
+    def counted_wedge(a, b):
+        nonlocal products
+        products += 1
+        return wedge(a, b)
+
+    rng = random.Random(n)
+    xs = [seeded_form(rng) for _ in range(n)]
+    for first, second in ((cumulant, cumulant_recursive),
+                          (cumulant_terms, cumulant)):
+        ctx = CumulantContext(integrate, counted_wedge)
+        products = 0
+        first(ctx, xs)
+        second(ctx, xs)
+        assert products == n * (n - 1) // 2
+
+
+def test_concurrent_evaluations_on_one_context():
+    """Eight threads share one context and evaluate overlapping lists of
+    tuples, so each replaces the run table while others read it; every
+    value equals the one computed serially on a context of its own."""
+    rng = random.Random(5)
+    tuples = [tuple(seeded_form(rng) for _ in range(rng.randint(2, 4)))
+              for _ in range(24)]
+    def values(ctx, xs):
+        return [evaluate(ctx, xs) for evaluate in PER_TUPLE.values()]
+
+    serial = integration_context()
+    wanted = [values(serial, xs) for xs in tuples]
+    shared = integration_context()
+    results: dict = {}
+
+    def work(k):
+        # each tuple twice in a row, so a table is read back, in an order
+        # of the thread's own
+        order = random.Random(k).sample(range(len(tuples)), len(tuples))
+        results[k] = {i: values(shared, tuples[i])
+                      for i in order for _ in range(2)}
+
+    threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(results) == list(range(8))
+    for values in results.values():
+        assert [values[i] for i in range(len(tuples))] == wanted
 
 
 class TestNotation:

@@ -507,6 +507,56 @@ class TestMorphismRelation:
             get_convention("C")
 
 
+def negated_boundary_defect(n: int, convention) -> MultiMap:
+    """The morphism defect of `ainfty_relation_defect` with the
+    coefficient of boundary(I_n) negated, (-1)^n where it is (-1)^(n+1)."""
+    pairs = [(hom_boundary(iterated_integral_map(n), convention), (-1) ** n)]
+    pairs.extend((wedge_at(iterated_integral_map(n - 1), u), (-1) ** u)
+                 for u in range(n - 1))
+    pairs.extend((cup_pair(iterated_integral_map(i),
+                           iterated_integral_map(n - i), convention), (-1) ** i)
+                 for i in range(1, n))
+    return linear_combination(n, 1, pairs, f"negated_defect({n})")
+
+
+class TestConventionB:
+    """What convention B satisfies in place of A's relations: the
+    homotopy bounds -K_n, and the morphism relation holds at odd n and,
+    with boundary(I_n) negated, at even n."""
+
+    @pytest.mark.parametrize("n, degree", [(2, 3), (3, 3), (4, 3), (5, 2),
+                                           (6, 2)])
+    def test_boundary_of_the_witness_is_minus_the_cumulant(self, n, degree):
+        verdict = maps_equal_on_truncation(
+            hom_boundary(homotopy_witness(n, CONVENTION_B), CONVENTION_B),
+            cumulant_multimap(n).scale(-1), TruncationGrid(degree))
+        assert verdict.equal
+
+    def test_boundary_of_h5_is_not_the_cumulant(self):
+        verdict = maps_equal_on_truncation(
+            hom_boundary(homotopy_witness(5, CONVENTION_B), CONVENTION_B),
+            cumulant_multimap(5), TruncationGrid(2))
+        assert not verdict.equal
+
+    @pytest.mark.parametrize("n, degree, holds", [
+        (1, 2, True), (2, 2, False), (3, 2, True), (4, 2, False),
+        (5, 2, True), (6, 2, False), (7, 1, True)])
+    def test_morphism_relation_holds_at_odd_n(self, n, degree, holds):
+        verdict, _ = ainfty_relation_defect(n, degree, CONVENTION_B)
+        assert verdict.equal == holds
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_negated_boundary_relation_holds_at_even_n(self, n):
+        holds = map_is_zero_on(negated_boundary_defect(n, CONVENTION_B),
+                               TruncationGrid(2)).equal
+        assert holds == (n % 2 == 0)
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_negated_boundary_relation_fails_under_a(self, n):
+        assert not map_is_zero_on(negated_boundary_defect(n, CONVENTION_A),
+                                  TruncationGrid(2)).equal
+
+
 class TestWitnesses:
     def test_h2_is_i2(self):
         verdict = maps_equal_on_truncation(
