@@ -22,14 +22,17 @@ product of code sets: `cumulant_table` by the direct formula, doing its
 products and chain-map images once per distinct run product rather than
 once per run, and `cumulant_recursive_table` by the recursion.  Both sum
 on the value indices of an `interval_model.CochainPool`, so each pair of
-distinct values is added once.  The cumulants suite compares the two
-tables.
+distinct values is added once.  Each table is the last level of a build
+that makes K_m on the last m slots for m = 1..n; `cumulant_levels` and
+`cumulant_recursive_levels` yield every level with its arity, so the
+cumulants suite builds each K_m once per grid.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._record import Record
 from .interval_model import (
@@ -324,30 +327,55 @@ def _code_slots(domain: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
 
 def cumulant_table(ctx: CumulantContext, domain: Iterable[Iterable[int]]
                    ) -> dict[tuple[int, ...], Cochain]:
-    """K_n's nonzero values on every code tuple of a per-slot product.
+    """K_n's nonzero values on every code tuple of a per-slot product, by
+    the direct formula: the last level of `cumulant_levels`.
 
     `domain` holds one collection of basis codes per slot (nonnegative
     ints; anything else is refused); a tuple missing from the table is a
-    zero.  The direct sum is grouped by its first block: with S_i the
-    signed sum over the compositions of inputs i..n-1,
+    zero.
+    """
+    slots = _code_slots(domain)
+    return _last_level(_direct_levels(ctx, slots), len(slots))
+
+
+def cumulant_levels(ctx: CumulantContext, domain: Iterable[Iterable[int]]
+                    ) -> Iterator[tuple[int, dict[tuple[int, ...], Cochain]]]:
+    """The levels of the direct build of K_n on a per-slot product.
+
+    The direct sum is grouped by its first block: with S_i the signed sum
+    over the compositions of inputs i..n-1,
     S_i = e(x_i..x_{n-1}) - sum_{j < n-1} e(x_i..x_j) S_{j+1}, and
     K_n = S_0.  This factors the direct formula; it never merges inputs as
-    the recursion does.
+    the recursion does.  S_i is K_{n-i} on domain[i:], so the build yields
+    (m, K_m's table on domain[n-m:]) for m = 1..n.  The domain is checked
+    when this is called, before any level is built; a table the caller
+    changes changes no later level.
 
     The work is done once per distinct run product, not once per run.
     The runs x_i..x_j are kept grouped by their product, a run that is
     None (dt^dt) is dropped as it forms, and each group is mapped once.
     For each nonzero image e and span j < n-1 the scaled tail, the nonzero
-    (ys, -e S_{j+1}(ys)), is built once per call, with one product per
+    (ys, -e S_{j+1}(ys)), is built once per build, with one product per
     distinct value of S_{j+1}, and added at xs + ys for every run xs of
     the group; at j = n-1 the tail is the one entry ((), e).  The sums run
     over the few distinct values as indices of an
-    `interval_model.CochainPool`, so each pair is added once per call.
+    `interval_model.CochainPool`, so each pair is added once per build.
     Only nonzero values are stored, each distinct value as one object.
     Any source product works; under one other than the wedge the run
-    products are PolyForms.
+    products are PolyForms.  The build's working memory lives until the
+    generator is exhausted or closed.
     """
-    slots = _code_slots(domain)
+    return _direct_levels(ctx, _code_slots(domain))
+
+
+def _last_level(levels: Iterator[tuple[int, dict]], n: int) -> dict:
+    """The table of level n, the last, of a build; `islice` drops each
+    earlier level as it is read, so none is held while the next is built."""
+    return next(islice(levels, n - 1, None))[1]
+
+
+def _direct_levels(ctx: CumulantContext, slots: list[tuple[int, ...]]
+                   ) -> Iterator[tuple[int, dict]]:
     n = len(slots)
     apply, multiply, product = ctx.apply, ctx.multiply, ctx.target_product
     zero = Cochain.zero()
@@ -408,9 +436,9 @@ def cumulant_table(ctx: CumulantContext, domain: Iterable[Iterable[int]]
             for xs, k in total.items():
                 if k:
                     table[xs] = values[k]
-        if i == 0:
-            return table
-        tails[i] = _by_value(table)
+        if i:
+            tails[i] = _by_value(table)
+        yield n - i, table
 
 
 def _by_value(table: dict) -> dict:
@@ -447,20 +475,52 @@ def cumulant_recursive(ctx: CumulantContext,
 def cumulant_recursive_table(ctx: CumulantContext,
                              domain: Iterable[Iterable[int]]
                              ) -> dict[tuple, Cochain]:
-    """K_n's nonzero values on a per-slot product, by the recursion.
+    """K_n's nonzero values on a per-slot product, by the recursion: the
+    last level of `cumulant_recursive_levels`.
+
+    The result has the keys and values of `cumulant_table`, with which it
+    shares nothing but the check of the domain.
+    """
+    slots = _code_slots(domain)
+    return _last_level(_recursive_levels(ctx, slots), len(slots))
+
+
+def cumulant_recursive_levels(ctx: CumulantContext,
+                              domain: Iterable[Iterable[int]]
+                              ) -> Iterator[tuple[int, dict[tuple, Cochain]]]:
+    """The levels of the recursive build of K_n on a per-slot product:
+    (m, K_m's table on domain[n-m:]) for m = 1..n.
 
     The recursion as a table identity, evaluated by `_recursive_table` on
     the value indices of one `interval_model.CochainPool`, with one cache
-    of tail tables; both live for this call only, so nothing is kept in
-    the context.  Every product goes through `ctx.multiply` and
-    `ctx.target_product`, so any context works; under a source product
-    other than the wedge the merged slots hold PolyForms, and only the
-    domain given is checked for codes.  The result has the keys and values
-    of `cumulant_table`, with which it shares nothing but that check.
+    of tail tables.  Level m is the tail of level m + 1, so each finished
+    level is put in that cache, grouped by value, before it is yielded.
+    The pool and the cache live until the generator is exhausted or
+    closed; nothing is kept in the context.
+    Every product goes through `ctx.multiply` and `ctx.target_product`, so
+    any context works; under a source product other than the wedge the
+    merged slots hold PolyForms, and only the domain given is checked for
+    codes, when this is called, before any level is built.
     """
-    slots = tuple(map(frozenset, _code_slots(domain)))
+    return _recursive_levels(ctx, _code_slots(domain))
+
+
+def _recursive_levels(ctx: CumulantContext, slots: list[tuple[int, ...]]
+                      ) -> Iterator[tuple[int, dict]]:
+    slots = tuple(map(frozenset, slots))
     pool = CochainPool()
-    return pool.table(_recursive_table(ctx, pool, {}, slots))
+    tails: dict = {}
+    n = len(slots)
+    for m in range(1, n + 1):
+        level = slots[n - m:]
+        table = _recursive_table(ctx, pool, tails, level)
+        if m < n:
+            grouped = tails[level] = _by_value(table)
+            grouped.pop(0, None)
+        else:
+            tails.clear()  # before the largest table is converted
+        yield m, pool.table(table)
+        del table  # before the next level is built
 
 
 def _recursive_table(ctx: CumulantContext, pool: CochainPool, tails: dict,
@@ -477,9 +537,10 @@ def _recursive_table(ctx: CumulantContext, pool: CochainPool, tails: dict,
     subtracts e(x_0) K_{n-1}(x_1, ..) for each x_0 with a nonzero image and
     each entry of the K_{n-1} table on slots 1.. .  The codes x_0 are
     grouped by their image and the entries by their value (the one cache,
-    `tails`, holds each tail table grouped so, by its slots), so each
-    distinct image is multiplied by each distinct value once, the product
-    is spread over both groups, and each pair of indices is added once.
+    `tails`, holds every shorter level grouped so, by its slots, as
+    `_recursive_levels` puts it there), so each distinct image is
+    multiplied by each distinct value once, the product is spread over
+    both groups, and each pair of indices is added once.
     """
     apply, multiply, product = ctx.apply, ctx.multiply, ctx.target_product
     if len(slots) == 1:
@@ -497,11 +558,7 @@ def _recursive_table(ctx: CumulantContext, pool: CochainPool, tails: dict,
             tail = ys[1:]
             for pair in preimages[ys[0]]:
                 table[pair + tail] = k
-    grouped = tails.get(slots[1:])
-    if grouped is None:
-        grouped = tails[slots[1:]] = _by_value(
-            _recursive_table(ctx, pool, tails, slots[1:]))
-        grouped.pop(0, None)
+    grouped = tails[slots[1:]]
     sharing: dict = {}  # nonzero image -> the codes x_0 that have it
     for x in slots[0]:
         image = apply(x)

@@ -34,7 +34,9 @@ from homotopy_cumulants.cumulants import (
     CumulantContext,
     composition_sign,
     cumulant,
+    cumulant_levels,
     cumulant_recursive,
+    cumulant_recursive_levels,
     cumulant_recursive_table,
     cumulant_table,
     cumulant_terms,
@@ -733,16 +735,18 @@ def test_suite_witness_matches_the_polyform_sweep(monkeypatch):
     grid = TruncationGrid(2)
     wrong = {(decode_basis(4), decode_basis(1)),
              (decode_basis(3), decode_basis(0))}
-    table = cumulant_recursive_table
+    levels = cumulant_recursive_levels
 
     def perturbed(ctx, domain):
-        recursive = table(ctx, domain)
-        for xs in itertools.product(*domain):
-            if tuple(map(decode_basis, xs)) in wrong:
-                recursive[xs] = recursive.get(xs, Cochain.zero()) + Cochain(1)
-        return recursive
+        domain = list(domain)
+        for arity, recursive in levels(ctx, domain):
+            for xs in itertools.product(*domain[len(domain) - arity:]):
+                if tuple(map(decode_basis, xs)) in wrong:
+                    recursive[xs] = (recursive.get(xs, Cochain.zero())
+                                     + Cochain(1))
+            yield arity, recursive
 
-    monkeypatch.setattr(suites, "cumulant_recursive_table", perturbed)
+    monkeypatch.setattr(suites, "cumulant_recursive_levels", perturbed)
     entries = {e.check: e for e in suites.run_cumulants_suite(2, 2)}
     first = next(tup for tup in itertools.product(grid.slot_basis(), repeat=2)
                  if tup in wrong)
@@ -758,23 +762,44 @@ def test_suite_witness_of_a_wrong_direct_table(monkeypatch, extra, missing):
     """A direct table with one entry where K_2 vanishes and one nonzero
     entry dropped fails at whichever comes first in slot-major order."""
     grid = TruncationGrid(2).slot_codes()
-    table = cumulant_table
+    levels = cumulant_levels
 
     def perturbed(ctx, domain):
-        direct = table(ctx, domain)
-        if tuple(domain) == (grid, grid):
-            assert extra not in direct and missing in direct
-            direct[extra] = Cochain(1)
-            del direct[missing]
-        return direct
+        domain = tuple(domain)
+        for arity, direct in levels(ctx, domain):
+            if domain[len(domain) - arity:] == (grid, grid):
+                assert extra not in direct and missing in direct
+                direct[extra] = Cochain(1)
+                del direct[missing]
+            yield arity, direct
 
-    monkeypatch.setattr(suites, "cumulant_table", perturbed)
+    monkeypatch.setattr(suites, "cumulant_levels", perturbed)
     entries = suites.run_cumulants_suite(3, 2)
     failed = [e for e in entries if not e.status]
     assert [e.check for e in failed] == ["direct vs recursive cumulant n=2"]
     first = min(extra, missing, key=lambda xs: [grid.index(x) for x in xs])
     assert failed[0].witness == "; ".join(decode_basis(x).to_text() for x in first)
     assert len(entries) == 5
+
+
+def test_each_entry_compares_the_tables_of_its_n(monkeypatch):
+    """`run_suite("cumulants", 7, 4)` has two exponent runs, n <= 6 on the
+    exponent-4 grid and n = 7 on the exponent-3 grid.  Each entry compares
+    two tables that both equal a fresh `cumulant_table` of its n on its
+    grid, so no entry reads a level of another arity or grid."""
+    compared = []
+    first_difference = suites.first_difference
+
+    def recorded(lhs, rhs, codes):
+        fresh = cumulant_table(integration_context(),
+                               (codes,) * (len(compared) + 1))
+        compared.append((codes, lhs == fresh, rhs == fresh))
+        return first_difference(lhs, rhs, codes)
+
+    monkeypatch.setattr(suites, "first_difference", recorded)
+    assert all(entry.status for entry in suites.run_suite("cumulants", 7, 4))
+    assert compared == [(TruncationGrid(4 if n <= 6 else 3).slot_codes(),
+                         True, True) for n in range(1, 8)]
 
 
 def test_maps_without_a_code_rule_see_polyforms(monkeypatch):

@@ -18,7 +18,9 @@ from homotopy_cumulants.cumulants import (
     composition_sign,
     compositions,
     cumulant,
+    cumulant_levels,
     cumulant_recursive,
+    cumulant_recursive_levels,
     cumulant_recursive_table,
     cumulant_table,
     cumulant_terms,
@@ -37,6 +39,7 @@ from homotopy_cumulants.interval_model import (
     wedge,
 )
 from homotopy_cumulants.hom_complex import TruncationGrid, iterated_integral_map
+from homotopy_cumulants.suites import run_cumulants_suite, run_suite
 
 T = PolyForm.monomial(1)
 DT = PolyForm.monomial(0, dt=True)
@@ -262,8 +265,9 @@ def multimap_table(ctx, domain):
 
 
 class TestTableDomains:
-    """Both tables take the same domains, and they and `MultiMap.table`
-    refuse the same bad codes."""
+    """Both tables take the same domains, and they, their level builds and
+    `MultiMap.table` refuse the same bad codes; a level build refuses them
+    when it is called, before it builds any level."""
 
     @pytest.mark.parametrize("tabulate", [cumulant_table,
                                           cumulant_recursive_table])
@@ -281,6 +285,8 @@ class TestTableDomains:
 
     @pytest.mark.parametrize("tabulate", [cumulant_table,
                                           cumulant_recursive_table,
+                                          cumulant_levels,
+                                          cumulant_recursive_levels,
                                           multimap_table])
     @pytest.mark.parametrize("domain, error, message", [
         ([[True]], TypeError, "slot 0: expected a basis code, got bool"),
@@ -386,6 +392,91 @@ def test_recursive_table_splits_once_per_image(monkeypatch, n, exponent,
         CumulantContext(integrate, target_product=counted_cup), (codes,) * n)
     assert len(table) == entries
     assert calls == {"target_product": products, "add": {5: 82, 6: 170}[n]}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([integration_context, endpoint_evaluation_context]),
+       st.integers(1, 4).flatmap(lambda n: st.lists(
+           st.frozensets(st.integers(0, 7), max_size=4),
+           min_size=n, max_size=n, unique=True)))
+def test_levels_are_the_cumulants_of_the_domain_tails(build, domain):
+    """Level m of either build is K_m on the last m slots: on every tuple
+    it is the per-tuple `cumulant` and `cumulant_recursive` of the decoded
+    forms, and it stores exactly their nonzero values.  The slots differ,
+    so a level built on other slots shows."""
+    domain = [sorted(slot) for slot in domain]
+    n = len(domain)
+    oracle = build()
+    for levels in (cumulant_levels(build(), domain),
+                   cumulant_recursive_levels(build(), domain)):
+        arities = []
+        for arity, table in levels:
+            arities.append(arity)
+            nonzero = 0
+            for xs in itertools.product(*domain[n - arity:]):
+                forms = tuple(map(decode_basis, xs))
+                expected = cumulant(oracle, forms)
+                assert cumulant_recursive(oracle, forms) == expected, forms
+                assert table.get(xs, Cochain.zero()) == expected, (arity, xs)
+                nonzero += not expected.is_zero()
+            assert len(table) == nonzero
+        assert arities == list(range(1, n + 1))
+
+
+def test_suite_builds_each_level_once(monkeypatch):
+    """`run_suite("cumulants", 5, 3)`, one exponent run, makes one direct
+    and one recursive build on (codes,)^5, so the integration context
+    multiplies as often as the two tables on that domain do: 3,712 and
+    1,120 times.  Building both tables afresh for each n made 7,920."""
+    calls = 0
+    multiply = CumulantContext.multiply
+
+    def counted_multiply(self, a, b):
+        nonlocal calls
+        calls += self.chain_map is integrate
+        return multiply(self, a, b)
+
+    monkeypatch.setattr(CumulantContext, "multiply", counted_multiply)
+    run_suite("cumulants", 5, 3)
+    in_suite, calls = calls, 0
+    ctx, domain = integration_context(), (TruncationGrid(3).slot_codes(),) * 5
+    cumulant_table(ctx, domain)
+    direct = calls
+    cumulant_recursive_table(ctx, domain)
+    assert (direct, calls - direct) == (3712, 1120)
+    assert in_suite == calls
+
+
+def traced_peak(run) -> int:
+    gc.collect()
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_suite_peak_is_one_table_held_while_the_other_builds():
+    """The suite's traced peak at n = 6, exponent 3, is that of one direct
+    K_6 table held while the recursive K_6 table is built, as when each
+    entry built its own tables: the direct build's working memory is gone
+    before the recursive build makes its largest level.  Left open, it
+    raises the peak by 13%."""
+    codes = TruncationGrid(3).slot_codes()
+
+    def held_while_built():
+        ctx = integration_context()
+        direct = cumulant_table(ctx, (codes,) * 6)
+        assert cumulant_recursive_table(ctx, (codes,) * 6) == direct
+
+    def suite():
+        assert all(entry.status for entry in run_cumulants_suite(6, 3))
+
+    # the module caches fill outside the count
+    suite()
+    held_while_built()
+    assert traced_peak(suite) <= 1.03 * traced_peak(held_while_built)
 
 
 def seeded_form(rng) -> PolyForm:

@@ -4,7 +4,9 @@ The files under tests/golden/ pin, byte for byte, what refactors must
 keep: the `verify all` reports at n = 3 (degree 2) and n = 4 (degrees 2
 and 3), with `duration_ms` zeroed, under both sign conventions, including
 the convention-B failure witnesses, the `verify cumulants` reports at
-n = 5 (degrees 1 and 3), n = 6 (degree 1) and n = 8 (degree 2), the
+n = 5 (degrees 1 and 3), n = 6 (degree 1) and n = 8 (degrees 2 and 4;
+at degree 4 the grid exponent is 4 up to n = 6, 3 at n = 7 and 2 at
+n = 8, so the report crosses two exponent runs), the
 term-by-term traces of `cumulant 4 --inputs ...` and of
 `cumulant 5 --inputs ...` on mixed
 rational forms, the formula `cumulant 5` prints, the SHA-256 of
@@ -96,6 +98,8 @@ OUTPUTS = {
         "cumulants", "--n-max", "6", "--degree", "1"),
     "verify_cumulants_n8_d2.txt": lambda: _verify_report(
         "cumulants", "--n-max", "8", "--degree", "2"),
+    "verify_cumulants_n8_d4.txt": lambda: _verify_report(
+        "cumulants", "--n-max", "8", "--degree", "4"),
     "cumulant_5_formula.txt": lambda: _cumulant_trace("5"),
     "cumulant_4_trace.txt": lambda: _cumulant_trace(
         "4", "--inputs", "1 + t ; 2*t + dt ; t^2 ; 1/2 + t*dt"),
@@ -130,6 +134,7 @@ def test_exit_codes_pinned():
     assert (GOLDEN / "verify_cumulants_n5_d3.txt").read_text().startswith("exit 0\n")
     assert (GOLDEN / "verify_cumulants_n6_d1.txt").read_text().startswith("exit 0\n")
     assert (GOLDEN / "verify_cumulants_n8_d2.txt").read_text().startswith("exit 0\n")
+    assert (GOLDEN / "verify_cumulants_n8_d4.txt").read_text().startswith("exit 0\n")
     for name in ("cumulant_5_formula.txt", "cumulant_4_trace.txt",
                  "cumulant_5_trace.txt",
                  "cumulant_6_degree64.sha256"):

@@ -1,12 +1,11 @@
 """Mutants of the library that the checks must catch, with what fails.
 
 Each case replaces one library name (through `monkeypatch`, which puts
-it back after the test; a K_n table in every module that imported it),
-runs `run_suite("all", 4, 2)` and asserts the exact set of failing
-checks.  So a check that stops seeing a mutant, or starts failing where
-it should not, shows up here.  Convention B is the one mutant the
-library ships: it fails the same 12 checks here as at `--n-max 4
---degree 4`.
+it back after the test), runs `run_suite("all", 4, 2)` and asserts the
+exact set of failing checks.  So a check that stops seeing a mutant, or
+starts failing where it should not, shows up here.  Convention B is the
+one mutant the library ships: it fails the same 12 checks here as at
+`--n-max 4 --degree 4`.
 
 Some defects live where the suites never go: in the contraction that
 evaluates a map on forms, in the choice of the table a call reads, in the
@@ -179,33 +178,38 @@ def source_mutant(function, old: str, new: str):
 DIRECT_VS_RECURSIVE = {f"direct vs recursive cumulant n={n}"
                        for n in (2, 3, 4)}
 
-# name: (function of `cumulants`, the modules that import it, old line,
-#        new line, failing checks)
+# name: (module, function, old line, new line, failing checks)
 TABLE_MUTANTS = {
-    # the direct table's scaled tail is +e S_{j+1} where it is -e S_{j+1}:
-    # every check that tabulates K_n reads it
+    # the direct build's scaled tail is +e S_{j+1} where it is -e S_{j+1}:
+    # every check that tabulates K_n reads it, as `cumulant_table` and
+    # `cumulant_levels` reach the build through the module's name
     "direct table's tail unsigned": (
-        "cumulant_table", (cumulants, suites, hom_complex),
-        "negated = -image", "negated = image",
+        cumulants, "_direct_levels", "negated = -image", "negated = image",
         {"algebra morphism has zero cumulants", "boundary(I2) = K2",
          "boundary(H2) = K2", "boundary(H3) = K3", "boundary(H4) = K4",
          "signed vertex maps sum to the cumulant"} | DIRECT_VS_RECURSIVE),
     # the recursion adds e(a) K_{n-1}(b, ..) where it subtracts it, at
-    # every level, as the mutant calls itself; `cumulant_recursive_table`
+    # every level, as the mutant calls itself; the recursive build
     # reaches it through the module's name
     "recursion's split term added": (
-        "_recursive_table", (cumulants,),
+        cumulants, "_recursive_table",
         "split = intern(-product(image, values[k]))",
         "split = intern(product(image, values[k]))", DIRECT_VS_RECURSIVE),
+    # both builds skip one level more before the run's first entry, so
+    # entry n reads K_{n+1} on both sides, which agree: only the arity
+    # each level carries shows it, and the last entry finds no level
+    "levels read one ahead": (
+        suites, "_levels_agree", "for _ in range(n - 1):",
+        "for _ in range(n):",
+        {f"direct vs recursive cumulant n={n}" for n in (1, 2, 3, 4)}),
 }
 
 
 @pytest.mark.parametrize("name", TABLE_MUTANTS)
 def test_table_mutant_fails_exactly(monkeypatch, name):
-    function, modules, old, new, expected = TABLE_MUTANTS[name]
-    mutant = source_mutant(getattr(cumulants, function), old, new)
-    for module in modules:
-        monkeypatch.setattr(module, function, mutant)
+    module, function, old, new, expected = TABLE_MUTANTS[name]
+    monkeypatch.setattr(module, function,
+                        source_mutant(getattr(module, function), old, new))
     assert failing_checks() == expected
 
 
