@@ -213,22 +213,14 @@ class CumulantTerm(Record):
         object.__setattr__(self, "value", value)
 
 
-def _run_table(ctx: CumulantContext, inputs: Sequence[PolyForm | int]
-               ) -> list[tuple[Cochain, ...]]:
-    """The images of the runs of one input tuple: row i holds
-    e(x_i..x_j) for j = i..n-1, so row i, entry j - i is e(p_ij).
+def _check_inputs(inputs: Sequence[PolyForm | int]) -> None:
+    """Refuse an input that is neither a PolyForm nor a nonnegative basis
+    code, naming its slot; a bool is refused, as it is not a code.
 
-    The run products are left-nested, p_{i,j+1} = p_ij x_{j+1}: n(n-1)/2
-    products through `ctx.multiply` and n(n+1)/2 images through
-    `ctx.apply`.  Each input is checked first, as `hom_complex` checks the
-    inputs of a call.  The context keeps the table of the latest tuple
-    only, published with its inputs as one attribute, so a caller reads
-    either its own tuple's table or builds one, and the next evaluation of
-    an equal tuple, by any of the three per-tuple functions, builds none.
+    Both per-tuple paths check here: the three functions below, through
+    `_run_table`, and a call of a `hom_complex.MultiMap` on forms or
+    codes, so the two raise the same error for the same tuple.
     """
-    inputs = tuple(inputs)
-    if not inputs:
-        raise ValueError("cumulant requires at least one input")
     for i, x in enumerate(inputs):
         if type(x) is int:
             if x < 0:
@@ -236,6 +228,26 @@ def _run_table(ctx: CumulantContext, inputs: Sequence[PolyForm | int]
         elif not isinstance(x, PolyForm):
             raise TypeError(f"input {i}: expected a PolyForm or a basis "
                             f"code, got {type(x).__name__}")
+
+
+def _run_table(ctx: CumulantContext, inputs: Sequence[PolyForm | int]
+               ) -> list[tuple[Cochain, ...]]:
+    """The images of the runs of one input tuple: row i holds
+    e(x_i..x_j) for j = i..n-1, so row i, entry j - i is e(p_ij).
+
+    The run products are left-nested, p_{i,j+1} = p_ij x_{j+1}: n(n-1)/2
+    products through `ctx.multiply` and n(n+1)/2 images through
+    `ctx.apply`.  The tuple is checked first: it must not be empty, and
+    `_check_inputs` checks each input.  The context keeps the table of the
+    latest tuple only, published with its inputs as one attribute, so a
+    caller reads either its own tuple's table or builds one, and the next
+    evaluation of an equal tuple, by any of the three per-tuple functions,
+    builds none.
+    """
+    inputs = tuple(inputs)
+    if not inputs:
+        raise ValueError("cumulant requires at least one input")
+    _check_inputs(inputs)
     latest = ctx._runs
     if latest is not None and latest[0] == inputs:
         return latest[1]
@@ -308,7 +320,7 @@ def _code_slots(domain: Iterable[Iterable[int]]) -> list[tuple[int, ...]]:
     """A domain's slots as tuples of distinct basis codes, checked.
 
     A code must be a nonnegative int; a bool is refused, as it is not a
-    code.  The error names the slot, as `hom_complex` does for inputs.
+    code.  The error names the slot, as `_check_inputs` names the input.
     """
     slots = []
     for i, slot in enumerate(domain):

@@ -263,9 +263,6 @@ class FormalSum:
         s = _coefficient(scalar)
         return FormalSum([(t, s * c) for t, c in self.terms.items()])
 
-    def __sub__(self, other: "FormalSum") -> "FormalSum":
-        return self + other.scale(-1)
-
     def to_text(self) -> str:
         if not self.terms:
             return "0"

@@ -99,6 +99,7 @@ from .certify import (
 )
 from .cumulants import (
     CumulantContext,
+    _check_inputs,
     _code_slots,
     cumulant_table,
     integration_context,
@@ -174,6 +175,8 @@ class MultiMap:
     def __call__(self, *forms: PolyForm | int) -> Cochain:
         """The value on PolyForms or basis codes, mixed freely.
 
+        The inputs are checked by `cumulants._check_inputs`, which the
+        per-tuple cumulants share, so both paths refuse a bad input alike.
         Each input is expanded into integer coefficients on basis codes
         over one denominator (a code is itself with coefficient 1); a zero
         input gives the zero cochain and reads no table.  The table read
@@ -209,7 +212,8 @@ class MultiMap:
         if len(forms) != self.arity:
             raise ValueError(
                 f"{self.name} expects {self.arity} inputs, got {len(forms)}")
-        weights, denominators = zip(*map(_expansion, range(self.arity), forms))
+        _check_inputs(forms)
+        weights, denominators = zip(*map(_expansion, forms))
         if not all(weights):
             return Cochain.zero()
         with self._lock:
@@ -418,15 +422,11 @@ def _read(f: MultiMap, domain: Domain, last: bool = True) -> Table:
     return _running.get().table(f, domain, last)
 
 
-def _expansion(slot: int, x: PolyForm | int) -> tuple[dict[int, int], int]:
-    """An input as integer coefficients by basis code over one denominator."""
+def _expansion(x: PolyForm | int) -> tuple[dict[int, int], int]:
+    """An input, checked by `cumulants._check_inputs`, as integer
+    coefficients by basis code over one denominator."""
     if type(x) is int:
-        if x < 0:
-            raise ValueError(f"input {slot}: basis code {x} is negative")
         return {x: 1}, 1
-    if not isinstance(x, PolyForm):
-        raise TypeError(f"input {slot}: expected a PolyForm or a basis code, "
-                        f"got {type(x).__name__}")
     denominator = lcm(x.part0.denominator, x.part1.denominator)
     coefficients = {}
     for dt, part in enumerate((x.part0, x.part1)):

@@ -47,12 +47,13 @@ class Polynomial:
     numerators over one positive common denominator.  The form is reduced:
     trailing zero numerators are stripped, gcd(*numerators, denominator) is
     1, and the zero polynomial is ((), 1).  So equality and hashing are
-    structural, whatever denominators a polynomial was built from.  All
-    arithmetic runs on the integers with one reduction per result;
+    structural, whatever denominators a polynomial was built from, and the
+    hash is computed on each call, as nothing keys a memo by polynomial.
+    All arithmetic runs on the integers with one reduction per result;
     `coefficients` gives the reduced Fractions.
     """
 
-    __slots__ = ("numerators", "denominator", "_hash")
+    __slots__ = ("numerators", "denominator")
 
     def __new__(cls, coefficients: Iterable[Scalar] = ()):
         ratios = [(c.numerator, c.denominator) for c in map(_frac, coefficients)]
@@ -97,11 +98,7 @@ class Polynomial:
                 and self.denominator == other.denominator)
 
     def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
-            value = hash((self.numerators, self.denominator))
-            object.__setattr__(self, "_hash", value)
-        return value
+        return hash((self.numerators, self.denominator))
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         a, b = self.numerators, other.numerators
@@ -229,7 +226,6 @@ def _new_polynomial(numerators: tuple[int, ...], denominator: int) -> Polynomial
     poly = object.__new__(Polynomial)
     object.__setattr__(poly, "numerators", numerators)
     object.__setattr__(poly, "denominator", denominator)
-    object.__setattr__(poly, "_hash", None)
     return poly
 
 
@@ -248,10 +244,11 @@ class PolyForm:
 
     `part0` is the degree-0 component f, `part1` the dt coefficient g.
     A form is homogeneous of degree 0 when part1 vanishes and of degree 1
-    when part0 vanishes.
+    when part0 vanishes.  Equality and hashing are those of the two parts;
+    the hash is computed on each call, as nothing keys a memo by form.
     """
 
-    __slots__ = ("part0", "part1", "_hash")
+    __slots__ = ("part0", "part1")
 
     def __init__(self, part0: Polynomial | Iterable[Scalar] = (),
                  part1: Polynomial | Iterable[Scalar] = ()):
@@ -259,7 +256,6 @@ class PolyForm:
         p1 = part1 if isinstance(part1, Polynomial) else Polynomial(part1)
         object.__setattr__(self, "part0", p0)
         object.__setattr__(self, "part1", p1)
-        object.__setattr__(self, "_hash", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("PolyForm is immutable")
@@ -289,11 +285,7 @@ class PolyForm:
                 and self.part0 == other.part0 and self.part1 == other.part1)
 
     def __hash__(self) -> int:
-        value = self._hash
-        if value is None:
-            value = hash((self.part0, self.part1))
-            object.__setattr__(self, "_hash", value)
-        return value
+        return hash((self.part0, self.part1))
 
     def __add__(self, other: "PolyForm") -> "PolyForm":
         return PolyForm(self.part0 + other.part0, self.part1 + other.part1)
@@ -316,12 +308,6 @@ class PolyForm:
         if self.part1:
             pieces.append(f"({self.part1.to_text()})dt")
         return " + ".join(pieces)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "part0": [_json_rational(c) for c in self.part0.coefficients],
-            "part1": [_json_rational(c) for c in self.part1.coefficients],
-        }
 
     def __repr__(self) -> str:
         return f"PolyForm({self.to_text()!r})"
@@ -538,7 +524,6 @@ def wedge(a: PolyForm, b: PolyForm) -> PolyForm:
     form = object.__new__(PolyForm)
     object.__setattr__(form, "part0", f * p)
     object.__setattr__(form, "part1", _polynomial(out, denominator))
-    object.__setattr__(form, "_hash", None)
     return form
 
 

@@ -10,6 +10,12 @@ take a reference map as a leaf.
 `alternate_witness_k3` builds two other null-homotopies of K_3 from the
 library's combinators, for the tests that compare them with H_3.
 
+`random_leaf_map` is a map off the interval: seeded random values that
+respect degree, for the tests that pin the Hom-complex laws where the
+interval's maps vanish (on the interval, I_n for n >= 2 takes only edge
+values, and the cup of two edge cochains is zero).  `leibniz_sides`
+states the Leibniz rule of `cup_pair` on any two maps.
+
 `maps_below` walks a map's DAG, and `record_builds` makes the rules of
 that DAG record the tables they build, for the tests that count the work
 of one top-level build and what it leaves behind.  `call_supports` reads
@@ -18,6 +24,8 @@ I_n tables a check keeps.
 """
 
 import itertools
+import random
+from fractions import Fraction
 from functools import partial
 from typing import Callable
 
@@ -73,6 +81,54 @@ def alternate_witness_k3(variant: str,
     if variant == "right":
         return wedge_at(i2, 1) - cup_pair(i2, i1, convention)
     raise ValueError(f"unknown witness variant {variant!r}")
+
+
+def random_leaf_map(arity: int, plain_degree: int, seed: int) -> MultiMap:
+    """A leaf map with seeded random values that respect degree: a code
+    tuple with q dt inputs maps to a cochain of degree q + plain_degree,
+    random vertex values at degree 0 and a random edge at degree 1, and
+    to zero at any other degree.  Its rule is a `partial` of a module-level
+    function, so a build walks the map as a leaf."""
+    return MultiMap(arity, plain_degree + arity - 1,
+                    partial(_random_leaf_table, seed, plain_degree),
+                    f"R{seed}[{arity},{plain_degree}]")
+
+
+def _random_leaf_table(seed: int, plain_degree: int, domain) -> dict:
+    # each tuple seeds its own generator, so tables on overlapping
+    # domains agree on the tuples they share
+    table = {}
+    for xs in itertools.product(*domain):
+        degree = plain_degree + sum(x & 1 for x in xs)
+        if degree not in (0, 1):
+            continue
+        rng = random.Random(repr((seed, xs)))
+        v0, v1, edge = (Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                        for _ in range(3))
+        value = Cochain(v0, v1, 0) if degree == 0 else Cochain(0, 0, edge)
+        if not value.is_zero():
+            table[xs] = value
+    return table
+
+
+def leibniz_sides(f: MultiMap, g: MultiMap, convention: SignConvention
+                  ) -> tuple[MultiMap, MultiMap]:
+    """The boundary of cup(f, g) and its Leibniz expansion, with |f| and
+    |g| the plain degrees: under convention A it is
+    d(f u g) = df u g + (-1)^|f| f u dg, under B it is
+    d(f u g) = (-1)^|g| df u g + f u dg.
+
+    The combinators are read from `hom_complex` at each call, so a mutant
+    set there is seen.
+    """
+    cup, boundary = hom_complex.cup_pair, hom_complex.hom_boundary
+    left = cup(boundary(f, convention), g, convention)
+    right = cup(f, boundary(g, convention), convention)
+    if convention.from_left:
+        right = right.scale(-1 if f.plain_degree % 2 else 1)
+    else:
+        left = left.scale(-1 if g.plain_degree % 2 else 1)
+    return boundary(cup(f, g, convention), convention), left + right
 
 
 class _RecordingRule(partial):

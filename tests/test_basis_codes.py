@@ -1008,8 +1008,7 @@ def test_values_do_not_depend_on_the_kept_tables(family, convention, inputs,
     assert fresh(*inputs) == value == expected
     # a call builds one table, on the union of the supports; a zero input
     # reads none
-    supports = [hom_complex._expansion(slot, x)[0].keys()
-                for slot, x in enumerate(inputs)]
+    supports = [hom_complex._expansion(x)[0].keys() for x in inputs]
     union = [frozenset().union(*supports)] if all(supports) else []
     assert call_supports(kept) == call_supports(fresh) == union
 
@@ -1073,7 +1072,7 @@ OFF_GRID = encode_basis(PolyForm.monomial(6))
 
 
 def _support(x) -> frozenset:
-    return frozenset(hom_complex._expansion(0, x)[0])
+    return frozenset(hom_complex._expansion(x)[0])
 
 
 @pytest.mark.parametrize("convention", CONVENTIONS, ids=lambda c: c.name)

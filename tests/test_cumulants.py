@@ -38,7 +38,11 @@ from homotopy_cumulants.interval_model import (
     integrate,
     wedge,
 )
-from homotopy_cumulants.hom_complex import TruncationGrid, iterated_integral_map
+from homotopy_cumulants.hom_complex import (
+    TruncationGrid,
+    cumulant_multimap,
+    iterated_integral_map,
+)
 from homotopy_cumulants.suites import run_cumulants_suite, run_suite
 
 T = PolyForm.monomial(1)
@@ -517,7 +521,16 @@ def test_mixed_codes_and_forms(build, inputs):
         assert evaluate(ctx, inputs) == evaluate(on_forms, forms), name
 
 
-@pytest.mark.parametrize("evaluate", PER_TUPLE.values(), ids=PER_TUPLE.keys())
+def map_call(ctx, xs):
+    """K_n of ctx called on xs as a map, which contracts a table."""
+    return cumulant_multimap(len(xs), ctx)(*xs)
+
+
+# a map call checks its inputs where the per-tuple functions do
+BOTH_PATHS = {**PER_TUPLE, "map call": map_call}
+
+
+@pytest.mark.parametrize("evaluate", BOTH_PATHS.values(), ids=BOTH_PATHS.keys())
 @pytest.mark.parametrize("inputs, error, message", [
     ((True, 2), TypeError,
      "input 0: expected a PolyForm or a basis code, got bool"),

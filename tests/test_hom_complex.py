@@ -9,7 +9,7 @@ from fractions import Fraction
 from functools import partial
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homotopy_cumulants import hom_complex, interval_model, suites
@@ -51,6 +51,8 @@ from reference_maps import (
     alternate_witness_k3,
     call_supports,
     leaf_tables,
+    leibniz_sides,
+    random_leaf_map,
     record_builds,
 )
 
@@ -555,6 +557,36 @@ class TestConventionB:
     def test_negated_boundary_relation_fails_under_a(self, n):
         assert not map_is_zero_on(negated_boundary_defect(n, CONVENTION_A),
                                   TruncationGrid(2)).equal
+
+
+# (arity, plain degree) of f and of g, arity <= 3 in all, each degree one
+# at which a leaf of that arity has nonzero values
+_leaf_degrees = st.sampled_from([(1, 1), (1, 2), (2, 1)]).flatmap(
+    lambda arities: st.tuples(*(st.tuples(st.just(a), st.integers(-a, 1))
+                                for a in arities)))
+
+
+class TestLeibniz:
+    """The Leibniz rule of `cup_pair` off the interval, on random leaf
+    maps (see `reference_maps.random_leaf_map`) on the D = 2 grid: under
+    A, d(f u g) = df u g + (-1)^|f| f u dg, and under B, mirrored,
+    d(f u g) = (-1)^|g| df u g + f u dg.  The examples are cases whose
+    moving map has arity 1, where a cup that drops that map's Koszul sign
+    breaks the rule."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(degrees=_leaf_degrees, seeds=st.tuples(st.integers(0, 99),
+                                                  st.integers(0, 99)),
+           convention=st.sampled_from([CONVENTION_A, CONVENTION_B]))
+    @example(degrees=((1, -1), (1, -1)), seeds=(1, 11), convention=CONVENTION_A)
+    @example(degrees=((1, -1), (1, -1)), seeds=(1, 11), convention=CONVENTION_B)
+    @example(degrees=((2, -1), (1, 0)), seeds=(1, 11), convention=CONVENTION_A)
+    @example(degrees=((1, 0), (2, -1)), seeds=(1, 11), convention=CONVENTION_B)
+    def test_cup_pair_is_a_derivation(self, degrees, seeds, convention):
+        (a, df), (b, dg) = degrees
+        f, g = random_leaf_map(a, df, seeds[0]), random_leaf_map(b, dg, seeds[1])
+        lhs, rhs = leibniz_sides(f, g, convention)
+        assert maps_equal_on_truncation(lhs, rhs, TruncationGrid(2)).equal
 
 
 class TestWitnesses:

@@ -9,12 +9,12 @@ one mutant the library ships: it fails the same 12 checks here as at
 
 Some defects live where the suites never go: in the contraction that
 evaluates a map on forms, in the choice of the table a call reads, in the
-per-tuple cumulant, and in a cup sign that only a map of odd degree with
+per-tuple cumulant, and in cup signs that only a map of odd degree with
 vertex values carries.  Those mutants are the library function
 recompiled from its source with one line changed; each is called on
 fixed off-grid forms against a reference map, or tabulated on synthetic
-maps against the Koszul sign, and the case asserts which comparisons
-fail.
+maps against the Koszul sign or the Leibniz rule, and the case asserts
+which comparisons fail.
 """
 
 import __future__
@@ -38,7 +38,12 @@ from homotopy_cumulants.hom_complex import (
 )
 from homotopy_cumulants.interval_model import Cochain, PolyForm, cup
 from homotopy_cumulants.suites import run_suite
-from reference_maps import ReferenceMap, record_builds
+from reference_maps import (
+    ReferenceMap,
+    leibniz_sides,
+    random_leaf_map,
+    record_builds,
+)
 
 CELLS = {f"all cells of g{n} bound their facets" for n in (2, 3, 4)}
 INTERPRETATIONS = {f"formal boundary of p{n} interprets to the Hom boundary"
@@ -374,6 +379,47 @@ def test_first_parity_cup_sign_mutant_fails_exactly(monkeypatch):
     monkeypatch.setattr(hom_complex, "_cup_groups", source_mutant(
         hom_complex._cup_groups, "sum(xs) & 1", "xs[0] & 1"))
     assert cup_sign_differences() == {"A": 128, "B": 128}
+    assert failing_checks() == set()
+
+
+# name: (arity, plain degree) of f and of g, seeded 1 and 11
+LEIBNIZ_CASES = {
+    "R[1,-1] u R[1,-1]": ((1, -1), (1, -1)),
+    "R[1,0] u R[1,0]": ((1, 0), (1, 0)),
+    "R[2,-1] u R[1,-1]": ((2, -1), (1, -1)),
+    "R[2,-1] u R[1,0]": ((2, -1), (1, 0)),
+    "R[1,-1] u R[2,-1]": ((1, -1), (2, -1)),
+    "R[1,0] u R[2,-1]": ((1, 0), (2, -1)),
+}
+
+
+def leibniz_failures() -> set:
+    """(convention name, case) for each case of `LEIBNIZ_CASES` whose
+    Leibniz rule (see `reference_maps.leibniz_sides`) fails on the D = 2
+    grid."""
+    grid, failing = TruncationGrid(2), set()
+    for convention in (CONVENTION_A, CONVENTION_B):
+        for name, ((a, df), (b, dg)) in LEIBNIZ_CASES.items():
+            lhs, rhs = leibniz_sides(random_leaf_map(a, df, 1),
+                                     random_leaf_map(b, dg, 11), convention)
+            if not hom_complex.maps_equal_on_truncation(lhs, rhs, grid):
+                failing.add((convention.name, name))
+    return failing
+
+
+def test_arity_one_cup_sign_mutant_fails_exactly(monkeypatch):
+    """A cup that drops the Koszul sign of a moving map of arity 1 breaks
+    the Leibniz rule wherever that map, or its boundary, is odd: the right
+    map of arity 1 under A, the left one under B.  The suites do not see
+    it: the library's maps of arity 1, I_1 and K_1, have even degree."""
+    assert leibniz_failures() == set()
+    monkeypatch.setattr(hom_complex, "cup_pair", source_mutant(
+        hom_complex.cup_pair, "moving.plain_degree % 2),",
+        "moving.plain_degree % 2 if moving.arity > 1 else 0),"))
+    assert leibniz_failures() == {
+        ("A", "R[1,-1] u R[1,-1]"), ("A", "R[2,-1] u R[1,-1]"),
+        ("A", "R[2,-1] u R[1,0]"), ("B", "R[1,-1] u R[1,-1]"),
+        ("B", "R[1,-1] u R[2,-1]"), ("B", "R[1,0] u R[2,-1]")}
     assert failing_checks() == set()
 
 
