@@ -10,7 +10,12 @@ Coefficients are exact: ints stay ints, and floats are refused.  Inside
 a check (see `certify.check_store`) each tree's boundary is expanded
 once per convention and kept for the rest of the check, so a subtree met
 in many terms, or a term of the boundary of p_n met again in its square,
-is not expanded again; tree nodes cache their hashes.
+is not expanded again.  Each tree node keeps its hash and its plain
+degree, both computed once from its children's at construction, so the
+Koszul signs of the boundary and a cell's dimension (the negative of its
+degree) are read, not recursed.  The convention's one sign rule, which
+parities a factor passes (those before it under A, those after it under
+B), is written once, in `_passed`.
 
 Vertices (all nodes binary or unary p) of the induced polytopes are the
 classical painted binary trees; for three inputs they form a hexagon and
@@ -29,7 +34,6 @@ terms' maps.
 from __future__ import annotations
 
 import itertools
-from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -51,33 +55,6 @@ from .hom_complex import (
 from .interval_model import _frac
 
 
-class Kind(Enum):
-    M_SOURCE = "m_source"
-    M_TARGET = "m_target"
-    P = "p"
-
-
-class Generator(Record):
-    """An operation symbol: source/target multiplication or morphism term."""
-
-    __slots__ = ("kind", "arity")
-
-    def __init__(self, kind: Kind, arity: int):
-        if arity < 1:
-            raise ValueError("arity must be positive")
-        object.__setattr__(self, "kind", kind)
-        object.__setattr__(self, "arity", arity)
-
-    @property
-    def shifted_degree(self) -> int:
-        """Suspended degree: +1 for multiplications, 0 for morphism terms."""
-        return 0 if self.kind is Kind.P else 1
-
-    @property
-    def plain_degree(self) -> int:
-        return self.shifted_degree + 1 - self.arity
-
-
 class Leaf(Record):
     """An input slot."""
 
@@ -95,25 +72,36 @@ class Leaf(Record):
 
 
 class _Node(Record):
-    """An operation node: its generator applied to child subtrees.
+    """An operation node: its operation applied to child subtrees.
 
-    Subclasses fix the generator's kind and the least arity it allows.
-    A node caches its hash, which its children's cached hashes make cheap;
-    a copy or a pickle rebuilds the node through its constructor, so the
-    hash is always computed in the process that holds the node.
+    Subclasses declare the operation's label, its shifted degree (+1 for
+    a multiplication, 0 for a morphism term) and the least arity it
+    allows.  A node keeps its hash, which its children's kept hashes make
+    cheap, and its plain degree, the operation's shifted degree + 1 -
+    arity plus its children's degrees; a copy or a pickle rebuilds the
+    node through its constructor, so both are always computed in the
+    process that holds the node.
     """
 
-    __slots__ = ("children", "_hash")
+    __slots__ = ("children", "_hash", "_degree")
 
-    kind: ClassVar[Kind]
+    label: ClassVar[str]
+    shifted_degree: ClassVar[int]
     min_arity: ClassVar[int]
 
     def __init__(self, children: tuple):
         if len(children) < self.min_arity:
             raise ValueError(
-                f"{self.kind.value} nodes have arity >= {self.min_arity}")
+                f"{self.label} nodes have arity >= {self.min_arity}")
         object.__setattr__(self, "children", children)
         object.__setattr__(self, "_hash", hash((children,)))
+        object.__setattr__(self, "_degree", self.operation_degree(len(children))
+                           + sum(c.plain_degree() for c in children))
+
+    @classmethod
+    def operation_degree(cls, arity: int) -> int:
+        """The plain degree of the node's operation at the given arity."""
+        return cls.shifted_degree + 1 - arity
 
     def __eq__(self, other):
         if other.__class__ is self.__class__:
@@ -123,44 +111,35 @@ class _Node(Record):
     def __hash__(self) -> int:
         return self._hash
 
-    @property
-    def generator(self) -> Generator:
-        return Generator(self.kind, len(self.children))
-
     def leaf_count(self) -> int:
         return sum(c.leaf_count() for c in self.children)
 
     def plain_degree(self) -> int:
-        return self.generator.plain_degree + sum(
-            c.plain_degree() for c in self.children)
+        return self._degree
 
     def dimension(self) -> int:
-        return -self.generator.plain_degree + sum(
-            c.dimension() for c in self.children)
+        return -self._degree
 
 
 class SourceOp(_Node):
     """A source-algebra multiplication applied to source subtrees."""
 
     __slots__ = ()
-    kind = Kind.M_SOURCE
-    min_arity = 2
+    label, shifted_degree, min_arity = "m_source", 1, 2
 
 
 class Paint(_Node):
     """A morphism node p_k applied to k source subtrees (the paint line)."""
 
     __slots__ = ()
-    kind = Kind.P
-    min_arity = 1
+    label, shifted_degree, min_arity = "p", 0, 1
 
 
 class TargetOp(_Node):
     """A target-algebra multiplication applied to painted subtrees."""
 
     __slots__ = ()
-    kind = Kind.M_TARGET
-    min_arity = 2
+    label, shifted_degree, min_arity = "m_target", 1, 2
 
 
 SourceNode = Union[Leaf, SourceOp]
@@ -194,7 +173,7 @@ def _validate_children(tree: FormalTree) -> None:
     for child in tree.children:
         if not isinstance(child, allowed):
             raise ValueError(
-                f"{tree.kind.value} nodes act on "
+                f"{tree.label} nodes act on "
                 f"{' or '.join(t.__name__ for t in allowed)} subtrees")
         _validate_children(child)
 
@@ -289,6 +268,13 @@ class FormalSum:
 # the formal boundary
 
 
+def _passed(parities, start: int, stop: int,
+            convention: SignConvention) -> int:
+    """The parities that the factor at start:stop passes: those before it
+    under A, those after it under B."""
+    return sum(parities[:start] if convention.from_left else parities[stop:])
+
+
 def _insertion_sign(r: int, s: int, t: int, convention: SignConvention) -> int:
     exponent = r * s + t if convention.from_left else t * s + r
     return -1 if exponent % 2 else 1
@@ -322,8 +308,7 @@ def _generator_boundary(tree, convention: SignConvention) -> list:
     out = []
 
     def insertion_compose_sign(r: int, s: int) -> int:
-        passed = sum(parities[:r]) if convention.from_left else sum(parities[r + s:])
-        return -1 if (s * passed) % 2 else 1
+        return -1 if (s * _passed(parities, r, r + s, convention)) % 2 else 1
 
     if isinstance(tree, Paint):
         for s in range(2, k + 1):
@@ -335,7 +320,6 @@ def _generator_boundary(tree, convention: SignConvention) -> list:
                 out.append((Paint(grouped), sign))
         for q in range(2, k + 1):
             for parts in _compositions_into(k, q):
-                sign = -_target_weight(parts, convention)
                 paints = []
                 block_parities = []
                 pos = 0
@@ -343,18 +327,12 @@ def _generator_boundary(tree, convention: SignConvention) -> list:
                     paints.append(Paint(children[pos:pos + size]))
                     block_parities.append(sum(parities[pos:pos + size]) % 2)
                     pos += size
-                crossing = 0
-                for m_outer in range(q):
-                    p_parity = (parts[m_outer] + 1) % 2
-                    if not p_parity:
-                        continue
-                    blocks_passed = (block_parities[:m_outer]
-                                     if convention.from_left
-                                     else block_parities[m_outer + 1:])
-                    crossing += sum(blocks_passed)
-                if crossing % 2:
-                    sign = -sign
-                out.append((TargetOp(tuple(paints)), sign))
+                # the p of each block of even arity, so of odd degree,
+                # passes the parities of the blocks it crosses
+                crossing = sum(_passed(block_parities, m, m + 1, convention)
+                               for m, size in enumerate(parts) if size % 2 == 0)
+                sign = -_target_weight(parts, convention)
+                out.append((TargetOp(tuple(paints)), -sign if crossing % 2 else sign))
     else:  # a multiplication node, source or target alike
         node_cls = type(tree)
         for s in range(2, k):
@@ -380,13 +358,13 @@ def _expand_boundary(tree: FormalTree, convention: SignConvention) -> FormalSum:
     terms = _generator_boundary(tree, convention)
     # graded Leibniz into the children, Koszul over unsuspended degrees
     children = tree.children
-    node_parity = tree.generator.plain_degree % 2
+    node_parity = tree.operation_degree(len(children)) % 2
     child_parities = [c.plain_degree() % 2 for c in children]
     for i, child in enumerate(children):
         child_sum = _tree_boundary(child, convention)
         if child_sum.is_zero():
             continue
-        passed = sum(child_parities[:i]) if convention.from_left else sum(child_parities[i + 1:])
+        passed = _passed(child_parities, i, i + 1, convention)
         sign = -1 if (node_parity + passed) % 2 else 1
         for sub, coefficient in child_sum.terms.items():
             rebuilt = type(tree)(children[:i] + (sub,) + children[i + 1:])
@@ -438,7 +416,7 @@ def _trees(roots: tuple[type, ...], leaves: int, dim: int) -> tuple:
             continue
         children = _CHILD_TYPES[root]
         for k in range(root.min_arity, leaves + 1):
-            root_dim = -Generator(root.kind, k).plain_degree
+            root_dim = -root.operation_degree(k)
             if root_dim > dim:
                 break
             for parts in _compositions_into(leaves, k):

@@ -156,27 +156,11 @@ class Polynomial:
                            self.denominator * scale)
 
     def __call__(self, point: Scalar) -> Fraction:
-        a = self.numerators
-        if not a:
-            return _ZERO
-        x = _frac(point)
-        p, q = x.numerator, x.denominator
-        # sum_k n_k p^k q^(m-k) over denominator * q^m, by Horner's rule
-        acc = a[-1]
-        if q == 1:
-            if p == 1:
-                acc = sum(a)
-            elif p == 0:
-                acc = a[0]
-            else:
-                for n in reversed(a[:-1]):
-                    acc = acc * p + n
-            return Fraction(acc, self.denominator)
-        q_power = 1
-        for n in reversed(a[:-1]):
-            q_power *= q
-            acc = acc * p + n * q_power
-        return Fraction(acc, self.denominator * q_power)
+        """The value at point, by Horner's rule on the numerators."""
+        x, acc = _frac(point), _ZERO
+        for n in reversed(self.numerators):
+            acc = acc * x + n
+        return acc / self.denominator
 
     def to_text(self) -> str:
         if not self.numerators:
@@ -668,10 +652,13 @@ def _json_rational(x: Fraction) -> str:
 # Caps on parsed forms, so that the cost of parsing and evaluating one stays
 # predictable: t^64 is far beyond the certification grids.  Every product
 # and power is checked as it is built, so no intermediate value grows past
-# one multiplication beyond the caps, nested powers included.
+# one multiplication beyond the caps, nested powers included.  The depth of
+# nested parentheses is capped too, as each level costs the recursive
+# reader a few stack frames.
 MAX_PARSE_EXPONENT = 64
 MAX_PARSE_DEGREE = 64
 MAX_PARSE_DIGITS = 100
+MAX_PARSE_DEPTH = 64
 _NUMBER_LIMIT = 10 ** MAX_PARSE_DIGITS
 _DIGITS = frozenset("0123456789")
 
@@ -701,6 +688,7 @@ class _FormParser:
         self.text = text
         self.pos = 0
         self.offset = offset
+        self.depth = 0  # of the open parentheses
 
     def fail(self, message: str):
         raise ParseError(message, self.offset + self.pos)
@@ -790,12 +778,16 @@ class _FormParser:
         if not ch:
             self.fail("unexpected end of input")
         if ch == "(":
+            if self.depth == MAX_PARSE_DEPTH:
+                self.fail(f"parentheses nested deeper than {MAX_PARSE_DEPTH}")
+            self.depth += 1
             self.pos += 1
             value = self.parse_form()
             self.skip_ws()
             if self.peek() != ")":
                 self.fail("expected ')'")
             self.pos += 1
+            self.depth -= 1
             return value
         if ch in _DIGITS:
             return PolyForm.from_scalar(self.parse_rational())

@@ -279,6 +279,14 @@ class TestCumulant:
         assert code == 2
         assert "coefficient longer than 100 digits" in err
 
+    def test_deeply_nested_parentheses_are_refused(self, capsys):
+        code, out, err = run(capsys, "cumulant", "1", "--inputs",
+                             "(" * 300 + "t" + ")" * 300)
+        assert code == 2 and out == ""
+        assert err == ("error: malformed form: parentheses nested deeper "
+                       "than 64 (at position 64)\n")
+        assert "Traceback" not in err
+
     def test_arity_mismatch(self, capsys):
         assert run(capsys, "cumulant", "3", "--inputs", "t ; dt")[0] == 2
 

@@ -368,8 +368,11 @@ def test_direct_table_works_once_per_run_product(monkeypatch):
                      "add": 84}
 
 
-@pytest.mark.parametrize("n, exponent, products, entries",
-                         [(5, 3, 1344, 3264), (6, 4, 5095, 65000)])
+# (n, exponent, target products, entries) of the recursive table's cost model
+RECURSIVE_TABLE_COSTS = [(5, 3, 1344, 3264), (6, 4, 5095, 65000)]
+
+
+@pytest.mark.parametrize("n, exponent, products, entries", RECURSIVE_TABLE_COSTS)
 def test_recursive_table_splits_once_per_image(monkeypatch, n, exponent,
                                                products, entries):
     """The recursive table's cost model: its split term multiplies each

@@ -12,8 +12,6 @@ from homotopy_cumulants import formal_ainfty
 from homotopy_cumulants.cube_complex import FREE, CubeCell, cell_boundary
 from homotopy_cumulants.formal_ainfty import (
     FormalSum,
-    Generator,
-    Kind,
     Leaf,
     Paint,
     SourceOp,
@@ -26,6 +24,7 @@ from homotopy_cumulants.formal_ainfty import (
     interpret,
     interpret_sum,
     p_tree,
+    painted_cells,
     painted_trees,
     polytope_to_dot,
     tree_text,
@@ -48,12 +47,22 @@ def leaves(n):
 
 class TestTrees:
     def test_generator_degrees(self):
-        assert Generator(Kind.P, 3).shifted_degree == 0
-        assert Generator(Kind.M_SOURCE, 2).shifted_degree == 1
-        assert Generator(Kind.M_TARGET, 4).shifted_degree == 1
-        assert Generator(Kind.P, 3).plain_degree == -2
-        with pytest.raises(ValueError):
-            Generator(Kind.P, 0)
+        # an operation's plain degree is its shifted degree + 1 - arity:
+        # 0 for p_k, +1 for a multiplication
+        assert (Paint.shifted_degree, SourceOp.shifted_degree,
+                TargetOp.shifted_degree) == (0, 1, 1)
+        assert Paint(leaves(3)).plain_degree() == -2
+        assert SourceOp(leaves(2)).plain_degree() == 0
+        assert TargetOp((Paint(leaves(1)),) * 4).plain_degree() == -2
+        # a node's degree adds its children's
+        assert Paint((SourceOp(leaves(3)), Leaf())).plain_degree() == -2
+        with pytest.raises(ValueError, match="p nodes have arity >= 1"):
+            Paint(())
+
+    def test_dimension_is_minus_the_degree(self):
+        for dim in range(4):
+            for tree in painted_cells(4, dim):
+                assert tree.dimension() == -tree.plain_degree() == dim
 
     def test_dimensions(self):
         assert p_tree(3).dimension() == 2
@@ -78,6 +87,9 @@ class TestTrees:
         with pytest.raises(ValueError):
             # a p node inside a source slot breaks the paint line
             validate_painted(Paint((Paint(leaves(1)), Leaf())))
+        with pytest.raises(ValueError, match="^m_source nodes act on Leaf "
+                                             "or SourceOp subtrees$"):
+            validate_painted(Paint((SourceOp((Paint(leaves(1)), Leaf())),)))
 
     def test_pretty_printing(self):
         cup_of_maps = TargetOp((Paint(leaves(1)), Paint(leaves(2))))

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from homotopy_cumulants import hom_complex, interval_model, suites
 from homotopy_cumulants.cube_complex import cell_to_map, cells_of
-from homotopy_cumulants.cumulants import integration_context
+from homotopy_cumulants.cumulants import CumulantContext, integration_context
 from homotopy_cumulants.formal_ainfty import formal_boundary, interpret_sum, p_tree
 from homotopy_cumulants.hom_complex import (
     CONVENTION_A,
@@ -587,6 +587,99 @@ class TestLeibniz:
         f, g = random_leaf_map(a, df, seeds[0]), random_leaf_map(b, dg, seeds[1])
         lhs, rhs = leibniz_sides(f, g, convention)
         assert maps_equal_on_truncation(lhs, rhs, TruncationGrid(2)).equal
+
+
+def _leaf_maps(arities):
+    """Random leaf maps of the given arities, each at a degree where a
+    leaf of its arity has nonzero values, and a convention."""
+    return st.tuples(
+        st.tuples(*(st.builds(random_leaf_map, st.just(a), st.integers(-a, 1),
+                              st.integers(0, 99)) for a in arities)),
+        st.sampled_from([CONVENTION_A, CONVENTION_B]))
+
+
+class TestGenericLaws:
+    """The Hom-complex laws off the interval, on random leaf maps of arity
+    at most 3 (see `reference_maps.random_leaf_map`) on the D = 2 grid,
+    under A and B: the boundary squares to zero, the cup is associative
+    with coefficient +1, and precomposing with the wedge at any slot
+    commutes with the boundary."""
+
+    GRID = TruncationGrid(2)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda a: _leaf_maps((a,))))
+    def test_boundary_squares_to_zero(self, case):
+        (f,), convention = case
+        twice = hom_boundary(hom_boundary(f, convention), convention)
+        assert map_is_zero_on(twice, self.GRID).equal
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.sampled_from([(1, 1, 1), (2, 1, 1), (1, 2, 1), (1, 1, 2)])
+           .flatmap(_leaf_maps))
+    def test_cup_is_associative(self, case):
+        (f, g, h), convention = case
+        left = cup_pair(cup_pair(f, g, convention), h, convention)
+        right = cup_pair(f, cup_pair(g, h, convention), convention)
+        assert maps_equal_on_truncation(left, right, self.GRID).equal
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda a: _leaf_maps((a,))))
+    def test_precomposition_commutes_with_the_boundary(self, case):
+        (f,), convention = case
+        boundary = hom_boundary(f, convention)
+        for u in range(f.arity):
+            assert maps_equal_on_truncation(
+                hom_boundary(wedge_at(f, u), convention),
+                wedge_at(boundary, u), self.GRID).equal
+
+
+def gauge_witnesses(s: MultiMap, n: int, convention=CONVENTION_A):
+    """The chain map e' = I_1 + ds for a map s of degree -1 and arity 1,
+    and its witnesses H_2' .. H_n': H_2' = I_2 + s(wedge@0) - cup(I_1, s)
+    - cup(s, I_1) - cup(s, ds), and H_m' = H_{m-1}'(wedge@0)
+    - cup(e', H_{m-1}')."""
+    def cup(f, g):
+        return cup_pair(f, g, convention)
+
+    i1, ds = iterated_integral_map(1), hom_boundary(s, convention)
+    e = i1 + ds
+    witness = (iterated_integral_map(2) + wedge_at(s, 0) - cup(i1, s)
+               - cup(s, i1) - cup(s, ds))
+    witnesses = [witness]
+    for _ in range(3, n + 1):
+        witness = wedge_at(witness, 0) - cup(e, witness)
+        witnesses.append(witness)
+    return e, witnesses
+
+
+class TestGauge:
+    """The theorem for another chain map than integration: for a map s of
+    degree -1, e' = I_1 + ds is a chain map, and under A the witnesses of
+    `gauge_witnesses` bound its cumulants, dH_n' = K_n(e'), with K_n(e')
+    tabulated from a context whose chain map calls e' on forms.  Under B
+    the same H_2' fails."""
+
+    GRID = TruncationGrid(2)
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_witnesses_bound_the_cumulants_under_a(self, seed):
+        e, witnesses = gauge_witnesses(random_leaf_map(1, -1, seed), 4)
+        assert map_is_zero_on(hom_boundary(e), self.GRID).equal
+        ctx = CumulantContext(e)
+        for n, witness in enumerate(witnesses, start=2):
+            assert maps_equal_on_truncation(
+                hom_boundary(witness), cumulant_multimap(n, ctx),
+                self.GRID).equal, n
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_a_witness_fails_under_b(self, seed):
+        e, (h2,) = gauge_witnesses(random_leaf_map(1, -1, seed), 2,
+                                   CONVENTION_B)
+        assert map_is_zero_on(hom_boundary(e, CONVENTION_B), self.GRID).equal
+        assert not maps_equal_on_truncation(
+            hom_boundary(h2, CONVENTION_B),
+            cumulant_multimap(2, CumulantContext(e)), self.GRID).equal
 
 
 class TestWitnesses:

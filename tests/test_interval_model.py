@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 from homotopy_cumulants.interval_model import (
     _ZERO,
     MAX_PARSE_DEGREE,
+    MAX_PARSE_DEPTH,
     MAX_PARSE_EXPONENT,
     Cochain,
     CochainPool,
@@ -202,6 +203,20 @@ class TestPolynomial:
         assert p.derivative() == poly(0, 2)
         assert p.antiderivative() == poly(0, 3, 0, Fraction(1, 3))
         assert p(Fraction(2)) == 7
+
+    POINTS = (0, 1, 2, Fraction(-1, 3), Fraction(5, 7))
+
+    @pytest.mark.parametrize("coefficients, values", [
+        ((), (0, 0, 0, 0, 0)),
+        (("-2/3",), ("-2/3",) * 5),
+        (("1/2", 0, "-3/4", 2), ("1/2", "7/4", "27/2", "37/108", "1161/1372")),
+        ((3, -1, 5), (3, 7, 21, "35/9", "237/49")),
+    ], ids=["zero", "constant", "cubic", "quadratic"])
+    def test_values_at_points(self, coefficients, values):
+        p = Polynomial(coefficients)
+        for point, value in zip(self.POINTS, values):
+            assert type(p(point)) is Fraction
+            assert p(point) == Fraction(value)
 
     def test_monomial_rejects_negative_exponent(self):
         with pytest.raises(ValueError):
@@ -698,6 +713,20 @@ class TestTextFormats:
         with pytest.raises(ParseError) as err:
             parse_polyform(f"({p}*t)^2")
         assert str(err.value) == "coefficient longer than 100 digits (at position 65)"
+
+    def test_parse_depth_is_capped(self):
+        nested = "(" * MAX_PARSE_DEPTH + "t" + ")" * MAX_PARSE_DEPTH
+        assert parse_polyform(nested) == T
+        assert parse_polyform(f"-{nested} + t") == form()
+        deeper = "(" * (MAX_PARSE_DEPTH + 1) + "t" + ")" * (MAX_PARSE_DEPTH + 1)
+        with pytest.raises(ParseError) as err:
+            parse_polyform(" " + deeper)
+        # refused at the first parenthesis past the cap
+        assert err.value.position == MAX_PARSE_DEPTH + 1
+        assert str(err.value) == (
+            "parentheses nested deeper than 64 (at position 65)")
+        # the cap counts open parentheses, not all of them
+        parse_polyform(" * ".join([nested] * 3))
 
     def test_tuple_parsing(self):
         forms = parse_form_tuple("t ; dt")

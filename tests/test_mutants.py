@@ -14,7 +14,9 @@ vertex values carries.  Those mutants are the library function
 recompiled from its source with one line changed; each is called on
 fixed off-grid forms against a reference map, or tabulated on synthetic
 maps against the Koszul sign or the Leibniz rule, and the case asserts
-which comparisons fail.
+which comparisons fail.  Defects that change no value, only the work done
+(where a build releases a table, how the recursive table groups its split
+term), are caught by the tests that count that work.
 """
 
 import __future__
@@ -44,6 +46,7 @@ from reference_maps import (
     random_leaf_map,
     record_builds,
 )
+import test_cumulants
 
 CELLS = {f"all cells of g{n} bound their facets" for n in (2, 3, 4)}
 INTERPRETATIONS = {f"formal boundary of p{n} interprets to the Hom boundary"
@@ -216,6 +219,33 @@ def test_table_mutant_fails_exactly(monkeypatch, name):
     monkeypatch.setattr(module, function,
                         source_mutant(getattr(module, function), old, new))
     assert failing_checks() == expected
+
+
+def failing_cost_cases() -> set:
+    """The ids of the cases of the recursive table's cost model
+    (`test_cumulants.test_recursive_table_splits_once_per_image`) that
+    fail."""
+    failing = set()
+    for case in test_cumulants.RECURSIVE_TABLE_COSTS:
+        with pytest.MonkeyPatch.context() as patch:
+            try:
+                test_cumulants.test_recursive_table_splits_once_per_image(
+                    patch, *case)
+            except AssertionError:
+                failing.add("-".join(map(str, case)))
+    return failing
+
+
+def test_ungrouped_split_term_mutant_fails_exactly(monkeypatch):
+    """A split term that multiplies each code of slot 0 on its own, where
+    the codes that share an image share one product, changes no value, so
+    the suites pass; only the recursive table's count of target products
+    shows it, in both of its cases."""
+    monkeypatch.setattr(cumulants, "_recursive_table", source_mutant(
+        cumulants._recursive_table, "for image, xs in sharing.items():",
+        "for image, xs in ((i, [x]) for i, xs in sharing.items() for x in xs):"))
+    assert failing_cost_cases() == {"5-3-1344-3264", "6-4-5095-65000"}
+    assert failing_checks() == set()
 
 
 # off the D = 2 grid, with rational coefficients and both parts

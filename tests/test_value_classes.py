@@ -31,8 +31,6 @@ from homotopy_cumulants.cumulants import (
 )
 from homotopy_cumulants.formal_ainfty import (
     ContractibilityVerdict,
-    Generator,
-    Kind,
     Leaf,
     Paint,
     PolytopeGraph,
@@ -79,7 +77,6 @@ FROZEN = [
     (CellLabel, (Composition((1, 2)), (1, 2))),
     (CumulantGraph, (2, (Composition((2,)), Composition((1, 1))),
                      ((Composition((2,)), Composition((1, 1))),))),
-    (Generator, (Kind.P, 3)),
     (Leaf, ()),
     (SourceOp, (LEAVES,)),
     (Paint, ((SourceOp(LEAVES), Leaf()),)),
@@ -99,7 +96,6 @@ FIELDS = {
     CubeCell: ("word",),
     CellLabel: ("block_pattern", "p_indices"),
     CumulantGraph: ("n", "vertices", "edges"),
-    Generator: ("kind", "arity"),
     Leaf: (),
     SourceOp: ("children",),
     Paint: ("children",),
@@ -164,7 +160,6 @@ def test_nodes_of_another_kind_are_unequal():
     # equal hashes, so a dict tells them apart by equality alone
     assert len({hash(t) for t in trees}) == 1
     assert len(dict.fromkeys(trees)) == 3
-    assert Generator(Kind.P, 2) != Generator(Kind.M_SOURCE, 2)
 
 
 def test_defaults():
@@ -182,12 +177,11 @@ def test_defaults():
     (lambda: Composition((1, 0)), ValueError),
     (lambda: CubeCell(("F", "X")), ValueError),
     (lambda: TruncationGrid(-1), ValueError),
-    (lambda: Generator(Kind.P, 0), ValueError),
     (lambda: SourceOp((Leaf(),)), ValueError),
     (lambda: TargetOp((Paint(LEAVES),)), ValueError),
     (lambda: Paint(()), ValueError),
 ], ids=["empty composition", "zero block", "bad letter", "negative grid",
-        "arity 0", "unary source m", "unary target m", "nullary p"])
+        "unary source m", "unary target m", "nullary p"])
 def test_constructors_validate(build, error):
     with pytest.raises(error):
         build()
@@ -197,7 +191,7 @@ def test_copied_trees_and_contexts_work():
     tree = TargetOp((Paint(LEAVES), Paint(LEAVES[:1])))
     for copied in (copy.deepcopy(tree), pickle.loads(pickle.dumps(tree))):
         assert copied == tree and hash(copied) == hash(tree)
-        assert copied.generator == tree.generator
+        assert copied.plain_degree() == tree.plain_degree()
     # a copied context maps and multiplies as the original does
     ctx = CumulantContext(integrate)
     assert ctx.apply(3) is ctx.apply(3)
