@@ -139,9 +139,12 @@ def _cmd_cumulant(args) -> int:
         raise UsageError("cumulants are printed for 1 <= n <= 6")
     forms = None
     if args.inputs is not None:
+        # count the forms before parsing any, so a miscounted tuple costs
+        # nothing to refuse
+        count = args.inputs.count(";") + 1
+        if count != args.n:
+            raise UsageError(f"expected {args.n} forms, got {count}")
         forms = parse_form_tuple(args.inputs)
-        if len(forms) != args.n:
-            raise UsageError(f"expected {args.n} forms, got {len(forms)}")
     with _open_out(args.out) as handle:
         if forms is None:
             handle.write(symbolic_formula(args.n) + "\n")

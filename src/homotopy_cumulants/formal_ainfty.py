@@ -13,9 +13,11 @@ in many terms, or a term of the boundary of p_n met again in its square,
 is not expanded again.  Each tree node keeps its hash and its plain
 degree, both computed once from its children's at construction, so the
 Koszul signs of the boundary and a cell's dimension (the negative of its
-degree) are read, not recursed.  The convention's one sign rule, which
-parities a factor passes (those before it under A, those after it under
-B), is written once, in `_passed`.
+degree) are read, not recursed.  Every sign of the boundary, of the
+root's relation as of the Leibniz terms, is -1 to the power of a count
+of the parities a factor passes, those before it under A and those after
+it under B; `_passed` is the only reader of `convention.from_left`
+here, so convention B is convention A read from the other end.
 
 Vertices (all nodes binary or unary p) of the induced polytopes are the
 classical painted binary trees; for three inputs they form a hexagon and
@@ -275,74 +277,9 @@ def _passed(parities, start: int, stop: int,
     return sum(parities[:start] if convention.from_left else parities[stop:])
 
 
-def _insertion_sign(r: int, s: int, t: int, convention: SignConvention) -> int:
-    exponent = r * s + t if convention.from_left else t * s + r
-    return -1 if exponent % 2 else 1
-
-
-def _target_weight(parts: tuple[int, ...], convention: SignConvention) -> int:
-    ordered = parts if convention.from_left else tuple(reversed(parts))
-    exponent = sum(
-        ordered[l] * (ordered[j] - 1)
-        for l in range(len(ordered))
-        for j in range(l + 1, len(ordered))
-    )
-    return -1 if exponent % 2 else 1
-
-
 def _compositions_into(k: int, q: int) -> list[tuple[int, ...]]:
     """All ways to write k as q positive parts, lexicographic."""
     return sorted(c.blocks for c in compositions(k) if len(c) == q)
-
-
-def _generator_boundary(tree, convention: SignConvention) -> list:
-    """Boundary terms from expanding the root node, with coefficients.
-
-    Substituting child subtrees into an expansion template picks up the
-    map-level Koszul signs of (f x g).(h x k) = (-1)^{|g||h|} fh x gk,
-    which matter once children have odd unsuspended degree.
-    """
-    children = tree.children
-    parities = [c.plain_degree() % 2 for c in children]
-    k = len(children)
-    out = []
-
-    def insertion_compose_sign(r: int, s: int) -> int:
-        return -1 if (s * _passed(parities, r, r + s, convention)) % 2 else 1
-
-    if isinstance(tree, Paint):
-        for s in range(2, k + 1):
-            for r in range(0, k - s + 1):
-                t = k - s - r
-                sign = (_insertion_sign(r, s, t, convention)
-                        * insertion_compose_sign(r, s))
-                grouped = children[:r] + (SourceOp(children[r:r + s]),) + children[r + s:]
-                out.append((Paint(grouped), sign))
-        for q in range(2, k + 1):
-            for parts in _compositions_into(k, q):
-                paints = []
-                block_parities = []
-                pos = 0
-                for size in parts:
-                    paints.append(Paint(children[pos:pos + size]))
-                    block_parities.append(sum(parities[pos:pos + size]) % 2)
-                    pos += size
-                # the p of each block of even arity, so of odd degree,
-                # passes the parities of the blocks it crosses
-                crossing = sum(_passed(block_parities, m, m + 1, convention)
-                               for m, size in enumerate(parts) if size % 2 == 0)
-                sign = -_target_weight(parts, convention)
-                out.append((TargetOp(tuple(paints)), -sign if crossing % 2 else sign))
-    else:  # a multiplication node, source or target alike
-        node_cls = type(tree)
-        for s in range(2, k):
-            for r in range(0, k - s + 1):
-                t = k - s - r
-                sign = (-_insertion_sign(r, s, t, convention)
-                        * insertion_compose_sign(r, s))
-                grouped = children[:r] + (node_cls(children[r:r + s]),) + children[r + s:]
-                out.append((node_cls(grouped), sign))
-    return out
 
 
 def _tree_boundary(tree: FormalTree, convention: SignConvention) -> FormalSum:
@@ -355,18 +292,53 @@ def _tree_boundary(tree: FormalTree, convention: SignConvention) -> FormalSum:
 
 
 def _expand_boundary(tree: FormalTree, convention: SignConvention) -> FormalSum:
-    terms = _generator_boundary(tree, convention)
-    # graded Leibniz into the children, Koszul over unsuspended degrees
+    """The root's relation, then the graded Leibniz rule into the children.
+
+    Every sign is -1 to the power of a count of passed parities, read by
+    `_passed`, so convention B is convention A read from the other end:
+
+    - an insertion groups the children r:r+s of a node of arity k, under a
+      source m in a p node (base 0) or under the node's own operation in
+      an m node (base 1); its exponent is base + (k - s - R) + s*Q, where
+      R counts the children the group passes and Q their parities plus
+      one each, which carries the map-level Koszul sign of
+      (f x g).(h x k) = (-1)^{|g||h|} fh x gk;
+    - a p node's split into blocks of arities a_1..a_q has the exponent
+      1 + sum_j (a_j - 1) * (the a_i plus the block parities that block
+      j passes);
+    - the boundary of child i enters with the node's parity plus the
+      parities that child passes.
+    """
     children = tree.children
-    node_parity = tree.operation_degree(len(children)) % 2
-    child_parities = [c.plain_degree() % 2 for c in children]
+    k = len(children)
+    parities = [c.plain_degree() % 2 for c in children]
+    suspended = [1 + parity for parity in parities]
+    base = tree.shifted_degree
+    group = SourceOp if isinstance(tree, Paint) else type(tree)
+    terms = []
+    # the grouped node keeps at least its least arity of children
+    for s in range(2, k + 2 - tree.min_arity):
+        for r in range(k - s + 1):
+            exponent = (base + k - s - _passed([1] * k, r, r + s, convention)
+                        + s * _passed(suspended, r, r + s, convention))
+            grouped = children[:r] + (group(children[r:r + s]),) + children[r + s:]
+            terms.append((type(tree)(grouped), -1 if exponent % 2 else 1))
+    if isinstance(tree, Paint):
+        for q in range(2, k + 1):
+            for parts in _compositions_into(k, q):
+                starts = list(itertools.accumulate(parts, initial=0))
+                blocks = [children[a:b] for a, b in zip(starts, starts[1:])]
+                weights = [len(b) + sum(c.plain_degree() for c in b)
+                           for b in blocks]
+                exponent = 1 + sum((a - 1) * _passed(weights, j, j + 1, convention)
+                                   for j, a in enumerate(parts))
+                terms.append((TargetOp(tuple(map(Paint, blocks))),
+                              -1 if exponent % 2 else 1))
+    node_parity = tree.operation_degree(k) % 2
     for i, child in enumerate(children):
-        child_sum = _tree_boundary(child, convention)
-        if child_sum.is_zero():
-            continue
-        passed = _passed(child_parities, i, i + 1, convention)
-        sign = -1 if (node_parity + passed) % 2 else 1
-        for sub, coefficient in child_sum.terms.items():
+        exponent = node_parity + _passed(parities, i, i + 1, convention)
+        sign = -1 if exponent % 2 else 1
+        for sub, coefficient in _tree_boundary(child, convention).terms.items():
             rebuilt = type(tree)(children[:i] + (sub,) + children[i + 1:])
             terms.append((rebuilt, sign * coefficient))
     return FormalSum(terms)
@@ -374,17 +346,14 @@ def _expand_boundary(tree: FormalTree, convention: SignConvention) -> FormalSum:
 
 def formal_boundary(value: FormalSum | FormalTree,
                     convention: SignConvention = CONVENTION_A) -> FormalSum:
-    """Linear extension of the generator boundaries to formal sums."""
-    if not isinstance(value, FormalSum):
-        validate_painted(value)
-        value = FormalSum.of(value)
-    else:
-        for tree in value.terms:
-            validate_painted(tree)
-    total = FormalSum.zero()
-    for tree, coefficient in value.terms.items():
-        total = total + _tree_boundary(tree, convention).scale(coefficient)
-    return total
+    """Linear extension of the tree boundaries to formal sums."""
+    items = (value.terms.items() if isinstance(value, FormalSum)
+             else [(value, 1)])
+    for tree, _ in items:
+        validate_painted(tree)
+    return FormalSum((term, coefficient * c)
+                     for tree, coefficient in items
+                     for term, c in _tree_boundary(tree, convention).terms.items())
 
 
 def check_d_squared(n: int,

@@ -11,7 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from homotopy_cumulants import cli, cube_complex, hom_complex, suites
+from homotopy_cumulants import (
+    cli,
+    cube_complex,
+    hom_complex,
+    interval_model,
+    suites,
+)
 from homotopy_cumulants.cli import main
 
 
@@ -289,6 +295,20 @@ class TestCumulant:
 
     def test_arity_mismatch(self, capsys):
         assert run(capsys, "cumulant", "3", "--inputs", "t ; dt")[0] == 2
+
+    def test_miscounted_inputs_are_refused_before_parsing(self, capsys,
+                                                          monkeypatch):
+        parsed = []
+        monkeypatch.setattr(interval_model, "parse_polyform",
+                            lambda text, offset=0: parsed.append(text))
+        code, out, err = run(capsys, "cumulant", "2", "--inputs",
+                             ";".join(["t"] * 100_001))
+        assert (code, out) == (2, "")
+        assert err == "error: expected 2 forms, got 100001\n"
+        # a tuple both miscounted and malformed reports its count
+        code, _, err = run(capsys, "cumulant", "3", "--inputs", "t ; @dt")
+        assert code == 2 and err == "error: expected 3 forms, got 2\n"
+        assert parsed == []
 
     def test_out_file(self, capsys, tmp_path):
         path = tmp_path / "k2.txt"

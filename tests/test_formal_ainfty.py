@@ -198,8 +198,9 @@ class TestFormalBoundary:
             formal_boundary(TargetOp((Leaf(), Leaf())))
 
     def test_d_squared_up_to_five(self):
-        for n in range(1, 6):
-            assert check_d_squared(n)
+        for convention in (CONVENTION_A, CONVENTION_B):
+            for n in range(1, 6):
+                assert check_d_squared(n, convention), (convention.name, n)
 
     def test_d_squared_range(self):
         with pytest.raises(ValueError):

@@ -12,8 +12,11 @@ term-by-term traces of `cumulant 4 --inputs ...` and of
 rational forms, the formula `cumulant 5` prints, the SHA-256 of
 `cumulant 6 --inputs ...` on six degree-64 powers (the PolyForm path at
 the parser's caps; its 48 KB output is not committed), the DOT text of
-the cube graph at n = 4 and of the polytope graphs, and the enumeration
-order of painted cells.
+the cube graph at n = 4 and of the polytope graphs, the enumeration
+order of painted cells, and the SHA-256 of the formal boundary of every
+painted cell with n <= 6, in every dimension, under both conventions
+(each line the cell's `tree_text` and its boundary's `to_text`, whose
+terms are sorted by `tree_text`).
 
 Regenerate them (only when a change of output is intended) with
 
@@ -30,7 +33,16 @@ from pathlib import Path
 import pytest
 
 from homotopy_cumulants.cli import main
-from homotopy_cumulants.formal_ainfty import painted_cells, tree_text
+from homotopy_cumulants.formal_ainfty import (
+    formal_boundary,
+    painted_cells,
+    tree_text,
+)
+from homotopy_cumulants.hom_complex import (
+    CONVENTION_A,
+    CONVENTION_B,
+    check_store,
+)
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -77,6 +89,21 @@ def _painted_cells_text() -> str:
     return "\n".join(lines) + "\n"
 
 
+def _formal_boundaries_digest() -> str:
+    lines = []
+    with check_store():
+        for convention in (CONVENTION_A, CONVENTION_B):
+            for n in range(1, 7):
+                for dim in range(n):
+                    for cell in painted_cells(n, dim):
+                        boundary = formal_boundary(cell, convention)
+                        lines.append(f"{convention.name} {tree_text(cell)} "
+                                     f"= {boundary.to_text()}")
+    data = ("\n".join(lines) + "\n").encode("utf-8")
+    return (f"{len(lines)} boundaries, {len(data)} bytes "
+            f"sha256 {hashlib.sha256(data).hexdigest()}\n")
+
+
 OUTPUTS = {
     "verify_all_n3_d2_A.txt": lambda: _verify_report(
         "all", "--n-max", "3", "--degree", "2", "--sign-convention", "A"),
@@ -114,6 +141,7 @@ OUTPUTS = {
     "polytope_3.dot": lambda: _graph_dot("polytope", 3),
     "polytope_4.dot": lambda: _graph_dot("polytope", 4),
     "painted_cells_n4.txt": _painted_cells_text,
+    "formal_boundaries_n6.sha256": _formal_boundaries_digest,
 }
 
 

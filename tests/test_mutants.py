@@ -14,9 +14,11 @@ vertex values carries.  Those mutants are the library function
 recompiled from its source with one line changed; each is called on
 fixed off-grid forms against a reference map, or tabulated on synthetic
 maps against the Koszul sign or the Leibniz rule, and the case asserts
-which comparisons fail.  Defects that change no value, only the work done
-(where a build releases a table, how the recursive table groups its split
-term), are caught by the tests that count that work.
+which comparisons fail.  The formal boundary's sign mutants are
+recompiled the same way; each also pins which p_n, n <= 5, fail to
+square to zero.  Defects that change no value, only the work done (where
+a build releases a table, how the recursive table groups its split term),
+are caught by the tests that count that work.
 """
 
 import __future__
@@ -28,7 +30,13 @@ from fractions import Fraction
 
 import pytest
 
-from homotopy_cumulants import cube_complex, cumulants, hom_complex, suites
+from homotopy_cumulants import (
+    cube_complex,
+    cumulants,
+    formal_ainfty,
+    hom_complex,
+    suites,
+)
 from homotopy_cumulants.hom_complex import (
     CONVENTION_A,
     CONVENTION_B,
@@ -159,10 +167,13 @@ def test_cells_of_mutant_fails_exactly(monkeypatch, name):
     assert failing_checks() == EULER
 
 
+CONVENTION_B_FAILS = CELLS | INTERPRETATIONS | {
+    "boundary(H2) = K2", "boundary(H3) = K3", "boundary(H4) = K4",
+    "boundary(I2) = K2"} | morphism(2, 4, convention="B")
+
+
 def test_convention_b_fails_exactly():
-    assert failing_checks(CONVENTION_B) == CELLS | INTERPRETATIONS | {
-        "boundary(H2) = K2", "boundary(H3) = K3", "boundary(H4) = K4",
-        "boundary(I2) = K2"} | morphism(2, 4, convention="B")
+    assert failing_checks(CONVENTION_B) == CONVENTION_B_FAILS
 
 
 def source_mutant(function, old: str, new: str):
@@ -219,6 +230,42 @@ def test_table_mutant_fails_exactly(monkeypatch, name):
     monkeypatch.setattr(module, function,
                         source_mutant(getattr(module, function), old, new))
     assert failing_checks() == expected
+
+
+# name: (old line, new line of `formal_ainfty._expand_boundary`, the
+#        checks it fails beyond each convention's own, the n <= 5 whose
+#        check_d_squared fails under each convention)
+FORMAL_SIGN_MUTANTS = {
+    # an m node's insertion takes a p node's sign: the terms of the
+    # associahedron that p_3's square meets no longer cancel
+    "m node's base dropped": (
+        "exponent = (base + k - s", "exponent = (k - s",
+        {"formal boundary squares to zero on p3",
+         "formal boundary squares to zero on p4",
+         "polytope 2-skeleton contractible n=4"}, {3, 4, 5}),
+    # a block of the target split passes the others' arities alone: a
+    # block's parity matters only when a block of even arity passes a
+    # block holding a child of odd degree, an m_3 at the least, so five
+    # leaves; the square of p_5 is the first to meet it, and no entry at
+    # n <= 4 forms it: this pins that blind spot
+    "target sign without block parities": (
+        "weights = [len(b) + sum(c.plain_degree() for c in b)",
+        "weights = [len(b)", set(), {5}),
+}
+
+
+@pytest.mark.parametrize("name", FORMAL_SIGN_MUTANTS)
+def test_formal_sign_mutant_fails_exactly(monkeypatch, name):
+    old, new, expected, unsquared = FORMAL_SIGN_MUTANTS[name]
+    monkeypatch.setattr(formal_ainfty, "_expand_boundary", source_mutant(
+        formal_ainfty._expand_boundary, old, new))
+    assert failing_checks() == expected
+    assert failing_checks(CONVENTION_B) == CONVENTION_B_FAILS | expected
+    for convention in (CONVENTION_A, CONVENTION_B):
+        with hom_complex.check_store():
+            assert {n for n in range(1, 6)
+                    if not formal_ainfty.check_d_squared(n, convention)
+                    } == unsquared
 
 
 def failing_cost_cases() -> set:
