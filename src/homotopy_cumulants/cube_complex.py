@@ -5,9 +5,11 @@ an (n-1)-cube: a cut position between adjacent inputs is either present
 (HIGH) or absent (LOW), and edges flip one cut.  The solid cube g_n has
 cells given by words over {LOW, HIGH, FREE}: HIGH cuts split the inputs
 into blocks, LOW cuts merge adjacent inputs with the wedge, and a block
-with f FREE cuts maps through the iterated integral of arity f+1.  Each
-cell's Hom boundary equals the signed sum of its facets, which is the
-geometric content of the cumulant collapse.
+with f FREE cuts maps through the iterated integral of arity f+1.  So a
+cell is a block word (`_blocks`: per block, the sizes of its wedge runs),
+whose map `hom_complex.word_map` builds.  Each cell's Hom boundary equals
+the signed sum of its facets, which is the geometric content of the
+cumulant collapse.
 """
 
 from __future__ import annotations
@@ -22,11 +24,10 @@ from .hom_complex import (
     MultiMap,
     SignConvention,
     TruncationGrid,
-    cup_pair,
     hom_boundary,
     linear_combination,
     maps_equal_on_truncation,
-    merged_integral,
+    word_map,
 )
 
 LOW, HIGH, FREE = "L", "H", "F"
@@ -73,20 +74,6 @@ def cells_of(n: int) -> list[CubeCell]:
     return [CubeCell(w) for w in itertools.product((FREE, HIGH, LOW), repeat=n - 1)]
 
 
-class CellLabel(Record):
-    """Block pattern plus the iterated-integral arity used in each block."""
-
-    __slots__ = ("block_pattern", "p_indices")
-
-    def __init__(self, block_pattern: Composition, p_indices: tuple[int, ...]):
-        object.__setattr__(self, "block_pattern", block_pattern)
-        object.__setattr__(self, "p_indices", p_indices)
-
-    @property
-    def dimension(self) -> int:
-        return sum(self.p_indices) - len(self.p_indices)
-
-
 def _blocks(cell: CubeCell) -> list[list[int]]:
     """Per block (inputs between HIGH cuts), the sizes of its wedge runs.
 
@@ -97,17 +84,11 @@ def _blocks(cell: CubeCell) -> list[list[int]]:
             for block in "".join(cell.word).split(HIGH)]
 
 
-def label_for_cell(cell: CubeCell) -> CellLabel:
-    """HIGH cuts determine the blocks; FREE cuts raise the block's arity."""
-    blocks = _blocks(cell)
-    return CellLabel(Composition(tuple(sum(runs) for runs in blocks)),
-                     tuple(len(runs) for runs in blocks))
-
-
 def vertex_composition(cell: CubeCell) -> Composition:
+    """The block sizes of a vertex, each block one wedge run."""
     if not cell.is_vertex():
         raise ValueError("not a vertex")
-    return label_for_cell(cell).block_pattern
+    return Composition(tuple(sum(runs) for runs in _blocks(cell)))
 
 
 def cell_term_text(cell: CubeCell) -> str:
@@ -208,7 +189,7 @@ def graph_is_bipartite_by_sign(graph: CumulantGraph) -> bool:
 
 def cell_to_map(n: int, cell: CubeCell,
                 convention: SignConvention = CONVENTION_A) -> MultiMap:
-    """The composite MultiMap carried by a cell of g_n.
+    """The composite MultiMap carried by a cell of g_n: its block word's.
 
     Within each block, LOW cuts wedge adjacent inputs and the block feeds
     the iterated integral of arity 1 + (FREE cuts); block images combine
@@ -216,11 +197,7 @@ def cell_to_map(n: int, cell: CubeCell,
     """
     if cell.n != n:
         raise ValueError(f"cell word has {cell.n - 1} letters, expected {n - 1}")
-    block_maps = [merged_integral(runs) for runs in _blocks(cell)]
-    total = block_maps[0]
-    for block in block_maps[1:]:
-        total = cup_pair(total, block, convention)
-    return total
+    return word_map(_blocks(cell), convention)
 
 
 def cell_boundary(cell: CubeCell) -> list[tuple[int, CubeCell]]:

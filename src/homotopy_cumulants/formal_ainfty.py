@@ -25,12 +25,13 @@ the boundary of p_3 lists its six edges.
 
 Interpreting m as the wedge or cup product, p_k as the k-th iterated
 integral, and operations of arity three and higher as zero reproduces the
-concrete Hom-complex boundary exactly.  The interpretation goes through
-the builders the cube cells use: a p node over binary source trees is
-`hom_complex.merged_integral` of the subtrees' leaf counts, and target
-nodes join with `cup_pair`, so formal terms evaluate on basis codes.  A
-formal sum interprets to one `hom_complex.linear_combination` of its
-terms' maps.
+concrete Hom-complex boundary exactly.  A painted tree that does not
+interpret to zero reads as a block word (`_word`), and its map is
+`hom_complex.word_map`'s, the builder of the cube cells: a p node over
+binary source trees is one block, of the subtrees' leaf counts, and a
+binary target node joins its children's blocks, so formal terms evaluate
+on basis codes.  A formal sum interprets to one
+`hom_complex.linear_combination` of its terms' maps.
 """
 
 from __future__ import annotations
@@ -48,10 +49,9 @@ from .hom_complex import (
     CONVENTION_A,
     MultiMap,
     SignConvention,
-    cup_pair,
     from_check_store,
     linear_combination,
-    merged_integral,
+    word_map,
     zero_map,
 )
 from .interval_model import _frac
@@ -550,24 +550,37 @@ def associahedron_contractibility(
 # interpretation in the interval model
 
 
+def _word(tree: PaintedNode) -> list[list[int]] | None:
+    """The block word of a painted tree, or None where it reads as zero.
+
+    A p node over binary source trees (dimension 0) is one block, of
+    their leaf counts; a binary target node joins its children's words.
+    """
+    if isinstance(tree, Paint):
+        zero = any(c.dimension() for c in tree.children)
+        return None if zero else [[c.leaf_count() for c in tree.children]]
+    words = [_word(c) for c in tree.children]
+    return None if len(words) != 2 or None in words else words[0] + words[1]
+
+
 def interpret(tree: PaintedNode,
               convention: SignConvention = CONVENTION_A) -> MultiMap:
-    """Read a painted tree in the interval model.
+    """Read a painted tree in the interval model: its block word's map
+    (see `_word` and `hom_complex.word_map`), or the zero map.
 
     Source multiplications become the wedge, target ones the cup, p_k the
     k-th iterated integral; arities three and higher interpret to zero.
-    A p node over binary source trees (dimension 0) is the iterated
-    integral of the wedges of their leaves, the bracketing being
-    immaterial since the wedge is associative.  Koszul signs of the
-    tensor evaluations follow the convention.
+    A p node over binary source trees is the iterated integral of the
+    wedges of their leaves, the bracketing being immaterial since the
+    wedge is associative, and a target tree is the left-nested cup of its
+    blocks, its own bracketing being immaterial since the cup is
+    associative with sign +1.  Koszul signs of the tensor evaluations
+    follow the convention.
     """
     validate_painted(tree)
+    if (word := _word(tree)) is not None:
+        return word_map(word, convention)
     n = tree.leaf_count()
-    if isinstance(tree, Paint) and not any(c.dimension() for c in tree.children):
-        return merged_integral([c.leaf_count() for c in tree.children])
-    if isinstance(tree, TargetOp) and len(tree.children) == 2:
-        left, right = (interpret(c, convention) for c in tree.children)
-        return cup_pair(left, right, convention)
     return zero_map(n, tree.plain_degree() + n - 1)
 
 

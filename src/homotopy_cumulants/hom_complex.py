@@ -27,6 +27,10 @@ right, from_left, moving parity) and `_sum_table` (the (leaf,
 coefficient) terms).  The leaves are I_n, `_iterated_integral_table` (n),
 and K_n, `cumulants.cumulant_table` (context).  A walk over `rule.args`
 from any map reaches its whole DAG, which shares the I_n leaves of a check.
+The composites of cube cells, of painted trees and of the vertex terms
+of K_n are block words, and one builder makes their maps: `word_map`,
+the left-nested cup of the blocks, each `merged_integral(sizes)`, I_k
+fed by k wedge runs of the given sizes.
 
 Equality of MultiMaps is certified on truncated monomial bases, which by
 multilinearity is exact on the truncated subspace.  A map is its table
@@ -747,6 +751,23 @@ def _cup_groups(pool: CochainPool, entries: Table, signed: bool) -> dict:
         k = (odd if sum(xs) & 1 else indices)[value]
         grouped.setdefault(k, []).append(xs)
     return grouped
+
+
+def word_map(word: Sequence[Sequence[int]],
+             convention: SignConvention = CONVENTION_A) -> MultiMap:
+    """The composite of a block word: the left-nested `cup_pair` of the
+    blocks' `merged_integral(sizes)`.
+
+    A word lists its blocks, each by the sizes of the wedge runs that feed
+    its iterated integral.  The nesting cannot change a value: the cup is
+    associative with sign +1 under A and under B (pinned on random maps
+    by `TestGenericLaws::test_cup_is_associative`), so every bracketing of
+    the blocks has the table of the left-nested one.
+    """
+    total, *blocks = map(merged_integral, word)
+    for block in blocks:
+        total = cup_pair(total, block, convention)
+    return total
 
 
 def maps_equal_on_truncation(f: MultiMap, g: MultiMap,

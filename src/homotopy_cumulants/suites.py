@@ -9,7 +9,9 @@ variable), and records what it returns:
   witness is its `to_json_dict()` as JSON with sorted keys;
 * a (status, witness) pair: both as given, the witness a text or None.
 
-Any other outcome, a truthy object or a tuple of another shape, raises
+A body that raises an `Exception` is recorded as failed, with the
+witness `"<type>: <message>"`, so the rest of the report still runs.  Any
+other outcome, a truthy object or a tuple of another shape, raises
 TypeError naming the check, so it is never recorded as a pass.
 
 Parameters are recorded as strings.  `duration_ms` is the body's own
@@ -107,8 +109,11 @@ def _entry(check: str, parameters: dict,
     """Run one check body, timed, in a store that shares the check's leaves
     (see `certify.check_store`), and record its outcome as an entry."""
     started = time.monotonic()
-    with check_store():
-        outcome = body()
+    try:
+        with check_store():
+            outcome = body()
+    except Exception as error:
+        outcome = (False, f"{type(error).__name__}: {error}")
     duration_ms = int((time.monotonic() - started) * 1000)
     witness = None
     if isinstance(outcome, EqualityVerdict):
@@ -329,17 +334,13 @@ def _first_failing_cell(n: int, degree: int,
 
 def run_cube_suite(n_max: int, degree: int,
                    convention: SignConvention = CONVENTION_A) -> list[ReportEntry]:
-    from .cube_complex import (
-        cell_to_map,
-        cells_of,
-        euler_characteristic,
-        vertex_composition,
-    )
+    from .cube_complex import euler_characteristic
     from .hom_complex import (
         MultiMap,
         cumulant_multimap,
         linear_combination,
         maps_equal_on_truncation,
+        word_map,
     )
 
     entries = []
@@ -355,10 +356,11 @@ def run_cube_suite(n_max: int, degree: int,
             lambda: _first_failing_cell(n, degree, convention)))
 
     def vertex_sum(n: int) -> MultiMap:
+        """The signed sum of the vertex terms of g_n, each the I_1 word of
+        its composition."""
         return linear_combination(
-            n, n - 1, ((cell_to_map(n, cell, convention),
-                        composition_sign(vertex_composition(cell)))
-                       for cell in cells_of(n) if cell.is_vertex()),
+            n, n - 1, ((word_map([[b] for b in comp], convention),
+                        composition_sign(comp)) for comp in compositions(n)),
             f"vertex sum g{n}")
 
     entries.append(_entry(

@@ -17,6 +17,7 @@ import pytest
 from homotopy_cumulants.cube_complex import (
     FREE,
     CubeCell,
+    _blocks,
     cell_boundary,
     cells_of,
     cumulant_graph,
@@ -24,7 +25,6 @@ from homotopy_cumulants.cube_complex import (
     graph_is_bipartite_by_sign,
     graph_is_connected,
     hypercube_isomorphism,
-    label_for_cell,
 )
 from homotopy_cumulants.formal_ainfty import (
     Leaf,
@@ -146,7 +146,7 @@ def test_criterion_07_cells_and_euler():
                    for n in range(2, 7)})
     ok = _suite_passes("cube", 6, 3, checks)
     # both square types: one single-block and one multi-block 2-cell of g4
-    single_block = {len(label_for_cell(cell).p_indices) == 1
+    single_block = {len(_blocks(cell)) == 1
                     for cell in cells_of(4) if cell.dimension == 2}
     ok = ok and single_block == {True, False}
     _report(7, "every cell of g_n bounds its facets (n <= 4, degree 3), "

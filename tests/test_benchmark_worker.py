@@ -61,3 +61,12 @@ def test_untraced_cumulants_pass_is_correct(tmp_path):
     result = run_worker("cumulants-n5", 1, 0, tmp_path)
     assert result["failed"] == 0
     assert result["checked"] == expected_checked("cumulants-n5")
+
+
+def test_untraced_verify_all_pass_is_correct(tmp_path):
+    """The measured path of verify-all-n4: untraced, the runners' own
+    imports name the library's functions, not the tracer's wrappers, and
+    every map's rule is the library's table function."""
+    result = run_worker("verify-all-n4", 1, 0, tmp_path)
+    assert result["failed"] == 0
+    assert result["checked"] == expected_checked("verify-all-n4")

@@ -12,6 +12,7 @@ from homotopy_cumulants.cube_complex import (
     HIGH,
     LOW,
     CubeCell,
+    _blocks,
     cell_boundary,
     cell_term_text,
     cell_to_map,
@@ -23,7 +24,6 @@ from homotopy_cumulants.cube_complex import (
     graph_is_connected,
     graph_to_dot,
     hypercube_isomorphism,
-    label_for_cell,
     verify_cell,
     vertex_composition,
 )
@@ -103,11 +103,13 @@ class TestGraph:
 
 class TestCells:
     def test_dimension_and_label_invariant(self):
+        # a block of r wedge runs feeds I_r, of dimension r - 1; the runs
+        # of all blocks cover the n inputs
         for n in (2, 3, 4, 5):
             for cell in cells_of(n):
-                label = label_for_cell(cell)
-                assert label.dimension == cell.dimension
-                assert label.block_pattern.n == n
+                blocks = _blocks(cell)
+                assert sum(len(runs) - 1 for runs in blocks) == cell.dimension
+                assert sum(map(sum, blocks)) == n
 
     def test_vertex_composition(self):
         cell = CubeCell((HIGH, LOW))
@@ -204,10 +206,8 @@ class TestVerification:
 
     def test_both_square_types_occur_in_g4(self):
         two_cells = [c for c in cells_of(4) if c.dimension == 2]
-        single_block = [c for c in two_cells
-                        if len(label_for_cell(c).p_indices) == 1]
-        two_block = [c for c in two_cells
-                     if len(label_for_cell(c).p_indices) >= 2]
+        single_block = [c for c in two_cells if len(_blocks(c)) == 1]
+        two_block = [c for c in two_cells if len(_blocks(c)) >= 2]
         assert single_block and two_block
 
     def test_dimension_zero_rejected(self):

@@ -35,9 +35,12 @@ from homotopy_cumulants.hom_complex import (
     CONVENTION_B,
     TruncationGrid,
     check_store,
+    cup_pair,
     hom_boundary,
     iterated_integral_map,
     maps_equal_on_truncation,
+    merged_integral,
+    zero_map,
 )
 
 
@@ -345,6 +348,40 @@ class TestInterpretation:
     def test_empty_sum_rejected(self):
         with pytest.raises(ValueError):
             interpret_sum(FormalSum.zero())
+
+    @pytest.mark.parametrize("convention", [CONVENTION_A, CONVENTION_B],
+                             ids=lambda c: c.name)
+    def test_words_match_the_recursive_cups(self, convention):
+        """Every painted cell with n <= 5, in every dimension, has the table
+        on the D = 1 grid that cupping its children's maps recursively
+        gives; 127 of them are words of three or more blocks, which the
+        recursion cups as the tree nests them, not left-nested."""
+        codes = TruncationGrid(1).slot_codes()
+        trees = [tree for n in range(1, 6) for dim in range(n)
+                 for tree in painted_cells(n, dim)]
+        assert len(trees) == 465
+        assert sum(len(formal_ainfty._word(tree) or ()) >= 3
+                   for tree in trees) == 127
+        with check_store():
+            for tree in trees:
+                domain = (codes,) * tree.leaf_count()
+                assert (interpret(tree, convention).table(domain)
+                        == recursive_interpretation(tree, convention)
+                        .table(domain)), tree_text(tree)
+
+
+def recursive_interpretation(tree, convention):
+    """The interpretation that cups a binary target node's two children's
+    maps, each interpreted the same way, so that a tree nested on the
+    right is cupped on the right; the oracle of `interpret`."""
+    n = tree.leaf_count()
+    if isinstance(tree, Paint) and not any(c.dimension() for c in tree.children):
+        return merged_integral([c.leaf_count() for c in tree.children])
+    if isinstance(tree, TargetOp) and len(tree.children) == 2:
+        left, right = (recursive_interpretation(c, convention)
+                       for c in tree.children)
+        return cup_pair(left, right, convention)
+    return zero_map(n, tree.plain_degree() + n - 1)
 
 
 def _has_higher_multiplication(tree):

@@ -559,6 +559,32 @@ class TestConventionB:
                                   TruncationGrid(2)).equal
 
 
+class TestConventionBTwist:
+    """Where B's failures come from, on the D = 2 grid: B's boundary of I_k
+    is A's times (-1)^(k-1), and every cup of the morphism relation has
+    the same table under both, so B's whole twist is the sign of the d
+    insertions into I_k at even k."""
+
+    GRID = TruncationGrid(2)
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_boundary_of_i_k_is_negated_at_even_k(self, k):
+        with hom_complex.check_store():
+            under_a = hom_boundary(iterated_integral_map(k), CONVENTION_A)
+            assert maps_equal_on_truncation(
+                hom_boundary(iterated_integral_map(k), CONVENTION_B),
+                under_a.scale((-1) ** (k - 1)), self.GRID).equal
+
+    @pytest.mark.parametrize("k", range(2, 8))
+    def test_cups_of_the_relation_agree(self, k):
+        with hom_complex.check_store():
+            for i in range(1, k):
+                left, right = iterated_integral_map(i), iterated_integral_map(k - i)
+                assert maps_equal_on_truncation(
+                    cup_pair(left, right, CONVENTION_A),
+                    cup_pair(left, right, CONVENTION_B), self.GRID).equal, i
+
+
 # (arity, plain degree) of f and of g, arity <= 3 in all, each degree one
 # at which a leaf of that arity has nonzero values
 _leaf_degrees = st.sampled_from([(1, 1), (1, 2), (2, 1)]).flatmap(
@@ -793,8 +819,9 @@ class TestCheckStore:
             refs.append(weakref.ref(iterated_integral_map(2)))
             raise RuntimeError("body failed")
 
-        with pytest.raises(RuntimeError):
-            suites._entry("raises", {}, body)
+        entry = suites._entry("raises", {}, body)
+        assert (entry.status, entry.witness) == (False,
+                                                 "RuntimeError: body failed")
         assert refs[0]() is None
         assert iterated_integral_map(2) is not iterated_integral_map(2)
 

@@ -16,7 +16,8 @@ fixed off-grid forms against a reference map, or tabulated on synthetic
 maps against the Koszul sign or the Leibniz rule, and the case asserts
 which comparisons fail.  The formal boundary's sign mutants are
 recompiled the same way; each also pins which p_n, n <= 5, fail to
-square to zero.  Defects that change no value, only the work done (where
+square to zero, and one makes four checks raise, which the report
+records as failed entries.  Defects that change no value, only the work done (where
 a build releases a table, how the recursive table groups its split term),
 are caught by the tests that count that work.
 """
@@ -24,6 +25,7 @@ are caught by the tests that count that work.
 import __future__
 import inspect
 import itertools
+import json
 import textwrap
 from collections import Counter
 from fractions import Fraction
@@ -31,6 +33,7 @@ from fractions import Fraction
 import pytest
 
 from homotopy_cumulants import (
+    cli,
     cube_complex,
     cumulants,
     formal_ainfty,
@@ -251,6 +254,17 @@ FORMAL_SIGN_MUTANTS = {
     "target sign without block parities": (
         "weights = [len(b) + sum(c.plain_degree() for c in b)",
         "weights = [len(b)", set(), {5}),
+    # the target split loses its leading sign, so no edge's boundary joins
+    # two vertices: the polytope graph raises in four entries, each of
+    # which records the error as its failure (see
+    # `test_a_raising_check_is_a_failed_entry`)
+    "target sign without its leading 1": (
+        "exponent = 1 + sum(", "exponent = sum(",
+        INTERPRETATIONS | {"formal boundary squares to zero on p3",
+                           "formal boundary squares to zero on p4",
+                           "three-input polytope is a hexagon"}
+        | {f"polytope 2-skeleton contractible n={n}" for n in (2, 3, 4)},
+        {3, 4, 5}),
 }
 
 
@@ -266,6 +280,30 @@ def test_formal_sign_mutant_fails_exactly(monkeypatch, name):
             assert {n for n in range(1, 6)
                     if not formal_ainfty.check_d_squared(n, convention)
                     } == unsquared
+
+
+def test_a_raising_check_is_a_failed_entry(monkeypatch, capsys):
+    """A check that raises is one failed entry, whose witness is the
+    error's type and message; the report keeps every entry, and the CLI
+    prints it and exits 1."""
+    checks = sorted(entry.check for entry in run_suite("all", 4, 2))
+    old, new, _, _ = FORMAL_SIGN_MUTANTS["target sign without its leading 1"]
+    monkeypatch.setattr(formal_ainfty, "_expand_boundary", source_mutant(
+        formal_ainfty._expand_boundary, old, new))
+    entries = run_suite("all", 4, 2)
+    assert sorted(entry.check for entry in entries) == checks
+    assert len(checks) == 48
+    edge = "ValueError: edge {} does not join two vertices".format
+    assert {entry.check: entry.witness for entry in entries
+            if entry.witness and entry.witness.startswith("ValueError")} == {
+        "three-input polytope is a hexagon": edge("p2(1⊗m2(1⊗1))"),
+        "polytope 2-skeleton contractible n=2": edge("p2"),
+        "polytope 2-skeleton contractible n=3": edge("p2(1⊗m2(1⊗1))"),
+        "polytope 2-skeleton contractible n=4": edge("p2(1⊗m2(1⊗m2(1⊗1)))"),
+    }
+    assert cli.main(["verify", "all", "--n-max", "4", "--degree", "2"]) == 1
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["entries"]) == 48
 
 
 def failing_cost_cases() -> set:

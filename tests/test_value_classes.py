@@ -19,7 +19,6 @@ from pathlib import Path
 import pytest
 
 from homotopy_cumulants.cube_complex import (
-    CellLabel,
     CubeCell,
     CumulantGraph,
     cumulant_graph,
@@ -74,7 +73,6 @@ FROZEN = [
     (EqualityVerdict, ("c", 2, 3, False, (T, T), Cochain(1, 0, 0),
                        Cochain.zero())),
     (CubeCell, (("F", "H", "L"),)),
-    (CellLabel, (Composition((1, 2)), (1, 2))),
     (CumulantGraph, (2, (Composition((2,)), Composition((1, 1))),
                      ((Composition((2,)), Composition((1, 1))),))),
     (Leaf, ()),
@@ -94,7 +92,6 @@ FIELDS = {
     EqualityVerdict: ("check", "arity", "grid_max_exponent", "equal",
                       "witness_tuple", "lhs", "rhs"),
     CubeCell: ("word",),
-    CellLabel: ("block_pattern", "p_indices"),
     CumulantGraph: ("n", "vertices", "edges"),
     Leaf: (),
     SourceOp: ("children",),
