@@ -10,11 +10,18 @@ cell is a block word (`_blocks`: per block, the sizes of its wedge runs),
 whose map `hom_complex.word_map` builds.  Each cell's Hom boundary equals
 the signed sum of its facets, which is the geometric content of the
 cumulant collapse.
+
+The graph G_n is read off the cells: its edges are the cells of
+dimension 1, each joining the compositions of its LOW and HIGH facets.
+The painted-tree polytope of `formal_ainfty` reads its graph off its
+1-cells the same way, into the same record (`CumulantGraph`), and
+`skeleton_to_dot` writes both.
 """
 
 from __future__ import annotations
 
 import itertools
+from typing import Callable
 
 from ._record import Record
 from .cumulants import Composition, composition_sign, compositions, input_letters
@@ -110,38 +117,39 @@ def cell_term_text(cell: CubeCell) -> str:
 
 
 class CumulantGraph(Record):
-    __slots__ = ("n", "vertices", "edges")
+    """The 1-skeleton of a cell complex: its vertices, its edges as pairs
+    of vertices, and beside each edge the cell that it is."""
 
-    def __init__(self, n: int, vertices: tuple[Composition, ...],
-                 edges: tuple[tuple[Composition, Composition], ...]):
+    __slots__ = ("n", "vertices", "edges", "edge_cells")
+
+    def __init__(self, n: int, vertices: tuple, edges: tuple[tuple, ...],
+                 edge_cells: tuple):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "vertices", vertices)
         object.__setattr__(self, "edges", edges)
+        object.__setattr__(self, "edge_cells", edge_cells)
 
 
 def cumulant_graph(n: int) -> CumulantGraph:
-    """Vertices are compositions of n; edges split one block in two."""
-    if n < 2:
-        raise ValueError("the cumulant graph needs n >= 2")
-    verts = compositions(n)
+    """G_n, the 1-skeleton of g_n: the vertices are the compositions of n,
+    and each edge cell joins the compositions of its facets, LOW first.
+    Edges are sorted by the cut sets of their two ends."""
     edges = []
-    for comp in verts:
-        cuts = comp.cut_set()
-        for position in range(1, n):
-            if position not in cuts:
-                other = Composition.from_cut_set(n, cuts | {position})
-                edges.append((comp, other))
+    for cell in cells_of(n):
+        if cell.dimension == 1:
+            (_, low), (_, high) = cell_boundary(cell)
+            edges.append((vertex_composition(low), vertex_composition(high), cell))
     edges.sort(key=lambda e: (sorted(e[0].cut_set()), sorted(e[1].cut_set())))
-    return CumulantGraph(n, tuple(verts), tuple(edges))
+    return CumulantGraph(n, tuple(compositions(n)), tuple(e[:2] for e in edges),
+                         tuple(e[2] for e in edges))
 
 
-def hypercube_isomorphism(n: int) -> dict[Composition, frozenset[int]]:
+def hypercube_isomorphism(graph: CumulantGraph) -> dict[Composition, frozenset[int]]:
     """The bijection composition <-> set of cut positions, edge-checked.
 
     Edges of the cumulant graph correspond exactly to single-coordinate
     flips of the cut set; a ValueError signals an internal inconsistency.
     """
-    graph = cumulant_graph(n)
     iso = {comp: comp.cut_set() for comp in graph.vertices}
     if len(set(iso.values())) != len(iso):
         raise ValueError("cut-set map is not injective")
@@ -159,8 +167,8 @@ def graph_degrees(graph: CumulantGraph) -> dict[Composition, int]:
     return degrees
 
 
-def graph_is_connected(graph) -> bool:
-    """Whether a graph with `vertices` and `edges` tuples is connected."""
+def graph_is_connected(graph: CumulantGraph) -> bool:
+    """Whether a 1-skeleton, of the cube or of the polytope, is connected."""
     if not graph.vertices:
         return True
     adjacency = {v: [] for v in graph.vertices}
@@ -251,20 +259,19 @@ def euler_characteristic(n: int) -> int:
 # exports
 
 
+def skeleton_to_dot(name: str, graph: CumulantGraph, vertex_text: Callable,
+                    cell_text: Callable) -> str:
+    """DOT rendering of a 1-skeleton: each vertex by its text, each edge
+    labelled with its cell's."""
+    return "\n".join([
+        f"graph {name} {{",
+        *(f'  "{vertex_text(v)}";' for v in graph.vertices),
+        *(f'  "{vertex_text(a)}" -- "{vertex_text(b)}" [label="{cell_text(cell)}"];'
+          for (a, b), cell in zip(graph.edges, graph.edge_cells)),
+        "}"])
+
+
 def graph_to_dot(n: int) -> str:
     """DOT rendering of G_n: composition vertices, composite-map edges."""
-    graph = cumulant_graph(n)
-    lines = [f"graph cumulant_graph_{n} {{"]
-    for comp in graph.vertices:
-        lines.append(f'  "{comp.to_text()}";')
-    for a, b in graph.edges:
-        position = next(iter(b.cut_set() - a.cut_set()))
-        word = tuple(
-            FREE if i == position else (HIGH if i in a.cut_set() else LOW)
-            for i in range(1, n)
-        )
-        label = cell_term_text(CubeCell(word))
-        lines.append(f'  "{a.to_text()}" -- "{b.to_text()}" [label="{label}"];')
-    lines.append("}")
-    return "\n".join(lines)
-
+    return skeleton_to_dot(f"cumulant_graph_{n}", cumulant_graph(n),
+                           Composition.to_text, cell_term_text)

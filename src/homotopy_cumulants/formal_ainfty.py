@@ -21,7 +21,10 @@ here, so convention B is convention A read from the other end.
 
 Vertices (all nodes binary or unary p) of the induced polytopes are the
 classical painted binary trees; for three inputs they form a hexagon and
-the boundary of p_3 lists its six edges.
+the boundary of p_3 lists its six edges.  The polytope's graph is its
+1-skeleton, read off the facets of each 1-cell into the record of the
+cube's graph, `cube_complex.CumulantGraph`, and drawn by the same
+`cube_complex.skeleton_to_dot`.
 
 Interpreting m as the wedge or cup product, p_k as the k-th iterated
 integral, and operations of arity three and higher as zero reproduces the
@@ -43,7 +46,7 @@ from math import lcm
 from typing import ClassVar, Iterable, Union
 
 from ._record import Record
-from .cube_complex import graph_is_connected
+from .cube_complex import CumulantGraph, graph_is_connected, skeleton_to_dot
 from .cumulants import compositions
 from .hom_complex import (
     CONVENTION_A,
@@ -429,21 +432,10 @@ def painted_trees(n: int) -> tuple[PaintedNode, ...]:
 # the polytope graph and its 2-skeleton
 
 
-class PolytopeGraph(Record):
-    __slots__ = ("n", "vertices", "edges", "edge_cells")
-
-    def __init__(self, n: int, vertices: tuple[PaintedNode, ...],
-                 edges: tuple[tuple[PaintedNode, PaintedNode], ...],
-                 edge_cells: tuple[PaintedNode, ...]):
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "edges", edges)
-        object.__setattr__(self, "edge_cells", edge_cells)
-
-
 def cumulant_polytope_graph(n: int,
-                            convention: SignConvention = CONVENTION_A) -> PolytopeGraph:
-    """Vertices joined when a single degree-one composite bounds them."""
+                            convention: SignConvention = CONVENTION_A) -> CumulantGraph:
+    """The 1-skeleton of the polytope: the painted binary trees, and each
+    1-cell joining the two vertices of its formal boundary."""
     if n not in (2, 3, 4):
         raise ValueError("the polytope graph is enumerated for n in {2, 3, 4}")
     vertices = painted_trees(n)
@@ -459,7 +451,7 @@ def cumulant_polytope_graph(n: int,
         if ca + cb != 0 or a not in vertex_set or b not in vertex_set:
             raise ValueError(f"edge {tree_text(cell)} does not join two vertices")
         edges.append((a, b))
-    return PolytopeGraph(n, vertices, tuple(edges), cells)
+    return CumulantGraph(n, vertices, tuple(edges), cells)
 
 
 class ContractibilityVerdict(Record):
@@ -608,12 +600,6 @@ def interpret_sum(value: FormalSum,
 def polytope_to_dot(n: int,
                     convention: SignConvention = CONVENTION_A) -> str:
     """DOT rendering of the cumulant polytope graph."""
-    graph = cumulant_polytope_graph(n, convention)
-    lines = [f"graph cumulant_polytope_{n} {{"]
-    for vertex in graph.vertices:
-        lines.append(f'  "{tree_text(vertex)}";')
-    for (a, b), cell in zip(graph.edges, graph.edge_cells):
-        lines.append(
-            f'  "{tree_text(a)}" -- "{tree_text(b)}" [label="{tree_text(cell)}"];')
-    lines.append("}")
-    return "\n".join(lines)
+    return skeleton_to_dot(f"cumulant_polytope_{n}",
+                           cumulant_polytope_graph(n, convention),
+                           tree_text, tree_text)

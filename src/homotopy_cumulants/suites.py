@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from . import __version__
 from ._record import Record
@@ -315,10 +315,15 @@ def _is_hypercube_skeleton(n: int) -> bool:
           and graph_is_connected(graph)
           and graph_is_bipartite_by_sign(graph))
     try:
-        hypercube_isomorphism(n)
+        hypercube_isomorphism(graph)
     except ValueError:
         return False
     return ok
+
+
+def _first_failure(verdicts: Iterable[EqualityVerdict]) -> EqualityVerdict | bool:
+    """The first unequal verdict, or True if every verdict is equal."""
+    return next((verdict for verdict in verdicts if not verdict.equal), True)
 
 
 def _first_failing_cell(n: int, degree: int,
@@ -327,9 +332,8 @@ def _first_failing_cell(n: int, degree: int,
     or True if every cell does."""
     from .cube_complex import cells_of, verify_cell
 
-    verdicts = (verify_cell(n, cell, degree, convention)
-                for cell in cells_of(n) if cell.dimension >= 1)
-    return next((verdict for verdict in verdicts if not verdict.equal), True)
+    return _first_failure(verify_cell(n, cell, degree, convention)
+                          for cell in cells_of(n) if cell.dimension >= 1)
 
 
 def run_cube_suite(n_max: int, degree: int,
@@ -365,7 +369,7 @@ def run_cube_suite(n_max: int, degree: int,
 
     entries.append(_entry(
         "signed vertex maps sum to the cumulant", {"n_max": min(n_max, 4)},
-        lambda: all(maps_equal_on_truncation(
+        lambda: _first_failure(maps_equal_on_truncation(
             vertex_sum(n), cumulant_multimap(n), TruncationGrid(min(degree, 3)),
             check=f"vertex sum = K{n}") for n in range(2, min(n_max, 4) + 1))))
     return entries

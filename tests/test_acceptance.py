@@ -128,7 +128,7 @@ def test_criterion_06_hypercube_skeleton():
         ok = ok and graph_is_connected(graph)
         ok = ok and graph_is_bipartite_by_sign(graph)
         try:
-            iso = hypercube_isomorphism(n)
+            iso = hypercube_isomorphism(graph)
             ok = ok and len(set(iso.values())) == 2 ** (n - 1)
         except ValueError:
             ok = False

@@ -87,18 +87,30 @@ class TestGraph:
             cumulant_graph(1)
 
     def test_isomorphism_examples(self):
-        iso = hypercube_isomorphism(3)
+        iso = hypercube_isomorphism(cumulant_graph(3))
         assert iso[Composition((1, 1, 1))] == frozenset({1, 2})
         assert iso[Composition((3,))] == frozenset()
 
     def test_isomorphism_through_eight(self):
         for n in range(2, 9):
-            iso = hypercube_isomorphism(n)
+            iso = hypercube_isomorphism(cumulant_graph(n))
             assert len(set(iso.values())) == 2 ** (n - 1)
 
     def test_adjacent_vertices_alternate_sign(self):
         for a, b in cumulant_graph(5).edges:
             assert composition_sign(a) == -composition_sign(b)
+
+    def test_edges_are_the_one_cells(self):
+        # each edge is a 1-cell of g_n, and every 1-cell is one edge, which
+        # joins the compositions of its LOW and HIGH facets in that order
+        for n in range(2, 7):
+            graph = cumulant_graph(n)
+            one_cells = [cell for cell in cells_of(n) if cell.dimension == 1]
+            assert sorted(graph.edge_cells, key=CubeCell.to_text) == one_cells
+            for (a, b), cell in zip(graph.edges, graph.edge_cells):
+                (position,) = cell.free_positions()
+                assert a == vertex_composition(cell.specialize(position, LOW))
+                assert b == vertex_composition(cell.specialize(position, HIGH))
 
 
 class TestCells:

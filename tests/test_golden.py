@@ -12,7 +12,9 @@ term-by-term traces of `cumulant 4 --inputs ...` and of
 rational forms, the formula `cumulant 5` prints, the SHA-256 of
 `cumulant 6 --inputs ...` on six degree-64 powers (the PolyForm path at
 the parser's caps; its 48 KB output is not committed), the DOT text of
-the cube graph at n = 4 and of the polytope graphs, the enumeration
+the cube graph at n = 4 and of the polytope graphs, the SHA-256 of
+every `graph` output the CLI accepts (cube n = 2..8, polytope
+n = 2..4), whose edge order each graph's sort fixes, the enumeration
 order of painted cells, and the SHA-256 of the formal boundary of every
 painted cell with n <= 6, in every dimension, under both conventions
 (each line the cell's `tree_text` and its boundary's `to_text`, whose
@@ -80,6 +82,17 @@ def _graph_dot(kind: str, n: int) -> str:
     return text
 
 
+def _graph_digests() -> str:
+    """One line per accepted `graph` command: its output's size and SHA-256."""
+    lines = []
+    for kind, sizes in (("cube", range(2, 9)), ("polytope", range(2, 5))):
+        for n in sizes:
+            data = _graph_dot(kind, n).encode("utf-8")
+            lines.append(f"graph {kind} {n}: {len(data)} bytes "
+                         f"sha256 {hashlib.sha256(data).hexdigest()}")
+    return "\n".join(lines) + "\n"
+
+
 def _painted_cells_text() -> str:
     lines = []
     for n in range(1, 5):
@@ -140,6 +153,7 @@ OUTPUTS = {
     "cube_4.dot": lambda: _graph_dot("cube", 4),
     "polytope_3.dot": lambda: _graph_dot("polytope", 3),
     "polytope_4.dot": lambda: _graph_dot("polytope", 4),
+    "graphs.sha256": _graph_digests,
     "painted_cells_n4.txt": _painted_cells_text,
     "formal_boundaries_n6.sha256": _formal_boundaries_digest,
 }

@@ -142,9 +142,16 @@ MUTANTS = {
 EULER = {f"euler characteristic g{n} = 1" for n in (2, 3, 4)}
 
 # the cells of g_n, as `cube_complex.cells_of` enumerates them, miscounted:
-# only the Euler characteristic counts them
-CELLS_OF_MUTANTS = {"a 1-cell dropped": first_one_cell_dropped,
-                    "the first cell listed twice": first_cell_listed_twice}
+# the Euler characteristic counts them, and G_n, read off the 1-cells,
+# loses an edge where a 1-cell is dropped (every n) and doubles one where
+# the top cell listed twice is a 1-cell (n = 2)
+CELLS_OF_MUTANTS = {
+    "a 1-cell dropped": (
+        first_one_cell_dropped,
+        EULER | {f"G{n} is the hypercube skeleton" for n in (2, 3, 4)}),
+    "the first cell listed twice": (
+        first_cell_listed_twice, EULER | {"G2 is the hypercube skeleton"}),
+}
 
 
 def failing_checks(*convention):
@@ -165,9 +172,9 @@ def test_mutant_fails_exactly(monkeypatch, name):
 
 @pytest.mark.parametrize("name", CELLS_OF_MUTANTS)
 def test_cells_of_mutant_fails_exactly(monkeypatch, name):
-    monkeypatch.setattr(cube_complex, "cells_of",
-                        CELLS_OF_MUTANTS[name](cube_complex.cells_of))
-    assert failing_checks() == EULER
+    mutate, expected = CELLS_OF_MUTANTS[name]
+    monkeypatch.setattr(cube_complex, "cells_of", mutate(cube_complex.cells_of))
+    assert failing_checks() == expected
 
 
 CONVENTION_B_FAILS = CELLS | INTERPRETATIONS | {
@@ -233,6 +240,21 @@ def test_table_mutant_fails_exactly(monkeypatch, name):
     monkeypatch.setattr(module, function,
                         source_mutant(getattr(module, function), old, new))
     assert failing_checks() == expected
+
+
+def test_vertex_sum_failure_keeps_its_witness(monkeypatch):
+    """The vertex-sum entry records its first failing verdict, at n = 2."""
+    module, function, old, new, _ = TABLE_MUTANTS["direct table's tail unsigned"]
+    monkeypatch.setattr(module, function,
+                        source_mutant(getattr(module, function), old, new))
+    (entry,) = [entry for entry in run_suite("cube", 4, 2)
+                if entry.check == "signed vertex maps sum to the cumulant"]
+    assert not entry.status
+    assert entry.witness == json.dumps({
+        "arity": 2, "check": "vertex sum = K2", "grid_D": 2,
+        "lhs": {"edge": "0/1", "v0": "0/1", "v1": "0/1"},
+        "rhs": {"edge": "0/1", "v0": "2/1", "v1": "2/1"},
+        "status": "fail", "witness_tuple": ["1", "1"]}, sort_keys=True)
 
 
 # name: (old line, new line of `formal_ainfty._expand_boundary`, the

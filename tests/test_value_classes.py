@@ -32,7 +32,6 @@ from homotopy_cumulants.formal_ainfty import (
     ContractibilityVerdict,
     Leaf,
     Paint,
-    PolytopeGraph,
     SourceOp,
     TargetOp,
     associahedron_contractibility,
@@ -74,12 +73,12 @@ FROZEN = [
                        Cochain.zero())),
     (CubeCell, (("F", "H", "L"),)),
     (CumulantGraph, (2, (Composition((2,)), Composition((1, 1))),
-                     ((Composition((2,)), Composition((1, 1))),))),
+                     ((Composition((2,)), Composition((1, 1))),),
+                     (CubeCell(("F",)),))),
     (Leaf, ()),
     (SourceOp, (LEAVES,)),
     (Paint, ((SourceOp(LEAVES), Leaf()),)),
     (TargetOp, ((Paint(LEAVES[:1]), Paint(LEAVES)),)),
-    (PolytopeGraph, (2, (Paint(LEAVES),), (), ())),
     (ContractibilityVerdict, (3, 6, 6, 1, True, 1, 1)),
 ]
 
@@ -92,12 +91,11 @@ FIELDS = {
     EqualityVerdict: ("check", "arity", "grid_max_exponent", "equal",
                       "witness_tuple", "lhs", "rhs"),
     CubeCell: ("word",),
-    CumulantGraph: ("n", "vertices", "edges"),
+    CumulantGraph: ("n", "vertices", "edges", "edge_cells"),
     Leaf: (),
     SourceOp: ("children",),
     Paint: ("children",),
     TargetOp: ("children",),
-    PolytopeGraph: ("n", "vertices", "edges", "edge_cells"),
     ContractibilityVerdict: ("n", "vertices", "edges", "faces", "connected",
                              "cycle_rank", "boundary_rank"),
     ReportEntry: ("check", "parameters", "status", "witness", "duration_ms"),
