@@ -1,6 +1,7 @@
 """What every check uses, whatever its family.
 
-* the sign conventions A and B (`SignConvention`, `get_convention`);
+* the sign conventions A and B (`SignConvention`, `get_convention`) and
+  the one rule they differ by (`passed`);
 * the truncation grid the checks certify on (`TruncationGrid`);
 * the verdict of a grid comparison (`EqualityVerdict`) and the first
   tuple at which two code tables differ (`first_difference`);
@@ -45,6 +46,18 @@ def get_convention(name: str) -> SignConvention:
         return {"A": CONVENTION_A, "B": CONVENTION_B}[name]
     except KeyError:
         raise ValueError(f"unknown sign convention {name!r}") from None
+
+
+def passed(parities: Sequence[int], start: int, stop: int,
+           convention: SignConvention) -> int:
+    """The parities that the factor at start:stop passes: those before it
+    under A, those after it under B.
+
+    Every Koszul sign is -1 to the power of such a count.  The formal
+    boundary reads the convention only here; the Hom layer's d insertions
+    and cups inline the same rule in their tables.
+    """
+    return sum(parities[:start] if convention.from_left else parities[stop:])
 
 
 class TruncationGrid(Record):

@@ -14,8 +14,10 @@ import argparse
 import contextlib
 import sys
 
+from .certify import get_convention
 from .cumulants import (
     CumulantTerm,
+    composition_sign,
     cumulant,
     cumulant_terms,
     integration_context,
@@ -24,7 +26,6 @@ from .cumulants import (
 )
 from .cube_complex import graph_to_dot
 from .formal_ainfty import polytope_to_dot
-from .hom_complex import get_convention
 from .interval_model import ParseError, parse_form_tuple
 from .suites import (
     DEGREE_LIMIT,
@@ -129,7 +130,7 @@ def _cmd_graph(args) -> int:
 
 
 def _format_term(term: CumulantTerm) -> str:
-    sign = "+" if term.sign > 0 else "-"
+    sign = "+" if composition_sign(term.composition) > 0 else "-"
     notation = term_notation(term.composition)
     return f"  {sign} {notation:<24} = {term.value.to_text()}"
 

@@ -195,16 +195,15 @@ def graph_is_bipartite_by_sign(graph: CumulantGraph) -> bool:
 # cells as maps and their boundaries
 
 
-def cell_to_map(n: int, cell: CubeCell,
+def cell_to_map(cell: CubeCell,
                 convention: SignConvention = CONVENTION_A) -> MultiMap:
-    """The composite MultiMap carried by a cell of g_n: its block word's.
+    """The composite MultiMap carried by a cell of g_n, n = `cell.n`: its
+    block word's.
 
     Within each block, LOW cuts wedge adjacent inputs and the block feeds
     the iterated integral of arity 1 + (FREE cuts); block images combine
     with the cup product left-nested, Koszul signs per the convention.
     """
-    if cell.n != n:
-        raise ValueError(f"cell word has {cell.n - 1} letters, expected {n - 1}")
     return word_map(_blocks(cell), convention)
 
 
@@ -231,20 +230,20 @@ def cell_boundary(cell: CubeCell) -> list[tuple[int, CubeCell]]:
     return facets
 
 
-def verify_cell(n: int, cell: CubeCell, max_exponent: int,
+def verify_cell(cell: CubeCell, max_exponent: int,
                 convention: SignConvention = CONVENTION_A) -> EqualityVerdict:
     """Check boundary(cell map) = signed sum of facet maps on the grid."""
     if cell.dimension < 1:
         raise ValueError("verify_cell needs a cell of dimension >= 1")
-    boundary_map = hom_boundary(cell_to_map(n, cell, convention), convention)
+    boundary_map = hom_boundary(cell_to_map(cell, convention), convention)
     facet_sum = linear_combination(
-        n, boundary_map.shifted_degree,
-        ((cell_to_map(n, facet, convention), sign)
+        cell.n, boundary_map.shifted_degree,
+        ((cell_to_map(facet, convention), sign)
          for sign, facet in cell_boundary(cell)),
         f"facets({cell.to_text()})")
     return maps_equal_on_truncation(
         boundary_map, facet_sum, TruncationGrid(max_exponent),
-        check=f"cell {cell.to_text()} boundary, n={n}")
+        check=f"cell {cell.to_text()} boundary, n={cell.n}")
 
 
 def euler_characteristic(n: int) -> int:

@@ -16,16 +16,17 @@ keeps for the latest tuple only.  `cumulant` evaluates the direct
 formula grouped by its first block, `cumulant_terms` traces the same
 sum composition by composition, and `cumulant_recursive` evaluates by
 the recursion K_n(a_1, ..) = K_{n-1}(a_1 a_2, ..) - e(a_1) K_{n-1}(a_2, ..)
-on run indices; they are the oracles on PolyForms for the two tables,
-which give K_n's nonzero values on every code tuple of a per-slot
-product of code sets: `cumulant_table` by the direct formula, doing its
-products and chain-map images once per distinct run product rather than
-once per run, and `cumulant_recursive_table` by the recursion.  Both sum
-on the value indices of an `interval_model.CochainPool`, so each pair of
-distinct values is added once.  Each table is the last level of a build
-that makes K_m on the last m slots for m = 1..n; `cumulant_levels` and
-`cumulant_recursive_levels` yield every level with its arity, so the
-cumulants suite builds each K_m once per grid.
+on run indices; they are the oracles on PolyForms for the two table
+builds, which give K_n's nonzero values on every code tuple of a
+per-slot product of code sets: `cumulant_levels` by the direct formula,
+doing its products and chain-map images once per distinct run product
+rather than once per run, and `cumulant_recursive_levels` by the
+recursion.  Both sum on the value indices of an
+`interval_model.CochainPool`, so each pair of distinct values is added
+once.  Each build makes K_m on the last m slots for m = 1..n and yields
+every level with its arity, so the cumulants suite builds each K_m once
+per grid; `cumulant_table`, the table of a MultiMap's K_n leaf, is the
+last level of the direct build.
 """
 
 from __future__ import annotations
@@ -203,13 +204,14 @@ def endpoint_evaluation_context() -> CumulantContext:
 
 
 class CumulantTerm(Record):
-    """One composition's contribution to a cumulant evaluation."""
+    """One composition's contribution to a cumulant evaluation: the
+    product of its block images, which enters the sum with the sign
+    `composition_sign(composition)`."""
 
-    __slots__ = ("composition", "sign", "value")
+    __slots__ = ("composition", "value")
 
-    def __init__(self, composition: Composition, sign: int, value: Cochain):
+    def __init__(self, composition: Composition, value: Cochain):
         object.__setattr__(self, "composition", composition)
-        object.__setattr__(self, "sign", sign)
         object.__setattr__(self, "value", value)
 
 
@@ -283,7 +285,7 @@ def cumulant_terms(ctx: CumulantContext,
                 acc = image
             elif acc is not zero:
                 acc = ctx.target_product(acc, image)
-        terms.append(CumulantTerm(comp, composition_sign(comp), acc))
+        terms.append(CumulantTerm(comp, acc))
     return terms
 
 
@@ -347,7 +349,9 @@ def cumulant_table(ctx: CumulantContext, domain: Iterable[Iterable[int]]
     zero.
     """
     slots = _code_slots(domain)
-    return _last_level(_direct_levels(ctx, slots), len(slots))
+    # `islice` drops each earlier level as it is read, so none is held
+    # while the next is built
+    return next(islice(_direct_levels(ctx, slots), len(slots) - 1, None))[1]
 
 
 def cumulant_levels(ctx: CumulantContext, domain: Iterable[Iterable[int]]
@@ -378,12 +382,6 @@ def cumulant_levels(ctx: CumulantContext, domain: Iterable[Iterable[int]]
     generator is exhausted or closed.
     """
     return _direct_levels(ctx, _code_slots(domain))
-
-
-def _last_level(levels: Iterator[tuple[int, dict]], n: int) -> dict:
-    """The table of level n, the last, of a build; `islice` drops each
-    earlier level as it is read, so none is held while the next is built."""
-    return next(islice(levels, n - 1, None))[1]
 
 
 def _direct_levels(ctx: CumulantContext, slots: list[tuple[int, ...]]
@@ -482,19 +480,6 @@ def cumulant_recursive(ctx: CumulantContext,
             value = value - product(images[j - i], suffix[j + 1])
         suffix[i] = value
     return suffix[0]
-
-
-def cumulant_recursive_table(ctx: CumulantContext,
-                             domain: Iterable[Iterable[int]]
-                             ) -> dict[tuple, Cochain]:
-    """K_n's nonzero values on a per-slot product, by the recursion: the
-    last level of `cumulant_recursive_levels`.
-
-    The result has the keys and values of `cumulant_table`, with which it
-    shares nothing but the check of the domain.
-    """
-    slots = _code_slots(domain)
-    return _last_level(_recursive_levels(ctx, slots), len(slots))
 
 
 def cumulant_recursive_levels(ctx: CumulantContext,

@@ -16,8 +16,9 @@ Koszul signs of the boundary and a cell's dimension (the negative of its
 degree) are read, not recursed.  Every sign of the boundary, of the
 root's relation as of the Leibniz terms, is -1 to the power of a count
 of the parities a factor passes, those before it under A and those after
-it under B; `_passed` is the only reader of `convention.from_left`
-here, so convention B is convention A read from the other end.
+it under B.  That count is `certify.passed`, the one statement of the
+rule, and this module reads `convention.from_left` only through it, so
+convention B is convention A read from the other end.
 
 Vertices (all nodes binary or unary p) of the induced polytopes are the
 classical painted binary trees; for three inputs they form a hexagon and
@@ -46,17 +47,10 @@ from math import lcm
 from typing import ClassVar, Iterable, Union
 
 from ._record import Record
+from .certify import CONVENTION_A, SignConvention, from_check_store, passed
 from .cube_complex import CumulantGraph, graph_is_connected, skeleton_to_dot
 from .cumulants import compositions
-from .hom_complex import (
-    CONVENTION_A,
-    MultiMap,
-    SignConvention,
-    from_check_store,
-    linear_combination,
-    word_map,
-    zero_map,
-)
+from .hom_complex import MultiMap, linear_combination, word_map, zero_map
 from .interval_model import _frac
 
 
@@ -220,14 +214,6 @@ class FormalSum:
                 del acc[tree]
         self.terms = acc
 
-    @classmethod
-    def of(cls, tree: FormalTree, coefficient=1) -> "FormalSum":
-        return cls([(tree, coefficient)])
-
-    @classmethod
-    def zero(cls) -> "FormalSum":
-        return cls()
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -273,13 +259,6 @@ class FormalSum:
 # the formal boundary
 
 
-def _passed(parities, start: int, stop: int,
-            convention: SignConvention) -> int:
-    """The parities that the factor at start:stop passes: those before it
-    under A, those after it under B."""
-    return sum(parities[:start] if convention.from_left else parities[stop:])
-
-
 def _compositions_into(k: int, q: int) -> list[tuple[int, ...]]:
     """All ways to write k as q positive parts, lexicographic."""
     return sorted(c.blocks for c in compositions(k) if len(c) == q)
@@ -289,7 +268,7 @@ def _tree_boundary(tree: FormalTree, convention: SignConvention) -> FormalSum:
     """The formal boundary of one tree, kept per (tree, convention) in the
     open check store (see `certify.check_store`)."""
     if isinstance(tree, Leaf):
-        return FormalSum.zero()
+        return FormalSum()
     return from_check_store(("boundary", tree, convention),
                             lambda: _expand_boundary(tree, convention))
 
@@ -298,7 +277,8 @@ def _expand_boundary(tree: FormalTree, convention: SignConvention) -> FormalSum:
     """The root's relation, then the graded Leibniz rule into the children.
 
     Every sign is -1 to the power of a count of passed parities, read by
-    `_passed`, so convention B is convention A read from the other end:
+    `certify.passed`, so convention B is convention A read from the other
+    end:
 
     - an insertion groups the children r:r+s of a node of arity k, under a
       source m in a p node (base 0) or under the node's own operation in
@@ -322,8 +302,8 @@ def _expand_boundary(tree: FormalTree, convention: SignConvention) -> FormalSum:
     # the grouped node keeps at least its least arity of children
     for s in range(2, k + 2 - tree.min_arity):
         for r in range(k - s + 1):
-            exponent = (base + k - s - _passed([1] * k, r, r + s, convention)
-                        + s * _passed(suspended, r, r + s, convention))
+            exponent = (base + k - s - passed([1] * k, r, r + s, convention)
+                        + s * passed(suspended, r, r + s, convention))
             grouped = children[:r] + (group(children[r:r + s]),) + children[r + s:]
             terms.append((type(tree)(grouped), -1 if exponent % 2 else 1))
     if isinstance(tree, Paint):
@@ -333,13 +313,13 @@ def _expand_boundary(tree: FormalTree, convention: SignConvention) -> FormalSum:
                 blocks = [children[a:b] for a, b in zip(starts, starts[1:])]
                 weights = [len(b) + sum(c.plain_degree() for c in b)
                            for b in blocks]
-                exponent = 1 + sum((a - 1) * _passed(weights, j, j + 1, convention)
+                exponent = 1 + sum((a - 1) * passed(weights, j, j + 1, convention)
                                    for j, a in enumerate(parts))
                 terms.append((TargetOp(tuple(map(Paint, blocks))),
                               -1 if exponent % 2 else 1))
     node_parity = tree.operation_degree(k) % 2
     for i, child in enumerate(children):
-        exponent = node_parity + _passed(parities, i, i + 1, convention)
+        exponent = node_parity + passed(parities, i, i + 1, convention)
         sign = -1 if exponent % 2 else 1
         for sub, coefficient in _tree_boundary(child, convention).terms.items():
             rebuilt = type(tree)(children[:i] + (sub,) + children[i + 1:])
@@ -423,11 +403,6 @@ def painted_cells(n: int, dim: int) -> tuple[PaintedNode, ...]:
     return _trees((Paint, TargetOp), n, dim)
 
 
-def painted_trees(n: int) -> tuple[PaintedNode, ...]:
-    """Vertices of the n-input cumulant polytope: painted binary trees."""
-    return painted_cells(n, 0)
-
-
 # ---------------------------------------------------------------------------
 # the polytope graph and its 2-skeleton
 
@@ -438,7 +413,7 @@ def cumulant_polytope_graph(n: int,
     1-cell joining the two vertices of its formal boundary."""
     if n not in (2, 3, 4):
         raise ValueError("the polytope graph is enumerated for n in {2, 3, 4}")
-    vertices = painted_trees(n)
+    vertices = painted_cells(n, 0)
     vertex_set = set(vertices)
     edges = []
     cells = painted_cells(n, 1)

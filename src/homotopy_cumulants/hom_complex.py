@@ -75,8 +75,10 @@ builds none.  Which table is read cannot change the value.
 
 The sign conventions, `TruncationGrid`, `EqualityVerdict`,
 `first_difference` and the check store live below this layer, in
-`certify`, so a check that needs no MultiMap never loads this module;
-they are imported here, so they resolve here too.
+`certify`, so a check that needs no MultiMap never loads this module.
+The d insertions and cups read `convention.from_left` inline, in their
+tables; they agree with `certify.passed`, the rule the formal layer
+reads.
 """
 
 from __future__ import annotations
@@ -91,7 +93,6 @@ from typing import Callable, Iterable, Sequence
 
 from .certify import (
     CONVENTION_A,
-    CONVENTION_B,
     EqualityVerdict,
     SignConvention,
     Table,
@@ -99,7 +100,6 @@ from .certify import (
     check_store,
     first_difference,
     from_check_store,
-    get_convention,
 )
 from .cumulants import (
     CumulantContext,

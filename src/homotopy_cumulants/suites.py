@@ -332,7 +332,7 @@ def _first_failing_cell(n: int, degree: int,
     or True if every cell does."""
     from .cube_complex import cells_of, verify_cell
 
-    return _first_failure(verify_cell(n, cell, degree, convention)
+    return _first_failure(verify_cell(cell, degree, convention)
                           for cell in cells_of(n) if cell.dimension >= 1)
 
 

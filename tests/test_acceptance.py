@@ -35,7 +35,7 @@ from homotopy_cumulants.formal_ainfty import (
     cumulant_polytope_graph,
     formal_boundary,
     p_tree,
-    painted_trees,
+    painted_cells,
 )
 from homotopy_cumulants.suites import run_suite
 
@@ -225,7 +225,7 @@ def test_criterion_10_tree_counts():
         for n in range(1, 9)
     )
     ok = ok and len(binary_trees(4)) == 5
-    ok = ok and len(painted_trees(3)) == 6
+    ok = ok and len(painted_cells(3, 0)) == 6
     _report(10, "Catalan counts through n = 8 (pentagon 5 at n = 4); "
                 "six painted trees on three inputs",
             ok, time.monotonic() - started)
@@ -260,7 +260,7 @@ from homotopy_cumulants.suites import _entry
 
 def check():
     vertex_sum = linear_combination(
-        6, 5, ((cell_to_map(6, cell), composition_sign(vertex_composition(cell)))
+        6, 5, ((cell_to_map(cell), composition_sign(vertex_composition(cell)))
                for cell in cells_of(6) if cell.is_vertex()), "vertex sum g6")
     return maps_equal_on_truncation(vertex_sum, cumulant_multimap(6),
                                     TruncationGrid(3), check="vertex sum = K6")

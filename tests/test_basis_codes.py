@@ -24,6 +24,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homotopy_cumulants import cube_complex, formal_ainfty, hom_complex, suites
+from homotopy_cumulants.certify import CONVENTION_A, CONVENTION_B, passed
 from homotopy_cumulants.cube_complex import (
     cell_to_map,
     cells_of,
@@ -37,7 +38,6 @@ from homotopy_cumulants.cumulants import (
     cumulant_levels,
     cumulant_recursive,
     cumulant_recursive_levels,
-    cumulant_recursive_table,
     cumulant_table,
     cumulant_terms,
     endpoint_evaluation_context,
@@ -45,8 +45,6 @@ from homotopy_cumulants.cumulants import (
 )
 from homotopy_cumulants.formal_ainfty import formal_boundary, interpret_sum, p_tree
 from homotopy_cumulants.hom_complex import (
-    CONVENTION_A,
-    CONVENTION_B,
     MultiMap,
     TruncationGrid,
     ainfty_relation_defect,
@@ -86,6 +84,7 @@ from reference_maps import (
     maps_below,
     record_builds,
 )
+from test_cumulants import cumulant_recursive_table
 
 CONVENTIONS = (CONVENTION_A, CONVENTION_B)
 
@@ -97,7 +96,9 @@ CONVENTIONS = (CONVENTION_A, CONVENTION_B)
 # rules became the only engine.  Each builder returns a ReferenceMap, so a
 # call runs its evaluator on PolyForms and never goes through `table`;
 # mixed forms are split into homogeneous parts where a Koszul sign depends
-# on form degrees.
+# on form degrees.  Those signs come from `certify.passed`, the rule the
+# formal boundary reads, so the Hom tables' inlined signs are checked
+# against it.
 
 
 def homogeneous_parts(form: PolyForm):
@@ -177,7 +178,7 @@ def reference_d_insertion_sum(f, convention=CONVENTION_A):
                 dx = d_form(homog[u])
                 if dx.is_zero():
                     continue
-                exponent = sum(degs[:u]) if convention.from_left else sum(degs[u + 1:])
+                exponent = passed(degs, u, u + 1, convention)
                 inserted = homog[:u] + (dx,) + homog[u + 1:]
                 value = f(*inserted)
                 total = total + (value if exponent % 2 == 0 else -value)
@@ -199,25 +200,23 @@ def reference_hom_boundary(f, convention=CONVENTION_A):
 
 
 def reference_cup_pair(left, right, convention=CONVENTION_A):
-    arity = left.arity + right.arity
-    moving = right if convention.from_left else left
-    moving_parity = moving.plain_degree % 2
+    """Each homogeneous term of the cup takes the Koszul sign of the
+    convention's rule: the j-th map's degree times the parities of the
+    input blocks it passes."""
+    degrees = (left.plain_degree, right.plain_degree)
 
     def evaluator(*xs):
-        left_xs, right_xs = xs[:left.arity], xs[left.arity:]
-        if moving_parity == 0:
-            return cup(left(*left_xs), right(*right_xs))
-        passed = left_xs if convention.from_left else right_xs
         total = Cochain.zero()
-        for homog, degs in _homogeneous_tuples(passed):
-            if convention.from_left:
-                value = cup(left(*homog), right(*right_xs))
-            else:
-                value = cup(left(*left_xs), right(*homog))
-            total = total + (value if sum(degs) % 2 == 0 else -value)
+        for homog, degs in _homogeneous_tuples(xs):
+            blocks = (sum(degs[:left.arity]), sum(degs[left.arity:]))
+            exponent = sum(degree * passed(blocks, j, j + 1, convention)
+                           for j, degree in enumerate(degrees))
+            value = cup(left(*homog[:left.arity]), right(*homog[left.arity:]))
+            total = total + (value if exponent % 2 == 0 else -value)
         return total
 
-    return ReferenceMap(arity, left.shifted_degree + right.shifted_degree + 1,
+    return ReferenceMap(left.arity + right.arity,
+                        left.shifted_degree + right.shifted_degree + 1,
                         evaluator, f"cup({left.name},{right.name})")
 
 
@@ -410,10 +409,10 @@ class TestOracle:
     def test_cell_maps(self, convention):
         for n in (2, 3, 4):
             for cell in cells_of(n):
-                assert_paths_agree(lambda: cell_to_map(n, cell, convention))
+                assert_paths_agree(lambda: cell_to_map(cell, convention))
                 if n < 4 and cell.dimension:
                     assert_paths_agree(lambda: hom_boundary(
-                        cell_to_map(n, cell, convention), convention))
+                        cell_to_map(cell, convention), convention))
 
     def test_interpreted_formal_boundary(self, convention):
         for n in (2, 3):
@@ -486,7 +485,7 @@ def _arity3_builders(convention):
                          convention),
         lambda: homotopy_witness(3, convention),
         lambda: cumulant_multimap(3),
-    ] + [lambda cell=cell: cell_to_map(3, cell, convention) for cell in cells_of(3)]
+    ] + [lambda cell=cell: cell_to_map(cell, convention) for cell in cells_of(3)]
 
 
 @settings(max_examples=40, deadline=None)
@@ -564,7 +563,7 @@ class TestNoPerTupleFallback:
         calls = self._count_code_calls(monkeypatch)
         for cell in cells_of(4):
             if cell.dimension:
-                assert verify_cell(4, cell, 2).equal
+                assert verify_cell(cell, 2).equal
         assert calls == []
 
     def test_boundary_of_h_n_evaluates_only_k_n_per_tuple(self, monkeypatch):
@@ -617,9 +616,10 @@ class TestCumulantOracle:
         for n in (1, 2, 3, 4):
             for xs in basis_code_tuples(n):
                 forms = tuple(map(decode_basis, xs))
-                assert [(t.composition, t.sign, t.value)
+                # a term's sign is its composition's
+                assert [(t.composition, t.value)
                         for t in cumulant_terms(on_codes, xs)] == [
-                    (t.composition, t.sign, t.value)
+                    (t.composition, t.value)
                     for t in cumulant_terms(on_forms, forms)], forms
 
     def test_cumulant_multimap(self, build):
@@ -837,7 +837,7 @@ def test_maps_without_a_code_rule_see_polyforms(monkeypatch):
                                       convention)]
                        + [cumulant_multimap(n, build())
                           for n in (2, 3) for build in CONTEXTS.values()]
-                       + [cell_to_map(n, cell, convention)
+                       + [cell_to_map(cell, convention)
                           for n in (3, 4) for cell in cells_of(n)])
             values.extend((f.table([codes] * f.arity), f(*range(f.arity)),
                            f(*forms[:f.arity])) for f in library)
@@ -889,7 +889,7 @@ def test_reference_values_read_no_table(monkeypatch):
               lambda: hom_boundary(homotopy_witness(3)),
               lambda: ainfty_relation_defect(3, 0)[1],
               lambda: cumulant_multimap(3),
-              lambda: cell_to_map(4, cells_of(4)[-1]),
+              lambda: cell_to_map(cells_of(4)[-1]),
               lambda: interpret_sum(formal_boundary(p_tree(3)))]
     forms = (PolyForm((1, "1/2"), (0, 3)), DT, T + ONE, PolyForm((), (2, 1)))
     cases = []
@@ -920,7 +920,7 @@ OFF_BASIS = {
     "morphism defect": ((1, 2, 3, 4),
                         lambda n, c: ainfty_relation_defect(n, 0, c)[1]),
     "cells of g3": (tuple(range(len(cells_of(3)))),
-                    lambda i, c: cell_to_map(3, cells_of(3)[i], c)),
+                    lambda i, c: cell_to_map(cells_of(3)[i], c)),
     **{f"K_n, {name}": ((1, 2, 3, 4),
                         lambda n, c, ctx=ctx: cumulant_multimap(n, ctx()))
        for name, ctx in CONTEXTS.items()},
@@ -1015,7 +1015,7 @@ def test_values_do_not_depend_on_the_kept_tables(family, convention, inputs,
 
 def g4_vertex_sum(convention):
     return linear_combination(
-        4, 3, ((cell_to_map(4, cell, convention),
+        4, 3, ((cell_to_map(cell, convention),
                 composition_sign(vertex_composition(cell)))
                for cell in cells_of(4) if cell.is_vertex()), "vertex sum g4")
 
@@ -1025,7 +1025,7 @@ RELEASED = {
     "K_3": lambda c: cumulant_multimap(3),
     "morphism defect n=3": lambda c: ainfty_relation_defect(3, 0, c)[1],
     # cup(cup(I1, I1(wedge@0)), I1)
-    "cell HLH of g4": lambda c: cell_to_map(4, cells_of(4)[16], c),
+    "cell HLH of g4": lambda c: cell_to_map(cells_of(4)[16], c),
     "vertex sum of g4": g4_vertex_sum,
 }
 

@@ -56,7 +56,7 @@ def census_json(n: int, max_exponent: int | None = None,
     payload: dict = {"n": n, "cells_by_dim": census}
     if max_exponent is not None:
         passed = all(
-            verify_cell(n, cell, max_exponent, convention).equal
+            verify_cell(cell, max_exponent, convention).equal
             for cell in cells_of(n) if cell.dimension >= 1
         )
         payload["checks_passed"] = passed
@@ -132,8 +132,6 @@ class TestCells:
     def test_malformed_word_rejected(self):
         with pytest.raises(ValueError):
             CubeCell(("X",))
-        with pytest.raises(ValueError):
-            cell_to_map(3, CubeCell((FREE,)))
 
     def test_term_text(self):
         assert cell_term_text(CubeCell((FREE, LOW))) == "p2(a,bc)"
@@ -144,12 +142,12 @@ class TestCells:
     def test_cell_maps_match_their_composites(self):
         grid = TruncationGrid(2)
         i1, i2, i3 = [iterated_integral_map(k) for k in (1, 2, 3)]
-        top = cell_to_map(3, CubeCell((FREE, FREE)))
+        top = cell_to_map(CubeCell((FREE, FREE)))
         assert maps_equal_on_truncation(top, i3, grid).equal
-        merged = cell_to_map(3, CubeCell((LOW, LOW)))
+        merged = cell_to_map(CubeCell((LOW, LOW)))
         assert maps_equal_on_truncation(
             merged, wedge_at(wedge_at(i1, 0), 0), grid).equal
-        split = cell_to_map(3, CubeCell((FREE, HIGH)))
+        split = cell_to_map(CubeCell((FREE, HIGH)))
         assert maps_equal_on_truncation(split, cup_pair(i2, i1), grid).equal
 
 
@@ -192,12 +190,12 @@ class TestVerification:
     def test_all_cells_of_g3(self):
         for cell in cells_of(3):
             if cell.dimension >= 1:
-                assert verify_cell(3, cell, 3).equal
+                assert verify_cell(cell, 3).equal
 
     def test_all_cells_of_g4_small_grid(self):
         for cell in cells_of(4):
             if cell.dimension >= 1:
-                assert verify_cell(4, cell, 2).equal, cell
+                assert verify_cell(cell, 2).equal, cell
 
     def test_g4_cells_cup_once_per_value_pair(self, monkeypatch):
         """The cost model of `cup_pair` over every cell check of g4 on the
@@ -213,7 +211,7 @@ class TestVerification:
         monkeypatch.setattr(hom_complex, "cup", counted_cup)
         for cell in cells_of(4):
             if cell.dimension >= 1:
-                assert verify_cell(4, cell, 2).equal, cell
+                assert verify_cell(cell, 2).equal, cell
         assert calls[0] == 3872
 
     def test_both_square_types_occur_in_g4(self):
@@ -224,7 +222,7 @@ class TestVerification:
 
     def test_dimension_zero_rejected(self):
         with pytest.raises(ValueError):
-            verify_cell(2, CubeCell((LOW,)), 2)
+            verify_cell(CubeCell((LOW,)), 2)
 
     def test_vertex_sum_is_the_cumulant(self):
         for n, max_exponent in ((2, 3), (3, 3), (4, 2)):
@@ -232,7 +230,7 @@ class TestVerification:
             for cell in cells_of(n):
                 if cell.is_vertex():
                     sign = composition_sign(vertex_composition(cell))
-                    mapped = cell_to_map(n, cell)
+                    mapped = cell_to_map(cell)
                     total = total + (mapped if sign > 0 else mapped.scale(-1))
             verdict = maps_equal_on_truncation(
                 total, cumulant_multimap(n), TruncationGrid(max_exponent))

@@ -21,7 +21,6 @@ from homotopy_cumulants.cumulants import (
     cumulant_levels,
     cumulant_recursive,
     cumulant_recursive_levels,
-    cumulant_recursive_table,
     cumulant_table,
     cumulant_terms,
     endpoint_evaluation_context,
@@ -48,6 +47,15 @@ from homotopy_cumulants.suites import run_cumulants_suite, run_suite
 T = PolyForm.monomial(1)
 DT = PolyForm.monomial(0, dt=True)
 ONE = PolyForm.monomial(0)
+
+
+def cumulant_recursive_table(ctx, domain):
+    """K_n's table on a per-slot product by the recursion: the last level
+    of `cumulant_recursive_levels`, each earlier one dropped as it is
+    read, as `cumulant_table` reads the last level of the direct build."""
+    domain = list(domain)
+    levels = cumulant_recursive_levels(ctx, domain)
+    return next(itertools.islice(levels, len(domain) - 1, None))[1]
 
 
 @pytest.fixture(scope="module")
@@ -218,7 +226,8 @@ class TestProductMemo:
             for codes in itertools.product(GRID_CODES, repeat=n):
                 expected = reference_terms(ctx, codes)
                 terms = cumulant_terms(ctx, codes)
-                assert [(t.composition, t.sign, t.value) for t in terms] == expected
+                assert [(t.composition, composition_sign(t.composition),
+                         t.value) for t in terms] == expected
                 total = Cochain.zero()
                 for _, sign, value in expected:
                     total = total + value.scale(sign)
@@ -231,7 +240,7 @@ class TestProductMemo:
 def signed_sum(terms) -> Cochain:
     total = Cochain.zero()
     for term in terms:
-        total = total + term.value.scale(term.sign)
+        total = total + term.value.scale(composition_sign(term.composition))
     return total
 
 
@@ -498,8 +507,9 @@ def seeded_form(rng) -> PolyForm:
 
 PER_TUPLE = {
     "cumulant": cumulant,
-    "cumulant_terms": lambda ctx, xs: [(t.composition, t.sign, t.value)
-                                       for t in cumulant_terms(ctx, xs)],
+    "cumulant_terms": lambda ctx, xs: [
+        (t.composition, composition_sign(t.composition), t.value)
+        for t in cumulant_terms(ctx, xs)],
     "cumulant_recursive": cumulant_recursive,
 }
 
@@ -655,5 +665,5 @@ class TestNotation:
 
     def test_trace_signs_follow_composition_order(self, ctx):
         terms = cumulant_terms(ctx, [T, DT])
-        assert [(t.composition.blocks, t.sign) for t in terms] == [
-            ((2,), 1), ((1, 1), -1)]
+        assert [(t.composition.blocks, composition_sign(t.composition))
+                for t in terms] == [((2,), 1), ((1, 1), -1)]

@@ -3,8 +3,10 @@
 The files under tests/golden/ pin, byte for byte, what refactors must
 keep: the `verify all` reports at n = 3 (degree 2) and n = 4 (degrees 2
 and 3), with `duration_ms` zeroed, under both sign conventions, including
-the convention-B failure witnesses, the `verify cumulants` reports at
-n = 5 (degrees 1 and 3), n = 6 (degree 1) and n = 8 (degrees 2 and 4;
+the convention-B failure witnesses, the SHA-256 of that report at n = 6
+(degree 3; the only pin of the G5, G6 and Euler g5, g6 entries and of
+the n = 6 cumulants on the exponent-3 grid), the `verify cumulants`
+reports at n = 5 (degrees 1 and 3), n = 6 (degree 1) and n = 8 (degrees 2 and 4;
 at degree 4 the grid exponent is 4 up to n = 6, 3 at n = 7 and 2 at
 n = 8, so the report crosses two exponent runs), the
 term-by-term traces of `cumulant 4 --inputs ...` and of
@@ -34,16 +36,12 @@ from pathlib import Path
 
 import pytest
 
+from homotopy_cumulants.certify import CONVENTION_A, CONVENTION_B, check_store
 from homotopy_cumulants.cli import main
 from homotopy_cumulants.formal_ainfty import (
     formal_boundary,
     painted_cells,
     tree_text,
-)
-from homotopy_cumulants.hom_complex import (
-    CONVENTION_A,
-    CONVENTION_B,
-    check_store,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -63,6 +61,14 @@ def _verify_report(*argv: str) -> str:
     for entry in report["entries"]:
         entry["duration_ms"] = 0
     return f"exit {code}\n" + json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+
+def _verify_digest(*argv: str) -> str:
+    """The size and SHA-256 of a `verify` report as `_verify_report` writes it."""
+    text = _verify_report(*argv)
+    code_line, body = text.split("\n", 1)
+    data = body.encode("utf-8")
+    return f"{code_line}\n{len(data)} bytes sha256 {hashlib.sha256(data).hexdigest()}\n"
 
 
 def _cumulant_trace(n: str, *inputs: str) -> str:
@@ -130,6 +136,10 @@ OUTPUTS = {
         "all", "--n-max", "4", "--degree", "3", "--sign-convention", "A"),
     "verify_all_n4_d3_B.txt": lambda: _verify_report(
         "all", "--n-max", "4", "--degree", "3", "--sign-convention", "B"),
+    "verify_all_n6_d3_A.sha256": lambda: _verify_digest(
+        "all", "--n-max", "6", "--degree", "3", "--sign-convention", "A"),
+    "verify_all_n6_d3_B.sha256": lambda: _verify_digest(
+        "all", "--n-max", "6", "--degree", "3", "--sign-convention", "B"),
     "verify_cumulants_n5_d1.txt": lambda: _verify_report(
         "cumulants", "--n-max", "5", "--degree", "1"),
     "verify_cumulants_n5_d3.txt": lambda: _verify_report(
@@ -172,6 +182,8 @@ def test_exit_codes_pinned():
     assert (GOLDEN / "verify_all_n4_d2_B.txt").read_text().startswith("exit 1\n")
     assert (GOLDEN / "verify_all_n4_d3_A.txt").read_text().startswith("exit 0\n")
     assert (GOLDEN / "verify_all_n4_d3_B.txt").read_text().startswith("exit 1\n")
+    assert (GOLDEN / "verify_all_n6_d3_A.sha256").read_text().startswith("exit 0\n")
+    assert (GOLDEN / "verify_all_n6_d3_B.sha256").read_text().startswith("exit 1\n")
     assert (GOLDEN / "verify_cumulants_n5_d1.txt").read_text().startswith("exit 0\n")
     assert (GOLDEN / "verify_cumulants_n5_d3.txt").read_text().startswith("exit 0\n")
     assert (GOLDEN / "verify_cumulants_n6_d1.txt").read_text().startswith("exit 0\n")

@@ -13,18 +13,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from homotopy_cumulants import hom_complex, interval_model, suites
+from homotopy_cumulants.certify import CONVENTION_A, CONVENTION_B, get_convention
 from homotopy_cumulants.cube_complex import cell_to_map, cells_of
 from homotopy_cumulants.cumulants import CumulantContext, integration_context
 from homotopy_cumulants.formal_ainfty import formal_boundary, interpret_sum, p_tree
 from homotopy_cumulants.hom_complex import (
-    CONVENTION_A,
-    CONVENTION_B,
     MultiMap,
     TruncationGrid,
     ainfty_relation_defect,
     cumulant_multimap,
     cup_pair,
-    get_convention,
     hom_boundary,
     homotopy_witness,
     iterated_integral_map,
@@ -144,7 +142,7 @@ def _arity3_leaves() -> list[MultiMap]:
     i1, i2 = iterated_integral_map(1), iterated_integral_map(2)
     return ([wedge_at(i2, 0), wedge_at(i2, 1),
              cup_pair(i1, i2), cup_pair(i2, i1), homotopy_witness(3)]
-            + [cell_to_map(3, cell) for cell in cells_of(3)
+            + [cell_to_map(cell) for cell in cells_of(3)
                if cell.dimension == 1])
 
 
@@ -383,7 +381,7 @@ class TestHomBoundary:
     def test_boundary_squares_to_zero_on_cell_maps_on_codes(self):
         for n in (3, 4):
             for cell in cells_of(n):
-                twice = hom_boundary(hom_boundary(cell_to_map(n, cell)))
+                twice = hom_boundary(hom_boundary(cell_to_map(cell)))
                 assert map_is_zero_on(twice, TruncationGrid(1)).equal
 
     @settings(max_examples=40, deadline=None)
@@ -391,7 +389,7 @@ class TestHomBoundary:
            st.lists(_forms, min_size=4, max_size=4))
     def test_boundary_squares_to_zero_on_cell_maps(self, cell, forms):
         n, cell = cell
-        twice = hom_boundary(hom_boundary(cell_to_map(n, cell)))
+        twice = hom_boundary(hom_boundary(cell_to_map(cell)))
         assert twice(*forms[:n]).is_zero()
 
     def test_boundary_squares_to_zero_on_witnesses(self):
@@ -894,7 +892,7 @@ def test_the_map_dag_is_data(convention):
         tops = [witness, hom_boundary(witness, convention),
                 ainfty_relation_defect(4, 1, convention)[1], k4,
                 interpret_sum(formal_boundary(p_tree(4), convention), convention)]
-        tops += [cell_to_map(4, cell, convention) for cell in cells_of(4)]
+        tops += [cell_to_map(cell, convention) for cell in cells_of(4)]
         seen, leaves, stack = set(), set(), list(tops)
         while stack:
             f = stack.pop()

@@ -5,9 +5,12 @@ imported from its module on first access.  The dga, chain-map and
 cumulants families load only the layers below the Hom layer, while the
 command line loads every layer at start, so `verify all` imports nothing
 during its run.  The loads are observed in fresh interpreters started
-with -S, so no site hook imports anything first.
+with -S, so no site hook imports anything first.  No module imports from
+a sibling a name that it never reads, so none imports a name only to
+re-export it.
 """
 
+import ast
 import importlib
 import os
 import subprocess
@@ -102,3 +105,21 @@ def test_an_unknown_name_is_an_attribute_error():
     with pytest.raises(AttributeError, match="'homotopy_cumulants'.*'nope'"):
         homotopy_cumulants.nope
     assert not hasattr(homotopy_cumulants, "nope")
+
+
+def test_no_module_imports_a_sibling_name_it_leaves_unused():
+    """A module imports from its siblings only names it reads, so no
+    module re-exports another's name and no dead import stays.  The reads
+    are the names in each parsed module, so the test loads nothing."""
+    unused = []
+    for path in sorted((SRC / "homotopy_cumulants").glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name)}
+        unused += [f"{path.stem}: {alias.asname or alias.name} from "
+                   f"{'.' * node.level}{node.module or ''}"
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.ImportFrom) and node.level
+                   for alias in node.names
+                   if (alias.asname or alias.name) not in read]
+    assert unused == []

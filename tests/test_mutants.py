@@ -17,7 +17,8 @@ maps against the Koszul sign or the Leibniz rule, and the case asserts
 which comparisons fail.  The formal boundary's sign mutants are
 recompiled the same way; each also pins which p_n, n <= 5, fail to
 square to zero, and one makes four checks raise, which the report
-records as failed entries.  Defects that change no value, only the work done (where
+records as failed entries.  The rule those signs read, `certify.passed`,
+has a mutant of its own with A's and B's sides swapped.  Defects that change no value, only the work done (where
 a build releases a table, how the recursive table groups its split term),
 are caught by the tests that count that work.
 """
@@ -33,6 +34,7 @@ from fractions import Fraction
 import pytest
 
 from homotopy_cumulants import (
+    certify,
     cli,
     cube_complex,
     cumulants,
@@ -40,9 +42,8 @@ from homotopy_cumulants import (
     hom_complex,
     suites,
 )
+from homotopy_cumulants.certify import CONVENTION_A, CONVENTION_B
 from homotopy_cumulants.hom_complex import (
-    CONVENTION_A,
-    CONVENTION_B,
     MultiMap,
     TruncationGrid,
     cumulant_multimap,
@@ -302,6 +303,28 @@ def test_formal_sign_mutant_fails_exactly(monkeypatch, name):
             assert {n for n in range(1, 6)
                     if not formal_ainfty.check_d_squared(n, convention)
                     } == unsquared
+
+
+def test_passed_rule_swapped_fails_exactly(monkeypatch):
+    """`certify.passed` with A's and B's sides swapped, set in every module
+    that reads it: each convention's formal boundary is then the other's,
+    which still squares to zero, while the Hom layer, whose tables inline
+    the rule, keeps its own.  Under A only p3's interpretation shows it;
+    under B that check, which B's rule fails, now passes, and B's other
+    eleven failures, which the Hom layer's signs make, stay."""
+    mutant = source_mutant(
+        certify.passed,
+        "parities[:start] if convention.from_left else parities[stop:]",
+        "parities[stop:] if convention.from_left else parities[:start]")
+    for module in (certify, formal_ainfty):
+        monkeypatch.setattr(module, "passed", mutant)
+    p3 = "formal boundary of p3 interprets to the Hom boundary"
+    assert failing_checks() == {p3}
+    assert failing_checks(CONVENTION_B) == CONVENTION_B_FAILS - {p3}
+    for convention in (CONVENTION_A, CONVENTION_B):
+        with certify.check_store():
+            assert all(formal_ainfty.check_d_squared(n, convention)
+                       for n in range(1, 6))
 
 
 def test_a_raising_check_is_a_failed_entry(monkeypatch, capsys):

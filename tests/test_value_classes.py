@@ -66,7 +66,7 @@ def _reversed_cup(a, b):
 FROZEN = [
     (Composition, ((1, 2),)),
     (CumulantContext, (integrate, wedge, _reversed_cup)),
-    (CumulantTerm, (Composition((2,)), -1, Cochain(1, "1/2", 3))),
+    (CumulantTerm, (Composition((2,)), Cochain(1, "1/2", 3))),
     (SignConvention, ("A", True)),
     (TruncationGrid, (3,)),
     (EqualityVerdict, ("c", 2, 3, False, (T, T), Cochain(1, 0, 0),
@@ -85,7 +85,7 @@ FROZEN = [
 FIELDS = {
     Composition: ("blocks",),
     CumulantContext: ("chain_map", "source_product", "target_product"),
-    CumulantTerm: ("composition", "sign", "value"),
+    CumulantTerm: ("composition", "value"),
     SignConvention: ("name", "from_left"),
     TruncationGrid: ("max_exponent",),
     EqualityVerdict: ("check", "arity", "grid_max_exponent", "equal",
